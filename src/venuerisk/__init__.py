@@ -9,17 +9,13 @@ significance testing.
 
 from .epi import (
     EpiParams,
-    VenueResult,
-    count_severities,
     effective_prevalence,
     expected_new_infections_hour,
-    prevalence_rate,
     simulate_week,
     wells_riley_probability,
 )
-from .errors import ConfigError, DatasetError, InputError, RecordError
+from .errors import ConfigError, DatasetError, RecordError
 from .ingest import (
-    AreaUnit,
     SimulationInput,
     Venue,
     VisitSeries,
@@ -31,63 +27,37 @@ from .ingest import (
     write_venues,
     write_visits,
 )
-from .reporting import TOOL_VERSION, RunManifest, build_manifest
+from .reporting import TOOL_VERSION
 from .scenario import (
-    BASELINE,
     ScenarioConfig,
-    ScenarioResult,
     apply_occupancy_cap,
     load_scenario_config,
     max_distanced_occupancy,
     parse_spacing,
     run_scenario,
 )
-from .stats import (
-    ComparisonResult,
-    Histogram,
-    LogNormalFit,
-    Scale,
-    Severity,
-    classify,
-    fit_log_normal,
-    histogram,
-    welch_t_test,
-)
+from .stats import Severity, classify, histogram, welch_t_test
 from .synthetic import GeneratorConfig, generate_dataset
 
 __version__ = TOOL_VERSION
 
 __all__ = [
-    "AreaUnit",
-    "BASELINE",
-    "ComparisonResult",
     "ConfigError",
     "DatasetError",
     "EpiParams",
     "GeneratorConfig",
-    "Histogram",
-    "InputError",
-    "LogNormalFit",
     "RecordError",
-    "RunManifest",
-    "Scale",
     "ScenarioConfig",
-    "ScenarioResult",
     "Severity",
     "SimulationInput",
-    "TOOL_VERSION",
     "Venue",
-    "VenueResult",
     "VisitSeries",
     "apply_occupancy_cap",
     "apply_sampling_correction",
-    "build_manifest",
     "classify",
     "compute_volumes",
-    "count_severities",
     "effective_prevalence",
     "expected_new_infections_hour",
-    "fit_log_normal",
     "generate_dataset",
     "histogram",
     "join",
@@ -96,7 +66,6 @@ __all__ = [
     "parse_spacing",
     "parse_venues",
     "parse_visits",
-    "prevalence_rate",
     "run_scenario",
     "simulate_week",
     "welch_t_test",

@@ -21,18 +21,19 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import io
 import math
+import statistics
 import sys
-from pathlib import Path
 
 from .epi import EpiParams
 from .errors import ConfigError, InputError
 from .ingest import (
     AreaUnit,
+    SimulationInput,
     compute_volumes,
     join,
+    open_input,
     parse_venues,
     parse_visits,
     write_venues,
@@ -40,18 +41,18 @@ from .ingest import (
 )
 from .reporting import (
     TOOL_VERSION,
-    atomic_write_text,
     build_manifest,
-    canonical_json,
     dump_json,
+    hashed_manifest,
     histogram_csv,
-    utc_now_iso,
     venue_results_csv,
+    write_reports,
 )
 from .scenario import (
     BASELINE,
     ScenarioConfig,
     load_scenario_config,
+    params_from_mapping,
     parse_spacing,
     read_keyvalue,
     run_scenario,
@@ -60,8 +61,7 @@ from .stats import Scale, classify, histogram, welch_t_test
 from .synthetic import PROFILES, GeneratorConfig, generate_dataset
 
 WINDOW_HOURS = 168
-
-_PARAM_FIELDS = frozenset(f.name for f in dataclasses.fields(EpiParams))
+T_TEST_KEYS = ("t_stat", "degrees_of_freedom", "p_value")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,15 +185,8 @@ def _resolve_params(args) -> EpiParams:
     """Merge params file and CLI flags into a validated EpiParams."""
     values: dict[str, float] = {}
     if args.params:
-        with open(args.params, encoding="utf-8-sig") as handle:
-            pairs = read_keyvalue(handle)
-        for key, raw in pairs.items():
-            if key not in _PARAM_FIELDS:
-                raise ConfigError(f"unknown params file key {key!r}")
-            try:
-                values[key] = float(raw)
-            except ValueError:
-                raise ConfigError(f"params file key {key!r} value {raw!r} is not a number") from None
+        with open_input(args.params) as handle:
+            values = params_from_mapping(read_keyvalue(handle))
     if args.prevalence is not None:
         values["documented_prevalence"] = args.prevalence
     if args.underreport_factor is not None:
@@ -206,27 +199,43 @@ def _resolve_params(args) -> EpiParams:
     return EpiParams(**values)
 
 
-def _load_base_input(args, params: EpiParams):
+def _load_base_input(args, params: EpiParams) -> SimulationInput:
     """Parse venue and (optional) visit files into a raw SimulationInput."""
-    with open(args.venues, encoding="utf-8-sig") as handle:
-        venues = parse_venues(handle, args.area_unit)
-    venues = compute_volumes(venues, params.ceiling_height)
-    visits = {}
-    if args.visits:
-        with open(args.visits, encoding="utf-8-sig") as handle:
-            visits = parse_visits(handle, WINDOW_HOURS)
-    return join(venues, visits, WINDOW_HOURS, sampling_factor_applied=1.0)
+    with open_input(args.venues) as handle:
+        venues = compute_volumes(parse_venues(handle, args.area_unit), params.ceiling_height)
+    if not args.visits:
+        return join(venues, {}, WINDOW_HOURS)
+    with open_input(args.visits) as handle:
+        return join(venues, parse_visits(handle, WINDOW_HOURS), WINDOW_HOURS)
+
+
+def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str]):
+    """Run each scenario over the shared inputs.
+
+    Returns the resolved params, the base input, one ScenarioResult per
+    config, and the manifest over every input file (the scenario files
+    in ``config_paths`` included).
+    """
+    params = _resolve_params(args)
+    base = _load_base_input(args, params)
+    for config in configs:
+        if config.visit_source == BASELINE and not args.visits:
+            raise ConfigError(
+                f"scenario {config.name!r} uses the baseline visit source but --visits was not given"
+            )
+    outcomes = [run_scenario(base, config, params, args.threshold) for config in configs]
+
+    input_paths = [args.venues, *config_paths, *([args.visits] if args.visits else [])]
+    input_paths += [c.visit_source for c in configs if c.visit_source != BASELINE]
+    manifest = build_manifest(input_paths, params, configs, timestamp=args.timestamp)
+    return params, base, outcomes, manifest
 
 
 def _combined_range(values_a, values_b, scale: Scale):
     """Shared histogram span so two exports overlay on the same bins."""
-    if scale is Scale.LOG10:
-        pool = [v for v in list(values_a) + list(values_b) if math.isfinite(v) and v > 0]
-    else:
-        pool = [v for v in list(values_a) + list(values_b) if math.isfinite(v)]
-    if not pool:
-        return None
-    return min(pool), max(pool)
+    positive_only = scale is Scale.LOG10
+    pool = [v for v in (*values_a, *values_b) if math.isfinite(v) and (v > 0 or not positive_only)]
+    return (min(pool), max(pool)) if pool else None
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +243,6 @@ def _combined_range(values_a, values_b, scale: Scale):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    params = _resolve_params(args)
-    base = _load_base_input(args, params)
     spacing = parse_spacing(args.spacing) if args.spacing else None
     config = ScenarioConfig(
         name="simulate",
@@ -243,15 +250,11 @@ def cmd_simulate(args) -> int:
         sampling_factor=args.sampling_factor,
         spacing=spacing,
     )
-    outcome = run_scenario(base, config, params, args.threshold)
+    params, base, (outcome,), manifest = _run_scenarios(args, [config], [])
+    mhash = manifest["manifest_sha256"]
 
     weekly = [r.weekly_infections for r in outcome.results.values()]
     hist = histogram(weekly, args.bins, args.scale)
-    manifest = build_manifest(
-        [args.venues, args.visits], params, [config], timestamp=args.timestamp
-    )
-    mhash = manifest.manifest_hash
-
     summary = {
         "manifest_sha256": mhash,
         "scenario": config.name,
@@ -269,13 +272,12 @@ def cmd_simulate(args) -> int:
             "excluded_count": hist.excluded_count,
         },
     }
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out_dir / "venue_results.csv", venue_results_csv(outcome.results, base.venues, mhash))
-    atomic_write_text(out_dir / "histogram.csv", histogram_csv(hist, mhash))
-    atomic_write_text(out_dir / "summary.json", dump_json(summary))
-    atomic_write_text(out_dir / "manifest.json", dump_json(manifest.to_dict()))
+    out_dir = write_reports(args.out, {
+        "venue_results.csv": venue_results_csv(outcome.results, base.venues, mhash),
+        "histogram.csv": histogram_csv(hist, mhash),
+        "summary.json": dump_json(summary),
+        "manifest.json": dump_json(manifest),
+    })
 
     print(
         f"venues={summary['venue_count']} severe={outcome.severe_count} "
@@ -286,52 +288,37 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    params = _resolve_params(args)
-    base = _load_base_input(args, params)
-    config_a = load_scenario_config(args.scenario_a)
-    config_b = load_scenario_config(args.scenario_b)
-    for config in (config_a, config_b):
-        if config.visit_source == BASELINE and not args.visits:
-            raise ConfigError(
-                f"scenario {config.name!r} uses the baseline visit source but --visits was not given"
-            )
+    configs = [load_scenario_config(args.scenario_a), load_scenario_config(args.scenario_b)]
+    _, _, outcomes, manifest = _run_scenarios(args, configs, [args.scenario_a, args.scenario_b])
+    mhash = manifest["manifest_sha256"]
 
-    result_a = run_scenario(base, config_a, params, args.threshold)
-    result_b = run_scenario(base, config_b, params, args.threshold)
-    weekly_a = [r.weekly_infections for r in result_a.results.values()]
-    weekly_b = [r.weekly_infections for r in result_b.results.values()]
-
-    comparison = welch_t_test(weekly_a, weekly_b, pooled=args.pooled)
+    weekly_a, weekly_b = ([r.weekly_infections for r in o.results.values()] for o in outcomes)
+    try:
+        test = welch_t_test(weekly_a, weekly_b, pooled=args.pooled)
+        t_test = {key: getattr(test, key) for key in T_TEST_KEYS}
+    except ValueError as exc:
+        # a legal but degenerate scenario (total closure, a single venue) still gets a report
+        t_test = dict.fromkeys(T_TEST_KEYS)
+        t_test["t_test_undefined"] = (
+            f"scenario_a {configs[0].name!r} vs scenario_b {configs[1].name!r}: {exc}"
+        )
     span = _combined_range(weekly_a, weekly_b, Scale(args.scale))
     hist_a = histogram(weekly_a, args.bins, args.scale, value_range=span)
     hist_b = histogram(weekly_b, args.bins, args.scale, value_range=span)
 
-    input_paths = [args.venues, args.scenario_a, args.scenario_b]
-    if args.visits:
-        input_paths.append(args.visits)
-    for config in (config_a, config_b):
-        if config.visit_source != BASELINE:
-            input_paths.append(config.visit_source)
-    manifest = build_manifest(input_paths, params, [config_a, config_b], timestamp=args.timestamp)
-    mhash = manifest.manifest_hash
+    def scenario_report(outcome, weekly):
+        return {
+            "name": outcome.config.name,
+            "severe_count": outcome.severe_count,
+            "mild_count": outcome.mild_count,
+            "mean_weekly_infections": statistics.fmean(weekly) if weekly else None,
+        }
 
     report = {
         "manifest_sha256": mhash,
-        "scenario_a": {
-            "name": config_a.name,
-            "severe_count": result_a.severe_count,
-            "mild_count": result_a.mild_count,
-            "mean_weekly_infections": comparison.mean_a,
-        },
-        "scenario_b": {
-            "name": config_b.name,
-            "severe_count": result_b.severe_count,
-            "mild_count": result_b.mild_count,
-            "mean_weekly_infections": comparison.mean_b,
-        },
-        "t_stat": comparison.t_stat,
-        "degrees_of_freedom": comparison.degrees_of_freedom,
-        "p_value": comparison.p_value,
+        "scenario_a": scenario_report(outcomes[0], weekly_a),
+        "scenario_b": scenario_report(outcomes[1], weekly_b),
+        **t_test,
         "pooled": args.pooled,
         "severity_threshold": args.threshold,
         "histogram": {
@@ -341,47 +328,45 @@ def cmd_compare(args) -> int:
             "excluded_count_b": hist_b.excluded_count,
         },
     }
+    out_dir = write_reports(args.out, {
+        "comparison.json": dump_json(report),
+        "histogram_a.csv": histogram_csv(hist_a, mhash),
+        "histogram_b.csv": histogram_csv(hist_b, mhash),
+        "manifest.json": dump_json(manifest),
+    })
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out_dir / "comparison.json", dump_json(report))
-    atomic_write_text(out_dir / "histogram_a.csv", histogram_csv(hist_a, mhash))
-    atomic_write_text(out_dir / "histogram_b.csv", histogram_csv(hist_b, mhash))
-    atomic_write_text(out_dir / "manifest.json", dump_json(manifest.to_dict()))
-
-    print(f"scenario_a {config_a.name}: severe={result_a.severe_count} mild={result_a.mild_count}")
-    print(f"scenario_b {config_b.name}: severe={result_b.severe_count} mild={result_b.mild_count}")
-    print(
-        f"t={comparison.t_stat!r} df={comparison.degrees_of_freedom!r} "
-        f"p={comparison.p_value!r}"
-    )
+    for side, outcome in zip(("a", "b"), outcomes):
+        print(
+            f"scenario_{side} {outcome.config.name}: "
+            f"severe={outcome.severe_count} mild={outcome.mild_count}"
+        )
+    if "t_test_undefined" in t_test:
+        print(f"t-test undefined: {t_test['t_test_undefined']}")
+    else:
+        print(f"t={t_test['t_stat']!r} df={t_test['degrees_of_freedom']!r} p={t_test['p_value']!r}")
     print(f"reports written to {out_dir}")
     return 0
 
 
 def cmd_hotspots(args) -> int:
-    with open(args.results, encoding="utf-8-sig") as handle:
-        lines = [ln for ln in handle if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None:
-        raise InputError(f"results file {args.results!r} is empty")
-    required = {"venue_id", "name", "weekly_infections"}
-    missing = required - set(reader.fieldnames)
-    if missing:
-        raise InputError(
-            f"results file {args.results!r} lacks column(s): " + ", ".join(sorted(missing))
-        )
+    with open_input(args.results) as handle:
+        reader = csv.DictReader(ln for ln in handle if not ln.startswith("#"))
+        if reader.fieldnames is None:
+            raise InputError("results file is empty")
+        missing = {"venue_id", "name", "weekly_infections"} - set(reader.fieldnames)
+        if missing:
+            raise InputError("results file lacks column(s): " + ", ".join(sorted(missing)))
 
-    entries = []
-    for row in reader:
-        try:
-            weekly = float(row["weekly_infections"])
-        except ValueError:
-            raise InputError(
-                f"bad weekly_infections value {row['weekly_infections']!r} "
-                f"for venue {row['venue_id']!r}"
-            ) from None
-        entries.append((row["venue_id"], row["name"], weekly))
+        entries = []
+        for row in reader:
+            try:
+                weekly = float(row["weekly_infections"])
+            except ValueError:
+                raise InputError(
+                    f"bad weekly_infections value {row['weekly_infections']!r} "
+                    f"for venue {row['venue_id']!r}"
+                ) from None
+            entries.append((row["venue_id"], row["name"], weekly))
 
     entries.sort(key=lambda e: (-e[2], e[0]))
     if args.top is not None:
@@ -402,28 +387,21 @@ def cmd_gen_synthetic(args) -> int:
         n_venues=args.n_venues, profile=args.profile, seed=args.seed, **overrides
     )
     venues, visits = generate_dataset(config)
-
-    payload = {
-        "tool_version": TOOL_VERSION,
-        "generator_config": dataclasses.asdict(config),
-    }
-    mhash = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-    manifest = {
-        **payload,
-        "timestamp": args.timestamp if args.timestamp else utc_now_iso(),
-        "manifest_sha256": mhash,
-    }
+    manifest = hashed_manifest(
+        {"tool_version": TOOL_VERSION, "generator_config": dataclasses.asdict(config)},
+        args.timestamp,
+    )
+    stamp = f"manifest_sha256: {manifest['manifest_sha256']}"
 
     venue_buf = io.StringIO()
-    write_venues(venues.values(), venue_buf, comment=f"manifest_sha256: {mhash}")
+    write_venues(venues.values(), venue_buf, comment=stamp)
     visit_buf = io.StringIO()
-    write_visits(visits.values(), visit_buf, comment=f"manifest_sha256: {mhash}")
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out_dir / "venues.csv", venue_buf.getvalue())
-    atomic_write_text(out_dir / "visits.csv", visit_buf.getvalue())
-    atomic_write_text(out_dir / "manifest.json", dump_json(manifest))
+    write_visits(visits.values(), visit_buf, comment=stamp)
+    out_dir = write_reports(args.out, {
+        "venues.csv": venue_buf.getvalue(),
+        "visits.csv": visit_buf.getvalue(),
+        "manifest.json": dump_json(manifest),
+    })
 
     print(f"generated {config.n_venues} venues ({config.profile} traffic) in {out_dir}")
     return 0

@@ -78,25 +78,6 @@ class VenueResult:
     severity: Severity
 
 
-def prevalence_rate(infected: float, population: float) -> float:
-    """Fraction of a community currently infected.
-
-    Args:
-        infected: current infected count (>= 0).
-        population: total community size (> 0).
-
-    Returns:
-        infected / population, a fraction in [0, 1].
-    """
-    if not (math.isfinite(population) and population > 0):
-        raise ValueError(f"population must be positive, got {population}")
-    if not (math.isfinite(infected) and infected >= 0):
-        raise ValueError(f"infected count must be non-negative, got {infected}")
-    if infected > population:
-        raise ValueError(f"infected count {infected} exceeds population {population}")
-    return infected / population
-
-
 def effective_prevalence(documented: float, underreport_factor: float) -> float:
     """Scale a documented prevalence by the under-reporting factor.
 

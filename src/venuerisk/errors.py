@@ -5,6 +5,8 @@ cover failures tied to input files and configuration, where the caller
 needs to know *where* the problem is (line, file, or dataset-wide).
 """
 
+import contextlib
+
 
 class InputError(Exception):
     """Base class for all input validation failures."""
@@ -24,3 +26,13 @@ class DatasetError(InputError):
 
 class ConfigError(InputError):
     """A malformed parameter or scenario configuration."""
+
+
+@contextlib.contextmanager
+def error_context(label: str):
+    """Prefix ``label`` (a file path or scenario name) to any InputError raised in the block."""
+    try:
+        yield
+    except InputError as exc:
+        exc.args = (f"{label}: {exc}",)
+        raise

@@ -17,14 +17,15 @@ dataclasses keyed by venue id.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import math
 from dataclasses import dataclass, replace
-from datetime import datetime
+from pathlib import Path
 from typing import Iterable, Mapping, TextIO
 
-from .errors import DatasetError, RecordError
+from .errors import DatasetError, RecordError, error_context
 
 SQFT_TO_SQM = 0.09290304
 
@@ -68,7 +69,6 @@ class VisitSeries:
 
     venue_id: str
     hourly_counts: tuple[float, ...]
-    window_start: datetime | None = None
 
     def __post_init__(self):
         for h, c in enumerate(self.hourly_counts):
@@ -77,10 +77,6 @@ class VisitSeries:
                     f"venue {self.venue_id!r}: count at hour {h} must be a "
                     f"non-negative finite number, got {c}"
                 )
-        if self.window_start is not None and (
-            self.window_start.minute or self.window_start.second or self.window_start.microsecond
-        ):
-            raise ValueError("window_start must be aligned to a whole hour")
 
     def __len__(self) -> int:
         return len(self.hourly_counts)
@@ -99,6 +95,13 @@ class SimulationInput:
     visits: Mapping[str, VisitSeries]
     window_hours: int
     sampling_factor_applied: float = 1.0
+
+
+@contextlib.contextmanager
+def open_input(path: str | Path):
+    """Open a UTF-8 input file (BOM dropped); InputErrors raised while it is open name the file."""
+    with open(path, encoding="utf-8-sig") as handle, error_context(str(path)):
+        yield handle
 
 
 def _data_rows(source: TextIO):
@@ -120,13 +123,13 @@ def parse_venues(source: TextIO, area_unit: AreaUnit | str = AreaUnit.SQUARE_MET
 
     Raises:
         RecordError: malformed row, non-positive area (with line number).
-        DatasetError: bad header or duplicate venue_id.
+        DatasetError: missing or bad header, or duplicate venue_id.
     """
     unit = AreaUnit(area_unit)
     rows = _data_rows(source)
     first = next(rows, None)
     if first is None:
-        return {}
+        raise DatasetError(f"venue file has no header: expected {','.join(VENUE_HEADER)!r}")
     if tuple(f.strip() for f in first[1]) != VENUE_HEADER:
         raise DatasetError(
             f"venue file header must be {','.join(VENUE_HEADER)!r}, got {','.join(first[1])!r}"
@@ -153,11 +156,7 @@ def parse_venues(source: TextIO, area_unit: AreaUnit | str = AreaUnit.SQUARE_MET
     return venues
 
 
-def parse_visits(
-    source: TextIO,
-    window_hours: int,
-    window_start: datetime | None = None,
-) -> dict[str, VisitSeries]:
+def parse_visits(source: TextIO, window_hours: int) -> dict[str, VisitSeries]:
     """Parse a visit CSV into per-venue hourly series of length ``window_hours``.
 
     Hours absent from the file are filled with 0: sparse mobility data
@@ -205,10 +204,7 @@ def parse_visits(
         seen.add((venue_id, hour))
         counts.setdefault(venue_id, [0.0] * window_hours)[hour] = count
 
-    return {
-        vid: VisitSeries(venue_id=vid, hourly_counts=tuple(vals), window_start=window_start)
-        for vid, vals in counts.items()
-    }
+    return {vid: VisitSeries(vid, tuple(vals)) for vid, vals in counts.items()}
 
 
 def apply_sampling_correction(
@@ -257,9 +253,8 @@ def join(
         raise ValueError(f"window_hours must be >= 1, got {window_hours}")
     unknown = sorted(set(visits) - set(venues))
     if unknown:
-        raise DatasetError(
-            "visit series reference unknown venue ids: " + ", ".join(repr(u) for u in unknown)
-        )
+        shown = ", ".join(repr(u) for u in unknown[:10]) + (", ..." if len(unknown) > 10 else "")
+        raise DatasetError(f"visit series reference {len(unknown)} unknown venue id(s): {shown}")
     full: dict[str, VisitSeries] = {}
     for vid in venues:
         series = visits.get(vid)
@@ -293,16 +288,11 @@ def write_venues(venues: Iterable[Venue], sink: TextIO, comment: str | None = No
         writer.writerow([v.venue_id, v.name, v.category, repr(v.area)])
 
 
-def write_visits(
-    visits: Iterable[VisitSeries],
-    sink: TextIO,
-    comment: str | None = None,
-    include_zeros: bool = False,
-) -> None:
+def write_visits(visits: Iterable[VisitSeries], sink: TextIO, comment: str | None = None) -> None:
     """Serialize visit series to the documented CSV format.
 
-    Zero-count hours are omitted by default; parsing zero-fills them, so
-    the round trip is exact.
+    Zero-count hours are omitted; parsing zero-fills them, so the round
+    trip is exact.
     """
     if comment:
         sink.write(f"# {comment}\n")
@@ -310,5 +300,5 @@ def write_visits(
     writer.writerow(VISIT_HEADER)
     for series in visits:
         for hour, count in enumerate(series.hourly_counts):
-            if count != 0 or include_zeros:
+            if count != 0:
                 writer.writerow([series.venue_id, hour, _format_count(count)])

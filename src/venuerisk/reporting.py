@@ -10,8 +10,9 @@ Every output file names the manifest hash that produced it: CSV files
 carry a leading ``# manifest_sha256: ...`` comment, JSON files a
 ``manifest_sha256`` key. The hash covers the deterministic manifest
 payload (tool version, input digests, resolved parameters, scenario
-configs); the run timestamp is stored in the manifest but excluded from
-the hash so reruns on identical inputs stay comparable.
+configs; for generated data, the generator config); the run timestamp
+is stored in the manifest but excluded from the hash so reruns on
+identical inputs stay comparable.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -46,33 +46,6 @@ VENUE_RESULT_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record for one CLI run."""
-
-    tool_version: str
-    input_file_digests: dict[str, str]
-    resolved_params: dict
-    scenario_configs: list
-    timestamp: str
-
-    def hash_payload(self) -> dict:
-        """The deterministic portion of the manifest (everything but the timestamp)."""
-        return {
-            "tool_version": self.tool_version,
-            "input_file_digests": self.input_file_digests,
-            "resolved_params": self.resolved_params,
-            "scenario_configs": self.scenario_configs,
-        }
-
-    @property
-    def manifest_hash(self) -> str:
-        return hashlib.sha256(canonical_json(self.hash_payload()).encode("utf-8")).hexdigest()
-
-    def to_dict(self) -> dict:
-        return {**self.hash_payload(), "timestamp": self.timestamp, "manifest_sha256": self.manifest_hash}
-
-
 def sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -81,52 +54,66 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def utc_now_iso() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+def hashed_manifest(payload: dict, timestamp: str | None = None) -> dict:
+    """Return ``payload`` plus a run timestamp and the sha256 of its canonical JSON.
+
+    The timestamp (now, unless given) is not hashed, so reruns on
+    identical inputs share a hash.
+    """
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    if timestamp is None:
+        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return {
+        **payload,
+        "timestamp": timestamp,
+        "manifest_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+    }
 
 
 def build_manifest(
     input_paths: Iterable[str | Path],
-    params: EpiParams | None,
+    params: EpiParams,
     scenario_configs: Iterable[ScenarioConfig],
     timestamp: str | None = None,
-) -> RunManifest:
+) -> dict:
     """Assemble the manifest for a run over the given input files."""
-    digests = {str(p): sha256_file(p) for p in sorted(set(str(p) for p in input_paths))}
-    return RunManifest(
-        tool_version=TOOL_VERSION,
-        input_file_digests=digests,
-        resolved_params=dataclasses.asdict(params) if params is not None else {},
-        scenario_configs=[_config_to_dict(c) for c in scenario_configs],
-        timestamp=timestamp if timestamp is not None else utc_now_iso(),
-    )
-
-
-def _config_to_dict(config: ScenarioConfig) -> dict:
-    return {
-        "name": config.name,
-        "visit_source": config.visit_source,
-        "sampling_factor": config.sampling_factor,
-        "spacing": config.spacing,
-        "params_override": dict(config.params_override),
+    digests = {p: sha256_file(p) for p in sorted({str(p) for p in input_paths})}
+    payload = {
+        "tool_version": TOOL_VERSION,
+        "input_file_digests": digests,
+        "resolved_params": dataclasses.asdict(params),
+        "scenario_configs": [dataclasses.asdict(c) for c in scenario_configs],
     }
+    return hashed_manifest(payload, timestamp)
+
+
+def write_reports(out_dir: str | Path, reports: Mapping[str, str]) -> Path:
+    """Create ``out_dir`` and atomically write each ``{file name: text}`` report into it."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in reports.items():
+        atomic_write_text(out_dir / name, text)
+    return out_dir
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file + rename so partial outputs never survive."""
+    """Write via a temp file + rename so partial outputs never survive.
+
+    The file gets the usual ``0o666 & ~umask`` mode; ``mkstemp`` alone
+    would leave it ``0o600``.
+    """
     path = Path(path)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -12,8 +12,9 @@ the same pipeline order:
     5. simulate the window
     6. classify severities
 
-Scenario config files use one ``key = value`` pair per line, ``#``
-comments allowed. Recognized keys:
+Scenario config files use one ``key = value`` pair per line. A ``#``
+at the start of a line or after whitespace starts a comment, so a value
+such as ``data#1.csv`` stays whole. Recognized keys:
 
     name = lockdown                 # defaults to the file stem
     visits = baseline               # or a path to a visit CSV
@@ -32,13 +33,21 @@ from pathlib import Path
 from typing import Mapping, TextIO
 
 from .epi import EpiParams, VenueResult, count_severities, simulate_week
-from .errors import ConfigError
-from .ingest import SimulationInput, VisitSeries, apply_sampling_correction, join, parse_visits
+from .errors import ConfigError, error_context
+from .ingest import (
+    SimulationInput,
+    VisitSeries,
+    apply_sampling_correction,
+    join,
+    open_input,
+    parse_visits,
+)
 
 BASELINE = "baseline"
 FT_TO_M = 0.3048
 
 _PARAM_FIELDS = frozenset(f.name for f in dataclasses.fields(EpiParams))
+_COMMENT_RE = re.compile(r"(?:^|\s)#")
 
 
 @dataclass(frozen=True)
@@ -110,31 +119,33 @@ def run_scenario(
     ``base`` carries the baseline visit counts as-read (its audit factor
     times ``config.sampling_factor`` becomes the effective correction).
     An alternate visit file must join against the same venue table.
+    Input errors raised here name the scenario.
     """
-    if config.visit_source == BASELINE:
-        visits: Mapping[str, VisitSeries] = base.visits
-        factor_applied = base.sampling_factor_applied * config.sampling_factor
-    else:
-        with open(config.visit_source, encoding="utf-8-sig") as handle:
-            visits = parse_visits(handle, base.window_hours)
-        factor_applied = config.sampling_factor
+    with error_context(f"scenario {config.name!r}"):
+        if config.visit_source == BASELINE:
+            visits: Mapping[str, VisitSeries] = base.visits
+            factor_applied = base.sampling_factor_applied * config.sampling_factor
+        else:
+            with open_input(config.visit_source) as handle:
+                visits = parse_visits(handle, base.window_hours)
+            factor_applied = config.sampling_factor
 
-    visits = apply_sampling_correction(visits, config.sampling_factor)
-    sim_input = join(base.venues, visits, base.window_hours, factor_applied)
+        visits = apply_sampling_correction(visits, config.sampling_factor)
+        sim_input = join(base.venues, visits, base.window_hours, factor_applied)
 
-    if config.spacing is not None:
-        capped = {
-            vid: apply_occupancy_cap(
-                sim_input.visits[vid], max_distanced_occupancy(venue.area, config.spacing)
-            )
-            for vid, venue in sim_input.venues.items()
-        }
-        sim_input = dataclasses.replace(sim_input, visits=capped)
+        if config.spacing is not None:
+            capped = {
+                vid: apply_occupancy_cap(
+                    sim_input.visits[vid], max_distanced_occupancy(venue.area, config.spacing)
+                )
+                for vid, venue in sim_input.venues.items()
+            }
+            sim_input = dataclasses.replace(sim_input, visits=capped)
 
-    try:
-        effective_params = dataclasses.replace(params, **dict(config.params_override))
-    except TypeError as exc:
-        raise ConfigError(f"invalid parameter override: {exc}") from None
+        try:
+            effective_params = dataclasses.replace(params, **config.params_override)
+        except ValueError as exc:
+            raise ConfigError(f"invalid parameter override: {exc}") from None
 
     results = simulate_week(sim_input, effective_params, severity_threshold)
     severe, mild = count_severities(results)
@@ -169,10 +180,10 @@ def parse_spacing(text: str) -> float:
 
 
 def read_keyvalue(source: TextIO) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks ignored."""
+    """Parse ``key = value`` lines; a ``#`` at line start or after whitespace starts a comment."""
     out: dict[str, str] = {}
     for line_no, raw in enumerate(source, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT_RE.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -186,54 +197,64 @@ def read_keyvalue(source: TextIO) -> dict[str, str]:
     return out
 
 
+def params_from_mapping(pairs: Mapping[str, str]) -> dict[str, float]:
+    """Convert ``EpiParams`` field names and their text values to floats.
+
+    Raises:
+        ConfigError: a key is not an ``EpiParams`` field, or a value is not a number.
+    """
+    values: dict[str, float] = {}
+    for key, raw in pairs.items():
+        if key not in _PARAM_FIELDS:
+            raise ConfigError(f"unknown parameter override {key!r}")
+        try:
+            values[key] = float(raw)
+        except ValueError:
+            raise ConfigError(f"parameter {key!r} value {raw!r} is not a number") from None
+    return values
+
+
 def load_scenario_config(path: str | Path) -> ScenarioConfig:
     """Load a scenario config file (syntax documented in the module docstring).
 
     Relative visit paths resolve against the config file's directory.
+    Errors name the file.
     """
     path = Path(path)
-    with open(path, encoding="utf-8-sig") as handle:
+    with open_input(path) as handle:
         pairs = read_keyvalue(handle)
 
-    name = pairs.pop("name", path.stem)
-    visit_source = pairs.pop("visits", BASELINE)
-    if visit_source != BASELINE:
-        visit_path = Path(visit_source)
-        if not visit_path.is_absolute():
-            visit_path = path.parent / visit_path
-        visit_source = str(visit_path)
+        name = pairs.pop("name", path.stem)
+        visit_source = pairs.pop("visits", BASELINE)
+        if visit_source != BASELINE:
+            visit_path = Path(visit_source)
+            if not visit_path.is_absolute():
+                visit_path = path.parent / visit_path
+            visit_source = str(visit_path)
 
-    sampling_factor = 10.0
-    if "sampling_factor" in pairs:
-        raw = pairs.pop("sampling_factor")
-        try:
-            sampling_factor = float(raw)
-        except ValueError:
-            raise ConfigError(f"sampling_factor {raw!r} is not a number") from None
-
-    spacing = parse_spacing(pairs.pop("spacing")) if "spacing" in pairs else None
-
-    overrides: dict[str, float] = {}
-    for key in list(pairs):
-        if key.startswith("param."):
-            field_name = key[len("param."):]
-            if field_name not in _PARAM_FIELDS:
-                raise ConfigError(f"unknown parameter override {key!r}")
-            raw = pairs.pop(key)
+        sampling_factor = 10.0
+        if "sampling_factor" in pairs:
+            raw = pairs.pop("sampling_factor")
             try:
-                overrides[field_name] = float(raw)
+                sampling_factor = float(raw)
             except ValueError:
-                raise ConfigError(f"override {key!r} value {raw!r} is not a number") from None
-    if pairs:
-        raise ConfigError("unknown scenario key(s): " + ", ".join(sorted(pairs)))
+                raise ConfigError(f"sampling_factor {raw!r} is not a number") from None
 
-    try:
-        return ScenarioConfig(
-            name=name,
-            visit_source=visit_source,
-            sampling_factor=sampling_factor,
-            spacing=spacing,
-            params_override=overrides,
+        spacing = parse_spacing(pairs.pop("spacing")) if "spacing" in pairs else None
+
+        overrides = params_from_mapping(
+            {k.removeprefix("param."): pairs.pop(k) for k in list(pairs) if k.startswith("param.")}
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        if pairs:
+            raise ConfigError("unknown scenario key(s): " + ", ".join(sorted(pairs)))
+
+        try:
+            return ScenarioConfig(
+                name=name,
+                visit_source=visit_source,
+                sampling_factor=sampling_factor,
+                spacing=spacing,
+                params_override=overrides,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None

@@ -1,4 +1,4 @@
-"""Hotspot classification, histograms, log-normal fits, and the two-sample t-test.
+"""Hotspot classification, histograms, and the two-sample t-test.
 
 The t-test defaults to Welch's unequal-variance form (the two scenario
 distributions typically have very different spreads); a pooled-variance
@@ -14,7 +14,7 @@ import enum
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,16 +49,6 @@ class Histogram:
     scale: Scale
     excluded_count: int = 0
 
-    @property
-    def is_empty(self) -> bool:
-        """True when no value fell into any bin (degenerate input set)."""
-        return not self.counts
-
-
-class LogNormalFit(NamedTuple):
-    mu: float
-    sigma: float
-
 
 @dataclass(frozen=True)
 class ComparisonResult:
@@ -69,8 +59,6 @@ class ComparisonResult:
     p_value: float
     mean_a: float
     mean_b: float
-    histogram_a: Histogram | None = None
-    histogram_b: Histogram | None = None
 
 
 def classify(weekly_infections: float, threshold: float = 1.0) -> Severity:
@@ -186,7 +174,7 @@ def welch_t_test(
             )
         raise ValueError("both samples have zero variance with unequal means")
     if var_a == 0.0 or var_b == 0.0:
-        raise ValueError("each sample must have nonzero variance")
+        raise ValueError(f"sample {'a' if var_a == 0.0 else 'b'} has zero variance")
 
     if pooled:
         pooled_var = ((na - 1) * var_a + (nb - 1) * var_b) / (na + nb - 2)
@@ -290,26 +278,3 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
             return h
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
-
-def fit_log_normal(values: Sequence[float]) -> LogNormalFit:
-    """Maximum-likelihood log-normal fit of a positive sample.
-
-    mu is the mean of the log values and sigma their population
-    standard deviation. Multiplying all values by k shifts mu by ln(k)
-    and leaves sigma unchanged.
-
-    Raises:
-        ValueError: any value <= 0 or non-finite, fewer than 2 values,
-            or a constant sample (sigma must be positive).
-    """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size < 2:
-        raise ValueError(f"need at least 2 values, got {arr.size}")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ValueError("all values must be positive and finite")
-    logs = np.log(arr)
-    mu = float(logs.mean())
-    sigma = float(logs.std(ddof=0))
-    if sigma == 0.0:
-        raise ValueError("constant sample: sigma of the fit would be zero")
-    return LogNormalFit(mu=mu, sigma=sigma)

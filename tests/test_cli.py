@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -135,7 +136,48 @@ class TestSimulate:
             "--prevalence", "0.001", "--out", str(tmp_path / "x"),
         )
         assert code == 1
-        assert "line 2" in capsys.readouterr().err
+        assert f"{bad}: line 2" in capsys.readouterr().err
+
+    def test_empty_venue_file_names_the_file(self, small_dataset, tmp_path, capsys):
+        empty = tmp_path / "empty_venues.csv"
+        empty.write_text("", encoding="utf-8")
+        code = run_cli(
+            "simulate", "--venues", str(empty), "--visits", str(small_dataset["visits"]),
+            "--prevalence", "0.001", "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{empty}: venue file has no header" in err
+        assert "unknown venue" not in err
+
+    def test_malformed_visit_row_names_the_file(self, small_dataset, tmp_path, capsys):
+        bad = tmp_path / "bad_visits.csv"
+        bad.write_text("venue_id,hour,count\nv00001,3,abc\n", encoding="utf-8")
+        ds = dict(small_dataset, visits=bad)
+        assert run_cli(*simulate_args(ds, tmp_path / "x")) == 1
+        assert f"{bad}: line 2: count 'abc' is not a number" in capsys.readouterr().err
+
+    def test_malformed_params_line_names_the_file(self, small_dataset, tmp_path, capsys):
+        params = tmp_path / "params.txt"
+        params.write_text("q 20\n", encoding="utf-8")
+        assert run_cli(*simulate_args(small_dataset, tmp_path / "x", "--params", str(params))) == 1
+        assert f"{params}: line 1: expected 'key = value'" in capsys.readouterr().err
+
+    def test_reports_are_readable_under_umask_022(self, small_dataset, tmp_path):
+        out = tmp_path / "run"
+        old = os.umask(0o022)
+        try:
+            assert run_cli(*simulate_args(small_dataset, out)) == 0
+            assert run_cli(
+                "gen-synthetic", "--n-venues", "3", "--profile", "lockdown",
+                "--seed", "1", "--out", str(out / "gen"),
+            ) == 0
+        finally:
+            os.umask(old)
+        files = [p for p in out.rglob("*") if p.is_file()]
+        assert len(files) == 7
+        for path in files:
+            assert path.stat().st_mode & 0o777 == 0o644, path
 
     def test_bad_flag_is_validation_error(self, capsys):
         assert run_cli("simulate", "--no-such-flag") == 1
@@ -258,6 +300,45 @@ class TestCompare:
         )
         assert code == 1
         assert "baseline" in capsys.readouterr().err
+
+    def test_rejected_override_names_the_scenario(self, small_dataset, tmp_path, capsys):
+        a, _ = self._scenarios(tmp_path, small_dataset)
+        neg = tmp_path / "neg.txt"
+        neg.write_text("name = negative_q\nparam.q = -1\n", encoding="utf-8")
+        code = run_cli(
+            "compare", "--venues", str(small_dataset["venues"]),
+            "--visits", str(small_dataset["visits"]),
+            "--scenario-a", str(a), "--scenario-b", str(neg),
+            "--prevalence", "0.001", "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert "scenario 'negative_q': invalid parameter override: q must be positive" in (
+            capsys.readouterr().err
+        )
+
+    def test_total_closure_still_reports(self, small_dataset, tmp_path, capsys):
+        a, _ = self._scenarios(tmp_path, small_dataset)
+        (tmp_path / "no_visits.csv").write_text("venue_id,hour,count\n", encoding="utf-8")
+        closed = tmp_path / "closed.txt"
+        closed.write_text("name = closure\nvisits = no_visits.csv\n", encoding="utf-8")
+        out = tmp_path / "cmp"
+        code = run_cli(
+            "compare", "--venues", str(small_dataset["venues"]),
+            "--visits", str(small_dataset["visits"]),
+            "--scenario-a", str(a), "--scenario-b", str(closed),
+            "--prevalence", "0.001", "--out", str(out),
+        )
+        assert code == 0
+        report = json.loads((out / "comparison.json").read_text())
+        assert report["t_stat"] is None
+        assert report["degrees_of_freedom"] is None
+        assert report["p_value"] is None
+        assert "'closure'" in report["t_test_undefined"]
+        assert "zero variance" in report["t_test_undefined"]
+        assert report["scenario_b"]["severe_count"] == 0
+        assert report["scenario_b"]["mean_weekly_infections"] == 0.0
+        assert (out / "histogram_a.csv").exists() and (out / "histogram_b.csv").exists()
+        assert "t-test undefined" in capsys.readouterr().out
 
 
 class TestHotspots:

@@ -10,7 +10,6 @@ from venuerisk import (
     VisitSeries,
     effective_prevalence,
     expected_new_infections_hour,
-    prevalence_rate,
     simulate_week,
     wells_riley_probability,
 )
@@ -20,25 +19,6 @@ from conftest import make_input
 P_ONE_INFECTOR_V300 = 0.0079680851629393696601  # dose 0.008
 P_ONE_INFECTOR_V30 = 0.076883653613364217089  # dose 0.08
 C_FIFTY_VISITORS = 0.29461527034368821133  # N=50, prev 0.015, V=300
-
-
-class TestPrevalenceRate:
-    def test_zero(self):
-        assert prevalence_rate(0, 1000) == 0.0
-
-    def test_saturation(self):
-        assert prevalence_rate(1000, 1000) == 1.0
-
-    def test_direct_division(self):
-        assert prevalence_rate(37, 10000) == 0.0037
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            prevalence_rate(1, 0)
-        with pytest.raises(ValueError):
-            prevalence_rate(-1, 100)
-        with pytest.raises(ValueError):
-            prevalence_rate(101, 100)
 
 
 class TestEffectivePrevalence:

@@ -58,7 +58,11 @@ class TestParseVenues:
             parse_venues(io.StringIO("id,name,cat,area\nv1,Cafe,restaurant,100\n"))
 
     def test_empty_source(self):
-        assert parse_venues(io.StringIO("")) == {}
+        # an empty venue file is a missing header, not a table of zero venues
+        with pytest.raises(DatasetError, match="no header"):
+            parse_venues(io.StringIO(""))
+        with pytest.raises(DatasetError, match="no header"):
+            parse_venues(io.StringIO("# provenance comment only\n"))
 
     def test_quoted_name_with_comma(self):
         table = parse_venues(venues_csv('v1,"Soup, Salad & Co",restaurant,100'))
@@ -183,6 +187,16 @@ class TestJoin:
         with pytest.raises(DatasetError, match="ghost"):
             join(venues, visits, 24)
 
+    def test_unknown_ids_listed_up_to_ten_with_count(self):
+        venues = self._venues("v1")
+        visits = {f"g{i:02d}": VisitSeries(f"g{i:02d}", (0.0,) * 24) for i in range(48)}
+        with pytest.raises(DatasetError) as info:
+            join(venues, visits, 24)
+        message = str(info.value)
+        assert "48 unknown venue id(s)" in message
+        assert "'g09'" in message and "'g10'" not in message
+        assert message.endswith(", ...")
+
     def test_full_size_join(self):
         ids = [f"v{i}" for i in range(1034)]
         venues = self._venues(*ids)
@@ -240,10 +254,3 @@ class TestTypeInvariants:
     def test_series_rejects_negative_count(self):
         with pytest.raises(ValueError):
             VisitSeries("v", (1.0, -0.5))
-
-    def test_series_window_start_must_be_hour_aligned(self):
-        from datetime import datetime
-
-        VisitSeries("v", (0.0,), window_start=datetime(2020, 11, 2, 9))
-        with pytest.raises(ValueError):
-            VisitSeries("v", (0.0,), window_start=datetime(2020, 11, 2, 9, 30))

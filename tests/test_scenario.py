@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -252,6 +253,23 @@ class TestScenarioConfigFile:
         path = tmp_path / "bad.txt"
         path.write_text("sampling_factor = ten\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="not a number"):
+            load_scenario_config(path)
+
+    def test_hash_inside_value_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text(
+            "name = run#2  # a comment after whitespace\nvisits = data#1.csv\n#param.q = 99\n",
+            encoding="utf-8",
+        )
+        config = load_scenario_config(path)
+        assert config.name == "run#2"
+        assert config.visit_source == str(tmp_path / "data#1.csv")
+        assert config.params_override == {}
+
+    def test_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("sampling_factor = ten\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
             load_scenario_config(path)
 
     def test_duplicate_key_rejected(self, tmp_path):

@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from venuerisk import (
     Severity,
     classify,
-    fit_log_normal,
     histogram,
     welch_t_test,
 )
@@ -70,7 +68,6 @@ class TestHistogram:
 
     def test_empty_included_set_flagged(self):
         hist = histogram([0.0, 0.0], bins=3, scale="log10")
-        assert hist.is_empty
         assert hist.counts == ()
         assert hist.excluded_count == 2
 
@@ -219,40 +216,3 @@ class TestIncompleteBeta:
             df = 10 ** rng.uniform(-0.3, 4)
             t = rng.gauss(0, 10)
             assert 0.0 <= student_t_two_sided_p(t, df) <= 1.0
-
-
-class TestFitLogNormal:
-    def test_two_point_fit(self):
-        fit = fit_log_normal([1.0, math.e ** 2])
-        assert fit.mu == pytest.approx(1.0, rel=1e-12)
-        assert fit.sigma == pytest.approx(1.0, rel=1e-12)
-
-    def test_constant_sample_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            fit_log_normal([math.e, math.e, math.e])
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            fit_log_normal([1.0, 0.0])
-        with pytest.raises(ValueError):
-            fit_log_normal([1.0, -2.0])
-
-    def test_too_few_values(self):
-        with pytest.raises(ValueError):
-            fit_log_normal([1.0])
-
-    def test_monte_carlo_recovery(self):
-        rng = np.random.default_rng(99)
-        sample = rng.lognormal(mean=0.5, sigma=0.8, size=100_000)
-        fit = fit_log_normal(sample)
-        assert fit.mu == pytest.approx(0.5, abs=0.02)
-        assert fit.sigma == pytest.approx(0.8, abs=0.02)
-
-    def test_scaling_equivariance(self):
-        rng = np.random.default_rng(5)
-        values = rng.lognormal(0.0, 1.0, size=200)
-        base = fit_log_normal(values)
-        for k in (0.001, 0.5, 3.0, 1e6):
-            scaled = fit_log_normal(values * k)
-            assert scaled.mu == pytest.approx(base.mu + math.log(k), rel=1e-12, abs=1e-12)
-            assert scaled.sigma == pytest.approx(base.sigma, rel=1e-12)
