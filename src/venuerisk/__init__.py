@@ -9,8 +9,6 @@ significance testing.
 
 from .epi import (
     EpiParams,
-    effective_prevalence,
-    expected_new_infections_hour,
     simulate_week,
     wells_riley_probability,
 )
@@ -18,7 +16,6 @@ from .errors import ConfigError, DatasetError, RecordError
 from .ingest import (
     SimulationInput,
     Venue,
-    VisitSeries,
     apply_sampling_correction,
     compute_volumes,
     join,
@@ -30,7 +27,6 @@ from .ingest import (
 from .reporting import TOOL_VERSION
 from .scenario import (
     ScenarioConfig,
-    apply_occupancy_cap,
     load_scenario_config,
     max_distanced_occupancy,
     parse_spacing,
@@ -51,13 +47,9 @@ __all__ = [
     "Severity",
     "SimulationInput",
     "Venue",
-    "VisitSeries",
-    "apply_occupancy_cap",
     "apply_sampling_correction",
     "classify",
     "compute_volumes",
-    "effective_prevalence",
-    "expected_new_infections_hour",
     "generate_dataset",
     "histogram",
     "join",

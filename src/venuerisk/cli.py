@@ -26,12 +26,13 @@ import math
 import statistics
 import sys
 
+import numpy as np
+
 from .epi import EpiParams
 from .errors import ConfigError, InputError
 from .ingest import (
     AreaUnit,
     SimulationInput,
-    compute_volumes,
     join,
     open_input,
     parse_venues,
@@ -69,6 +70,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ConfigError(message)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +122,7 @@ def _add_report_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--threshold",
-        type=float,
+        type=_finite_float,
         default=1.0,
         help="weekly infections above this are severe (default 1.0)",
     )
@@ -161,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hot = sub.add_parser("hotspots", help="rank venues from a results CSV")
     p_hot.add_argument("--results", required=True, help="venue_results.csv from simulate")
-    p_hot.add_argument("--threshold", type=float, default=1.0, help="severity threshold")
+    p_hot.add_argument("--threshold", type=_finite_float, default=1.0, help="severity threshold")
     p_hot.add_argument("--top", type=int, help="print only the top K venues")
     p_hot.set_defaults(func=cmd_hotspots)
 
@@ -182,15 +190,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_params(args) -> EpiParams:
-    """Merge params file and CLI flags into a validated EpiParams."""
+    """Merge params file and CLI flags into a validated EpiParams; flags win.
+
+    A bad value from the file is reported under the file's name, a bad
+    flag value without it.
+    """
+    flags = {
+        "documented_prevalence": args.prevalence,
+        "underreport_factor": args.underreport_factor,
+    }
+    flags = {name: value for name, value in flags.items() if value is not None}
     values: dict[str, float] = {}
     if args.params:
         with open_input(args.params) as handle:
             values = params_from_mapping(read_keyvalue(handle))
-    if args.prevalence is not None:
-        values["documented_prevalence"] = args.prevalence
-    if args.underreport_factor is not None:
-        values["underreport_factor"] = args.underreport_factor
+            for name in flags:
+                values.pop(name, None)  # overridden, so never used
+            try:
+                # checked here so its errors name the file; 0.0 stands in for a
+                # prevalence the flags may still supply
+                EpiParams(**{"documented_prevalence": 0.0, **values})
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+    values.update(flags)
     if "documented_prevalence" not in values:
         raise ConfigError(
             "documented prevalence is required: pass --prevalence or set "
@@ -199,10 +221,10 @@ def _resolve_params(args) -> EpiParams:
     return EpiParams(**values)
 
 
-def _load_base_input(args, params: EpiParams) -> SimulationInput:
+def _load_base_input(args) -> SimulationInput:
     """Parse venue and (optional) visit files into a raw SimulationInput."""
     with open_input(args.venues) as handle:
-        venues = compute_volumes(parse_venues(handle, args.area_unit), params.ceiling_height)
+        venues = parse_venues(handle, args.area_unit)
     if not args.visits:
         return join(venues, {}, WINDOW_HOURS)
     with open_input(args.visits) as handle:
@@ -217,7 +239,7 @@ def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str])
     in ``config_paths`` included).
     """
     params = _resolve_params(args)
-    base = _load_base_input(args, params)
+    base = _load_base_input(args)
     for config in configs:
         if config.visit_source == BASELINE and not args.visits:
             raise ConfigError(
@@ -233,9 +255,9 @@ def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str])
 
 def _combined_range(values_a, values_b, scale: Scale):
     """Shared histogram span so two exports overlay on the same bins."""
-    positive_only = scale is Scale.LOG10
-    pool = [v for v in (*values_a, *values_b) if math.isfinite(v) and (v > 0 or not positive_only)]
-    return (min(pool), max(pool)) if pool else None
+    pool = np.concatenate([values_a, values_b])
+    pool = pool[np.isfinite(pool) & ((pool > 0) | (scale is not Scale.LOG10))]
+    return (pool.min().item(), pool.max().item()) if pool.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +275,12 @@ def cmd_simulate(args) -> int:
     params, base, (outcome,), manifest = _run_scenarios(args, [config], [])
     mhash = manifest["manifest_sha256"]
 
-    weekly = [r.weekly_infections for r in outcome.results.values()]
+    weekly = outcome.weekly
     hist = histogram(weekly, args.bins, args.scale)
     summary = {
         "manifest_sha256": mhash,
         "scenario": config.name,
-        "venue_count": len(outcome.results),
+        "venue_count": len(weekly),
         "severe_count": outcome.severe_count,
         "mild_count": outcome.mild_count,
         "severity_threshold": args.threshold,
@@ -273,7 +295,7 @@ def cmd_simulate(args) -> int:
         },
     }
     out_dir = write_reports(args.out, {
-        "venue_results.csv": venue_results_csv(outcome.results, base.venues, mhash),
+        "venue_results.csv": venue_results_csv(base, weekly, params, args.threshold, mhash),
         "histogram.csv": histogram_csv(hist, mhash),
         "summary.json": dump_json(summary),
         "manifest.json": dump_json(manifest),
@@ -292,7 +314,7 @@ def cmd_compare(args) -> int:
     _, _, outcomes, manifest = _run_scenarios(args, configs, [args.scenario_a, args.scenario_b])
     mhash = manifest["manifest_sha256"]
 
-    weekly_a, weekly_b = ([r.weekly_infections for r in o.results.values()] for o in outcomes)
+    weekly_a, weekly_b = (o.weekly for o in outcomes)
     try:
         test = welch_t_test(weekly_a, weekly_b, pooled=args.pooled)
         t_test = {key: getattr(test, key) for key in T_TEST_KEYS}
@@ -311,7 +333,7 @@ def cmd_compare(args) -> int:
             "name": outcome.config.name,
             "severe_count": outcome.severe_count,
             "mild_count": outcome.mild_count,
-            "mean_weekly_infections": statistics.fmean(weekly) if weekly else None,
+            "mean_weekly_infections": statistics.fmean(weekly) if len(weekly) else None,
         }
 
     report = {
@@ -386,7 +408,7 @@ def cmd_gen_synthetic(args) -> int:
     config = GeneratorConfig(
         n_venues=args.n_venues, profile=args.profile, seed=args.seed, **overrides
     )
-    venues, visits = generate_dataset(config)
+    table = generate_dataset(config)
     manifest = hashed_manifest(
         {"tool_version": TOOL_VERSION, "generator_config": dataclasses.asdict(config)},
         args.timestamp,
@@ -394,9 +416,9 @@ def cmd_gen_synthetic(args) -> int:
     stamp = f"manifest_sha256: {manifest['manifest_sha256']}"
 
     venue_buf = io.StringIO()
-    write_venues(venues.values(), venue_buf, comment=stamp)
+    write_venues(table.venues.values(), venue_buf, comment=stamp)
     visit_buf = io.StringIO()
-    write_visits(visits.values(), visit_buf, comment=stamp)
+    write_visits(table, visit_buf, comment=stamp)
     out_dir = write_reports(args.out, {
         "venues.csv": venue_buf.getvalue(),
         "visits.csv": visit_buf.getvalue(),

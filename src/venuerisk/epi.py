@@ -14,17 +14,21 @@ volume (m3/h). ``S`` is the number of susceptible people in the cohort.
 Every hour's cohort is seeded independently from community prevalence;
 newly infected people never feed back into later hours. All quantities
 are expected values, so the whole pipeline is deterministic.
+
+:func:`simulate_week` evaluates the model for every cell of a
+``counts[venue, hour]`` matrix at once; :func:`wells_riley_probability`
+is the scalar form of the same formula and the reference the array form
+is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
-from .errors import DatasetError
-from .ingest import SimulationInput
-from .stats import Severity, classify
+import numpy as np
+
+from .ingest import SimulationInput, compute_volumes
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)  # largest double < 1
 
@@ -64,31 +68,19 @@ class EpiParams:
 
     @property
     def effective_prevalence(self) -> float:
-        """Documented prevalence corrected for under-reporting, clamped to [0, 1]."""
-        return effective_prevalence(self.documented_prevalence, self.underreport_factor)
+        """Documented prevalence scaled by the under-reporting factor, clamped at certainty.
+
+        The correction never reduces prevalence (the factor is >= 1).
+        """
+        return min(1.0, self.documented_prevalence * self.underreport_factor)
 
 
-@dataclass(frozen=True)
-class VenueResult:
-    """Per-venue expected new infections, hourly and summed over the window."""
+@dataclass(frozen=True, eq=False)
+class WeekResult:
+    """Expected new infections ``hourly[venue, hour]`` and their row sums ``weekly[venue]``."""
 
-    venue_id: str
-    hourly_infections: tuple[float, ...]
-    weekly_infections: float
-    severity: Severity
-
-
-def effective_prevalence(documented: float, underreport_factor: float) -> float:
-    """Scale a documented prevalence by the under-reporting factor.
-
-    The correction never reduces prevalence (factor >= 1) and the result
-    is clamped at certainty.
-    """
-    if not (math.isfinite(documented) and 0.0 <= documented <= 1.0):
-        raise ValueError(f"documented prevalence must be in [0, 1], got {documented}")
-    if not (math.isfinite(underreport_factor) and underreport_factor >= 1.0):
-        raise ValueError(f"underreport factor must be >= 1, got {underreport_factor}")
-    return min(1.0, documented * underreport_factor)
+    hourly: np.ndarray
+    weekly: np.ndarray
 
 
 def wells_riley_probability(infectors: float, params: EpiParams, room_volume: float) -> float:
@@ -115,64 +107,34 @@ def wells_riley_probability(infectors: float, params: EpiParams, room_volume: fl
     return min(-math.expm1(-dose), _BELOW_ONE)
 
 
-def expected_new_infections_hour(
-    visitors: float, prevalence: float, params: EpiParams, room_volume: float
-) -> float:
-    """Expected new infections among one hour's cohort of visitors.
+def infection_probability(infectors: np.ndarray, params: EpiParams, room_volume) -> np.ndarray:
+    """Elementwise :func:`wells_riley_probability`, without its argument checks.
 
-    Splits the cohort into expected infectors I = visitors * prevalence
-    and susceptibles S = visitors - I, then returns S times the
-    per-susceptible infection probability.
+    The dose takes the same operations in the same order, so only
+    ``np.expm1`` can differ from the scalar form, by at most 1 ulp.
     """
-    if not (math.isfinite(visitors) and visitors >= 0):
-        raise ValueError(f"visitor count must be non-negative, got {visitors}")
-    if not (math.isfinite(prevalence) and 0.0 <= prevalence <= 1.0):
-        raise ValueError(f"prevalence must be in [0, 1], got {prevalence}")
-    if visitors == 0:
-        return 0.0
-    infectors = visitors * prevalence
-    susceptible = visitors - infectors
-    return susceptible * wells_riley_probability(infectors, params, room_volume)
+    dose = infectors * params.q * params.p * params.t / (params.ach * room_volume)
+    return np.minimum(-np.expm1(-dose), _BELOW_ONE)
 
 
-def simulate_week(
-    sim_input: SimulationInput,
-    params: EpiParams,
-    severity_threshold: float = 1.0,
-) -> dict[str, VenueResult]:
-    """Run the hourly infection model over every venue in the window.
+def simulate_week(sim_input: SimulationInput, params: EpiParams) -> WeekResult:
+    """Run the hourly infection model over every venue-hour of the window.
 
-    Hours are independent: each cohort is seeded from community
-    prevalence only, so permuting hours permutes the hourly outputs and
-    leaves the weekly total unchanged.
-
-    Returns:
-        Table of VenueResult keyed by venue_id, in venue-table order.
-
-    Raises:
-        DatasetError: a venue has no computed volume.
+    Each hour's cohort splits into expected infectors I = visitors *
+    prevalence and susceptibles S = visitors - I, and gets S times the
+    infection probability in a room of area * ``params.ceiling_height``.
+    Hours are independent, so permuting hours permutes the hourly
+    outputs. The weekly values are NumPy's pairwise row sums, which can
+    differ from an exactly rounded sum in the last digits.
     """
-    prevalence = params.effective_prevalence
-    results: dict[str, VenueResult] = {}
-    for venue_id, venue in sim_input.venues.items():
-        if venue.volume is None:
-            raise DatasetError(f"venue {venue_id!r} has no computed volume; run compute_volumes")
-        series = sim_input.visits[venue_id]
-        hourly = tuple(
-            expected_new_infections_hour(count, prevalence, params, venue.volume)
-            for count in series.hourly_counts
-        )
-        weekly = math.fsum(hourly)
-        results[venue_id] = VenueResult(
-            venue_id=venue_id,
-            hourly_infections=hourly,
-            weekly_infections=weekly,
-            severity=classify(weekly, severity_threshold),
-        )
-    return results
+    volumes = compute_volumes(sim_input.areas, params.ceiling_height)
+    infectors = sim_input.counts * params.effective_prevalence
+    hourly = sim_input.counts - infectors
+    hourly *= infection_probability(infectors, params, volumes[:, None])
+    return WeekResult(hourly=hourly, weekly=hourly.sum(axis=1))
 
 
-def count_severities(results: Mapping[str, VenueResult]) -> tuple[int, int]:
-    """Return (severe_count, mild_count) over a result table."""
-    severe = sum(1 for r in results.values() if r.severity is Severity.SEVERE)
-    return severe, len(results) - severe
+def count_severities(weekly: np.ndarray, threshold: float) -> tuple[int, int]:
+    """Return (severe_count, mild_count): severe venues exceed ``threshold`` strictly."""
+    severe = int(np.count_nonzero(weekly > threshold))
+    return severe, len(weekly) - severe

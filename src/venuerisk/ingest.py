@@ -11,8 +11,11 @@ generated files can carry a provenance stamp. Visitor counts are kept as
 real numbers throughout: sampling correction and occupancy capping act
 on expected values, not on whole people.
 
-All functions here are pure; parsed tables are plain dicts of frozen
-dataclasses keyed by venue id.
+All functions here are pure. A parsed venue table is a dict of frozen
+:class:`Venue` records keyed by venue id; :func:`join` turns it and the
+parsed visits into one :class:`SimulationInput`, whose float64
+``counts[venue, hour]`` matrix carries the visitor counts, row ``i``
+belonging to the ``i``-th venue of the table.
 """
 
 from __future__ import annotations
@@ -21,9 +24,11 @@ import contextlib
 import csv
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, TextIO
+
+import numpy as np
 
 from .errors import DatasetError, RecordError, error_context
 
@@ -42,59 +47,52 @@ class AreaUnit(enum.Enum):
 
 @dataclass(frozen=True)
 class Venue:
-    """An establishment with a floor area in m2 and a derived air volume in m3.
-
-    ``volume`` stays ``None`` until :func:`compute_volumes` fills it in
-    from the active ceiling height.
-    """
+    """An establishment with a floor area in m2."""
 
     venue_id: str
     name: str
     category: str
     area: float
-    volume: float | None = None
 
     def __post_init__(self):
         if not self.venue_id:
             raise ValueError("venue_id must be non-empty")
         if not (math.isfinite(self.area) and self.area > 0):
             raise ValueError(f"venue {self.venue_id!r}: area must be positive, got {self.area}")
-        if self.volume is not None and not (math.isfinite(self.volume) and self.volume > 0):
-            raise ValueError(f"venue {self.venue_id!r}: volume must be positive, got {self.volume}")
 
 
-@dataclass(frozen=True)
-class VisitSeries:
-    """Hourly visitor counts for one venue over the simulation window."""
-
-    venue_id: str
-    hourly_counts: tuple[float, ...]
-
-    def __post_init__(self):
-        for h, c in enumerate(self.hourly_counts):
-            if not (math.isfinite(c) and c >= 0):
-                raise ValueError(
-                    f"venue {self.venue_id!r}: count at hour {h} must be a "
-                    f"non-negative finite number, got {c}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.hourly_counts)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationInput:
-    """Joined, simulation-ready venue and visit tables.
+    """A venue table and its visitor counts, one matrix row per venue.
 
+    ``counts[i, h]`` is the expected number of visitors of the ``i``-th
+    venue of ``venues`` in hour ``h`` of the window.
     ``sampling_factor_applied`` is an audit field recording the total
     panel-sampling correction already baked into the counts (1.0 means
     the counts are as-read).
     """
 
     venues: Mapping[str, Venue]
-    visits: Mapping[str, VisitSeries]
-    window_hours: int
+    counts: np.ndarray
     sampling_factor_applied: float = 1.0
+
+    def __post_init__(self):
+        if self.counts.ndim != 2 or self.counts.shape[0] != len(self.venues):
+            raise ValueError(
+                f"counts must have one row per venue ({len(self.venues)}), "
+                f"got shape {self.counts.shape}"
+            )
+        if not (np.isfinite(self.counts).all() and (self.counts >= 0).all()):
+            raise ValueError("visitor counts must be non-negative finite numbers")
+
+    @property
+    def window_hours(self) -> int:
+        return self.counts.shape[1]
+
+    @property
+    def areas(self) -> np.ndarray:
+        """Floor areas in m2, in row order."""
+        return np.fromiter((v.area for v in self.venues.values()), float, len(self.venues))
 
 
 @contextlib.contextmanager
@@ -156,31 +154,33 @@ def parse_venues(source: TextIO, area_unit: AreaUnit | str = AreaUnit.SQUARE_MET
     return venues
 
 
-def parse_visits(source: TextIO, window_hours: int) -> dict[str, VisitSeries]:
-    """Parse a visit CSV into per-venue hourly series of length ``window_hours``.
+def parse_visits(source: TextIO, window_hours: int) -> dict[str, np.ndarray]:
+    """Parse a visit CSV into one row of ``window_hours`` counts per venue id.
 
     Hours absent from the file are filled with 0: sparse mobility data
     routinely omits zero-visit hours. Counts are returned as-read, with
-    no sampling correction.
+    no sampling correction. A header with no rows is a legal file with
+    no visits (a total closure).
 
     Raises:
         RecordError: malformed row, hour outside [0, window_hours),
             negative count, or a duplicate (venue_id, hour) pair.
-        DatasetError: bad header.
+        DatasetError: missing or bad header.
     """
     if window_hours < 1:
         raise ValueError(f"window_hours must be >= 1, got {window_hours}")
     rows = _data_rows(source)
     first = next(rows, None)
     if first is None:
-        return {}
+        raise DatasetError(f"visit file has no header: expected {','.join(VISIT_HEADER)!r}")
     if tuple(f.strip() for f in first[1]) != VISIT_HEADER:
         raise DatasetError(
             f"visit file header must be {','.join(VISIT_HEADER)!r}, got {','.join(first[1])!r}"
         )
 
+    # NaN marks an hour not read yet, so a second row for it is caught
+    # without a set of every (venue, hour) key
     counts: dict[str, list[float]] = {}
-    seen: set[tuple[str, int]] = set()
     for line, row in rows:
         if len(row) != 3:
             raise RecordError(f"expected 3 fields, got {len(row)}", line)
@@ -199,55 +199,48 @@ def parse_visits(source: TextIO, window_hours: int) -> dict[str, VisitSeries]:
             raise RecordError(f"count {count_text!r} is not a number", line) from None
         if not math.isfinite(count) or count < 0:
             raise RecordError(f"count must be non-negative and finite, got {count_text}", line)
-        if (venue_id, hour) in seen:
+        series = counts.get(venue_id)
+        if series is None:
+            series = counts[venue_id] = [math.nan] * window_hours
+        elif not math.isnan(series[hour]):
             raise RecordError(f"duplicate hour {hour} for venue {venue_id!r}", line)
-        seen.add((venue_id, hour))
-        counts.setdefault(venue_id, [0.0] * window_hours)[hour] = count
+        series[hour] = count
 
-    return {vid: VisitSeries(vid, tuple(vals)) for vid, vals in counts.items()}
+    matrix = np.array(list(counts.values()), dtype=float).reshape(-1, window_hours)
+    np.nan_to_num(matrix, copy=False)
+    return dict(zip(counts, matrix))
 
 
-def apply_sampling_correction(
-    visits: Mapping[str, VisitSeries], factor: float
-) -> dict[str, VisitSeries]:
-    """Multiply every hourly count by ``factor`` (panel-to-population correction).
+def apply_sampling_correction(counts: np.ndarray, factor: float) -> np.ndarray:
+    """Multiply every visitor count by ``factor`` (panel-to-population correction).
 
-    The factor itself is recorded on the joined :class:`SimulationInput`,
-    not on the individual series; pass it through to :func:`join`.
+    The factor itself is recorded on the :class:`SimulationInput`
+    (``sampling_factor_applied``), not in the counts.
     """
     if not (math.isfinite(factor) and factor > 0):
         raise ValueError(f"sampling factor must be positive and finite, got {factor}")
-    return {
-        vid: replace(vs, hourly_counts=tuple(c * factor for c in vs.hourly_counts))
-        for vid, vs in visits.items()
-    }
+    return counts * factor
 
 
-def compute_volumes(venues: Mapping[str, Venue], ceiling_height: float) -> dict[str, Venue]:
-    """Set every venue's air volume to area * ceiling_height (m3).
-
-    Idempotent: volume is always recomputed from the stored area.
-    """
+def compute_volumes(areas: np.ndarray, ceiling_height: float) -> np.ndarray:
+    """Air volumes in m3: each floor area (m2) times ``ceiling_height`` (m)."""
     if not (math.isfinite(ceiling_height) and ceiling_height > 0):
         raise ValueError(f"ceiling height must be positive, got {ceiling_height}")
-    return {vid: replace(v, volume=v.area * ceiling_height) for vid, v in venues.items()}
+    return areas * ceiling_height
 
 
 def join(
-    venues: Mapping[str, Venue],
-    visits: Mapping[str, VisitSeries],
-    window_hours: int,
-    sampling_factor_applied: float = 1.0,
+    venues: Mapping[str, Venue], visits: Mapping[str, np.ndarray], window_hours: int
 ) -> SimulationInput:
-    """Join venue and visit tables into a :class:`SimulationInput`.
+    """Join a venue table and per-venue count rows into a :class:`SimulationInput`.
 
-    Venues with no visit series get an implicit all-zero series so that
-    venue counts stay aligned across scenarios. No venue is dropped and
-    no count is invented.
+    Venues with no visit row get an all-zero row, so that venue counts
+    stay aligned across scenarios. No venue is dropped and no count is
+    invented.
 
     Raises:
-        DatasetError: a visit series references an unknown venue_id, or
-            a series length disagrees with ``window_hours``.
+        DatasetError: a visit row references an unknown venue_id, or a
+            row length disagrees with ``window_hours``.
     """
     if window_hours < 1:
         raise ValueError(f"window_hours must be >= 1, got {window_hours}")
@@ -255,22 +248,17 @@ def join(
     if unknown:
         shown = ", ".join(repr(u) for u in unknown[:10]) + (", ..." if len(unknown) > 10 else "")
         raise DatasetError(f"visit series reference {len(unknown)} unknown venue id(s): {shown}")
-    full: dict[str, VisitSeries] = {}
-    for vid in venues:
-        series = visits.get(vid)
-        if series is None:
-            series = VisitSeries(venue_id=vid, hourly_counts=(0.0,) * window_hours)
-        elif len(series) != window_hours:
+    counts = np.zeros((len(venues), window_hours))
+    if visits:
+        try:
+            given = np.array(list(visits.values()), dtype=float).reshape(len(visits), window_hours)
+        except ValueError:
             raise DatasetError(
-                f"venue {vid!r}: series length {len(series)} != window of {window_hours} hours"
-            )
-        full[vid] = series
-    return SimulationInput(
-        venues=dict(venues),
-        visits=full,
-        window_hours=window_hours,
-        sampling_factor_applied=sampling_factor_applied,
-    )
+                f"visit series length differs from the window of {window_hours} hours"
+            ) from None
+        row_of = dict(zip(venues, range(len(venues))))
+        counts[[row_of[vid] for vid in visits]] = given
+    return SimulationInput(venues=dict(venues), counts=counts)
 
 
 def _format_count(value: float) -> str:
@@ -288,17 +276,22 @@ def write_venues(venues: Iterable[Venue], sink: TextIO, comment: str | None = No
         writer.writerow([v.venue_id, v.name, v.category, repr(v.area)])
 
 
-def write_visits(visits: Iterable[VisitSeries], sink: TextIO, comment: str | None = None) -> None:
-    """Serialize visit series to the documented CSV format.
+def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = None) -> None:
+    """Serialize a table's visitor counts to the documented CSV format.
 
-    Zero-count hours are omitted; parsing zero-fills them, so the round
-    trip is exact.
+    Rows follow venue order, then hour. Zero-count hours are omitted;
+    parsing and joining zero-fill them, so the round trip is exact.
     """
     if comment:
         sink.write(f"# {comment}\n")
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(VISIT_HEADER)
-    for series in visits:
-        for hour, count in enumerate(series.hourly_counts):
-            if count != 0:
-                writer.writerow([series.venue_id, hour, _format_count(count)])
+    rows, hours = np.nonzero(table.counts)
+    ids = list(table.venues)
+    writer.writerows(
+        zip(
+            map(ids.__getitem__, rows.tolist()),
+            hours.tolist(),
+            map(_format_count, table.counts[rows, hours].tolist()),
+        )
+    )

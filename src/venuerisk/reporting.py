@@ -28,10 +28,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .epi import EpiParams, VenueResult
-from .ingest import Venue
+import numpy as np
+
+from .epi import EpiParams
+from .ingest import SimulationInput, compute_volumes
 from .scenario import ScenarioConfig
-from .stats import Histogram
+from .stats import Histogram, Severity
 
 TOOL_VERSION = "0.1.0"
 
@@ -55,7 +57,8 @@ def sha256_file(path: str | Path) -> str:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a NaN or infinity raises ValueError instead of being written."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def hashed_manifest(payload: dict, timestamp: str | None = None) -> dict:
@@ -124,28 +127,29 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def venue_results_csv(
-    results: Mapping[str, VenueResult],
-    venues: Mapping[str, Venue],
+    table: SimulationInput,
+    weekly: np.ndarray,
+    params: EpiParams,
+    severity_threshold: float,
     manifest_hash: str,
 ) -> str:
-    """Render the per-venue report CSV (one row per venue, input order)."""
+    """Render the per-venue report CSV: one row per venue of ``table``, in its order.
+
+    Volumes come from ``params.ceiling_height``; a venue is severe when
+    its ``weekly`` infections exceed ``severity_threshold``.
+    """
+    volumes = compute_volumes(table.areas, params.ceiling_height)
+    labels = np.where(weekly > severity_threshold, Severity.SEVERE.value, Severity.MILD.value)
     buf = io.StringIO()
     buf.write(f"# manifest_sha256: {manifest_hash}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(VENUE_RESULT_COLUMNS)
-    for venue_id, result in results.items():
-        venue = venues[venue_id]
-        writer.writerow(
-            [
-                venue_id,
-                venue.name,
-                venue.category,
-                repr(venue.area),
-                repr(venue.volume) if venue.volume is not None else "",
-                repr(result.weekly_infections),
-                result.severity.value,
-            ]
+    writer.writerows(
+        (v.venue_id, v.name, v.category, repr(v.area), repr(volume), repr(w), label)
+        for v, volume, w, label in zip(
+            table.venues.values(), volumes.tolist(), weekly.tolist(), labels.tolist()
         )
+    )
     return buf.getvalue()
 
 

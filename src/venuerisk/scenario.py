@@ -3,14 +3,16 @@
 A scenario names its visit source (the baseline table or an alternate
 visit file), a panel-sampling factor, an optional physical-distancing
 spacing, and optional parameter overrides. Running one always follows
-the same pipeline order:
+the same pipeline order, each step one array expression over the
+``counts[venue, hour]`` matrix:
 
     1. select the visit source
-    2. apply the sampling factor
-    3. cap each venue at its distanced occupancy (if spacing is set)
+    2. apply the sampling factor:   counts * factor
+    3. cap each venue at its distanced occupancy (if spacing is set):
+                                    minimum(counts, cap[venue])
     4. merge parameter overrides
-    5. simulate the window
-    6. classify severities
+    5. simulate the window, with room volumes from the merged parameters
+    6. count severities:            weekly > threshold
 
 Scenario config files use one ``key = value`` pair per line. A ``#``
 at the start of a line or after whitespace starts a comment, so a value
@@ -32,16 +34,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, TextIO
 
-from .epi import EpiParams, VenueResult, count_severities, simulate_week
+import numpy as np
+
+from .epi import EpiParams, count_severities, simulate_week
 from .errors import ConfigError, error_context
-from .ingest import (
-    SimulationInput,
-    VisitSeries,
-    apply_sampling_correction,
-    join,
-    open_input,
-    parse_visits,
-)
+from .ingest import SimulationInput, apply_sampling_correction, join, open_input, parse_visits
 
 BASELINE = "baseline"
 FT_TO_M = 0.3048
@@ -72,40 +69,43 @@ class ScenarioConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioResult:
+    """One scenario's weekly expected infections, in venue-table order, and its severity counts."""
+
     config: ScenarioConfig
-    results: Mapping[str, VenueResult]
+    weekly: np.ndarray
     severe_count: int
     mild_count: int
 
 
-def max_distanced_occupancy(area: float, spacing: float) -> int:
+def max_distanced_occupancy(area, spacing: float):
     """Maximum simultaneous visitors under strict physical distancing.
 
     Each person claims an exclusion disc of radius ``spacing``, so the
-    cap is floor(area / (pi * spacing^2)). A circular room of radius
-    equal to the spacing holds exactly one person.
+    cap is floor(area / (pi * spacing^2)), elementwise for an array of
+    areas. A circular room of radius equal to the spacing holds exactly
+    one person.
     """
-    if not (math.isfinite(area) and area > 0):
+    areas = np.asarray(area, dtype=float)
+    if not (np.isfinite(areas) & (areas > 0)).all():
         raise ValueError(f"area must be positive, got {area}")
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be positive, got {spacing}")
-    return math.floor(area / (math.pi * spacing * spacing))
+    return np.floor(areas / (math.pi * spacing * spacing))
 
 
-def apply_occupancy_cap(series: VisitSeries, cap: int) -> VisitSeries:
-    """Clamp every hourly count to ``cap``; turned-away visitors vanish.
+def apply_occupancy_cap(counts, cap: float) -> tuple[float, ...]:
+    """Clamp each of one venue's hourly counts to ``cap``; turned-away visitors vanish.
 
+    The scalar reference for the capping step of :func:`run_scenario`.
     The cap is a whole number of people but applies to fractional
     expected counts, so min(7.5, 7) -> 7.0.
     """
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
     limit = float(cap)
-    return dataclasses.replace(
-        series, hourly_counts=tuple(min(c, limit) for c in series.hourly_counts)
-    )
+    return tuple(min(float(c), limit) for c in counts)
 
 
 def run_scenario(
@@ -123,33 +123,30 @@ def run_scenario(
     """
     with error_context(f"scenario {config.name!r}"):
         if config.visit_source == BASELINE:
-            visits: Mapping[str, VisitSeries] = base.visits
+            counts = base.counts
             factor_applied = base.sampling_factor_applied * config.sampling_factor
         else:
             with open_input(config.visit_source) as handle:
                 visits = parse_visits(handle, base.window_hours)
+            counts = join(base.venues, visits, base.window_hours).counts
+            del visits
             factor_applied = config.sampling_factor
 
-        visits = apply_sampling_correction(visits, config.sampling_factor)
-        sim_input = join(base.venues, visits, base.window_hours, factor_applied)
-
+        counts = apply_sampling_correction(counts, config.sampling_factor)
         if config.spacing is not None:
-            capped = {
-                vid: apply_occupancy_cap(
-                    sim_input.visits[vid], max_distanced_occupancy(venue.area, config.spacing)
-                )
-                for vid, venue in sim_input.venues.items()
-            }
-            sim_input = dataclasses.replace(sim_input, visits=capped)
+            # capping in place is safe: the correction above returned a new matrix
+            caps = max_distanced_occupancy(base.areas, config.spacing)
+            np.minimum(counts, caps[:, None], out=counts)
 
         try:
             effective_params = dataclasses.replace(params, **config.params_override)
         except ValueError as exc:
             raise ConfigError(f"invalid parameter override: {exc}") from None
 
-    results = simulate_week(sim_input, effective_params, severity_threshold)
-    severe, mild = count_severities(results)
-    return ScenarioResult(config=config, results=results, severe_count=severe, mild_count=mild)
+    sim_input = SimulationInput(base.venues, counts, factor_applied)
+    weekly = simulate_week(sim_input, effective_params).weekly
+    severe, mild = count_severities(weekly, severity_threshold)
+    return ScenarioResult(config=config, weekly=weekly, severe_count=severe, mild_count=mild)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ exercised, tested, and demoed end to end. Every knob lives in
 * counts model a sampled panel, i.e. they are meant to be fed through
   the usual 10x sampling correction downstream.
 
-Venue draws happen before any count draws, so two datasets generated
-with the same seed but different profiles share an identical venue table.
+The result is a :class:`~venuerisk.ingest.SimulationInput`: the venue
+table and the drawn ``counts[venue, hour]`` matrix. Venue draws happen
+before any count draws, so two datasets generated with the same seed but
+different profiles share an identical venue table.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Venue, VisitSeries
+from .ingest import SimulationInput, Venue
 
 PROFILES = ("lockdown", "pre_pandemic")
 
@@ -76,10 +78,8 @@ class GeneratorConfig:
         return self.lockdown_level if self.profile == "lockdown" else self.pre_pandemic_level
 
 
-def generate_dataset(
-    config: GeneratorConfig,
-) -> tuple[dict[str, Venue], dict[str, VisitSeries]]:
-    """Generate (venues, visits) tables, deterministic for a given seed."""
+def generate_dataset(config: GeneratorConfig) -> SimulationInput:
+    """Generate a venue table and its visit counts, deterministic for a given seed."""
     rng = np.random.default_rng(config.seed)
     n = config.n_venues
 
@@ -92,16 +92,14 @@ def generate_dataset(
     rates = config.base_hourly_visits * config.level * popularity[:, None] * shape[None, :]
     counts = rng.poisson(rates).astype(float)
 
-    venues: dict[str, Venue] = {}
-    visits: dict[str, VisitSeries] = {}
-    for i in range(n):
-        venue_id = f"v{i:05d}"
-        category = "drinking_place" if is_bar[i] else "restaurant"
-        venues[venue_id] = Venue(
-            venue_id=venue_id,
+    categories = np.where(is_bar, "drinking_place", "restaurant").tolist()
+    venues = {
+        f"v{i:05d}": Venue(
+            venue_id=f"v{i:05d}",
             name=f"Synthetic {category.replace('_', ' ')} {i:05d}",
             category=category,
-            area=float(areas[i]),
+            area=area,
         )
-        visits[venue_id] = VisitSeries(venue_id=venue_id, hourly_counts=tuple(counts[i]))
-    return venues, visits
+        for i, (category, area) in enumerate(zip(categories, areas.tolist()))
+    }
+    return SimulationInput(venues, counts)

@@ -1,5 +1,7 @@
 """Shared fixtures and small input builders."""
 
+import dataclasses
+
 import pytest
 
 from venuerisk import (
@@ -7,9 +9,7 @@ from venuerisk import (
     GeneratorConfig,
     SimulationInput,
     Venue,
-    VisitSeries,
     apply_sampling_correction,
-    compute_volumes,
     generate_dataset,
     join,
 )
@@ -21,23 +21,22 @@ FIXTURE_SAMPLING = 10.0
 FIXTURE_PREVALENCE = 0.001
 
 
-def make_input(area_by_id, counts_by_id, window_hours=168, ceiling_height=3.0,
+def make_input(area_by_id, counts_by_id, window_hours=168,
                sampling_factor=1.0) -> SimulationInput:
     """Build a SimulationInput from {venue_id: area} and {venue_id: {hour: count}}."""
     venues = {
         vid: Venue(venue_id=vid, name=f"venue {vid}", category="restaurant", area=area)
         for vid, area in area_by_id.items()
     }
-    venues = compute_volumes(venues, ceiling_height)
     visits = {}
     for vid, by_hour in counts_by_id.items():
         counts = [0.0] * window_hours
         for hour, value in by_hour.items():
             counts[hour] = float(value)
-        visits[vid] = VisitSeries(venue_id=vid, hourly_counts=tuple(counts))
-    if sampling_factor != 1.0:
-        visits = apply_sampling_correction(visits, sampling_factor)
-    return join(venues, visits, window_hours, sampling_factor)
+        visits[vid] = counts
+    table = join(venues, visits, window_hours)
+    counts = apply_sampling_correction(table.counts, sampling_factor)
+    return dataclasses.replace(table, counts=counts, sampling_factor_applied=sampling_factor)
 
 
 @pytest.fixture(scope="session")
@@ -51,8 +50,7 @@ def fixture_inputs(default_params):
     inputs = {}
     for profile in ("lockdown", "pre_pandemic"):
         config = GeneratorConfig(n_venues=FIXTURE_N_VENUES, profile=profile, seed=FIXTURE_SEED)
-        venues, visits = generate_dataset(config)
-        venues = compute_volumes(venues, default_params.ceiling_height)
-        visits = apply_sampling_correction(visits, FIXTURE_SAMPLING)
-        inputs[profile] = join(venues, visits, 168, FIXTURE_SAMPLING)
+        table = generate_dataset(config)
+        counts = apply_sampling_correction(table.counts, FIXTURE_SAMPLING)
+        inputs[profile] = SimulationInput(table.venues, counts, FIXTURE_SAMPLING)
     return inputs

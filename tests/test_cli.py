@@ -5,6 +5,7 @@ import re
 import pytest
 
 from venuerisk.cli import main
+from venuerisk.reporting import dump_json
 
 
 def run_cli(*argv):
@@ -163,6 +164,38 @@ class TestSimulate:
         assert run_cli(*simulate_args(small_dataset, tmp_path / "x", "--params", str(params))) == 1
         assert f"{params}: line 1: expected 'key = value'" in capsys.readouterr().err
 
+    def test_invalid_params_value_names_the_file(self, small_dataset, tmp_path, capsys):
+        params = tmp_path / "params.txt"
+        params.write_text("q = -1\n", encoding="utf-8")
+        assert run_cli(*simulate_args(small_dataset, tmp_path / "x", "--params", str(params))) == 1
+        assert f"{params}: q must be positive and finite, got -1.0" in capsys.readouterr().err
+
+    def test_invalid_flag_is_not_blamed_on_the_params_file(self, small_dataset, tmp_path, capsys):
+        params = tmp_path / "params.txt"
+        params.write_text("q = 20\ndocumented_prevalence = 2\n", encoding="utf-8")
+        args = simulate_args(small_dataset, tmp_path / "x", "--params", str(params))
+        # the flag's valid prevalence overrides the file's invalid one
+        assert run_cli(*args) == 0
+        capsys.readouterr()
+        assert run_cli(*args, "--underreport-factor", "0.5") == 1
+        err = capsys.readouterr().err
+        assert "underreport_factor must be >= 1, got 0.5" in err
+        assert str(params) not in err
+
+    def test_empty_visit_file_names_the_file(self, small_dataset, tmp_path, capsys):
+        empty = tmp_path / "empty_visits.csv"
+        empty.write_text("", encoding="utf-8")
+        ds = dict(small_dataset, visits=empty)
+        assert run_cli(*simulate_args(ds, tmp_path / "x")) == 1
+        assert f"{empty}: visit file has no header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_rejected(self, small_dataset, tmp_path, capsys, value):
+        out = tmp_path / "x"
+        assert run_cli(*simulate_args(small_dataset, out, f"--threshold={value}")) == 1
+        assert "--threshold: must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reports_are_readable_under_umask_022(self, small_dataset, tmp_path):
         out = tmp_path / "run"
         old = os.umask(0o022)
@@ -316,6 +349,36 @@ class TestCompare:
             capsys.readouterr().err
         )
 
+    def test_empty_scenario_visit_file_names_scenario_and_file(
+        self, small_dataset, tmp_path, capsys
+    ):
+        a, _ = self._scenarios(tmp_path, small_dataset)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        truncated = tmp_path / "truncated.txt"
+        truncated.write_text("name = truncated\nvisits = empty.csv\n", encoding="utf-8")
+        code = run_cli(
+            "compare", "--venues", str(small_dataset["venues"]),
+            "--visits", str(small_dataset["visits"]),
+            "--scenario-a", str(a), "--scenario-b", str(truncated),
+            "--prevalence", "0.001", "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert f"scenario 'truncated': {empty}: visit file has no header" in (
+            capsys.readouterr().err
+        )
+
+    def test_non_finite_threshold_rejected(self, small_dataset, tmp_path, capsys):
+        a, b = self._scenarios(tmp_path, small_dataset)
+        code = run_cli(
+            "compare", "--venues", str(small_dataset["venues"]),
+            "--visits", str(small_dataset["visits"]),
+            "--scenario-a", str(a), "--scenario-b", str(b),
+            "--prevalence", "0.001", "--threshold", "nan", "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert "--threshold: must be a finite number" in capsys.readouterr().err
+
     def test_total_closure_still_reports(self, small_dataset, tmp_path, capsys):
         a, _ = self._scenarios(tmp_path, small_dataset)
         (tmp_path / "no_visits.csv").write_text("venue_id,hour,count\n", encoding="utf-8")
@@ -392,6 +455,11 @@ class TestHotspots:
     def test_missing_file_is_io_error(self, tmp_path):
         assert run_cli("hotspots", "--results", str(tmp_path / "nope.csv")) == 2
 
+    def test_non_finite_threshold_rejected(self, tmp_path, capsys):
+        results = str(self._results_file(tmp_path))
+        assert run_cli("hotspots", "--results", results, "--threshold", "inf") == 1
+        assert "--threshold: must be a finite number" in capsys.readouterr().err
+
     def test_malformed_results_is_validation_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n", encoding="utf-8")
@@ -438,3 +506,10 @@ class TestGenSynthetic:
             "gen-synthetic", "--n-venues", "0", "--profile", "lockdown",
             "--seed", "1", "--out", "unused",
         ) == 1
+
+
+def test_reports_are_strict_json():
+    assert dump_json({"x": 1.5}) == '{\n  "x": 1.5\n}\n'
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            dump_json({"x": value})

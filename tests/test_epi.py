@@ -1,24 +1,35 @@
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
-from venuerisk import (
-    DatasetError,
-    EpiParams,
-    Severity,
-    VisitSeries,
-    effective_prevalence,
-    expected_new_infections_hour,
-    simulate_week,
-    wells_riley_probability,
-)
+from venuerisk import EpiParams, SimulationInput, Venue, simulate_week, wells_riley_probability
+from venuerisk.epi import count_severities
 from conftest import make_input
 
 # frozen from an independent 50-digit evaluation of 1 - exp(-dose)
 P_ONE_INFECTOR_V300 = 0.0079680851629393696601  # dose 0.008
 P_ONE_INFECTOR_V30 = 0.076883653613364217089  # dose 0.08
 C_FIFTY_VISITORS = 0.29461527034368821133  # N=50, prev 0.015, V=300
+
+
+def effective_prevalence(documented, underreport_factor):
+    params = EpiParams(documented_prevalence=documented, underreport_factor=underreport_factor)
+    return params.effective_prevalence
+
+
+def infections(visitors, prevalence, params, room_volume):
+    """Expected new infections of one cohort of ``visitors``, through ``simulate_week``.
+
+    ``prevalence`` is the effective prevalence (the under-reporting
+    factor is set to 1) and the room has ``params.ceiling_height``.
+    """
+    params = dataclasses.replace(params, documented_prevalence=prevalence, underreport_factor=1.0)
+    area = room_volume / params.ceiling_height
+    table = SimulationInput({"v": Venue("v", "v", "restaurant", area)}, np.array([[visitors]]))
+    return simulate_week(table, params).weekly[0]
 
 
 class TestEffectivePrevalence:
@@ -143,13 +154,13 @@ class TestWellsRiley:
 
 class TestExpectedInfectionsHour:
     def test_empty_venue(self, default_params):
-        assert expected_new_infections_hour(0.0, 0.015, default_params, 300.0) == 0.0
+        assert infections(0.0, 0.015, default_params, 300.0) == 0.0
 
     def test_no_seed_infections(self, default_params):
-        assert expected_new_infections_hour(50.0, 0.0, default_params, 300.0) == 0.0
+        assert infections(50.0, 0.0, default_params, 300.0) == 0.0
 
     def test_three_step_pipeline(self, default_params):
-        value = expected_new_infections_hour(50.0, 0.015, default_params, 300.0)
+        value = infections(50.0, 0.015, default_params, 300.0)
         assert value == pytest.approx(C_FIFTY_VISITORS, rel=1e-9)
 
     def test_infections_bounded_by_cohort(self, default_params):
@@ -158,33 +169,32 @@ class TestExpectedInfectionsHour:
             visitors = rng.uniform(0, 500)
             prevalence = rng.uniform(0, 1)
             volume = rng.uniform(5, 5000)
-            infections = expected_new_infections_hour(visitors, prevalence, default_params, volume)
+            value = infections(visitors, prevalence, default_params, volume)
             susceptible = visitors - visitors * prevalence
-            assert 0.0 <= infections <= susceptible + 1e-12
+            assert 0.0 <= value <= susceptible + 1e-12
             assert susceptible <= visitors
 
     def test_bad_arguments(self, default_params):
         with pytest.raises(ValueError):
-            expected_new_infections_hour(-1.0, 0.5, default_params, 300.0)
+            infections(-1.0, 0.5, default_params, 300.0)
         with pytest.raises(ValueError):
-            expected_new_infections_hour(10.0, 1.5, default_params, 300.0)
+            infections(10.0, 1.5, default_params, 300.0)
         with pytest.raises(ValueError):
-            expected_new_infections_hour(10.0, 0.5, default_params, 0.0)
+            infections(10.0, 0.5, default_params, 0.0)
 
 
 class TestSimulateWeek:
     def test_all_zero_visits(self, default_params):
         sim = make_input({"a": 100.0, "b": 400.0}, {})
-        results = simulate_week(sim, default_params)
-        for result in results.values():
-            assert result.weekly_infections == 0.0
-            assert result.severity is Severity.MILD
+        result = simulate_week(sim, default_params)
+        assert result.weekly.tolist() == [0.0, 0.0]
+        assert count_severities(result.weekly, 1.0) == (0, 2)
 
     def test_single_hour_matches_oracle(self, default_params):
         sim = make_input({"a": 100.0}, {"a": {10: 50.0}})
-        results = simulate_week(sim, default_params)
-        assert results["a"].weekly_infections == pytest.approx(C_FIFTY_VISITORS, rel=1e-9)
-        assert results["a"].hourly_infections[10] == results["a"].weekly_infections
+        result = simulate_week(sim, default_params)
+        assert result.weekly[0] == pytest.approx(C_FIFTY_VISITORS, rel=1e-9)
+        assert result.hourly[0, 10] == result.weekly[0]
 
     def test_doubling_traffic_increases_weekly(self, default_params):
         counts = {"a": {0: 10.0, 5: 3.0}, "b": {7: 25.0}}
@@ -194,49 +204,33 @@ class TestSimulateWeek:
         })
         base = simulate_week(sim, default_params)
         more = simulate_week(doubled, default_params)
-        for vid in base:
-            assert more[vid].weekly_infections > base[vid].weekly_infections
+        assert (more.weekly > base.weekly).all()
 
     def test_weekly_is_sum_of_hourly(self, default_params):
         sim = make_input({"a": 100.0}, {"a": {h: (h % 7) * 1.7 for h in range(168)}})
-        result = simulate_week(sim, default_params)["a"]
-        assert result.weekly_infections == pytest.approx(
-            math.fsum(result.hourly_infections), rel=1e-9
-        )
+        result = simulate_week(sim, default_params)
+        assert result.weekly[0] == pytest.approx(math.fsum(result.hourly[0]), rel=1e-9)
 
     def test_deterministic(self, default_params):
         sim = make_input({"a": 100.0, "b": 77.0}, {"a": {3: 12.0}, "b": {9: 4.5}})
         first = simulate_week(sim, default_params)
         second = simulate_week(sim, default_params)
-        assert first == second
+        assert np.array_equal(first.hourly, second.hourly)
+        assert np.array_equal(first.weekly, second.weekly)
 
     def test_hour_permutation_equivariance(self, default_params):
         counts = {h: float((h * 13) % 29) for h in range(24)}
         sim = make_input({"a": 100.0}, {"a": counts}, window_hours=24)
-        result = simulate_week(sim, default_params)["a"]
+        result = simulate_week(sim, default_params)
 
         permutation = list(range(24))
         random.Random(3).shuffle(permutation)
         permuted_counts = {h: counts[permutation[h]] for h in range(24)}
         permuted_sim = make_input({"a": 100.0}, {"a": permuted_counts}, window_hours=24)
-        permuted = simulate_week(permuted_sim, default_params)["a"]
+        permuted = simulate_week(permuted_sim, default_params)
 
-        assert permuted.hourly_infections == tuple(
-            result.hourly_infections[permutation[h]] for h in range(24)
-        )
-        assert permuted.weekly_infections == result.weekly_infections
-
-    def test_unset_volume_is_dataset_error(self, default_params):
-        from venuerisk import SimulationInput, Venue
-
-        venue = Venue("a", "a", "restaurant", 100.0)  # volume never computed
-        sim = SimulationInput(
-            venues={"a": venue},
-            visits={"a": VisitSeries("a", (0.0,) * 24)},
-            window_hours=24,
-        )
-        with pytest.raises(DatasetError, match="volume"):
-            simulate_week(sim, default_params)
+        assert np.array_equal(permuted.hourly[0], result.hourly[0, permutation])
+        assert permuted.weekly[0] == result.weekly[0]
 
 
 class TestEpiParams:

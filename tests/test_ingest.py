@@ -1,12 +1,13 @@
 import io
 
+import numpy as np
 import pytest
 
 from venuerisk import (
     DatasetError,
     RecordError,
+    SimulationInput,
     Venue,
-    VisitSeries,
     apply_sampling_correction,
     compute_volumes,
     join,
@@ -30,7 +31,6 @@ class TestParseVenues:
     def test_square_meters_identity(self):
         table = parse_venues(venues_csv("v1,Cafe,restaurant,100"))
         assert table["v1"].area == 100.0
-        assert table["v1"].volume is None
 
     def test_square_feet_conversion(self):
         table = parse_venues(venues_csv("v1,Cafe,restaurant,1000"), area_unit="ft2")
@@ -76,13 +76,19 @@ class TestParseVenues:
 class TestParseVisits:
     def test_missing_hours_zero_filled(self):
         table = parse_visits(visits_csv("v1,0,5", "v1,3,2"), window_hours=168)
-        series = table["v1"].hourly_counts
+        series = table["v1"]
         assert len(series) == 168
         assert series[0] == 5.0 and series[3] == 2.0
         assert sum(series) == 7.0
 
     def test_empty_source(self):
-        assert parse_visits(io.StringIO(""), window_hours=168) == {}
+        # a 0-byte visit file is a missing header, not a total closure
+        with pytest.raises(DatasetError, match="no header"):
+            parse_visits(io.StringIO(""), window_hours=168)
+        with pytest.raises(DatasetError, match="no header"):
+            parse_visits(io.StringIO("# provenance comment only\n"), window_hours=168)
+        # a header with no rows is a legal file with no visits
+        assert parse_visits(visits_csv(), window_hours=168) == {}
 
     def test_hour_at_window_boundary_rejected(self):
         with pytest.raises(RecordError, match=r"outside \[0, 168\)"):
@@ -98,7 +104,7 @@ class TestParseVisits:
 
     def test_fractional_counts_allowed(self):
         table = parse_visits(visits_csv("v1,0,2.5"), window_hours=24)
-        assert table["v1"].hourly_counts[0] == 2.5
+        assert table["v1"][0] == 2.5
 
     def test_duplicate_hour_rejected(self):
         with pytest.raises(RecordError, match="duplicate"):
@@ -111,23 +117,22 @@ class TestParseVisits:
 
 class TestSamplingCorrection:
     def test_factor_ten(self):
-        table = {"v1": VisitSeries("v1", (1.0, 2.0, 0.0))}
-        out = apply_sampling_correction(table, 10.0)
-        assert out["v1"].hourly_counts == (10.0, 20.0, 0.0)
+        out = apply_sampling_correction(np.array([[1.0, 2.0, 0.0]]), 10.0)
+        assert out.tolist() == [[10.0, 20.0, 0.0]]
 
     def test_identity_factor(self):
-        table = {"v1": VisitSeries("v1", (3.0, 0.25, 7.0))}
-        out = apply_sampling_correction(table, 1.0)
-        assert out["v1"].hourly_counts == table["v1"].hourly_counts
+        counts = np.array([[3.0, 0.25, 7.0]])
+        out = apply_sampling_correction(counts, 1.0)
+        assert np.array_equal(out, counts)
 
     def test_fractional_factor(self):
-        out = apply_sampling_correction({"v1": VisitSeries("v1", (3.0,))}, 2.5)
-        assert out["v1"].hourly_counts == (7.5,)
+        out = apply_sampling_correction(np.array([[3.0]]), 2.5)
+        assert out.tolist() == [[7.5]]
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_factor(self, factor):
         with pytest.raises(ValueError):
-            apply_sampling_correction({}, factor)
+            apply_sampling_correction(np.zeros((0, 24)), factor)
 
     def test_linearity(self):
         # applying a then b equals applying a*b, up to fp associativity
@@ -135,61 +140,58 @@ class TestSamplingCorrection:
 
         rng = random.Random(11)
         for _ in range(200):
-            counts = tuple(rng.uniform(0, 50) for _ in range(24))
+            counts = np.array([[rng.uniform(0, 50) for _ in range(24)]])
             a = rng.uniform(0.1, 20)
             b = rng.uniform(0.1, 20)
-            table = {"v": VisitSeries("v", counts)}
-            two_step = apply_sampling_correction(apply_sampling_correction(table, a), b)
-            one_step = apply_sampling_correction(table, a * b)
-            for x, y in zip(two_step["v"].hourly_counts, one_step["v"].hourly_counts):
+            two_step = apply_sampling_correction(apply_sampling_correction(counts, a), b)
+            one_step = apply_sampling_correction(counts, a * b)
+            for x, y in zip(two_step[0], one_step[0]):
                 assert x == pytest.approx(y, rel=1e-12)
 
 
 class TestComputeVolumes:
     def test_paper_operating_point(self):
-        venues = {"v": Venue("v", "n", "c", 100.0)}
-        assert compute_volumes(venues, 3.0)["v"].volume == 300.0
+        assert compute_volumes(np.array([100.0]), 3.0)[0] == 300.0
 
     def test_unit_identity(self):
-        venues = {"v": Venue("v", "n", "c", 1.0)}
-        assert compute_volumes(venues, 1.0)["v"].volume == 1.0
+        assert compute_volumes(np.array([1.0]), 1.0)[0] == 1.0
 
     def test_converted_area(self):
-        venues = {"v": Venue("v", "n", "c", 92.90304)}
-        assert compute_volumes(venues, 3.0)["v"].volume == pytest.approx(278.70912, rel=1e-12)
+        volumes = compute_volumes(np.array([92.90304]), 3.0)
+        assert volumes[0] == pytest.approx(278.70912, rel=1e-12)
 
     def test_idempotent(self):
-        venues = {"v": Venue("v", "n", "c", 123.456)}
-        once = compute_volumes(venues, 3.0)
-        twice = compute_volumes(once, 3.0)
-        assert once == twice
+        # volumes are always recomputed from the area, which they never overwrite
+        areas = np.array([123.456])
+        once = compute_volumes(areas, 3.0)
+        assert np.array_equal(compute_volumes(areas, 3.0), once)
+        assert areas.tolist() == [123.456]
 
     def test_bad_height(self):
         with pytest.raises(ValueError):
-            compute_volumes({}, 0.0)
+            compute_volumes(np.array([]), 0.0)
 
 
 class TestJoin:
     def _venues(self, *ids):
-        table = {vid: Venue(vid, vid, "restaurant", 100.0) for vid in ids}
-        return compute_volumes(table, 3.0)
+        return {vid: Venue(vid, vid, "restaurant", 100.0) for vid in ids}
 
     def test_missing_series_zero_filled(self):
         venues = self._venues("v1", "v2")
-        visits = {"v1": VisitSeries("v1", (1.0,) * 24)}
+        visits = {"v1": np.ones(24)}
         sim = join(venues, visits, 24)
-        assert set(sim.venues) == {"v1", "v2"}
-        assert sim.visits["v2"].hourly_counts == (0.0,) * 24
+        assert list(sim.venues) == ["v1", "v2"]
+        assert sim.counts[1].tolist() == [0.0] * 24
 
     def test_unknown_venue_named_in_error(self):
         venues = self._venues("v1")
-        visits = {"ghost": VisitSeries("ghost", (0.0,) * 24)}
+        visits = {"ghost": np.zeros(24)}
         with pytest.raises(DatasetError, match="ghost"):
             join(venues, visits, 24)
 
     def test_unknown_ids_listed_up_to_ten_with_count(self):
         venues = self._venues("v1")
-        visits = {f"g{i:02d}": VisitSeries(f"g{i:02d}", (0.0,) * 24) for i in range(48)}
+        visits = {f"g{i:02d}": np.zeros(24) for i in range(48)}
         with pytest.raises(DatasetError) as info:
             join(venues, visits, 24)
         message = str(info.value)
@@ -200,20 +202,21 @@ class TestJoin:
     def test_full_size_join(self):
         ids = [f"v{i}" for i in range(1034)]
         venues = self._venues(*ids)
-        visits = {vid: VisitSeries(vid, (1.0,) * 24) for vid in ids}
+        visits = {vid: np.ones(24) for vid in ids}
         sim = join(venues, visits, 24)
-        assert len(sim.venues) == 1034 and len(sim.visits) == 1034
+        assert len(sim.venues) == 1034 and sim.counts.shape == (1034, 24)
+        assert (sim.counts == 1.0).all()
 
     def test_never_drops_or_invents(self):
         venues = self._venues("a", "b", "c")
-        visits = {"b": VisitSeries("b", (2.0, 0.0, 5.0))}
+        visits = {"b": np.array([2.0, 0.0, 5.0])}
         sim = join(venues, visits, 3)
-        assert set(sim.visits) == set(venues)
-        assert sim.visits["b"].hourly_counts == (2.0, 0.0, 5.0)
+        assert list(sim.venues) == list(venues)
+        assert sim.counts.tolist() == [[0.0] * 3, [2.0, 0.0, 5.0], [0.0] * 3]
 
     def test_length_mismatch(self):
         venues = self._venues("a")
-        visits = {"a": VisitSeries("a", (1.0, 2.0))}
+        visits = {"a": np.array([1.0, 2.0])}
         with pytest.raises(DatasetError, match="length"):
             join(venues, visits, 24)
 
@@ -225,23 +228,21 @@ class TestRoundTrip:
             "v1": Venue("v1", "Cafe, The", "restaurant", 0.1 + 0.2),
             "v2": Venue("v2", "Bar", "drinking place", 1234.5678901234567),
         }
-        visits = {
-            "v1": VisitSeries("v1", (0.0, 1e-9, 2.5, 0.0, 123456.789)),
-            "v2": VisitSeries("v2", (0.0,) * 5),
-        }
+        counts = np.array([[0.0, 1e-9, 2.5, 0.0, 123456.789], [0.0] * 5])
         venue_buf = io.StringIO()
         write_venues(venues.values(), venue_buf)
         visit_buf = io.StringIO()
-        write_visits(visits.values(), visit_buf)
+        write_visits(SimulationInput(venues, counts), visit_buf)
 
         back_venues = parse_venues(io.StringIO(venue_buf.getvalue()))
         back_visits = parse_visits(io.StringIO(visit_buf.getvalue()), window_hours=5)
         for vid, venue in venues.items():
             assert back_venues[vid].area == venue.area
             assert back_venues[vid].name == venue.name
-        assert back_visits["v1"].hourly_counts == visits["v1"].hourly_counts
+        assert back_visits["v1"].tolist() == counts[0].tolist()
         # all-zero series vanish from the sparse file and come back via join
         assert "v2" not in back_visits
+        assert np.array_equal(join(back_venues, back_visits, 5).counts, counts)
 
 
 class TestTypeInvariants:
@@ -252,5 +253,8 @@ class TestTypeInvariants:
             Venue("v", "n", "c", float("nan"))
 
     def test_series_rejects_negative_count(self):
+        venues = {"v": Venue("v", "n", "c", 1.0)}
         with pytest.raises(ValueError):
-            VisitSeries("v", (1.0, -0.5))
+            SimulationInput(venues, np.array([[1.0, -0.5]]))
+        with pytest.raises(ValueError):
+            SimulationInput(venues, np.array([[1.0, float("nan")]]))

@@ -2,14 +2,14 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from venuerisk import (
     ConfigError,
     DatasetError,
+    EpiParams,
     ScenarioConfig,
-    VisitSeries,
-    apply_occupancy_cap,
     load_scenario_config,
     max_distanced_occupancy,
     parse_spacing,
@@ -17,6 +17,7 @@ from venuerisk import (
     simulate_week,
     write_visits,
 )
+from venuerisk.scenario import apply_occupancy_cap
 from conftest import make_input
 
 SIX_FEET = 1.8288  # meters
@@ -54,24 +55,21 @@ class TestMaxDistancedOccupancy:
 
 class TestApplyOccupancyCap:
     def test_clamp(self):
-        series = VisitSeries("v", (5.0, 12.0, 0.0))
-        assert apply_occupancy_cap(series, 8).hourly_counts == (5.0, 8.0, 0.0)
+        assert apply_occupancy_cap((5.0, 12.0, 0.0), 8) == (5.0, 8.0, 0.0)
 
     def test_cap_zero(self):
-        series = VisitSeries("v", (5.0, 12.0, 0.0))
-        assert apply_occupancy_cap(series, 0).hourly_counts == (0.0, 0.0, 0.0)
+        assert apply_occupancy_cap((5.0, 12.0, 0.0), 0) == (0.0, 0.0, 0.0)
 
     def test_fractional_counts_clamped_to_whole_cap(self):
-        assert apply_occupancy_cap(VisitSeries("v", (7.5,)), 7).hourly_counts == (7.0,)
+        assert apply_occupancy_cap((7.5,), 7) == (7.0,)
 
     def test_idempotent(self):
-        series = VisitSeries("v", tuple(float(i) for i in range(30)))
-        once = apply_occupancy_cap(series, 11)
+        once = apply_occupancy_cap(tuple(float(i) for i in range(30)), 11)
         assert apply_occupancy_cap(once, 11) == once
 
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
-            apply_occupancy_cap(VisitSeries("v", (1.0,)), -1)
+            apply_occupancy_cap((1.0,), -1)
 
 
 class TestRunScenario:
@@ -88,14 +86,14 @@ class TestRunScenario:
         base = self._base()
         config = ScenarioConfig(name="identity", sampling_factor=1.0)
         outcome = run_scenario(base, config, default_params)
-        assert outcome.results == simulate_week(base, default_params)
+        assert np.array_equal(outcome.weekly, simulate_week(base, default_params).weekly)
         assert outcome.severe_count + outcome.mild_count == len(base.venues)
 
     def test_huge_spacing_zeroes_everything(self, default_params):
         base = self._base()
         config = ScenarioConfig(name="empty", sampling_factor=1.0, spacing=1000.0)
         outcome = run_scenario(base, config, default_params)
-        assert all(r.weekly_infections == 0.0 for r in outcome.results.values())
+        assert (outcome.weekly == 0.0).all()
 
     def test_capped_never_exceeds_uncapped(self, default_params):
         base = self._base()
@@ -105,8 +103,7 @@ class TestRunScenario:
             ScenarioConfig(name="c", sampling_factor=10.0, spacing=SIX_FEET),
             default_params,
         )
-        for vid in uncapped.results:
-            assert capped.results[vid].weekly_infections <= uncapped.results[vid].weekly_infections
+        assert (capped.weekly <= uncapped.weekly).all()
 
     def test_sampling_applied_before_cap(self, default_params):
         # one venue, cap 2, raw count 1: capping after the 10x correction
@@ -120,8 +117,8 @@ class TestRunScenario:
             default_params,
         )
         manual = make_input({"a": math.pi * SIX_FEET ** 2 * 2.2}, {"a": {0: float(cap)}})
-        expected = simulate_week(manual, default_params)["a"].weekly_infections
-        assert outcome.results["a"].weekly_infections == expected
+        expected = simulate_week(manual, default_params).weekly[0]
+        assert outcome.weekly[0] == expected
 
     def test_dominance(self, default_params):
         # pointwise-smaller visit counts can never produce more infections
@@ -141,29 +138,28 @@ class TestRunScenario:
         res_small = run_scenario(
             make_input(areas, small), ScenarioConfig(name="s", sampling_factor=1.0), default_params
         )
-        for vid in areas:
-            assert (
-                res_small.results[vid].weekly_infections
-                <= res_big.results[vid].weekly_infections
-            )
+        assert (res_small.weekly <= res_big.weekly).all()
 
     def test_deterministic(self, default_params):
         base = self._base()
         config = ScenarioConfig(name="d", sampling_factor=10.0, spacing=SIX_FEET)
-        assert run_scenario(base, config, default_params) == run_scenario(
-            base, config, default_params
+        first = run_scenario(base, config, default_params)
+        second = run_scenario(base, config, default_params)
+        assert np.array_equal(first.weekly, second.weekly)
+        assert (first.config, first.severe_count, first.mild_count) == (
+            second.config, second.severe_count, second.mild_count
         )
 
     def test_alternate_visit_file(self, default_params, tmp_path):
         base = self._base()
         alt = tmp_path / "alt_visits.csv"
         with open(alt, "w", encoding="utf-8") as handle:
-            write_visits([VisitSeries("a", (50.0,) + (0.0,) * 167)], handle)
+            write_visits(make_input({"a": 100.0}, {"a": {0: 50.0}}), handle)
         config = ScenarioConfig(name="alt", visit_source=str(alt), sampling_factor=1.0)
         outcome = run_scenario(base, config, default_params)
-        assert outcome.results["a"].weekly_infections > 0
+        assert outcome.weekly[0] > 0
         # venues absent from the alternate file fall back to zero traffic
-        assert outcome.results["b"].weekly_infections == 0.0
+        assert outcome.weekly[1] == 0.0
 
     def test_alternate_file_with_unknown_venue(self, default_params, tmp_path):
         base = self._base()
@@ -180,12 +176,21 @@ class TestRunScenario:
         plain = run_scenario(
             base, ScenarioConfig(name="p", sampling_factor=1.0), default_params
         )
-        for vid in base.venues:
-            if plain.results[vid].weekly_infections > 0:
-                assert (
-                    boosted.results[vid].weekly_infections
-                    > plain.results[vid].weekly_infections
-                )
+        for boosted_weekly, plain_weekly in zip(boosted.weekly, plain.weekly):
+            if plain_weekly > 0:
+                assert boosted_weekly > plain_weekly
+
+    def test_ceiling_height_override_sets_the_volumes(self, default_params):
+        # volumes follow the scenario's own params, not the base params
+        base = self._base()
+        config = ScenarioConfig(
+            name="tall", sampling_factor=1.0, params_override={"ceiling_height": 30.0}
+        )
+        tall = run_scenario(base, config, default_params)
+        tall_params = EpiParams(documented_prevalence=0.001, ceiling_height=30.0)
+        assert np.array_equal(tall.weekly, simulate_week(base, tall_params).weekly)
+        plain = simulate_week(base, default_params).weekly
+        assert (tall.weekly < plain).all()
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError, match="unknown parameter"):

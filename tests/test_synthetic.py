@@ -18,58 +18,52 @@ def test_same_seed_same_dataset():
     config = GeneratorConfig(n_venues=50, profile="lockdown", seed=7)
     first = generate_dataset(config)
     second = generate_dataset(config)
-    assert first == second
+    assert first.venues == second.venues
+    assert np.array_equal(first.counts, second.counts)
 
 
 def test_same_seed_byte_identical_files():
     config = GeneratorConfig(n_venues=40, profile="pre_pandemic", seed=3)
     blobs = []
     for _ in range(2):
-        venues, visits = generate_dataset(config)
+        table = generate_dataset(config)
         vbuf, tbuf = io.StringIO(), io.StringIO()
-        write_venues(venues.values(), vbuf)
-        write_visits(visits.values(), tbuf)
+        write_venues(table.venues.values(), vbuf)
+        write_visits(table, tbuf)
         blobs.append((vbuf.getvalue(), tbuf.getvalue()))
     assert blobs[0] == blobs[1]
 
 
 def test_requested_venue_count():
-    venues, visits = generate_dataset(
+    table = generate_dataset(
         GeneratorConfig(n_venues=FIXTURE_N_VENUES, profile="lockdown", seed=FIXTURE_SEED)
     )
-    assert len(venues) == FIXTURE_N_VENUES
-    assert len(visits) == FIXTURE_N_VENUES
+    assert len(table.venues) == FIXTURE_N_VENUES
+    assert table.counts.shape == (FIXTURE_N_VENUES, 168)
 
 
 def test_profiles_share_the_venue_table():
-    lock_venues, _ = generate_dataset(
-        GeneratorConfig(n_venues=200, profile="lockdown", seed=FIXTURE_SEED)
-    )
-    pre_venues, _ = generate_dataset(
-        GeneratorConfig(n_venues=200, profile="pre_pandemic", seed=FIXTURE_SEED)
-    )
-    assert lock_venues == pre_venues
+    lock = generate_dataset(GeneratorConfig(n_venues=200, profile="lockdown", seed=FIXTURE_SEED))
+    pre = generate_dataset(GeneratorConfig(n_venues=200, profile="pre_pandemic", seed=FIXTURE_SEED))
+    assert lock.venues == pre.venues
 
 
 def test_pre_pandemic_busier_at_every_hour():
     lock = generate_dataset(
         GeneratorConfig(n_venues=FIXTURE_N_VENUES, profile="lockdown", seed=FIXTURE_SEED)
-    )[1]
+    )
     pre = generate_dataset(
         GeneratorConfig(n_venues=FIXTURE_N_VENUES, profile="pre_pandemic", seed=FIXTURE_SEED)
-    )[1]
-    lock_counts = np.array([s.hourly_counts for s in lock.values()])
-    pre_counts = np.array([s.hourly_counts for s in pre.values()])
-    lock_mean = lock_counts.mean(axis=0)
-    pre_mean = pre_counts.mean(axis=0)
+    )
+    lock_mean = lock.counts.mean(axis=0)
+    pre_mean = pre.counts.mean(axis=0)
     assert (pre_mean > lock_mean).all()
 
 
 def test_areas_within_documented_range():
     config = GeneratorConfig(n_venues=500, profile="lockdown", seed=1)
-    venues, _ = generate_dataset(config)
     lo, hi = config.area_range_m2
-    for venue in venues.values():
+    for venue in generate_dataset(config).venues.values():
         assert lo <= venue.area <= hi
 
 
