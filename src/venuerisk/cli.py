@@ -72,6 +72,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -113,7 +123,9 @@ def _add_input_flags(sub: argparse.ArgumentParser, visits_required: bool) -> Non
 
 
 def _add_report_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--bins", type=int, default=20, help="histogram bin count (default 20)")
+    sub.add_argument(
+        "--bins", type=_positive_int, default=20, help="histogram bin count (default 20)"
+    )
     sub.add_argument(
         "--scale",
         choices=[s.value for s in Scale],
@@ -383,11 +395,13 @@ def cmd_hotspots(args) -> int:
         for row in reader:
             try:
                 weekly = float(row["weekly_infections"])
-            except ValueError:
+            except (TypeError, ValueError):  # TypeError: a short row's missing field
+                weekly = math.nan
+            if not (math.isfinite(weekly) and weekly >= 0):
                 raise InputError(
                     f"bad weekly_infections value {row['weekly_infections']!r} "
-                    f"for venue {row['venue_id']!r}"
-                ) from None
+                    f"for venue {row['venue_id']!r}: must be a non-negative finite number"
+                )
             entries.append((row["venue_id"], row["name"], weekly))
 
     entries.sort(key=lambda e: (-e[2], e[0]))

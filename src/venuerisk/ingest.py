@@ -11,6 +11,13 @@ generated files can carry a provenance stamp. Visitor counts are kept as
 real numbers throughout: sampling correction and occupancy capping act
 on expected values, not on whole people.
 
+Visit files are parsed by NumPy's C reader when they are plain (the
+exact header, no quoting, no padding, every value valid), which covers
+every file :func:`write_visits` writes. Any other file goes through the
+row-by-row ``csv`` parser, which defines what is accepted, every value
+and every error message; a property test holds the two to the same
+results.
+
 All functions here are pure. A parsed venue table is a dict of frozen
 :class:`Venue` records keyed by venue id; :func:`join` turns it and the
 parsed visits into one :class:`SimulationInput`, whose float64
@@ -23,7 +30,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import enum
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, TextIO
@@ -160,7 +169,14 @@ def parse_visits(source: TextIO, window_hours: int) -> dict[str, np.ndarray]:
     Hours absent from the file are filled with 0: sparse mobility data
     routinely omits zero-visit hours. Counts are returned as-read, with
     no sampling correction. A header with no rows is a legal file with
-    no visits (a total closure).
+    no visits (a total closure). Keys follow the order in which venue
+    ids first appear.
+
+    The text is read once. NumPy's C reader parses it when the file is
+    plain (see :func:`_parse_visits_fast`); any other file, and every
+    file with an error, goes through the row-by-row ``csv`` parser, so
+    the accepted files, the values and the line-numbered errors are
+    exactly that parser's.
 
     Raises:
         RecordError: malformed row, hour outside [0, window_hours),
@@ -169,6 +185,13 @@ def parse_visits(source: TextIO, window_hours: int) -> dict[str, np.ndarray]:
     """
     if window_hours < 1:
         raise ValueError(f"window_hours must be >= 1, got {window_hours}")
+    text = source.read()
+    fast = _parse_visits_fast(text, window_hours)
+    return fast if fast is not None else _parse_visits_csv(io.StringIO(text), window_hours)
+
+
+def _parse_visits_csv(source: TextIO, window_hours: int) -> dict[str, np.ndarray]:
+    """Row-by-row parse of a visit CSV: the reference for every result and error."""
     rows = _data_rows(source)
     first = next(rows, None)
     if first is None:
@@ -209,6 +232,76 @@ def parse_visits(source: TextIO, window_hours: int) -> dict[str, np.ndarray]:
     matrix = np.array(list(counts.values()), dtype=float).reshape(-1, window_hours)
     np.nan_to_num(matrix, copy=False)
     return dict(zip(counts, matrix))
+
+
+# the exact header line, and the body characters on which csv.reader and
+# NumPy's reader may part ways: quoting, comments, NUL, and every ASCII
+# character str.strip() removes from a field (line ends other than "\n" too)
+_VISIT_HEADER_LINE = ",".join(VISIT_HEADER) + "\n"
+_NOT_PLAIN = '"#\0 \t\r\v\f\x1c\x1d\x1e\x1f'
+_ID_BYTES = 32
+_VISIT_DTYPE = [("id", f"S{_ID_BYTES}"), ("hour", "i8"), ("count", "f8")]
+
+
+def _parse_visits_fast(text: str, window_hours: int) -> dict[str, np.ndarray] | None:
+    """Parse a plain visit file with ``np.loadtxt``; None unless sure of the csv parser's result.
+
+    Plain is: leading ``#`` lines, the exact header line, then ASCII rows
+    with none of ``_NOT_PLAIN``, every id 1 to 31 bytes, every hour in
+    the window, every count finite and non-negative and no (venue_id,
+    hour) pair twice. NumPy's warnings count as failures, so a lenient
+    reading (such as an old NumPy parsing ``5.0`` as an integer) is
+    never taken.
+    """
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    # a quote or a carriage return can make csv.reader run a comment line into the
+    # next, and some Python versions' csv.reader rejects a NUL
+    if any(c in text[:start] for c in '"\r\0') or not text.startswith(_VISIT_HEADER_LINE, start):
+        return None
+    body = text[start + len(_VISIT_HEADER_LINE):]
+    if not body.isascii() or any(c in body for c in _NOT_PLAIN):
+        return None
+    if not body:
+        return {}
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(
+                io.StringIO(body), dtype=_VISIT_DTYPE, delimiter=",", comments=None, ndmin=1
+            )
+    except (ValueError, Warning):
+        return None
+
+    ids, hours, counts = rows["id"], rows["hour"], rows["count"]
+    # the id is the first field of each packed record: its first byte is 0 for an
+    # empty id and its last byte is not 0 for an id that may have been truncated
+    id_bytes = rows.view(np.uint8).reshape(len(rows), -1)[:, :_ID_BYTES]
+    if not (
+        id_bytes[:, 0].all()
+        and not id_bytes[:, -1].any()
+        and hours.min() >= 0
+        and hours.max() < window_hours
+        and np.isfinite(counts).all()
+        and counts.min() >= 0
+    ):
+        return None
+
+    # one dict lookup per run of equal ids; keys in order of first appearance
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    row_of: dict[str, int] = {}
+    run_rows = [row_of.setdefault(vid.decode(), len(row_of)) for vid in ids[starts].tolist()]
+    cells = np.repeat(run_rows, np.diff(starts, append=len(rows))) * window_hours + hours
+    seen = np.zeros(len(row_of) * window_hours, dtype=bool)
+    seen[cells] = True
+    if np.count_nonzero(seen) != len(rows):
+        return None  # a duplicate (venue_id, hour) pair
+    matrix = np.zeros((len(row_of), window_hours))
+    matrix.reshape(-1)[cells] = counts
+    return dict(zip(row_of, matrix))
 
 
 def apply_sampling_correction(counts: np.ndarray, factor: float) -> np.ndarray:

@@ -196,6 +196,24 @@ class TestSimulate:
         assert "--threshold: must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, bins", [("simulate", "0"), ("compare", "0"), ("simulate", "abc")]
+    )
+    def test_bad_bins_rejected_before_reading(self, tmp_path, capsys, command, bins):
+        # every input names a missing file, so exit 1 (not the i/o error's 2) shows none was read
+        missing = str(tmp_path / "nope.csv")
+        inputs = {
+            "simulate": ["--visits", missing],
+            "compare": ["--scenario-a", missing, "--scenario-b", missing],
+        }[command]
+        out = tmp_path / "x"
+        assert run_cli(
+            command, "--venues", missing, *inputs, "--prevalence", "0.001",
+            "--bins", bins, "--out", str(out),
+        ) == 1
+        assert f"--bins: must be a positive integer, got {bins!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reports_are_readable_under_umask_022(self, small_dataset, tmp_path):
         out = tmp_path / "run"
         old = os.umask(0o022)
@@ -459,6 +477,26 @@ class TestHotspots:
         results = str(self._results_file(tmp_path))
         assert run_cli("hotspots", "--results", results, "--threshold", "inf") == 1
         assert "--threshold: must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, shown",
+        [
+            ("v4,Odd Pub,pub,50.0,150.0,nan,mild", "'nan'"),
+            ("v4,Odd Pub,pub,50.0,150.0,inf,mild", "'inf'"),
+            ("v4,Odd Pub,pub,50.0,150.0,-2,mild", "'-2'"),
+            ("v4,Odd Pub,pub,50.0,150.0,,mild", "''"),
+            ("v4,Odd Pub", "None"),
+        ],
+        ids=["nan", "inf", "negative", "empty", "short-row"],
+    )
+    def test_bad_weekly_value_names_file_and_venue(self, tmp_path, capsys, row, shown):
+        path = self._results_file(tmp_path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(row + "\n")
+        assert run_cli("hotspots", "--results", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: bad weekly_infections value {shown} for venue 'v4'" in captured.err
 
     def test_malformed_results_is_validation_error(self, tmp_path):
         path = tmp_path / "bad.csv"

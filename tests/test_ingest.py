@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from venuerisk import (
     write_venues,
     write_visits,
 )
-from venuerisk.ingest import SQFT_TO_SQM
+from venuerisk.ingest import SQFT_TO_SQM, _parse_visits_csv, _parse_visits_fast, open_input
+
+SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"
 
 
 def venues_csv(*rows):
@@ -113,6 +116,29 @@ class TestParseVisits:
     def test_non_integer_hour_rejected(self):
         with pytest.raises(RecordError, match="not an integer"):
             parse_visits(visits_csv("v1,1.5,1"), window_hours=24)
+
+
+class TestFastVisitParse:
+    """The NumPy path must be the one taken on the files the program writes and ships."""
+
+    def assert_fast_and_exact(self, text, window_hours):
+        fast = _parse_visits_fast(text, window_hours)
+        assert fast is not None
+        slow = _parse_visits_csv(io.StringIO(text), window_hours)
+        assert list(fast) == list(slow)
+        assert all(fast[vid].tolist() == slow[vid].tolist() for vid in slow)
+
+    def test_taken_on_written_visits(self):
+        venues = {f"v{i}": Venue(f"v{i}", "n", "c", 10.0) for i in range(3)}
+        counts = np.array([[0.0, 2.0, 0.5], [0.0, 0.0, 0.0], [7.0, 1e-9, 123456.789]])
+        sink = io.StringIO()
+        write_visits(SimulationInput(venues, counts), sink, comment="manifest_sha256: 00ff")
+        assert sink.getvalue().startswith("# manifest_sha256: 00ff\n")
+        self.assert_fast_and_exact(sink.getvalue(), 3)
+
+    def test_taken_on_sample_data(self):
+        with open_input(SAMPLE_DATA / "visits.csv") as handle:
+            self.assert_fast_and_exact(handle.read(), 168)
 
 
 class TestSamplingCorrection:
