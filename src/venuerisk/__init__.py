@@ -15,7 +15,7 @@ from .epi import (
 from .errors import ConfigError, DatasetError, RecordError
 from .ingest import (
     SimulationInput,
-    Venue,
+    VenueTable,
     apply_sampling_correction,
     compute_volumes,
     join,
@@ -46,7 +46,7 @@ __all__ = [
     "ScenarioConfig",
     "Severity",
     "SimulationInput",
-    "Venue",
+    "VenueTable",
     "apply_sampling_correction",
     "classify",
     "compute_volumes",

@@ -22,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import statistics
 import sys
@@ -31,7 +32,7 @@ import numpy as np
 from .epi import EpiParams
 from .errors import ConfigError, InputError
 from .ingest import (
-    AreaUnit,
+    AREA_UNITS,
     SimulationInput,
     join,
     open_input,
@@ -83,7 +84,10 @@ def _positive_int(text: str) -> int:
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
@@ -116,8 +120,8 @@ def _add_input_flags(sub: argparse.ArgumentParser, visits_required: bool) -> Non
     )
     sub.add_argument(
         "--area-unit",
-        choices=[u.value for u in AreaUnit],
-        default=AreaUnit.SQUARE_METERS.value,
+        choices=list(AREA_UNITS),
+        default="m2",
         help="unit of the venue file's area column (default m2)",
     )
 
@@ -182,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hot = sub.add_parser("hotspots", help="rank venues from a results CSV")
     p_hot.add_argument("--results", required=True, help="venue_results.csv from simulate")
     p_hot.add_argument("--threshold", type=_finite_float, default=1.0, help="severity threshold")
-    p_hot.add_argument("--top", type=int, help="print only the top K venues")
+    p_hot.add_argument("--top", type=_positive_int, help="print only the top K venues")
     p_hot.set_defaults(func=cmd_hotspots)
 
     p_gen = sub.add_parser("gen-synthetic", help="emit a deterministic synthetic dataset")
@@ -307,7 +311,7 @@ def cmd_simulate(args) -> int:
         },
     }
     out_dir = write_reports(args.out, {
-        "venue_results.csv": venue_results_csv(base, weekly, params, args.threshold, mhash),
+        "venue_results.csv": venue_results_csv(base.venues, weekly, params, args.threshold, mhash),
         "histogram.csv": histogram_csv(hist, mhash),
         "summary.json": dump_json(summary),
         "manifest.json": dump_json(manifest),
@@ -384,7 +388,8 @@ def cmd_compare(args) -> int:
 
 def cmd_hotspots(args) -> int:
     with open_input(args.results) as handle:
-        reader = csv.DictReader(ln for ln in handle if not ln.startswith("#"))
+        # "#" starts a comment only before the header: a venue id may start with it
+        reader = csv.DictReader(itertools.dropwhile(lambda ln: ln.startswith("#"), handle))
         if reader.fieldnames is None:
             raise InputError("results file is empty")
         missing = {"venue_id", "name", "weekly_infections"} - set(reader.fieldnames)
@@ -405,8 +410,7 @@ def cmd_hotspots(args) -> int:
             entries.append((row["venue_id"], row["name"], weekly))
 
     entries.sort(key=lambda e: (-e[2], e[0]))
-    if args.top is not None:
-        entries = entries[: max(args.top, 0)]
+    entries = entries[: args.top]  # --top unset is None: every entry
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["rank", "venue_id", "name", "weekly_infections", "severity"])
@@ -430,7 +434,7 @@ def cmd_gen_synthetic(args) -> int:
     stamp = f"manifest_sha256: {manifest['manifest_sha256']}"
 
     venue_buf = io.StringIO()
-    write_venues(table.venues.values(), venue_buf, comment=stamp)
+    write_venues(table.venues, venue_buf, comment=stamp)
     visit_buf = io.StringIO()
     write_visits(table, visit_buf, comment=stamp)
     out_dir = write_reports(args.out, {

@@ -111,10 +111,14 @@ def infection_probability(infectors: np.ndarray, params: EpiParams, room_volume)
     """Elementwise :func:`wells_riley_probability`, without its argument checks.
 
     The dose takes the same operations in the same order, so only
-    ``np.expm1`` can differ from the scalar form, by at most 1 ulp.
+    ``np.expm1`` can differ from the scalar form, by at most 1 ulp. After
+    the first product every step works in place: this kernel sets the
+    program's memory peak, and a venue-hour temporary is 67 MB at 50 000 venues.
     """
-    dose = infectors * params.q * params.p * params.t / (params.ach * room_volume)
-    return np.minimum(-np.expm1(-dose), _BELOW_ONE)
+    probability = infectors * params.q * params.p * params.t
+    probability /= params.ach * room_volume
+    np.expm1(np.negative(probability, out=probability), out=probability)
+    return np.minimum(np.negative(probability, out=probability), _BELOW_ONE, out=probability)
 
 
 def simulate_week(sim_input: SimulationInput, params: EpiParams) -> WeekResult:
@@ -127,7 +131,7 @@ def simulate_week(sim_input: SimulationInput, params: EpiParams) -> WeekResult:
     outputs. The weekly values are NumPy's pairwise row sums, which can
     differ from an exactly rounded sum in the last digits.
     """
-    volumes = compute_volumes(sim_input.areas, params.ceiling_height)
+    volumes = compute_volumes(sim_input.venues.areas, params.ceiling_height)
     infectors = sim_input.counts * params.effective_prevalence
     hourly = sim_input.counts - infectors
     hourly *= infection_probability(infectors, params, volumes[:, None])

@@ -1,4 +1,4 @@
-"""Venue and visit ingestion.
+"""Ingestion of venue and visit files.
 
 Two CSV formats are understood, both UTF-8 with a mandatory header:
 
@@ -6,10 +6,10 @@ Two CSV formats are understood, both UTF-8 with a mandatory header:
 * visit file:  ``venue_id,hour,count``  (``hour`` is a 0-based offset
   from the start of the simulation window)
 
-Lines starting with ``#`` before the header are treated as comments, so
-generated files can carry a provenance stamp. Visitor counts are kept as
-real numbers throughout: sampling correction and occupancy capping act
-on expected values, not on whole people.
+Lines starting with ``#`` before the header are comments, so generated
+files can carry a provenance stamp; after the header every non-blank
+line is a record. Visitor counts are real numbers throughout: sampling
+correction and occupancy capping act on expected values, not people.
 
 Visit files are parsed by NumPy's C reader when they are plain (the
 exact header, no quoting, no padding, every value valid), which covers
@@ -18,56 +18,63 @@ row-by-row ``csv`` parser, which defines what is accepted, every value
 and every error message; a property test holds the two to the same
 results.
 
-All functions here are pure. A parsed venue table is a dict of frozen
-:class:`Venue` records keyed by venue id; :func:`join` turns it and the
-parsed visits into one :class:`SimulationInput`, whose float64
-``counts[venue, hour]`` matrix carries the visitor counts, row ``i``
-belonging to the ``i``-th venue of the table.
+All functions here are pure. A parsed venue file is one
+:class:`VenueTable` of columns (ids, names, categories and float64 floor
+areas in m2) in file order; :func:`join` turns it and the parsed visits
+into one :class:`SimulationInput`, whose float64 ``counts[venue, hour]``
+matrix carries the visitor counts, row ``i`` for the ``i``-th venue.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import enum
 import io
 import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, TextIO
+from typing import Mapping, TextIO
 
 import numpy as np
 
 from .errors import DatasetError, RecordError, error_context
 
 SQFT_TO_SQM = 0.09290304
+# factor from each accepted unit of a venue file's ``area`` column to m2
+AREA_UNITS = {"m2": 1.0, "ft2": SQFT_TO_SQM}
 
 VENUE_HEADER = ("venue_id", "name", "category", "area")
 VISIT_HEADER = ("venue_id", "hour", "count")
 
 
-class AreaUnit(enum.Enum):
-    """Unit of the ``area`` column in a venue file."""
+@dataclass(frozen=True, eq=False)
+class VenueTable:
+    """Establishments as columns, one row per venue: ids, names, categories and floor areas in m2.
 
-    SQUARE_METERS = "m2"
-    SQUARE_FEET = "ft2"
+    Iterating yields the ids in row order and ``len`` is the venue count,
+    as for a dict keyed by venue id.
+    """
 
-
-@dataclass(frozen=True)
-class Venue:
-    """An establishment with a floor area in m2."""
-
-    venue_id: str
-    name: str
-    category: str
-    area: float
+    ids: tuple[str, ...]
+    names: tuple[str, ...]
+    categories: tuple[str, ...]
+    areas: np.ndarray
 
     def __post_init__(self):
-        if not self.venue_id:
-            raise ValueError("venue_id must be non-empty")
-        if not (math.isfinite(self.area) and self.area > 0):
-            raise ValueError(f"venue {self.venue_id!r}: area must be positive, got {self.area}")
+        n = len(self.ids)
+        if not (len(self.names) == len(self.categories) == n and np.shape(self.areas) == (n,)):
+            raise ValueError(f"every venue column must have one entry per venue id ({n})")
+        if not all(self.ids) or len(set(self.ids)) != n:
+            raise ValueError("venue ids must be non-empty and unique")
+        if not (np.isfinite(self.areas) & (self.areas > 0)).all():
+            raise ValueError(f"venue areas must be positive and finite, got {self.areas.min()}")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return iter(self.ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,14 +83,10 @@ class SimulationInput:
 
     ``counts[i, h]`` is the expected number of visitors of the ``i``-th
     venue of ``venues`` in hour ``h`` of the window.
-    ``sampling_factor_applied`` is an audit field recording the total
-    panel-sampling correction already baked into the counts (1.0 means
-    the counts are as-read).
     """
 
-    venues: Mapping[str, Venue]
+    venues: VenueTable
     counts: np.ndarray
-    sampling_factor_applied: float = 1.0
 
     def __post_init__(self):
         if self.counts.ndim != 2 or self.counts.shape[0] != len(self.venues):
@@ -98,11 +101,6 @@ class SimulationInput:
     def window_hours(self) -> int:
         return self.counts.shape[1]
 
-    @property
-    def areas(self) -> np.ndarray:
-        """Floor areas in m2, in row order."""
-        return np.fromiter((v.area for v in self.venues.values()), float, len(self.venues))
-
 
 @contextlib.contextmanager
 def open_input(path: str | Path):
@@ -112,27 +110,30 @@ def open_input(path: str | Path):
 
 
 def _data_rows(source: TextIO):
-    """Yield (line_number, row) pairs, skipping blank and comment lines."""
+    """Yield (line_number, row) pairs, skipping blank lines and ``#`` lines before the header."""
     reader = csv.reader(source)
+    header_seen = False
     for row in reader:
-        if not row or row[0].startswith("#"):
-            continue
-        yield reader.line_num, row
+        if row and (header_seen or not row[0].startswith("#")):
+            header_seen = True
+            yield reader.line_num, row
 
 
-def parse_venues(source: TextIO, area_unit: AreaUnit | str = AreaUnit.SQUARE_METERS) -> dict[str, Venue]:
-    """Parse a venue CSV into a table keyed by venue_id, areas in m2.
+def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
+    """Parse a venue CSV into a :class:`VenueTable` in file order, areas in m2.
 
     Args:
         source: character stream of the venue file.
-        area_unit: unit of the ``area`` column; square feet are converted
-            with 1 ft2 = 0.09290304 m2.
+        area_unit: unit of the ``area`` column, a key of ``AREA_UNITS``;
+            square feet are converted with 1 ft2 = 0.09290304 m2.
 
     Raises:
         RecordError: malformed row, non-positive area (with line number).
         DatasetError: missing or bad header, or duplicate venue_id.
+        ValueError: unknown ``area_unit``.
     """
-    unit = AreaUnit(area_unit)
+    if area_unit not in AREA_UNITS:
+        raise ValueError(f"area unit must be one of {', '.join(AREA_UNITS)}, got {area_unit!r}")
     rows = _data_rows(source)
     first = next(rows, None)
     if first is None:
@@ -142,7 +143,8 @@ def parse_venues(source: TextIO, area_unit: AreaUnit | str = AreaUnit.SQUARE_MET
             f"venue file header must be {','.join(VENUE_HEADER)!r}, got {','.join(first[1])!r}"
         )
 
-    venues: dict[str, Venue] = {}
+    ids, names, categories, areas = [], [], [], []
+    seen = set()
     for line, row in rows:
         if len(row) != 4:
             raise RecordError(f"expected 4 fields, got {len(row)}", line)
@@ -155,12 +157,16 @@ def parse_venues(source: TextIO, area_unit: AreaUnit | str = AreaUnit.SQUARE_MET
             raise RecordError(f"area {area_text!r} is not a number", line) from None
         if not math.isfinite(area) or area <= 0:
             raise RecordError(f"area must be positive and finite, got {area_text}", line)
-        if unit is AreaUnit.SQUARE_FEET:
-            area *= SQFT_TO_SQM
-        if venue_id in venues:
+        if venue_id in seen:
             raise DatasetError(f"duplicate venue_id {venue_id!r}")
-        venues[venue_id] = Venue(venue_id=venue_id, name=name, category=category, area=area)
-    return venues
+        seen.add(venue_id)
+        ids.append(venue_id)
+        names.append(name)
+        categories.append(category)
+        areas.append(area)
+    # one multiply of the column: the same IEEE products as converting row by row
+    areas_m2 = np.array(areas, dtype=float) * AREA_UNITS[area_unit]
+    return VenueTable(tuple(ids), tuple(names), tuple(categories), areas_m2)
 
 
 def parse_visits(source: TextIO, window_hours: int) -> dict[str, np.ndarray]:
@@ -305,11 +311,7 @@ def _parse_visits_fast(text: str, window_hours: int) -> dict[str, np.ndarray] | 
 
 
 def apply_sampling_correction(counts: np.ndarray, factor: float) -> np.ndarray:
-    """Multiply every visitor count by ``factor`` (panel-to-population correction).
-
-    The factor itself is recorded on the :class:`SimulationInput`
-    (``sampling_factor_applied``), not in the counts.
-    """
+    """Multiply every visitor count by ``factor`` (panel-to-population correction)."""
     if not (math.isfinite(factor) and factor > 0):
         raise ValueError(f"sampling factor must be positive and finite, got {factor}")
     return counts * factor
@@ -323,7 +325,7 @@ def compute_volumes(areas: np.ndarray, ceiling_height: float) -> np.ndarray:
 
 
 def join(
-    venues: Mapping[str, Venue], visits: Mapping[str, np.ndarray], window_hours: int
+    venues: VenueTable, visits: Mapping[str, np.ndarray], window_hours: int
 ) -> SimulationInput:
     """Join a venue table and per-venue count rows into a :class:`SimulationInput`.
 
@@ -333,25 +335,24 @@ def join(
 
     Raises:
         DatasetError: a visit row references an unknown venue_id, or a
-            row length disagrees with ``window_hours``.
+            row's shape is not ``(window_hours,)``.
     """
     if window_hours < 1:
         raise ValueError(f"window_hours must be >= 1, got {window_hours}")
-    unknown = sorted(set(visits) - set(venues))
+    row_of = dict(zip(venues, range(len(venues))))
+    unknown = sorted(vid for vid in visits if vid not in row_of)
     if unknown:
         shown = ", ".join(repr(u) for u in unknown[:10]) + (", ..." if len(unknown) > 10 else "")
         raise DatasetError(f"visit series reference {len(unknown)} unknown venue id(s): {shown}")
     counts = np.zeros((len(venues), window_hours))
-    if visits:
-        try:
-            given = np.array(list(visits.values()), dtype=float).reshape(len(visits), window_hours)
-        except ValueError:
+    for vid, row in visits.items():
+        # checked first: NumPy would broadcast a one-hour row across the whole window
+        if row.shape != (window_hours,):
             raise DatasetError(
                 f"visit series length differs from the window of {window_hours} hours"
-            ) from None
-        row_of = dict(zip(venues, range(len(venues))))
-        counts[[row_of[vid] for vid in visits]] = given
-    return SimulationInput(venues=dict(venues), counts=counts)
+            )
+        counts[row_of[vid]] = row
+    return SimulationInput(venues=venues, counts=counts)
 
 
 def _format_count(value: float) -> str:
@@ -359,14 +360,15 @@ def _format_count(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(value)
 
 
-def write_venues(venues: Iterable[Venue], sink: TextIO, comment: str | None = None) -> None:
-    """Serialize venues to the documented CSV format (areas in m2)."""
+def write_venues(venues: VenueTable, sink: TextIO, comment: str | None = None) -> None:
+    """Serialize a venue table to the documented CSV format (areas in m2)."""
     if comment:
         sink.write(f"# {comment}\n")
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(VENUE_HEADER)
-    for v in venues:
-        writer.writerow([v.venue_id, v.name, v.category, repr(v.area)])
+    writer.writerows(
+        zip(venues.ids, venues.names, venues.categories, map(repr, venues.areas.tolist()))
+    )
 
 
 def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = None) -> None:
@@ -380,10 +382,9 @@ def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = Non
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(VISIT_HEADER)
     rows, hours = np.nonzero(table.counts)
-    ids = list(table.venues)
     writer.writerows(
         zip(
-            map(ids.__getitem__, rows.tolist()),
+            map(table.venues.ids.__getitem__, rows.tolist()),
             hours.tolist(),
             map(_format_count, table.counts[rows, hours].tolist()),
         )

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .epi import EpiParams
-from .ingest import SimulationInput, compute_volumes
+from .ingest import VenueTable, compute_volumes
 from .scenario import ScenarioConfig
 from .stats import Histogram, Severity
 
@@ -127,29 +127,28 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def venue_results_csv(
-    table: SimulationInput,
+    venues: VenueTable,
     weekly: np.ndarray,
     params: EpiParams,
     severity_threshold: float,
     manifest_hash: str,
 ) -> str:
-    """Render the per-venue report CSV: one row per venue of ``table``, in its order.
+    """Render the per-venue report CSV: one row per venue of ``venues``, in its order.
 
     Volumes come from ``params.ceiling_height``; a venue is severe when
     its ``weekly`` infections exceed ``severity_threshold``.
     """
-    volumes = compute_volumes(table.areas, params.ceiling_height)
+    volumes = compute_volumes(venues.areas, params.ceiling_height)
     labels = np.where(weekly > severity_threshold, Severity.SEVERE.value, Severity.MILD.value)
     buf = io.StringIO()
     buf.write(f"# manifest_sha256: {manifest_hash}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(VENUE_RESULT_COLUMNS)
-    writer.writerows(
-        (v.venue_id, v.name, v.category, repr(v.area), repr(volume), repr(w), label)
-        for v, volume, w, label in zip(
-            table.venues.values(), volumes.tolist(), weekly.tolist(), labels.tolist()
-        )
-    )
+    writer.writerows(zip(
+        venues.ids, venues.names, venues.categories,
+        *(map(repr, column.tolist()) for column in (venues.areas, volumes, weekly)),
+        labels.tolist(),
+    ))
     return buf.getvalue()
 
 

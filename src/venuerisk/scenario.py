@@ -116,26 +116,23 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run one scenario over the shared venue table.
 
-    ``base`` carries the baseline visit counts as-read (its audit factor
-    times ``config.sampling_factor`` becomes the effective correction).
-    An alternate visit file must join against the same venue table.
-    Input errors raised here name the scenario.
+    ``base`` carries the baseline counts as-read, so ``sampling_factor``
+    is the whole correction. An alternate visit file must join against
+    the same venue table. Input errors raised here name the scenario.
     """
     with error_context(f"scenario {config.name!r}"):
         if config.visit_source == BASELINE:
             counts = base.counts
-            factor_applied = base.sampling_factor_applied * config.sampling_factor
         else:
             with open_input(config.visit_source) as handle:
                 visits = parse_visits(handle, base.window_hours)
             counts = join(base.venues, visits, base.window_hours).counts
             del visits
-            factor_applied = config.sampling_factor
 
         counts = apply_sampling_correction(counts, config.sampling_factor)
         if config.spacing is not None:
             # capping in place is safe: the correction above returned a new matrix
-            caps = max_distanced_occupancy(base.areas, config.spacing)
+            caps = max_distanced_occupancy(base.venues.areas, config.spacing)
             np.minimum(counts, caps[:, None], out=counts)
 
         try:
@@ -143,7 +140,7 @@ def run_scenario(
         except ValueError as exc:
             raise ConfigError(f"invalid parameter override: {exc}") from None
 
-    sim_input = SimulationInput(base.venues, counts, factor_applied)
+    sim_input = SimulationInput(base.venues, counts)
     weekly = simulate_week(sim_input, effective_params).weekly
     severe, mild = count_severities(weekly, severity_threshold)
     return ScenarioResult(config=config, weekly=weekly, severe_count=severe, mild_count=mild)

@@ -14,10 +14,10 @@ exercised, tested, and demoed end to end. Every knob lives in
 * counts model a sampled panel, i.e. they are meant to be fed through
   the usual 10x sampling correction downstream.
 
-The result is a :class:`~venuerisk.ingest.SimulationInput`: the venue
-table and the drawn ``counts[venue, hour]`` matrix. Venue draws happen
-before any count draws, so two datasets generated with the same seed but
-different profiles share an identical venue table.
+The result is a :class:`~venuerisk.ingest.SimulationInput`: a venue
+table built column by column from the drawn arrays, and the drawn
+``counts[venue, hour]`` matrix. All venue draws precede any count
+draws, so both profiles of one seed share an identical venue table.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import SimulationInput, Venue
+from .ingest import SimulationInput, VenueTable
 
 PROFILES = ("lockdown", "pre_pandemic")
 
@@ -68,8 +68,9 @@ class GeneratorConfig:
         if not (0 < lo <= hi):
             raise ValueError(f"area range must satisfy 0 < lo <= hi, got {self.area_range_m2}")
         for name in ("base_hourly_visits", "lockdown_level", "pre_pandemic_level"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 <= self.drinking_place_share <= 1.0:
             raise ValueError("drinking_place_share must be in [0, 1]")
 
@@ -92,14 +93,7 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
     rates = config.base_hourly_visits * config.level * popularity[:, None] * shape[None, :]
     counts = rng.poisson(rates).astype(float)
 
-    categories = np.where(is_bar, "drinking_place", "restaurant").tolist()
-    venues = {
-        f"v{i:05d}": Venue(
-            venue_id=f"v{i:05d}",
-            name=f"Synthetic {category.replace('_', ' ')} {i:05d}",
-            category=category,
-            area=area,
-        )
-        for i, (category, area) in enumerate(zip(categories, areas.tolist()))
-    }
-    return SimulationInput(venues, counts)
+    categories = tuple(np.where(is_bar, "drinking_place", "restaurant").tolist())
+    ids = tuple(f"v{i:05d}" for i in range(n))
+    names = tuple(f"Synthetic {c.replace('_', ' ')} {i:05d}" for i, c in enumerate(categories))
+    return SimulationInput(VenueTable(ids, names, categories, areas), counts)

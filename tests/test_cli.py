@@ -189,11 +189,13 @@ class TestSimulate:
         assert run_cli(*simulate_args(ds, tmp_path / "x")) == 1
         assert f"{empty}: visit file has no header" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
     def test_non_finite_threshold_rejected(self, small_dataset, tmp_path, capsys, value):
         out = tmp_path / "x"
         assert run_cli(*simulate_args(small_dataset, out, f"--threshold={value}")) == 1
-        assert "--threshold: must be a finite number" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"--threshold: must be a finite number, got {value!r}" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -503,6 +505,41 @@ class TestHotspots:
         path.write_text("foo,bar\n1,2\n", encoding="utf-8")
         assert run_cli("hotspots", "--results", str(path)) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, expected",
+        [
+            ("--threshold", "abc", "must be a finite number, got 'abc'"),
+            ("--top", "0", "must be a positive integer, got '0'"),
+            ("--top", "-2", "must be a positive integer, got '-2'"),
+        ],
+        ids=["threshold-abc", "top-0", "top-negative"],
+    )
+    def test_bad_flag_value_says_what_is_expected(self, tmp_path, capsys, flag, value, expected):
+        results = str(self._results_file(tmp_path))
+        assert run_cli("hotspots", "--results", results, f"{flag}={value}") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag}: {expected}" in captured.err
+
+    def test_hash_id_venue_is_ranked(self, tmp_path, capsys):
+        # "#" is a comment only before a header: the venue survives simulate and hotspots
+        venues = tmp_path / "venues.csv"
+        venues.write_text(
+            "venue_id,name,category,area\n#12,Hash Bar,drinking place,50\nv2,Cafe,restaurant,100\n",
+            encoding="utf-8",
+        )
+        visits = tmp_path / "visits.csv"
+        visits.write_text("venue_id,hour,count\n#12,20,60\nv2,12,3\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert run_cli(
+            "simulate", "--venues", str(venues), "--visits", str(visits),
+            "--prevalence", "0.001", "--out", str(out),
+        ) == 0
+        capsys.readouterr()
+        assert run_cli("hotspots", "--results", str(out / "venue_results.csv")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["1", "#12"], ["2", "v2"]]
+
 
 class TestGenSynthetic:
     def test_deterministic_files(self, tmp_path):
@@ -538,6 +575,17 @@ class TestGenSynthetic:
             )
 
         assert total_visits(high) > total_visits(low)
+
+    @pytest.mark.parametrize("profile", ["lockdown", "pre_pandemic"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_traffic_multiplier_names_the_setting(self, tmp_path, capsys, profile, value):
+        out = tmp_path / "gen"
+        assert run_cli(
+            "gen-synthetic", "--n-venues", "5", "--profile", profile, "--seed", "1",
+            f"--traffic-multiplier={value}", "--out", str(out),
+        ) == 1
+        assert "pre_pandemic_level must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_n_venues(self, capsys):
         assert run_cli(

@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from venuerisk import EpiParams, SimulationInput, Venue, simulate_week, wells_riley_probability
+from venuerisk import EpiParams, SimulationInput, simulate_week, wells_riley_probability
 from venuerisk.epi import count_severities
-from conftest import make_input
+from conftest import make_input, make_venues
 
 # frozen from an independent 50-digit evaluation of 1 - exp(-dose)
 P_ONE_INFECTOR_V300 = 0.0079680851629393696601  # dose 0.008
@@ -28,7 +28,7 @@ def infections(visitors, prevalence, params, room_volume):
     """
     params = dataclasses.replace(params, documented_prevalence=prevalence, underreport_factor=1.0)
     area = room_volume / params.ceiling_height
-    table = SimulationInput({"v": Venue("v", "v", "restaurant", area)}, np.array([[visitors]]))
+    table = SimulationInput(make_venues({"v": area}), np.array([[visitors]]))
     return simulate_week(table, params).weekly[0]
 
 

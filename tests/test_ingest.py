@@ -8,7 +8,7 @@ from venuerisk import (
     DatasetError,
     RecordError,
     SimulationInput,
-    Venue,
+    VenueTable,
     apply_sampling_correction,
     compute_volumes,
     join,
@@ -18,6 +18,7 @@ from venuerisk import (
     write_visits,
 )
 from venuerisk.ingest import SQFT_TO_SQM, _parse_visits_csv, _parse_visits_fast, open_input
+from conftest import make_venues, same_venues
 
 SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"
 
@@ -30,15 +31,20 @@ def visits_csv(*rows):
     return io.StringIO("venue_id,hour,count\n" + "\n".join(rows) + "\n")
 
 
+def column(table, name, vid):
+    """One venue's entry in a column of a VenueTable, looked up by id."""
+    return getattr(table, name)[table.ids.index(vid)]
+
+
 class TestParseVenues:
     def test_square_meters_identity(self):
         table = parse_venues(venues_csv("v1,Cafe,restaurant,100"))
-        assert table["v1"].area == 100.0
+        assert column(table, "areas", "v1") == 100.0
 
     def test_square_feet_conversion(self):
         table = parse_venues(venues_csv("v1,Cafe,restaurant,1000"), area_unit="ft2")
-        assert table["v1"].area == 1000 * SQFT_TO_SQM
-        assert table["v1"].area == pytest.approx(92.90304, rel=1e-12)
+        assert column(table, "areas", "v1") == 1000 * SQFT_TO_SQM
+        assert column(table, "areas", "v1") == pytest.approx(92.90304, rel=1e-12)
 
     def test_negative_area_is_record_error(self):
         with pytest.raises(RecordError, match="line 2"):
@@ -69,11 +75,24 @@ class TestParseVenues:
 
     def test_quoted_name_with_comma(self):
         table = parse_venues(venues_csv('v1,"Soup, Salad & Co",restaurant,100'))
-        assert table["v1"].name == "Soup, Salad & Co"
+        assert column(table, "names", "v1") == "Soup, Salad & Co"
 
     def test_leading_comment_lines_skipped(self):
         source = io.StringIO("# provenance stamp\nvenue_id,name,category,area\nv1,Cafe,restaurant,100\n")
-        assert parse_venues(source)["v1"].area == 100.0
+        assert column(parse_venues(source), "areas", "v1") == 100.0
+
+    def test_hash_id_after_header_is_a_venue(self):
+        table = parse_venues(venues_csv("#12,Bar,restaurant,100", "v2,Cafe,restaurant,50"))
+        assert table.ids == ("#12", "v2")
+        assert table.areas.tolist() == [100.0, 50.0]
+
+    def test_comment_after_header_is_a_malformed_record(self):
+        with pytest.raises(RecordError, match="line 3: expected 4 fields, got 1"):
+            parse_venues(venues_csv("v1,Cafe,restaurant,100", "# note"))
+
+    def test_unknown_area_unit(self):
+        with pytest.raises(ValueError, match="area unit"):
+            parse_venues(venues_csv("v1,Cafe,restaurant,100"), area_unit="acre")
 
 
 class TestParseVisits:
@@ -117,6 +136,10 @@ class TestParseVisits:
         with pytest.raises(RecordError, match="not an integer"):
             parse_visits(visits_csv("v1,1.5,1"), window_hours=24)
 
+    def test_comment_after_header_is_a_malformed_record(self):
+        with pytest.raises(RecordError, match="line 3: expected 3 fields, got 1"):
+            parse_visits(visits_csv("v1,0,1", "# note"), window_hours=24)
+
 
 class TestFastVisitParse:
     """The NumPy path must be the one taken on the files the program writes and ships."""
@@ -129,7 +152,7 @@ class TestFastVisitParse:
         assert all(fast[vid].tolist() == slow[vid].tolist() for vid in slow)
 
     def test_taken_on_written_visits(self):
-        venues = {f"v{i}": Venue(f"v{i}", "n", "c", 10.0) for i in range(3)}
+        venues = make_venues({f"v{i}": 10.0 for i in range(3)})
         counts = np.array([[0.0, 2.0, 0.5], [0.0, 0.0, 0.0], [7.0, 1e-9, 123456.789]])
         sink = io.StringIO()
         write_visits(SimulationInput(venues, counts), sink, comment="manifest_sha256: 00ff")
@@ -200,7 +223,7 @@ class TestComputeVolumes:
 
 class TestJoin:
     def _venues(self, *ids):
-        return {vid: Venue(vid, vid, "restaurant", 100.0) for vid in ids}
+        return make_venues(dict.fromkeys(ids, 100.0))
 
     def test_missing_series_zero_filled(self):
         venues = self._venues("v1", "v2")
@@ -240,9 +263,11 @@ class TestJoin:
         assert list(sim.venues) == list(venues)
         assert sim.counts.tolist() == [[0.0] * 3, [2.0, 0.0, 5.0], [0.0] * 3]
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize("length", [1, 2, 25])
+    def test_length_mismatch(self, length):
+        # a one-hour row must not be broadcast across the window
         venues = self._venues("a")
-        visits = {"a": np.array([1.0, 2.0])}
+        visits = {"a": np.arange(1.0, length + 1)}
         with pytest.raises(DatasetError, match="length"):
             join(venues, visits, 24)
 
@@ -250,36 +275,73 @@ class TestJoin:
 class TestRoundTrip:
     def test_serialize_parse_is_exact(self):
         # awkward floats on purpose; repr-based serialization is lossless
-        venues = {
-            "v1": Venue("v1", "Cafe, The", "restaurant", 0.1 + 0.2),
-            "v2": Venue("v2", "Bar", "drinking place", 1234.5678901234567),
-        }
+        venues = VenueTable(
+            ids=("v1", "v2"),
+            names=("Cafe, The", "Bar"),
+            categories=("restaurant", "drinking place"),
+            areas=np.array([0.1 + 0.2, 1234.5678901234567]),
+        )
         counts = np.array([[0.0, 1e-9, 2.5, 0.0, 123456.789], [0.0] * 5])
         venue_buf = io.StringIO()
-        write_venues(venues.values(), venue_buf)
+        write_venues(venues, venue_buf)
         visit_buf = io.StringIO()
         write_visits(SimulationInput(venues, counts), visit_buf)
 
         back_venues = parse_venues(io.StringIO(venue_buf.getvalue()))
         back_visits = parse_visits(io.StringIO(visit_buf.getvalue()), window_hours=5)
-        for vid, venue in venues.items():
-            assert back_venues[vid].area == venue.area
-            assert back_venues[vid].name == venue.name
+        for vid in venues:
+            assert column(back_venues, "areas", vid) == column(venues, "areas", vid)
+            assert column(back_venues, "names", vid) == column(venues, "names", vid)
         assert back_visits["v1"].tolist() == counts[0].tolist()
         # all-zero series vanish from the sparse file and come back via join
         assert "v2" not in back_visits
         assert np.array_equal(join(back_venues, back_visits, 5).counts, counts)
 
+    def test_hash_id_survives_the_round_trip(self):
+        # "#" is a comment only before the header, so this venue is neither dropped nor unknown
+        venues = make_venues({"#12": 80.0, "v2": 120.0})
+        counts = np.array([[3.0, 0.0, 1.5], [0.0, 2.0, 0.0]])
+        venue_buf, visit_buf = io.StringIO(), io.StringIO()
+        write_venues(venues, venue_buf, comment="manifest_sha256: 00ff")
+        write_visits(SimulationInput(venues, counts), visit_buf, comment="manifest_sha256: 00ff")
+
+        back_venues = parse_venues(io.StringIO(venue_buf.getvalue()))
+        back_visits = parse_visits(io.StringIO(visit_buf.getvalue()), window_hours=3)
+        assert same_venues(back_venues, venues)
+        assert np.array_equal(join(back_venues, back_visits, 3).counts, counts)
+
 
 class TestTypeInvariants:
     def test_venue_rejects_bad_area(self):
         with pytest.raises(ValueError):
-            Venue("v", "n", "c", 0.0)
+            make_venues({"v": 0.0})
         with pytest.raises(ValueError):
-            Venue("v", "n", "c", float("nan"))
+            make_venues({"v": float("nan")})
+
+    def test_venue_table_is_a_sequence_of_ids(self):
+        venues = make_venues({"b": 2.0, "a": 1.0})
+        assert len(venues) == 2
+        assert list(venues) == ["b", "a"]
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            (("a", "b"), ("n",), ("c", "c"), np.array([1.0, 2.0])),  # ragged names
+            (("a", "b"), ("n", "n"), ("c", "c"), np.array([1.0])),  # ragged areas
+            (("a",), ("n",), ("c",), np.array([[1.0]])),  # areas not a vector
+            (("",), ("n",), ("c",), np.array([1.0])),  # empty id
+            (("a", "a"), ("n", "n"), ("c", "c"), np.array([1.0, 2.0])),  # duplicate id
+            (("a", "b"), ("n", "n"), ("c", "c"), np.array([1.0, np.inf])),  # infinite area
+            (("a", "b"), ("n", "n"), ("c", "c"), np.array([1.0, -2.0])),  # negative area
+        ],
+        ids=["names", "areas", "area-matrix", "empty-id", "duplicate-id", "inf-area", "neg-area"],
+    )
+    def test_venue_table_rejects_bad_columns(self, columns):
+        with pytest.raises(ValueError):
+            VenueTable(*columns)
 
     def test_series_rejects_negative_count(self):
-        venues = {"v": Venue("v", "n", "c", 1.0)}
+        venues = make_venues({"v": 1.0})
         with pytest.raises(ValueError):
             SimulationInput(venues, np.array([[1.0, -0.5]]))
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from venuerisk import (
     EpiParams,
     ScenarioConfig,
     SimulationInput,
-    Venue,
     join,
     max_distanced_occupancy,
     parse_visits,
@@ -27,6 +26,7 @@ from venuerisk import (
 from venuerisk.epi import infection_probability
 from venuerisk.ingest import _parse_visits_csv
 from venuerisk.scenario import apply_occupancy_cap
+from conftest import make_venues
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -49,9 +49,7 @@ def tables(draw, max_venues=5, max_hours=12):
     n = draw(st.integers(1, max_venues))
     hours = draw(st.integers(1, max_hours))
     areas = draw(st.lists(st.floats(0.5, 5000.0), min_size=n, max_size=n))
-    venues = {
-        f"v{i}": Venue(f"v{i}", f"venue {i}", "restaurant", area) for i, area in enumerate(areas)
-    }
+    venues = make_venues({f"v{i}": area for i, area in enumerate(areas)})
     return SimulationInput(venues, draw(arrays(np.float64, (n, hours), elements=count_st)))
 
 
@@ -79,7 +77,7 @@ def test_infections_within_two_ulp_of_scalar_cohort(table, params):
     prevalence = params.effective_prevalence
     for (i, h), got in np.ndenumerate(hourly):
         visitors = table.counts[i, h].item()
-        volume = table.areas[i].item() * params.ceiling_height
+        volume = table.venues.areas[i].item() * params.ceiling_height
         infectors = visitors * prevalence
         want = (visitors - infectors) * wells_riley_probability(infectors, params, volume)
         assert ulps(got.item(), want) <= 2
@@ -88,7 +86,7 @@ def test_infections_within_two_ulp_of_scalar_cohort(table, params):
 @PROPERTY
 @given(tables(), params_st, st.floats(0.3, 4.0), st.floats(0.5, 20.0))
 def test_capped_rows_match_scalar_cap(table, params, spacing, factor):
-    caps = max_distanced_occupancy(table.areas, spacing)
+    caps = max_distanced_occupancy(table.venues.areas, spacing)
     sampled = table.counts * factor
     rows = [apply_occupancy_cap(row, cap) for row, cap in zip(sampled, caps)]
     assert (np.array(rows) <= sampled).all()

@@ -109,7 +109,7 @@ class TestRunScenario:
         # one venue, cap 2, raw count 1: capping after the 10x correction
         # must clamp 10 -> 2, not leave 1 * 10 = 10
         base = make_input({"a": math.pi * SIX_FEET ** 2 * 2.2}, {"a": {0: 1.0}})
-        cap = max_distanced_occupancy(base.venues["a"].area, SIX_FEET)
+        cap = max_distanced_occupancy(base.venues.areas[0], SIX_FEET)
         assert cap == 2
         outcome = run_scenario(
             base,

@@ -43,8 +43,8 @@ TRACED_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", TRACED_COMMANDS)
-def test_traced_cli_runs(command, tmp_path):
+def run_traced(command, tmp_path):
+    """Run one TRACED_COMMANDS entry under the tracer; return its spans."""
     spans = tmp_path / "spans.jsonl"
     argv = [*TRACED_COMMANDS[command], "--out", str(tmp_path / "out")]
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -54,8 +54,43 @@ def test_traced_cli_runs(command, tmp_path):
         cwd=SAMPLE_DATA, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = spans.read_text(encoding="utf-8").splitlines()
-    assert lines
-    for line in lines:
-        name, start, end, parent, rss, counters = json.loads(line)
+    return [json.loads(line) for line in spans.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.mark.parametrize("command", TRACED_COMMANDS)
+def test_traced_cli_runs(command, tmp_path):
+    spans = run_traced(command, tmp_path)
+    assert spans
+    for name, start, end, parent, rss, counters in spans:
         assert end >= start
+
+
+def test_traced_compare_counts_the_venue_table(tmp_path):
+    # sample_data has 4 venues; the baseline visit file leaves one of them without visits
+    counters = {}
+    for name, start, end, parent, rss, counts in run_traced("compare", tmp_path):
+        counters.setdefault(name, []).append(counts)
+    assert counters["ingest.join"] == [{"zero_filled_venues": 1}, {"zero_filled_venues": 0}]
+    assert counters["epi.simulate_week"] == [{"venue_hours": 4 * 168}] * 2
+
+
+def test_failing_property_test_reports_its_example(tmp_path):
+    # under the repo's warning filters, a failing hypothesis test must fail normally
+    # (exit 1, with its falsifying example) instead of aborting the session
+    test_file = tmp_path / "test_fails.py"
+    test_file.write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 10\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+            "-p", "no:cacheprovider", str(test_file),
+        ],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
