@@ -22,7 +22,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import itertools
 import math
 import statistics
 import sys
@@ -30,7 +29,7 @@ import sys
 import numpy as np
 
 from .epi import EpiParams
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, RecordError
 from .ingest import (
     AREA_UNITS,
     SimulationInput,
@@ -388,16 +387,23 @@ def cmd_compare(args) -> int:
 
 def cmd_hotspots(args) -> int:
     with open_input(args.results) as handle:
+        lines = handle.readlines()
         # "#" starts a comment only before the header: a venue id may start with it
-        reader = csv.DictReader(itertools.dropwhile(lambda ln: ln.startswith("#"), handle))
-        if reader.fieldnames is None:
+        comments = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
+        reader = csv.DictReader(lines[comments:])
+        try:
+            fieldnames, rows = reader.fieldnames, list(reader)
+        except csv.Error as exc:  # such as a field over the reader's size limit
+            # the DictReader's own line_num is only set after a row is read
+            raise RecordError(str(exc), comments + reader.reader.line_num) from None
+        if fieldnames is None:
             raise InputError("results file is empty")
-        missing = {"venue_id", "name", "weekly_infections"} - set(reader.fieldnames)
+        missing = {"venue_id", "name", "weekly_infections"} - set(fieldnames)
         if missing:
             raise InputError("results file lacks column(s): " + ", ".join(sorted(missing)))
 
         entries = []
-        for row in reader:
+        for row in rows:
             try:
                 weekly = float(row["weekly_infections"])
             except (TypeError, ValueError):  # TypeError: a short row's missing field

@@ -18,6 +18,14 @@ row-by-row ``csv`` parser, which defines what is accepted, every value
 and every error message; a property test holds the two to the same
 results.
 
+:func:`write_visits` formats every row with array operations: each
+venue id is quoted once by the ``csv`` dialect, each hour and each
+distinct count is formatted once, and the rows are gathered from these
+small byte tables in blocks. A property test holds its output to a
+row-by-row ``csv.writer`` byte for byte. A venue table holds only
+values the venue file carries back: no id, name or category has
+surrounding whitespace or a carriage return.
+
 All functions here are pure. A parsed venue file is one
 :class:`VenueTable` of columns (ids, names, categories and float64 floor
 areas in m2) in file order; :func:`join` turns it and the parsed visits
@@ -34,6 +42,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Mapping, TextIO
 
 import numpy as np
@@ -67,6 +76,15 @@ class VenueTable:
             raise ValueError(f"every venue column must have one entry per venue id ({n})")
         if not all(self.ids) or len(set(self.ids)) != n:
             raise ValueError("venue ids must be non-empty and unique")
+        # a venue file cannot carry these back: its parser strips every field
+        # and reads a carriage return as a line end
+        for column, values in zip(VENUE_HEADER, (self.ids, self.names, self.categories)):
+            bad = next((v for v in values if v != v.strip() or "\r" in v), None)
+            if bad is not None:
+                raise ValueError(
+                    f"{column} must not have surrounding whitespace or a carriage return, "
+                    f"got {bad!r}"
+                )
         if not (np.isfinite(self.areas) & (self.areas > 0)).all():
             raise ValueError(f"venue areas must be positive and finite, got {self.areas.min()}")
 
@@ -110,13 +128,21 @@ def open_input(path: str | Path):
 
 
 def _data_rows(source: TextIO):
-    """Yield (line_number, row) pairs, skipping blank lines and ``#`` lines before the header."""
+    """Yield (line_number, row) pairs, skipping blank lines and ``#`` lines before the header.
+
+    Raises:
+        RecordError: a line the ``csv`` reader rejects, such as a field
+            over its size limit.
+    """
     reader = csv.reader(source)
     header_seen = False
-    for row in reader:
-        if row and (header_seen or not row[0].startswith("#")):
-            header_seen = True
-            yield reader.line_num, row
+    try:
+        for row in reader:
+            if row and (header_seen or not row[0].startswith("#")):
+                header_seen = True
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise RecordError(str(exc), reader.line_num) from None
 
 
 def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
@@ -371,21 +397,63 @@ def write_venues(venues: VenueTable, sink: TextIO, comment: str | None = None) -
     )
 
 
+# UTF-8 never uses this byte, so it pads byte-table entries unambiguously
+_PAD = 0xFF
+# record bytes per written block, so long ids cannot inflate the temporaries
+_WRITE_BLOCK_BYTES = 1 << 23
+
+
+def _byte_table(texts: list[str]) -> np.ndarray:
+    """The UTF-8 encodings of ``texts`` as one fixed-width void item each, padded with ``_PAD``."""
+    encoded = [text.encode() for text in texts]
+    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    width = int(lengths.max())
+    table = np.full((len(encoded), width), _PAD, dtype=np.uint8)
+    table[np.arange(width) < lengths[:, None]] = np.frombuffer(b"".join(encoded), np.uint8)
+    return table.view(f"V{width}").ravel()
+
+
 def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = None) -> None:
     """Serialize a table's visitor counts to the documented CSV format.
 
     Rows follow venue order, then hour. Zero-count hours are omitted;
     parsing and joining zero-fill them, so the round trip is exact.
+
+    Each row is ``id,hour,count``, put together from three byte tables:
+    every venue id quoted once by the ``csv`` dialect of the header
+    (``"id,"``), every hour (``"hour,"``) and every distinct non-zero
+    count through :func:`_format_count` (``"count\\n"``). The rows are
+    gathered from these tables as fixed-width records, in blocks of about
+    ``_WRITE_BLOCK_BYTES``, and the padding is dropped, so the text
+    is the one a ``csv.writer`` gives row by row.
     """
     if comment:
         sink.write(f"# {comment}\n")
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(VISIT_HEADER)
     rows, hours = np.nonzero(table.counts)
-    writer.writerows(
-        zip(
-            map(table.venues.ids.__getitem__, rows.tolist()),
-            hours.tolist(),
-            map(_format_count, table.counts[rows, hours].tolist()),
-        )
+    if not rows.size:
+        return
+    counts = table.counts[rows, hours]
+    values = np.unique(counts)
+    # each count's place among the sorted distinct values; 3x faster than return_inverse
+    value_index = np.searchsorted(values, counts)
+    # one quoted "id," plus the line end per venue: writerow makes one write call
+    # per row, so nothing is split on lines (an id may hold a newline)
+    parts: list[str] = []
+    csv.writer(SimpleNamespace(write=parts.append), lineterminator="\n").writerows(
+        (vid, "") for vid in table.venues.ids
     )
+    fields = (
+        (_byte_table([part[:-1] for part in parts]), rows),
+        (_byte_table([f"{h}," for h in range(table.window_hours)]), hours),
+        (_byte_table([f"{_format_count(v)}\n" for v in values.tolist()]), value_index),
+    )
+    record = np.dtype([(f"f{i}", tab.dtype) for i, (tab, _) in enumerate(fields)])
+    step = max(1, _WRITE_BLOCK_BYTES // record.itemsize)
+    for start in range(0, rows.size, step):
+        block = np.empty(min(step, rows.size - start), record)
+        for i, (tab, index) in enumerate(fields):
+            block[f"f{i}"] = tab[index[start:start + step]]
+        raw = block.view(np.uint8)
+        sink.write(raw[raw != _PAD].tobytes().decode())

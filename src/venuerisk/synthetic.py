@@ -91,7 +91,10 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
 
     shape = np.array([DIURNAL_SHAPE[h % 24] for h in range(config.window_hours)])
     rates = config.base_hourly_visits * config.level * popularity[:, None] * shape[None, :]
-    counts = rng.poisson(rates).astype(float)
+    draws = rng.poisson(rates)
+    del rates  # each full matrix freed once used, so at most two are live at a time
+    counts = draws.astype(float)
+    del draws
 
     categories = tuple(np.where(is_bar, "drinking_place", "restaurant").tolist())
     ids = tuple(f"v{i:05d}" for i in range(n))

@@ -158,6 +158,26 @@ class TestSimulate:
         assert run_cli(*simulate_args(ds, tmp_path / "x")) == 1
         assert f"{bad}: line 2: count 'abc' is not a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "which, text",
+        [
+            ("venues", "# stamp\nvenue_id,name,category,area\nv1,{big},restaurant,10\n"),
+            ("visits", "venue_id,hour,count\nv00001,3,1\n{big},4,1\n"),
+        ],
+        ids=["venues", "visits"],
+    )
+    def test_oversized_field_names_file_and_line(
+        self, small_dataset, tmp_path, capsys, which, text
+    ):
+        # 131 072 characters is the csv reader's field size limit
+        bad = tmp_path / f"{which}.csv"
+        bad.write_text(text.format(big="x" * 140_000), encoding="utf-8")
+        ds = dict(small_dataset, **{which: bad})
+        assert run_cli(*simulate_args(ds, tmp_path / "x")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: line 3: field larger than field limit (131072)\n"
+
     def test_malformed_params_line_names_the_file(self, small_dataset, tmp_path, capsys):
         params = tmp_path / "params.txt"
         params.write_text("q 20\n", encoding="utf-8")
@@ -499,6 +519,16 @@ class TestHotspots:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{path}: bad weekly_infections value {shown} for venue 'v4'" in captured.err
+
+    def test_oversized_field_names_file_and_line(self, tmp_path, capsys):
+        path = self._results_file(tmp_path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(f"v4,{'x' * 140_000},pub,50.0,150.0,1.0,mild\n")
+        assert run_cli("hotspots", "--results", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the comment line before the header counts
+        assert captured.err == f"error: {path}: line 6: field larger than field limit (131072)\n"
 
     def test_malformed_results_is_validation_error(self, tmp_path):
         path = tmp_path / "bad.csv"

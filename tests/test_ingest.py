@@ -340,6 +340,23 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             VenueTable(*columns)
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("venue_id", "a\rb"),  # read back as a line end: "expected 4 fields, got 1"
+            ("venue_id", " a"),  # read back stripped, as "a"
+            ("venue_id", "a\n"),
+            ("name", "Cafe\t"),
+            ("category", "\u00a0bar"),
+        ],
+        ids=["id-cr", "id-leading-space", "id-trailing-newline", "name-tab", "category-nbsp"],
+    )
+    def test_venue_table_rejects_values_a_venue_file_cannot_carry(self, column, value):
+        columns = {"venue_id": ("a",), "name": ("n",), "category": ("c",)}
+        columns[column] = (value,)
+        with pytest.raises(ValueError, match=f"^{column} must not have surrounding whitespace"):
+            VenueTable(*columns.values(), np.array([1.0]))
+
     def test_series_rejects_negative_count(self):
         venues = make_venues({"v": 1.0})
         with pytest.raises(ValueError):

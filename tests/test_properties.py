@@ -3,8 +3,10 @@
 Examples are derandomized, so every run checks the same cases.
 """
 
+import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -17,16 +19,19 @@ from venuerisk import (
     SimulationInput,
     join,
     max_distanced_occupancy,
+    parse_venues,
     parse_visits,
     run_scenario,
     simulate_week,
     wells_riley_probability,
+    write_venues,
     write_visits,
 )
+from venuerisk import ingest
 from venuerisk.epi import infection_probability
 from venuerisk.ingest import _parse_visits_csv
 from venuerisk.scenario import apply_occupancy_cap
-from conftest import make_venues
+from conftest import make_venues, same_venues
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -44,13 +49,25 @@ params_st = st.builds(
 count_st = st.one_of(st.just(0.0), st.floats(0.0, 500.0), st.floats(0.0, 1e-6))
 
 
+# ids a venue file carries back (VenueTable's rules: no surrounding whitespace, no
+# carriage return), with csv quoting, "#" at the start of a record and non-ASCII text
+id_st = st.one_of(
+    st.text(max_size=64),
+    st.text(st.sampled_from(',"\n#x \u00e9\u20ac\U0001f600'), max_size=64),
+    st.text(max_size=63).map("#".__add__),
+).filter(lambda v: v and v == v.strip() and "\r" not in v)
+
+
 @st.composite
-def tables(draw, max_venues=5, max_hours=12):
+def tables(draw, max_venues=5, max_hours=12, ids=None, counts=count_st):
     n = draw(st.integers(1, max_venues))
     hours = draw(st.integers(1, max_hours))
     areas = draw(st.lists(st.floats(0.5, 5000.0), min_size=n, max_size=n))
-    venues = make_venues({f"v{i}": area for i, area in enumerate(areas)})
-    return SimulationInput(venues, draw(arrays(np.float64, (n, hours), elements=count_st)))
+    venue_ids = [f"v{i}" for i in range(n)] if ids is None else draw(
+        st.lists(ids, min_size=n, max_size=n, unique=True)
+    )
+    venues = make_venues(dict(zip(venue_ids, areas)))
+    return SimulationInput(venues, draw(arrays(np.float64, (n, hours), elements=counts)))
 
 
 def ulps(got, want):
@@ -102,13 +119,53 @@ def test_capped_rows_match_scalar_cap(table, params, spacing, factor):
 
 
 @PROPERTY
-@given(tables(max_venues=6, max_hours=30))
+@given(tables(max_venues=6, max_hours=30, ids=id_st))
 def test_write_parse_join_round_trip(table):
-    sink = io.StringIO()
-    write_visits(table, sink, comment="round trip")
-    visits = parse_visits(io.StringIO(sink.getvalue()), table.window_hours)
-    back = join(table.venues, visits, table.window_hours)
+    venue_sink, visit_sink = io.StringIO(), io.StringIO()
+    write_venues(table.venues, venue_sink, comment="round trip")
+    write_visits(table, visit_sink, comment="round trip")
+    venues = parse_venues(io.StringIO(venue_sink.getvalue()))
+    visits = parse_visits(io.StringIO(visit_sink.getvalue()), table.window_hours)
+    back = join(venues, visits, table.window_hours)
+    assert same_venues(back.venues, table.venues)
     assert np.array_equal(back.counts, table.counts)
+
+
+def reference_visit_text(table, comment):
+    """write_visits' output written one ``csv.writer`` row per non-zero venue-hour."""
+    sink = io.StringIO()
+    sink.write(f"# {comment}\n")
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(["venue_id", "hour", "count"])
+    for vid, row in zip(table.venues.ids, table.counts.tolist()):
+        for hour, count in enumerate(row):
+            if count:
+                writer.writerow([vid, hour, str(int(count)) if count.is_integer() else repr(count)])
+    return sink.getvalue()
+
+
+# integral and not, the extremes of the double range, and many zeros
+written_count_st = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1.0, 7.0, 0.5, 2.5e-7, 1e300, 5e-324, 2.0**53, 1e16 + 2]),
+    st.integers(0, 10**6).map(float),
+    st.floats(0.0, 1e6),
+)
+
+
+@PROPERTY
+@given(
+    tables(max_venues=6, max_hours=30, ids=id_st, counts=written_count_st),
+    # small write blocks put row-block boundaries inside the table
+    st.one_of(st.just(ingest._WRITE_BLOCK_BYTES), st.integers(1, 300)),
+)
+@example(SimulationInput(make_venues({"v1": 1.0, "v2": 2.0}), np.zeros((2, 5))), 1)
+@example(SimulationInput(make_venues({"#\n\"é,": 1.0}), np.array([[0.0, 3.0, 1e300]])), 1)
+def test_write_visits_matches_row_by_row_csv(table, block_bytes):
+    sink = io.StringIO()
+    with mock.patch.object(ingest, "_WRITE_BLOCK_BYTES", block_bytes):
+        write_visits(table, sink, comment="manifest_sha256: 00ff")
+    assert sink.getvalue() == reference_visit_text(table, "manifest_sha256: 00ff")
 
 
 @PROPERTY

@@ -1,9 +1,12 @@
+import importlib.util
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from venuerisk import GeneratorConfig, generate_dataset, write_venues, write_visits
+from venuerisk.cli import main
 from venuerisk.synthetic import DIURNAL_SHAPE
 from conftest import FIXTURE_N_VENUES, FIXTURE_SEED, same_venues
 
@@ -72,3 +75,29 @@ def test_bad_config_rejected():
         GeneratorConfig(n_venues=0, profile="lockdown", seed=1)
     with pytest.raises(ValueError):
         GeneratorConfig(n_venues=5, profile="weekend", seed=1)
+
+
+DATAGEN = Path(__file__).resolve().parents[1] / "perfbench" / "datagen.py"
+
+
+@pytest.mark.parametrize("profile", ["lockdown", "pre_pandemic"])
+def test_gen_synthetic_rows_match_the_benchmark_generator(tmp_path, profile):
+    # the benchmark checks gen-synthetic's bytes against its own NumPy generator;
+    # this catches a drift at 2 000 venues in seconds
+    spec = importlib.util.spec_from_file_location("datagen", DATAGEN)
+    datagen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(datagen)
+    data = datagen.generate(2000, profile, 42)
+    out = tmp_path / "gen"
+    assert main([
+        "gen-synthetic", "--n-venues", "2000", "--profile", profile, "--seed", "42",
+        "--out", str(out),
+    ]) == 0
+
+    def data_rows(name, header):
+        comment, first, rest = (out / name).read_bytes().decode("utf-8").split("\n", 2)
+        assert comment.startswith("# manifest_sha256: ") and first == header
+        return rest
+
+    assert data_rows("venues.csv", "venue_id,name,category,area") == datagen.venue_rows(data)
+    assert data_rows("visits.csv", "venue_id,hour,count") == datagen.visit_rows(data)
