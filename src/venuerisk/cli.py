@@ -32,7 +32,9 @@ from .epi import EpiParams
 from .errors import ConfigError, InputError, RecordError
 from .ingest import (
     AREA_UNITS,
+    WINDOW_HOURS,
     SimulationInput,
+    _data_rows,
     join,
     open_input,
     parse_venues,
@@ -61,7 +63,6 @@ from .scenario import (
 from .stats import Scale, classify, histogram, welch_t_test
 from .synthetic import PROFILES, GeneratorConfig, generate_dataset
 
-WINDOW_HOURS = 168
 T_TEST_KEYS = ("t_stat", "degrees_of_freedom", "p_value")
 
 
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--sampling-factor",
         type=float,
-        default=10.0,
+        default=ScenarioConfig.sampling_factor,
         help="panel-to-population visit multiplier (default 10)",
     )
     p_sim.add_argument(
@@ -195,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--traffic-multiplier",
         type=float,
+        default=GeneratorConfig.pre_pandemic_level,
         help="pre-pandemic traffic level as a multiple of lockdown (default 4)",
     )
     p_gen.add_argument("--out", required=True, help="output directory")
@@ -208,7 +210,7 @@ def _resolve_params(args) -> EpiParams:
     """Merge params file and CLI flags into a validated EpiParams; flags win.
 
     A bad value from the file is reported under the file's name, a bad
-    flag value without it.
+    flag value without it. A file key that a flag overrides is never read.
     """
     flags = {
         "documented_prevalence": args.prevalence,
@@ -218,15 +220,8 @@ def _resolve_params(args) -> EpiParams:
     values: dict[str, float] = {}
     if args.params:
         with open_input(args.params) as handle:
-            values = params_from_mapping(read_keyvalue(handle))
-            for name in flags:
-                values.pop(name, None)  # overridden, so never used
-            try:
-                # checked here so its errors name the file; 0.0 stands in for a
-                # prevalence the flags may still supply
-                EpiParams(**{"documented_prevalence": 0.0, **values})
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            pairs = read_keyvalue(handle)
+            values = params_from_mapping({k: v for k, v in pairs.items() if k not in flags})
     values.update(flags)
     if "documented_prevalence" not in values:
         raise ConfigError(
@@ -387,33 +382,31 @@ def cmd_compare(args) -> int:
 
 def cmd_hotspots(args) -> int:
     with open_input(args.results) as handle:
-        lines = handle.readlines()
-        # "#" starts a comment only before the header: a venue id may start with it
-        comments = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
-        reader = csv.DictReader(lines[comments:])
-        try:
-            fieldnames, rows = reader.fieldnames, list(reader)
-        except csv.Error as exc:  # such as a field over the reader's size limit
-            # the DictReader's own line_num is only set after a row is read
-            raise RecordError(str(exc), comments + reader.reader.line_num) from None
-        if fieldnames is None:
+        rows = _data_rows(handle)
+        first = next(rows, None)
+        if first is None:
             raise InputError("results file is empty")
-        missing = {"venue_id", "name", "weekly_infections"} - set(fieldnames)
+        header = first[1]
+        missing = {"venue_id", "name", "weekly_infections"} - set(header)
         if missing:
             raise InputError("results file lacks column(s): " + ", ".join(sorted(missing)))
 
         entries = []
-        for row in rows:
+        for line, row in rows:
+            # a short row lacks its last fields, read as None like csv.DictReader's
+            record = dict(zip(header, row))
+            venue_id, name, text = map(record.get, ("venue_id", "name", "weekly_infections"))
             try:
-                weekly = float(row["weekly_infections"])
-            except (TypeError, ValueError):  # TypeError: a short row's missing field
+                weekly = float(text)
+            except (TypeError, ValueError):  # TypeError: the field is missing
                 weekly = math.nan
             if not (math.isfinite(weekly) and weekly >= 0):
-                raise InputError(
-                    f"bad weekly_infections value {row['weekly_infections']!r} "
-                    f"for venue {row['venue_id']!r}: must be a non-negative finite number"
+                raise RecordError(
+                    f"bad weekly_infections value {text!r} for venue {venue_id!r}: "
+                    "must be a non-negative finite number",
+                    line,
                 )
-            entries.append((row["venue_id"], row["name"], weekly))
+            entries.append((venue_id, name, weekly))
 
     entries.sort(key=lambda e: (-e[2], e[0]))
     entries = entries[: args.top]  # --top unset is None: every entry
@@ -426,12 +419,7 @@ def cmd_hotspots(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
-    overrides = {}
-    if args.traffic_multiplier is not None:
-        overrides["pre_pandemic_level"] = args.traffic_multiplier
-    config = GeneratorConfig(
-        n_venues=args.n_venues, profile=args.profile, seed=args.seed, **overrides
-    )
+    config = GeneratorConfig(args.n_venues, args.profile, args.seed, args.traffic_multiplier)
     table = generate_dataset(config)
     manifest = hashed_manifest(
         {"tool_version": TOOL_VERSION, "generator_config": dataclasses.asdict(config)},

@@ -133,8 +133,10 @@ def simulate_week(sim_input: SimulationInput, params: EpiParams) -> WeekResult:
     """
     volumes = compute_volumes(sim_input.venues.areas, params.ceiling_height)
     infectors = sim_input.counts * params.effective_prevalence
-    hourly = sim_input.counts - infectors
-    hourly *= infection_probability(infectors, params, volumes[:, None])
+    probability = infection_probability(infectors, params, volumes[:, None])
+    # the susceptibles overwrite the infectors: two venue-hour temporaries, not three
+    hourly = np.subtract(sim_input.counts, infectors, out=infectors)
+    hourly *= probability
     return WeekResult(hourly=hourly, weekly=hourly.sum(axis=1))
 
 

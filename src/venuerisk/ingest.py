@@ -53,6 +53,9 @@ SQFT_TO_SQM = 0.09290304
 # factor from each accepted unit of a venue file's ``area`` column to m2
 AREA_UNITS = {"m2": 1.0, "ft2": SQFT_TO_SQM}
 
+# the analysis window: one week of hours, counted from its start
+WINDOW_HOURS = 168
+
 VENUE_HEADER = ("venue_id", "name", "category", "area")
 VISIT_HEADER = ("venue_id", "hour", "count")
 

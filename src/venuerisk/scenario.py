@@ -23,6 +23,10 @@ such as ``data#1.csv`` stays whole. Recognized keys:
     sampling_factor = 10
     spacing = 6ft                   # unit suffix required: ft or m
     param.q = 25                    # any EpiParams field
+
+Each ``param.*`` override is checked by :func:`params_from_mapping` when
+the file is read, so a bad value fails before any venue or visit file is
+opened, with an error naming the file and the scenario.
 """
 
 from __future__ import annotations
@@ -119,6 +123,8 @@ def run_scenario(
     ``base`` carries the baseline counts as-read, so ``sampling_factor``
     is the whole correction. An alternate visit file must join against
     the same venue table. Input errors raised here name the scenario.
+    Overrides are checked when a scenario file is read; one set in code
+    that ``EpiParams`` rejects raises ``ValueError`` here.
     """
     with error_context(f"scenario {config.name!r}"):
         if config.visit_source == BASELINE:
@@ -135,13 +141,8 @@ def run_scenario(
             caps = max_distanced_occupancy(base.venues.areas, config.spacing)
             np.minimum(counts, caps[:, None], out=counts)
 
-        try:
-            effective_params = dataclasses.replace(params, **config.params_override)
-        except ValueError as exc:
-            raise ConfigError(f"invalid parameter override: {exc}") from None
-
-    sim_input = SimulationInput(base.venues, counts)
-    weekly = simulate_week(sim_input, effective_params).weekly
+    effective_params = dataclasses.replace(params, **config.params_override)
+    weekly = simulate_week(SimulationInput(base.venues, counts), effective_params).weekly
     severe, mild = count_severities(weekly, severity_threshold)
     return ScenarioResult(config=config, weekly=weekly, severe_count=severe, mild_count=mild)
 
@@ -192,19 +193,28 @@ def read_keyvalue(source: TextIO) -> dict[str, str]:
 
 
 def params_from_mapping(pairs: Mapping[str, str]) -> dict[str, float]:
-    """Convert ``EpiParams`` field names and their text values to floats.
+    """Parse ``EpiParams`` field names and their text values into checked floats.
+
+    Each value is checked by ``EpiParams``' own rules; 0.0 stands in for
+    a ``documented_prevalence`` the mapping leaves out, which a flag may
+    still supply. This is the only step from parameter text to values.
 
     Raises:
-        ConfigError: a key is not an ``EpiParams`` field, or a value is not a number.
+        ConfigError: a key is not an ``EpiParams`` field, or a value is
+            not a number or is out of range.
     """
     values: dict[str, float] = {}
     for key, raw in pairs.items():
         if key not in _PARAM_FIELDS:
-            raise ConfigError(f"unknown parameter override {key!r}")
+            raise ConfigError(f"unknown parameter {key!r}")
         try:
             values[key] = float(raw)
         except ValueError:
             raise ConfigError(f"parameter {key!r} value {raw!r} is not a number") from None
+    try:
+        EpiParams(**{"documented_prevalence": 0.0, **values})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return values
 
 
@@ -212,43 +222,36 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
     """Load a scenario config file (syntax documented in the module docstring).
 
     Relative visit paths resolve against the config file's directory.
-    Errors name the file.
+    Keys the file leaves out take ``ScenarioConfig``'s defaults. Errors
+    name the file, and an override's error names the scenario too.
     """
     path = Path(path)
     with open_input(path) as handle:
         pairs = read_keyvalue(handle)
 
         name = pairs.pop("name", path.stem)
-        visit_source = pairs.pop("visits", BASELINE)
-        if visit_source != BASELINE:
-            visit_path = Path(visit_source)
-            if not visit_path.is_absolute():
-                visit_path = path.parent / visit_path
-            visit_source = str(visit_path)
-
-        sampling_factor = 10.0
+        settings: dict = {}
+        if "visits" in pairs:
+            source = pairs.pop("visits")
+            if source != BASELINE:
+                source = str(Path(source) if Path(source).is_absolute() else path.parent / source)
+            settings["visit_source"] = source
         if "sampling_factor" in pairs:
             raw = pairs.pop("sampling_factor")
             try:
-                sampling_factor = float(raw)
+                settings["sampling_factor"] = float(raw)
             except ValueError:
                 raise ConfigError(f"sampling_factor {raw!r} is not a number") from None
-
-        spacing = parse_spacing(pairs.pop("spacing")) if "spacing" in pairs else None
-
-        overrides = params_from_mapping(
-            {k.removeprefix("param."): pairs.pop(k) for k in list(pairs) if k.startswith("param.")}
-        )
+        if "spacing" in pairs:
+            settings["spacing"] = parse_spacing(pairs.pop("spacing"))
+        with error_context(f"scenario {name!r}: invalid parameter override"):
+            settings["params_override"] = params_from_mapping(
+                {k.removeprefix("param."): pairs.pop(k) for k in list(pairs) if k.startswith("param.")}
+            )
         if pairs:
             raise ConfigError("unknown scenario key(s): " + ", ".join(sorted(pairs)))
 
         try:
-            return ScenarioConfig(
-                name=name,
-                visit_source=visit_source,
-                sampling_factor=sampling_factor,
-                spacing=spacing,
-                params_override=overrides,
-            )
+            return ScenarioConfig(name=name, **settings)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -135,7 +134,7 @@ def _log_range(value_range: tuple[float, float]) -> tuple[float, float]:
 
 
 def welch_t_test(
-    a: Sequence[float], b: Sequence[float], pooled: bool = False
+    a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray, pooled: bool = False
 ) -> ComparisonResult:
     """Two-sample, two-sided t-test on independent samples.
 
@@ -150,18 +149,16 @@ def welch_t_test(
             degenerates to t = 0, p = 1 by convention (documented), with
             degrees_of_freedom = len(a) + len(b) - 2.
     """
-    xs = [float(v) for v in a]
-    ys = [float(v) for v in b]
-    na, nb = len(xs), len(ys)
+    xs = np.asarray(a, dtype=float)
+    ys = np.asarray(b, dtype=float)
+    na, nb = xs.size, ys.size
     if na < 2 or nb < 2:
         raise ValueError(f"each sample needs at least 2 values, got {na} and {nb}")
-    if not all(math.isfinite(v) for v in xs + ys):
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("samples must contain only finite values")
 
-    mean_a = statistics.fmean(xs)
-    mean_b = statistics.fmean(ys)
-    var_a = statistics.variance(xs, xbar=mean_a)
-    var_b = statistics.variance(ys, xbar=mean_b)
+    mean_a, var_a = _mean_and_variance(xs)
+    mean_b, var_b = _mean_and_variance(ys)
 
     if var_a == 0.0 and var_b == 0.0:
         if mean_a == mean_b:
@@ -194,6 +191,21 @@ def welch_t_test(
         mean_a=mean_a,
         mean_b=mean_b,
     )
+
+
+def _mean_and_variance(x: np.ndarray) -> tuple[float, float]:
+    """Mean and sample variance of a finite sample.
+
+    The mean is ``fsum(x) / n``, bit for bit ``statistics.fmean``; the
+    variance is the ``fsum`` of the squared deviations over ``n - 1``. A
+    constant sample (min == max) has variance exactly 0, even where its
+    mean is not exactly its value.
+    """
+    n = x.size
+    mean = math.fsum(x) / n
+    if x.min() == x.max():
+        return mean, 0.0
+    return mean, math.fsum((x - mean) ** 2) / (n - 1)
 
 
 def student_t_two_sided_p(t_stat: float, df: float) -> float:
@@ -255,25 +267,20 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, max_iterations + 1):
         m2 = 2 * m
-        coeff = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < FLOOR:
-            d = FLOOR
-        c = 1.0 + coeff / c
-        if abs(c) < FLOOR:
-            c = FLOOR
-        d = 1.0 / d
-        h *= d * c
-        coeff = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < FLOOR:
-            d = FLOOR
-        c = 1.0 + coeff / c
-        if abs(c) < FLOOR:
-            c = FLOOR
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even then the odd step of the fraction, each one Lentz update
+        for coeff in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + coeff * d
+            if abs(d) < FLOOR:
+                d = FLOOR
+            c = 1.0 + coeff / c
+            if abs(c) < FLOOR:
+                c = FLOOR
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")

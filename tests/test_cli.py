@@ -389,6 +389,25 @@ class TestCompare:
             capsys.readouterr().err
         )
 
+    def test_rejected_override_fails_before_reading(self, small_dataset, tmp_path, capsys):
+        # the inputs name missing files, so exit 1 (not the i/o error's 2) shows none was read
+        a, _ = self._scenarios(tmp_path, small_dataset)
+        neg = tmp_path / "neg.txt"
+        neg.write_text("name = negative_q\nparam.q = -1\n", encoding="utf-8")
+        missing = str(tmp_path / "nope.csv")
+        out = tmp_path / "x"
+        code = run_cli(
+            "compare", "--venues", missing, "--visits", missing,
+            "--scenario-a", str(a), "--scenario-b", str(neg),
+            "--prevalence", "0.001", "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {neg}: scenario 'negative_q': invalid parameter override: "
+            "q must be positive and finite, got -1.0\n"
+        )
+        assert not out.exists()
+
     def test_empty_scenario_visit_file_names_scenario_and_file(
         self, small_dataset, tmp_path, capsys
     ):
@@ -518,7 +537,8 @@ class TestHotspots:
         assert run_cli("hotspots", "--results", str(path)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{path}: bad weekly_infections value {shown} for venue 'v4'" in captured.err
+        # the comment line before the header counts: the appended row is line 6
+        assert f"{path}: line 6: bad weekly_infections value {shown} for venue 'v4'" in captured.err
 
     def test_oversized_field_names_file_and_line(self, tmp_path, capsys):
         path = self._results_file(tmp_path)
@@ -583,6 +603,18 @@ class TestGenSynthetic:
             outs.append(out)
         assert (outs[0] / "venues.csv").read_bytes() == (outs[1] / "venues.csv").read_bytes()
         assert (outs[0] / "visits.csv").read_bytes() == (outs[1] / "visits.csv").read_bytes()
+
+    def test_manifest_lists_the_settable_values(self, tmp_path):
+        # the generator's other settings are module constants, pinned by tool_version
+        out = tmp_path / "gen"
+        assert run_cli(
+            "gen-synthetic", "--n-venues", "30", "--profile", "lockdown",
+            "--seed", "11", "--out", str(out),
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["generator_config"] == {
+            "n_venues": 30, "profile": "lockdown", "seed": 11, "pre_pandemic_level": 4.0,
+        }
 
     def test_generated_files_feed_simulate(self, small_dataset, tmp_path):
         out = tmp_path / "run"

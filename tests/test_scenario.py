@@ -17,7 +17,7 @@ from venuerisk import (
     simulate_week,
     write_visits,
 )
-from venuerisk.scenario import apply_occupancy_cap
+from venuerisk.scenario import apply_occupancy_cap, params_from_mapping
 from conftest import make_input
 
 SIX_FEET = 1.8288  # meters
@@ -197,6 +197,28 @@ class TestRunScenario:
             ScenarioConfig(name="x", params_override={"quanta": 1.0})
 
 
+class TestParamsFromMapping:
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ({"q": "-1"}, "q must be positive and finite, got -1.0"),
+            ({"ceiling_height": "inf"}, "ceiling_height must be positive and finite, got inf"),
+            ({"documented_prevalence": "1.5"}, "documented_prevalence must be in [0, 1], got 1.5"),
+            ({"underreport_factor": "0.5"}, "underreport_factor must be >= 1, got 0.5"),
+        ],
+        ids=["q", "ceiling_height", "documented_prevalence", "underreport_factor"],
+    )
+    def test_out_of_range_value_names_the_field(self, pairs, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            params_from_mapping(pairs)
+
+    def test_unknown_name_and_bad_number_rejected(self):
+        with pytest.raises(ConfigError, match="unknown parameter 'quanta'"):
+            params_from_mapping({"quanta": "1"})
+        with pytest.raises(ConfigError, match="parameter 'q' value 'x' is not a number"):
+            params_from_mapping({"q": "x"})
+
+
 class TestSpacingParsing:
     def test_feet(self):
         assert parse_spacing("6ft") == pytest.approx(SIX_FEET, rel=1e-12)
@@ -251,7 +273,9 @@ class TestScenarioConfigFile:
     def test_unknown_param_override_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("param.bogus = 5\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="unknown parameter override"):
+        with pytest.raises(
+            ConfigError, match="scenario 'bad': invalid parameter override: unknown parameter 'bogus'"
+        ):
             load_scenario_config(path)
 
     def test_unparseable_value_rejected(self, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -178,6 +179,15 @@ class TestWelchTTest:
         result = welch_t_test([3.0, 3.0], [3.0, 3.0, 3.0])
         assert result.t_stat == 0.0
         assert result.p_value == 1.0
+
+    def test_constant_sample_with_inexact_mean_has_zero_variance(self):
+        # fsum([c] * 50) / 50 is one ulp off c, so no deviation from the mean is 0
+        c = 0.8444218515250481
+        assert math.fsum([c] * 50) / 50 != c
+        with pytest.raises(ValueError, match="sample a has zero variance"):
+            welch_t_test([c] * 50, [1.0, 2.0])
+        result = welch_t_test([c] * 50, [c] * 3)
+        assert (result.t_stat, result.degrees_of_freedom, result.p_value) == (0.0, 51.0, 1.0)
 
     def test_both_constant_unequal_means_rejected(self):
         with pytest.raises(ValueError, match="zero variance"):

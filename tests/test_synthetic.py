@@ -7,7 +7,7 @@ import pytest
 
 from venuerisk import GeneratorConfig, generate_dataset, write_venues, write_visits
 from venuerisk.cli import main
-from venuerisk.synthetic import DIURNAL_SHAPE
+from venuerisk.synthetic import AREA_RANGE_M2, DIURNAL_SHAPE
 from conftest import FIXTURE_N_VENUES, FIXTURE_SEED, same_venues
 
 
@@ -65,7 +65,7 @@ def test_pre_pandemic_busier_at_every_hour():
 
 def test_areas_within_documented_range():
     config = GeneratorConfig(n_venues=500, profile="lockdown", seed=1)
-    lo, hi = config.area_range_m2
+    lo, hi = AREA_RANGE_M2
     for area in generate_dataset(config).venues.areas.tolist():
         assert lo <= area <= hi
 

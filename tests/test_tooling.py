@@ -1,5 +1,7 @@
-"""The per-layer tracer in perfbench/ must find every function it wraps and run the CLI."""
+"""Repository checks: the tracer in perfbench/ finds every function it wraps and runs the
+CLI, every public name has a caller in the package, and test failures report normally."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import venuerisk
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED_CLI = ROOT / "perfbench" / "traced_cli.py"
@@ -72,6 +76,33 @@ def test_traced_compare_counts_the_venue_table(tmp_path):
         counters.setdefault(name, []).append(counts)
     assert counters["ingest.join"] == [{"zero_filled_venues": 1}, {"zero_filled_venues": 0}]
     assert counters["epi.simulate_week"] == [{"venue_hours": 4 * 168}] * 2
+
+
+# the scalar Wells-Riley form is the tests' reference for acceptance criteria 1, 4 and 8
+CALLED_ONLY_BY_TESTS = {"wells_riley_probability"}
+
+
+def test_every_public_name_is_used_in_the_package():
+    # a name counts as used when it is read in a top-level statement of a src/
+    # module other than __init__ and other than the statement defining it
+    used = set()
+    for path in (SRC / "venuerisk").glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            defined = getattr(statement, "name", None)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != defined:
+                    used.add(name)
+    unused = sorted(set(venuerisk.__all__) - used - CALLED_ONLY_BY_TESTS)
+    assert unused == []
+    assert CALLED_ONLY_BY_TESTS <= set(venuerisk.__all__) - used
 
 
 def test_failing_property_test_reports_its_example(tmp_path):
