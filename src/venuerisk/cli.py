@@ -26,13 +26,10 @@ import math
 import statistics
 import sys
 
-import numpy as np
-
 from .epi import EpiParams
 from .errors import ConfigError, InputError, RecordError
 from .ingest import (
     AREA_UNITS,
-    WINDOW_HOURS,
     SimulationInput,
     _data_rows,
     join,
@@ -60,7 +57,7 @@ from .scenario import (
     read_keyvalue,
     run_scenario,
 )
-from .stats import Scale, classify, histogram, welch_t_test
+from .stats import Scale, classify, combined_range, histogram, welch_t_test
 from .synthetic import PROFILES, GeneratorConfig, generate_dataset
 
 T_TEST_KEYS = ("t_stat", "degrees_of_freedom", "p_value")
@@ -175,11 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_flags(p_cmp)
     p_cmp.add_argument("--scenario-a", required=True, help="scenario config file A")
     p_cmp.add_argument("--scenario-b", required=True, help="scenario config file B")
-    p_cmp.add_argument(
-        "--pooled",
-        action="store_true",
-        help="use the pooled-variance t-test instead of Welch's",
-    )
     _add_report_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
@@ -236,9 +228,9 @@ def _load_base_input(args) -> SimulationInput:
     with open_input(args.venues) as handle:
         venues = parse_venues(handle, args.area_unit)
     if not args.visits:
-        return join(venues, {}, WINDOW_HOURS)
+        return join(venues, {})
     with open_input(args.visits) as handle:
-        return join(venues, parse_visits(handle, WINDOW_HOURS), WINDOW_HOURS)
+        return join(venues, parse_visits(handle))
 
 
 def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str]):
@@ -261,13 +253,6 @@ def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str])
     input_paths += [c.visit_source for c in configs if c.visit_source != BASELINE]
     manifest = build_manifest(input_paths, params, configs, timestamp=args.timestamp)
     return params, base, outcomes, manifest
-
-
-def _combined_range(values_a, values_b, scale: Scale):
-    """Shared histogram span so two exports overlay on the same bins."""
-    pool = np.concatenate([values_a, values_b])
-    pool = pool[np.isfinite(pool) & ((pool > 0) | (scale is not Scale.LOG10))]
-    return (pool.min().item(), pool.max().item()) if pool.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +311,7 @@ def cmd_compare(args) -> int:
 
     weekly_a, weekly_b = (o.weekly for o in outcomes)
     try:
-        test = welch_t_test(weekly_a, weekly_b, pooled=args.pooled)
+        test = welch_t_test(weekly_a, weekly_b)
         t_test = {key: getattr(test, key) for key in T_TEST_KEYS}
     except ValueError as exc:
         # a legal but degenerate scenario (total closure, a single venue) still gets a report
@@ -334,7 +319,7 @@ def cmd_compare(args) -> int:
         t_test["t_test_undefined"] = (
             f"scenario_a {configs[0].name!r} vs scenario_b {configs[1].name!r}: {exc}"
         )
-    span = _combined_range(weekly_a, weekly_b, Scale(args.scale))
+    span = combined_range(weekly_a, weekly_b, args.scale)
     hist_a = histogram(weekly_a, args.bins, args.scale, value_range=span)
     hist_b = histogram(weekly_b, args.bins, args.scale, value_range=span)
 
@@ -351,7 +336,6 @@ def cmd_compare(args) -> int:
         "scenario_a": scenario_report(outcomes[0], weekly_a),
         "scenario_b": scenario_report(outcomes[1], weekly_b),
         **t_test,
-        "pooled": args.pooled,
         "severity_threshold": args.threshold,
         "histogram": {
             "scale": args.scale,
@@ -396,6 +380,8 @@ def cmd_hotspots(args) -> int:
             # a short row lacks its last fields, read as None like csv.DictReader's
             record = dict(zip(header, row))
             venue_id, name, text = map(record.get, ("venue_id", "name", "weekly_infections"))
+            if not venue_id:
+                raise RecordError(f"venue_id is {'empty' if venue_id == '' else 'missing'}", line)
             try:
                 weekly = float(text)
             except (TypeError, ValueError):  # TypeError: the field is missing

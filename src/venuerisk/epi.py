@@ -15,8 +15,9 @@ Every hour's cohort is seeded independently from community prevalence;
 newly infected people never feed back into later hours. All quantities
 are expected values, so the whole pipeline is deterministic.
 
-:func:`simulate_week` evaluates the model for every cell of a
-``counts[venue, hour]`` matrix at once; :func:`wells_riley_probability`
+:func:`hourly_infections` evaluates the model for every cell of a
+``counts[venue, hour]`` matrix at once, and :func:`simulate_week` sums
+its rows into weekly infections per venue; :func:`wells_riley_probability`
 is the scalar form of the same formula and the reference the array form
 is tested against.
 """
@@ -31,6 +32,9 @@ import numpy as np
 from .ingest import SimulationInput, compute_volumes
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)  # largest double < 1
+# venue rows per kernel call: its two temporaries take 5.5 MB each, where whole
+# venue-hour matrices take 67 MB each at 50 000 venues and set the memory peak
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -75,14 +79,6 @@ class EpiParams:
         return min(1.0, self.documented_prevalence * self.underreport_factor)
 
 
-@dataclass(frozen=True, eq=False)
-class WeekResult:
-    """Expected new infections ``hourly[venue, hour]`` and their row sums ``weekly[venue]``."""
-
-    hourly: np.ndarray
-    weekly: np.ndarray
-
-
 def wells_riley_probability(infectors: float, params: EpiParams, room_volume: float) -> float:
     """Per-susceptible infection probability for one exposure period.
 
@@ -107,37 +103,44 @@ def wells_riley_probability(infectors: float, params: EpiParams, room_volume: fl
     return min(-math.expm1(-dose), _BELOW_ONE)
 
 
-def infection_probability(infectors: np.ndarray, params: EpiParams, room_volume) -> np.ndarray:
-    """Elementwise :func:`wells_riley_probability`, without its argument checks.
-
-    The dose takes the same operations in the same order, so only
-    ``np.expm1`` can differ from the scalar form, by at most 1 ulp. After
-    the first product every step works in place: this kernel sets the
-    program's memory peak, and a venue-hour temporary is 67 MB at 50 000 venues.
-    """
-    probability = infectors * params.q * params.p * params.t
-    probability /= params.ach * room_volume
-    np.expm1(np.negative(probability, out=probability), out=probability)
-    return np.minimum(np.negative(probability, out=probability), _BELOW_ONE, out=probability)
-
-
-def simulate_week(sim_input: SimulationInput, params: EpiParams) -> WeekResult:
-    """Run the hourly infection model over every venue-hour of the window.
+def hourly_infections(counts: np.ndarray, volumes: np.ndarray, params: EpiParams) -> np.ndarray:
+    """Expected new infections ``hourly[venue, hour]`` of the visitors ``counts[venue, hour]``.
 
     Each hour's cohort splits into expected infectors I = visitors *
     prevalence and susceptibles S = visitors - I, and gets S times the
-    infection probability in a room of area * ``params.ceiling_height``.
-    Hours are independent, so permuting hours permutes the hourly
-    outputs. The weekly values are NumPy's pairwise row sums, which can
-    differ from an exactly rounded sum in the last digits.
+    infection probability in a room of ``volumes[venue]`` m3. The dose
+    takes the operations of :func:`wells_riley_probability` in the same
+    order, without its argument checks, so only ``np.expm1`` can differ
+    from the scalar form, by at most 1 ulp. Hours are independent, so
+    permuting hours permutes the output columns.
+    """
+    infectors = counts * params.effective_prevalence
+    probability = infectors * params.q * params.p * params.t
+    probability /= params.ach * volumes[:, None]
+    np.expm1(np.negative(probability, out=probability), out=probability)
+    np.minimum(np.negative(probability, out=probability), _BELOW_ONE, out=probability)
+    # the susceptibles overwrite the infectors: two temporaries the size of counts, not three
+    hourly = np.subtract(counts, infectors, out=infectors)
+    hourly *= probability
+    return hourly
+
+
+def simulate_week(sim_input: SimulationInput, params: EpiParams) -> np.ndarray:
+    """Expected new infections per venue over the window, in venue-table order.
+
+    The room volumes are the floor areas times ``params.ceiling_height``.
+    The weekly values are NumPy's pairwise row sums of
+    :func:`hourly_infections`, which can differ from an exactly rounded
+    sum in the last digits. The kernel runs on blocks of ``_BLOCK_ROWS``
+    venues; each row sum covers the same 168 cells whatever the block, so
+    the values do not depend on it.
     """
     volumes = compute_volumes(sim_input.venues.areas, params.ceiling_height)
-    infectors = sim_input.counts * params.effective_prevalence
-    probability = infection_probability(infectors, params, volumes[:, None])
-    # the susceptibles overwrite the infectors: two venue-hour temporaries, not three
-    hourly = np.subtract(sim_input.counts, infectors, out=infectors)
-    hourly *= probability
-    return WeekResult(hourly=hourly, weekly=hourly.sum(axis=1))
+    weekly = np.empty(len(volumes))
+    for start in range(0, len(volumes), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        weekly[rows] = hourly_infections(sim_input.counts[rows], volumes[rows], params).sum(axis=1)
+    return weekly
 
 
 def count_severities(weekly: np.ndarray, threshold: float) -> tuple[int, int]:

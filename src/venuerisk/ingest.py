@@ -4,7 +4,7 @@ Two CSV formats are understood, both UTF-8 with a mandatory header:
 
 * venue file:  ``venue_id,name,category,area``
 * visit file:  ``venue_id,hour,count``  (``hour`` is a 0-based offset
-  from the start of the simulation window)
+  from the start of the ``WINDOW_HOURS`` = 168-hour simulation week)
 
 Lines starting with ``#`` before the header are comments, so generated
 files can carry a provenance stamp; after the header every non-blank
@@ -30,7 +30,8 @@ All functions here are pure. A parsed venue file is one
 :class:`VenueTable` of columns (ids, names, categories and float64 floor
 areas in m2) in file order; :func:`join` turns it and the parsed visits
 into one :class:`SimulationInput`, whose float64 ``counts[venue, hour]``
-matrix carries the visitor counts, row ``i`` for the ``i``-th venue.
+matrix carries the visitor counts, row ``i`` for the ``i``-th venue and
+one column per hour of the fixed ``WINDOW_HOURS`` window.
 """
 
 from __future__ import annotations
@@ -103,17 +104,17 @@ class SimulationInput:
     """A venue table and its visitor counts, one matrix row per venue.
 
     ``counts[i, h]`` is the expected number of visitors of the ``i``-th
-    venue of ``venues`` in hour ``h`` of the window.
+    venue of ``venues`` in hour ``h`` of the ``WINDOW_HOURS`` window.
     """
 
     venues: VenueTable
     counts: np.ndarray
 
     def __post_init__(self):
-        if self.counts.ndim != 2 or self.counts.shape[0] != len(self.venues):
+        if self.counts.shape != (len(self.venues), WINDOW_HOURS):
             raise ValueError(
-                f"counts must have one row per venue ({len(self.venues)}), "
-                f"got shape {self.counts.shape}"
+                f"counts must have one row per venue and one column per hour: shape "
+                f"({len(self.venues)}, {WINDOW_HOURS}), got {self.counts.shape}"
             )
         if not (np.isfinite(self.counts).all() and (self.counts >= 0).all()):
             raise ValueError("visitor counts must be non-negative finite numbers")
@@ -198,8 +199,8 @@ def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
     return VenueTable(tuple(ids), tuple(names), tuple(categories), areas_m2)
 
 
-def parse_visits(source: TextIO, window_hours: int) -> dict[str, np.ndarray]:
-    """Parse a visit CSV into one row of ``window_hours`` counts per venue id.
+def parse_visits(source: TextIO) -> dict[str, np.ndarray]:
+    """Parse a visit CSV into one row of ``WINDOW_HOURS`` counts per venue id.
 
     Hours absent from the file are filled with 0: sparse mobility data
     routinely omits zero-visit hours. Counts are returned as-read, with
@@ -214,18 +215,16 @@ def parse_visits(source: TextIO, window_hours: int) -> dict[str, np.ndarray]:
     exactly that parser's.
 
     Raises:
-        RecordError: malformed row, hour outside [0, window_hours),
+        RecordError: malformed row, hour outside [0, WINDOW_HOURS),
             negative count, or a duplicate (venue_id, hour) pair.
         DatasetError: missing or bad header.
     """
-    if window_hours < 1:
-        raise ValueError(f"window_hours must be >= 1, got {window_hours}")
     text = source.read()
-    fast = _parse_visits_fast(text, window_hours)
-    return fast if fast is not None else _parse_visits_csv(io.StringIO(text), window_hours)
+    fast = _parse_visits_fast(text)
+    return fast if fast is not None else _parse_visits_csv(io.StringIO(text))
 
 
-def _parse_visits_csv(source: TextIO, window_hours: int) -> dict[str, np.ndarray]:
+def _parse_visits_csv(source: TextIO) -> dict[str, np.ndarray]:
     """Row-by-row parse of a visit CSV: the reference for every result and error."""
     rows = _data_rows(source)
     first = next(rows, None)
@@ -249,8 +248,8 @@ def _parse_visits_csv(source: TextIO, window_hours: int) -> dict[str, np.ndarray
             hour = int(hour_text)
         except ValueError:
             raise RecordError(f"hour {hour_text!r} is not an integer", line) from None
-        if not 0 <= hour < window_hours:
-            raise RecordError(f"hour {hour} outside [0, {window_hours})", line)
+        if not 0 <= hour < WINDOW_HOURS:
+            raise RecordError(f"hour {hour} outside [0, {WINDOW_HOURS})", line)
         try:
             count = float(count_text)
         except ValueError:
@@ -259,12 +258,12 @@ def _parse_visits_csv(source: TextIO, window_hours: int) -> dict[str, np.ndarray
             raise RecordError(f"count must be non-negative and finite, got {count_text}", line)
         series = counts.get(venue_id)
         if series is None:
-            series = counts[venue_id] = [math.nan] * window_hours
+            series = counts[venue_id] = [math.nan] * WINDOW_HOURS
         elif not math.isnan(series[hour]):
             raise RecordError(f"duplicate hour {hour} for venue {venue_id!r}", line)
         series[hour] = count
 
-    matrix = np.array(list(counts.values()), dtype=float).reshape(-1, window_hours)
+    matrix = np.array(list(counts.values()), dtype=float).reshape(-1, WINDOW_HOURS)
     np.nan_to_num(matrix, copy=False)
     return dict(zip(counts, matrix))
 
@@ -278,7 +277,7 @@ _ID_BYTES = 32
 _VISIT_DTYPE = [("id", f"S{_ID_BYTES}"), ("hour", "i8"), ("count", "f8")]
 
 
-def _parse_visits_fast(text: str, window_hours: int) -> dict[str, np.ndarray] | None:
+def _parse_visits_fast(text: str) -> dict[str, np.ndarray] | None:
     """Parse a plain visit file with ``np.loadtxt``; None unless sure of the csv parser's result.
 
     Plain is: leading ``#`` lines, the exact header line, then ASCII rows
@@ -319,7 +318,7 @@ def _parse_visits_fast(text: str, window_hours: int) -> dict[str, np.ndarray] | 
         id_bytes[:, 0].all()
         and not id_bytes[:, -1].any()
         and hours.min() >= 0
-        and hours.max() < window_hours
+        and hours.max() < WINDOW_HOURS
         and np.isfinite(counts).all()
         and counts.min() >= 0
     ):
@@ -329,12 +328,12 @@ def _parse_visits_fast(text: str, window_hours: int) -> dict[str, np.ndarray] | 
     starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
     row_of: dict[str, int] = {}
     run_rows = [row_of.setdefault(vid.decode(), len(row_of)) for vid in ids[starts].tolist()]
-    cells = np.repeat(run_rows, np.diff(starts, append=len(rows))) * window_hours + hours
-    seen = np.zeros(len(row_of) * window_hours, dtype=bool)
+    cells = np.repeat(run_rows, np.diff(starts, append=len(rows))) * WINDOW_HOURS + hours
+    seen = np.zeros(len(row_of) * WINDOW_HOURS, dtype=bool)
     seen[cells] = True
     if np.count_nonzero(seen) != len(rows):
         return None  # a duplicate (venue_id, hour) pair
-    matrix = np.zeros((len(row_of), window_hours))
+    matrix = np.zeros((len(row_of), WINDOW_HOURS))
     matrix.reshape(-1)[cells] = counts
     return dict(zip(row_of, matrix))
 
@@ -353,9 +352,7 @@ def compute_volumes(areas: np.ndarray, ceiling_height: float) -> np.ndarray:
     return areas * ceiling_height
 
 
-def join(
-    venues: VenueTable, visits: Mapping[str, np.ndarray], window_hours: int
-) -> SimulationInput:
+def join(venues: VenueTable, visits: Mapping[str, np.ndarray]) -> SimulationInput:
     """Join a venue table and per-venue count rows into a :class:`SimulationInput`.
 
     Venues with no visit row get an all-zero row, so that venue counts
@@ -364,21 +361,19 @@ def join(
 
     Raises:
         DatasetError: a visit row references an unknown venue_id, or a
-            row's shape is not ``(window_hours,)``.
+            row's shape is not ``(WINDOW_HOURS,)``.
     """
-    if window_hours < 1:
-        raise ValueError(f"window_hours must be >= 1, got {window_hours}")
     row_of = dict(zip(venues, range(len(venues))))
     unknown = sorted(vid for vid in visits if vid not in row_of)
     if unknown:
         shown = ", ".join(repr(u) for u in unknown[:10]) + (", ..." if len(unknown) > 10 else "")
         raise DatasetError(f"visit series reference {len(unknown)} unknown venue id(s): {shown}")
-    counts = np.zeros((len(venues), window_hours))
+    counts = np.zeros((len(venues), WINDOW_HOURS))
     for vid, row in visits.items():
         # checked first: NumPy would broadcast a one-hour row across the whole window
-        if row.shape != (window_hours,):
+        if row.shape != (WINDOW_HOURS,):
             raise DatasetError(
-                f"visit series length differs from the window of {window_hours} hours"
+                f"visit series length differs from the window of {WINDOW_HOURS} hours"
             )
         counts[row_of[vid]] = row
     return SimulationInput(venues=venues, counts=counts)

@@ -131,8 +131,8 @@ def run_scenario(
             counts = base.counts
         else:
             with open_input(config.visit_source) as handle:
-                visits = parse_visits(handle, base.window_hours)
-            counts = join(base.venues, visits, base.window_hours).counts
+                visits = parse_visits(handle)
+            counts = join(base.venues, visits).counts
             del visits
 
         counts = apply_sampling_correction(counts, config.sampling_factor)
@@ -142,7 +142,7 @@ def run_scenario(
             np.minimum(counts, caps[:, None], out=counts)
 
     effective_params = dataclasses.replace(params, **config.params_override)
-    weekly = simulate_week(SimulationInput(base.venues, counts), effective_params).weekly
+    weekly = simulate_week(SimulationInput(base.venues, counts), effective_params)
     severe, mild = count_severities(weekly, severity_threshold)
     return ScenarioResult(config=config, weekly=weekly, severe_count=severe, mild_count=mild)
 

@@ -1,11 +1,11 @@
 """Hotspot classification, histograms, and the two-sample t-test.
 
-The t-test defaults to Welch's unequal-variance form (the two scenario
-distributions typically have very different spreads); a pooled-variance
-variant is available behind a flag. Two-sided p-values come from the
-Student-t distribution evaluated through the regularized incomplete beta
-function implemented below, so the test carries no external numerical
-dependency.
+The t-test is Welch's unequal-variance form: the two scenario
+distributions typically have very different spreads, and a test that
+assumes equal variances would be wrong for them. Two-sided p-values
+come from the Student-t distribution evaluated through the regularized
+incomplete beta function implemented below, so the test carries no
+external numerical dependency.
 """
 
 from __future__ import annotations
@@ -51,13 +51,11 @@ class Histogram:
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Two-scenario comparison: Welch statistic plus per-scenario summaries."""
+    """Welch's t statistic, its degrees of freedom and its two-sided p-value."""
 
     t_stat: float
     degrees_of_freedom: float
     p_value: float
-    mean_a: float
-    mean_b: float
 
 
 def classify(weekly_infections: float, threshold: float = 1.0) -> Severity:
@@ -81,10 +79,10 @@ def histogram(
 
     Bins are half-open with the last bin closed on the right. By default
     the edges span [min, max] of the included values; pass
-    ``value_range`` (in original units) to align histograms from
-    different samples for overlay plots. On the log10 scale, zeros and
-    negatives cannot be binned and are counted in ``excluded_count``
-    instead of being silently dropped.
+    ``value_range`` (in original units, such as a :func:`combined_range`)
+    to align histograms from different samples for overlay plots. On the
+    log10 scale, zeros and negatives cannot be binned and are counted in
+    ``excluded_count`` instead of being silently dropped.
     """
     scale = Scale(scale)
     if bins < 1:
@@ -92,13 +90,11 @@ def histogram(
     arr = np.asarray(list(values), dtype=float)
     total = arr.size
 
+    points = arr[_binnable(arr, scale)]
     if scale is Scale.LOG10:
-        mask = np.isfinite(arr) & (arr > 0)
-        points = np.log10(arr[mask])
+        points = np.log10(points)
         span = None if value_range is None else _log_range(value_range)
     else:
-        mask = np.isfinite(arr)
-        points = arr[mask]
         span = value_range
 
     if points.size == 0:
@@ -126,6 +122,28 @@ def histogram(
     )
 
 
+def _binnable(values: np.ndarray, scale: Scale) -> np.ndarray:
+    """Mask of the values a histogram on ``scale`` can bin: finite, and positive on log10."""
+    mask = np.isfinite(values)
+    if scale is Scale.LOG10:
+        mask &= values > 0
+    return mask
+
+
+def combined_range(
+    values_a: np.ndarray, values_b: np.ndarray, scale: Scale | str
+) -> tuple[float, float] | None:
+    """The [min, max] of the values of both samples that a histogram on ``scale`` can bin.
+
+    Passed as :func:`histogram`'s ``value_range``, it puts both
+    samples' histograms on the same bins, so they overlay. None when
+    neither sample has a value to bin.
+    """
+    pool = np.concatenate([values_a, values_b])
+    pool = pool[_binnable(pool, Scale(scale))]
+    return (pool.min().item(), pool.max().item()) if pool.size else None
+
+
 def _log_range(value_range: tuple[float, float]) -> tuple[float, float]:
     lo, hi = value_range
     if lo <= 0 or hi <= 0:
@@ -134,13 +152,12 @@ def _log_range(value_range: tuple[float, float]) -> tuple[float, float]:
 
 
 def welch_t_test(
-    a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray, pooled: bool = False
+    a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray
 ) -> ComparisonResult:
-    """Two-sample, two-sided t-test on independent samples.
+    """Welch's two-sample, two-sided t-test on independent samples.
 
-    Welch's unequal-variance statistic with Welch-Satterthwaite degrees
-    of freedom by default; ``pooled=True`` switches to the classic
-    equal-variance form. Swapping the samples negates t and preserves p.
+    The unequal-variance statistic with Welch-Satterthwaite degrees of
+    freedom. Swapping the samples negates t and preserves p.
 
     Raises:
         ValueError: a sample has fewer than 2 values, contains
@@ -162,34 +179,17 @@ def welch_t_test(
 
     if var_a == 0.0 and var_b == 0.0:
         if mean_a == mean_b:
-            return ComparisonResult(
-                t_stat=0.0,
-                degrees_of_freedom=float(na + nb - 2),
-                p_value=1.0,
-                mean_a=mean_a,
-                mean_b=mean_b,
-            )
+            return ComparisonResult(t_stat=0.0, degrees_of_freedom=float(na + nb - 2), p_value=1.0)
         raise ValueError("both samples have zero variance with unequal means")
     if var_a == 0.0 or var_b == 0.0:
         raise ValueError(f"sample {'a' if var_a == 0.0 else 'b'} has zero variance")
 
-    if pooled:
-        pooled_var = ((na - 1) * var_a + (nb - 1) * var_b) / (na + nb - 2)
-        se = math.sqrt(pooled_var * (1.0 / na + 1.0 / nb))
-        df = float(na + nb - 2)
-    else:
-        qa = var_a / na
-        qb = var_b / nb
-        se = math.sqrt(qa + qb)
-        df = (qa + qb) ** 2 / (qa * qa / (na - 1) + qb * qb / (nb - 1))
-
-    t_stat = (mean_a - mean_b) / se
+    qa = var_a / na
+    qb = var_b / nb
+    t_stat = (mean_a - mean_b) / math.sqrt(qa + qb)
+    df = (qa + qb) ** 2 / (qa * qa / (na - 1) + qb * qb / (nb - 1))
     return ComparisonResult(
-        t_stat=t_stat,
-        degrees_of_freedom=df,
-        p_value=student_t_two_sided_p(t_stat, df),
-        mean_a=mean_a,
-        mean_b=mean_b,
+        t_stat=t_stat, degrees_of_freedom=df, p_value=student_t_two_sided_p(t_stat, df)
     )
 
 

@@ -9,9 +9,12 @@ from venuerisk import (
     SimulationInput,
     VenueTable,
     apply_sampling_correction,
+    compute_volumes,
     generate_dataset,
     join,
 )
+from venuerisk.epi import hourly_infections
+from venuerisk.ingest import WINDOW_HOURS
 
 # the shipped synthetic fixture: one seed, both traffic profiles
 FIXTURE_SEED = 42
@@ -39,18 +42,30 @@ def same_venues(a: VenueTable, b: VenueTable) -> bool:
     )
 
 
-def make_input(area_by_id, counts_by_id, window_hours=168,
-               sampling_factor=1.0) -> SimulationInput:
+def window_counts(rows) -> np.ndarray:
+    """A count matrix with one row per entry of ``rows``: its values from hour 0 on, then zeros."""
+    counts = np.zeros((len(rows), WINDOW_HOURS))
+    for counts_row, row in zip(counts, rows):
+        counts_row[:len(row)] = row
+    return counts
+
+
+def make_input(area_by_id, counts_by_id) -> SimulationInput:
     """Build a SimulationInput from {venue_id: area} and {venue_id: {hour: count}}."""
     venues = make_venues(area_by_id)
     visits = {}
     for vid, by_hour in counts_by_id.items():
-        counts = np.zeros(window_hours)
+        counts = np.zeros(WINDOW_HOURS)
         for hour, value in by_hour.items():
             counts[hour] = float(value)
         visits[vid] = counts
-    table = join(venues, visits, window_hours)
-    return SimulationInput(table.venues, apply_sampling_correction(table.counts, sampling_factor))
+    return join(venues, visits)
+
+
+def hourly_of(sim: SimulationInput, params: EpiParams) -> np.ndarray:
+    """Expected new infections ``[venue, hour]`` of ``sim``: the kernel ``simulate_week`` sums."""
+    volumes = compute_volumes(sim.venues.areas, params.ceiling_height)
+    return hourly_infections(sim.counts, volumes, params)
 
 
 @pytest.fixture(scope="session")

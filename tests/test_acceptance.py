@@ -9,6 +9,7 @@ meets the strict second-order bound (analysis in its docstring).
 import json
 import math
 import random
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from venuerisk import (
     wells_riley_probability,
 )
 from venuerisk.cli import main as cli_main
-from conftest import FIXTURE_N_VENUES, FIXTURE_SEED, make_input
+from conftest import FIXTURE_N_VENUES, FIXTURE_SEED, hourly_of, make_input
 
 SIX_FEET = 1.8288
 
@@ -57,7 +58,7 @@ def test_criterion_2_pipeline_oracle(default_params):
     import mpmath
 
     sim = make_input({"cafe": 100.0}, {"cafe": {12: 50.0}})  # 100 m2 * 3 m = 300 m3
-    weekly = simulate_week(sim, default_params).weekly.tolist()[0]
+    weekly = simulate_week(sim, default_params).tolist()[0]
     reference = float(mpmath.mpf("49.25") * _exact_probability("0.006"))
     ok = math.isclose(weekly, reference, rel_tol=1e-9)
     _report(2, ok, f"weekly = {weekly!r}, hand-derived reference {reference!r}")
@@ -136,16 +137,14 @@ def test_criterion_5_directional_reproduction(fixture_inputs, default_params):
     """Pre-pandemic traffic: strictly more severe venues, right-shifted
     distribution, and equality rejected at the 99% level on the shipped
     1034-venue fixture (seed pinned in conftest)."""
-    lockdown = simulate_week(fixture_inputs["lockdown"], default_params)
-    pre = simulate_week(fixture_inputs["pre_pandemic"], default_params)
-
-    weekly_lockdown = lockdown.weekly.tolist()
-    weekly_pre = pre.weekly.tolist()
+    weekly_lockdown = simulate_week(fixture_inputs["lockdown"], default_params).tolist()
+    weekly_pre = simulate_week(fixture_inputs["pre_pandemic"], default_params).tolist()
     severe_lockdown = sum(1 for w in weekly_lockdown if classify(w) is Severity.SEVERE)
     severe_pre = sum(1 for w in weekly_pre if classify(w) is Severity.SEVERE)
 
     comparison = welch_t_test(weekly_pre, weekly_lockdown)
-    mean_shift = comparison.mean_a > comparison.mean_b
+    mean_pre, mean_lockdown = statistics.fmean(weekly_pre), statistics.fmean(weekly_lockdown)
+    mean_shift = mean_pre > mean_lockdown
     median_shift = sorted(weekly_pre)[len(weekly_pre) // 2] > sorted(weekly_lockdown)[
         len(weekly_lockdown) // 2
     ]
@@ -159,8 +158,8 @@ def test_criterion_5_directional_reproduction(fixture_inputs, default_params):
     _report(
         5,
         ok,
-        f"severe {severe_lockdown} -> {severe_pre}, means {comparison.mean_b:.4f} -> "
-        f"{comparison.mean_a:.4f}, p = {comparison.p_value:.3e}",
+        f"severe {severe_lockdown} -> {severe_pre}, means {mean_lockdown:.4f} -> "
+        f"{mean_pre:.4f}, p = {comparison.p_value:.3e}",
     )
     assert ok
     # freeze the shipped-fixture behavior (values pinned from the first run;
@@ -190,8 +189,8 @@ def test_criterion_6_t_test_oracle(fixture_inputs, default_params):
         p = mpmath.betainc(df / 2, mpmath.mpf(1) / 2, 0, x, regularized=True)
         return float(t), float(df), float(p)
 
-    weekly_lockdown = simulate_week(fixture_inputs["lockdown"], default_params).weekly.tolist()
-    weekly_pre = simulate_week(fixture_inputs["pre_pandemic"], default_params).weekly.tolist()
+    weekly_lockdown = simulate_week(fixture_inputs["lockdown"], default_params).tolist()
+    weekly_pre = simulate_week(fixture_inputs["pre_pandemic"], default_params).tolist()
     samples = [
         ([1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 3.0, 4.0, 5.0, 6.0]),
         ([0.1, 0.5, 0.2, 0.9], [1.4, 0.3, 2.2, 0.05, 0.6]),
@@ -224,8 +223,8 @@ def test_criterion_7_conservation_and_determinism(
     """weekly == sum(hourly) to 1e-9 relative everywhere; CLI reruns byte-identical."""
     worst = 0.0
     for sim_input in fixture_inputs.values():
-        result = simulate_week(sim_input, default_params)
-        for hourly, weekly in zip(result.hourly, result.weekly):
+        weekly_all = simulate_week(sim_input, default_params)
+        for hourly, weekly in zip(hourly_of(sim_input, default_params), weekly_all):
             total = math.fsum(hourly)
             if total == 0.0:
                 assert weekly == 0.0

@@ -1,11 +1,14 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
 from venuerisk.cli import main
-from venuerisk.reporting import dump_json
+from venuerisk.reporting import TOOL_VERSION, dump_json
+
+SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"
 
 
 def run_cli(*argv):
@@ -364,6 +367,30 @@ class TestCompare:
 
         assert edges(out / "histogram_a.csv") == edges(out / "histogram_b.csv")
 
+    def test_log10_histograms_share_edges_on_sample_data(self, tmp_path):
+        out = tmp_path / "cmp"
+        assert run_cli(
+            "compare", "--venues", str(SAMPLE_DATA / "venues.csv"),
+            "--visits", str(SAMPLE_DATA / "visits.csv"),
+            "--params", str(SAMPLE_DATA / "params.txt"),
+            "--scenario-a", str(SAMPLE_DATA / "scenario_lockdown.txt"),
+            "--scenario-b", str(SAMPLE_DATA / "scenario_reopened.txt"),
+            "--scale", "log10", "--out", str(out),
+        ) == 0
+        hist_a, hist_b = (
+            (out / f"histogram_{side}.csv").read_text().splitlines() for side in "ab"
+        )
+        # the lockdown week leaves one of the 4 venues without visits, and log10 cannot bin its 0
+        assert hist_a[1] == "# scale: log10, excluded_count: 1"
+        assert hist_b[1] == "# scale: log10, excluded_count: 0"
+        rows_a, rows_b = ([line.split(",") for line in hist[3:]] for hist in (hist_a, hist_b))
+        assert len(rows_a) == 20
+        assert [row[:2] for row in rows_a] == [row[:2] for row in rows_b]
+        assert sum(int(row[2]) for row in rows_a) == 3
+        assert sum(int(row[2]) for row in rows_b) == 4
+        histogram = json.loads((out / "comparison.json").read_text())["histogram"]
+        assert (histogram["excluded_count_a"], histogram["excluded_count_b"]) == (1, 0)
+
     def test_baseline_without_visits_flag_is_error(self, small_dataset, tmp_path, capsys):
         a, _ = self._scenarios(tmp_path, small_dataset)
         code = run_cli(
@@ -540,6 +567,16 @@ class TestHotspots:
         # the comment line before the header counts: the appended row is line 6
         assert f"{path}: line 6: bad weekly_infections value {shown} for venue 'v4'" in captured.err
 
+    @pytest.mark.parametrize("row, problem", [("B,1.0", "missing"), ("B,1.0,", "empty")])
+    def test_missing_venue_id_names_file_and_line(self, tmp_path, capsys, row, problem):
+        # venue_id is the last column, so a short row can lack it and still carry a valid value
+        path = tmp_path / "venue_results.csv"
+        path.write_text(f"name,weekly_infections,venue_id\nA,1.0,v1\n{row}\n", encoding="utf-8")
+        assert run_cli("hotspots", "--results", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: line 3: venue_id is {problem}\n"
+
     def test_oversized_field_names_file_and_line(self, tmp_path, capsys):
         path = self._results_file(tmp_path)
         with path.open("a", encoding="utf-8") as handle:
@@ -654,6 +691,13 @@ class TestGenSynthetic:
             "gen-synthetic", "--n-venues", "0", "--profile", "lockdown",
             "--seed", "1", "--out", "unused",
         ) == 1
+
+
+def test_version_flag_prints_the_tool_version(capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli("--version")
+    assert info.value.code == 0
+    assert capsys.readouterr().out == f"venuerisk {TOOL_VERSION}\n"
 
 
 def test_reports_are_strict_json():

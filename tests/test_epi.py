@@ -7,7 +7,7 @@ import pytest
 
 from venuerisk import EpiParams, SimulationInput, simulate_week, wells_riley_probability
 from venuerisk.epi import count_severities
-from conftest import make_input, make_venues
+from conftest import hourly_of, make_input, make_venues, window_counts
 
 # frozen from an independent 50-digit evaluation of 1 - exp(-dose)
 P_ONE_INFECTOR_V300 = 0.0079680851629393696601  # dose 0.008
@@ -28,8 +28,8 @@ def infections(visitors, prevalence, params, room_volume):
     """
     params = dataclasses.replace(params, documented_prevalence=prevalence, underreport_factor=1.0)
     area = room_volume / params.ceiling_height
-    table = SimulationInput(make_venues({"v": area}), np.array([[visitors]]))
-    return simulate_week(table, params).weekly[0]
+    table = SimulationInput(make_venues({"v": area}), window_counts([[visitors]]))
+    return simulate_week(table, params)[0]
 
 
 class TestEffectivePrevalence:
@@ -186,15 +186,15 @@ class TestExpectedInfectionsHour:
 class TestSimulateWeek:
     def test_all_zero_visits(self, default_params):
         sim = make_input({"a": 100.0, "b": 400.0}, {})
-        result = simulate_week(sim, default_params)
-        assert result.weekly.tolist() == [0.0, 0.0]
-        assert count_severities(result.weekly, 1.0) == (0, 2)
+        weekly = simulate_week(sim, default_params)
+        assert weekly.tolist() == [0.0, 0.0]
+        assert count_severities(weekly, 1.0) == (0, 2)
 
     def test_single_hour_matches_oracle(self, default_params):
         sim = make_input({"a": 100.0}, {"a": {10: 50.0}})
-        result = simulate_week(sim, default_params)
-        assert result.weekly[0] == pytest.approx(C_FIFTY_VISITORS, rel=1e-9)
-        assert result.hourly[0, 10] == result.weekly[0]
+        weekly = simulate_week(sim, default_params)
+        assert weekly[0] == pytest.approx(C_FIFTY_VISITORS, rel=1e-9)
+        assert hourly_of(sim, default_params)[0, 10] == weekly[0]
 
     def test_doubling_traffic_increases_weekly(self, default_params):
         counts = {"a": {0: 10.0, 5: 3.0}, "b": {7: 25.0}}
@@ -204,33 +204,33 @@ class TestSimulateWeek:
         })
         base = simulate_week(sim, default_params)
         more = simulate_week(doubled, default_params)
-        assert (more.weekly > base.weekly).all()
+        assert (more > base).all()
 
     def test_weekly_is_sum_of_hourly(self, default_params):
         sim = make_input({"a": 100.0}, {"a": {h: (h % 7) * 1.7 for h in range(168)}})
-        result = simulate_week(sim, default_params)
-        assert result.weekly[0] == pytest.approx(math.fsum(result.hourly[0]), rel=1e-9)
+        weekly = simulate_week(sim, default_params)
+        assert weekly[0] == pytest.approx(math.fsum(hourly_of(sim, default_params)[0]), rel=1e-9)
 
     def test_deterministic(self, default_params):
         sim = make_input({"a": 100.0, "b": 77.0}, {"a": {3: 12.0}, "b": {9: 4.5}})
+        assert np.array_equal(hourly_of(sim, default_params), hourly_of(sim, default_params))
         first = simulate_week(sim, default_params)
-        second = simulate_week(sim, default_params)
-        assert np.array_equal(first.hourly, second.hourly)
-        assert np.array_equal(first.weekly, second.weekly)
+        assert np.array_equal(simulate_week(sim, default_params), first)
 
     def test_hour_permutation_equivariance(self, default_params):
-        counts = {h: float((h * 13) % 29) for h in range(24)}
-        sim = make_input({"a": 100.0}, {"a": counts}, window_hours=24)
-        result = simulate_week(sim, default_params)
+        counts = {h: float((h * 13) % 29) for h in range(168)}
+        sim = make_input({"a": 100.0}, {"a": counts})
 
-        permutation = list(range(24))
+        permutation = list(range(168))
         random.Random(3).shuffle(permutation)
-        permuted_counts = {h: counts[permutation[h]] for h in range(24)}
-        permuted_sim = make_input({"a": 100.0}, {"a": permuted_counts}, window_hours=24)
-        permuted = simulate_week(permuted_sim, default_params)
+        permuted_counts = {h: counts[permutation[h]] for h in range(168)}
+        permuted_sim = make_input({"a": 100.0}, {"a": permuted_counts})
 
-        assert np.array_equal(permuted.hourly[0], result.hourly[0, permutation])
-        assert permuted.weekly[0] == result.weekly[0]
+        result = hourly_of(sim, default_params)
+        permuted = hourly_of(permuted_sim, default_params)
+        assert np.array_equal(permuted[0], result[0, permutation])
+        weekly = simulate_week(sim, default_params)
+        assert simulate_week(permuted_sim, default_params)[0] == weekly[0]
 
 
 class TestEpiParams:

@@ -18,7 +18,7 @@ from venuerisk import (
     write_visits,
 )
 from venuerisk.ingest import SQFT_TO_SQM, _parse_visits_csv, _parse_visits_fast, open_input
-from conftest import make_venues, same_venues
+from conftest import make_venues, same_venues, window_counts
 
 SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"
 
@@ -97,7 +97,7 @@ class TestParseVenues:
 
 class TestParseVisits:
     def test_missing_hours_zero_filled(self):
-        table = parse_visits(visits_csv("v1,0,5", "v1,3,2"), window_hours=168)
+        table = parse_visits(visits_csv("v1,0,5", "v1,3,2"))
         series = table["v1"]
         assert len(series) == 168
         assert series[0] == 5.0 and series[3] == 2.0
@@ -106,62 +106,62 @@ class TestParseVisits:
     def test_empty_source(self):
         # a 0-byte visit file is a missing header, not a total closure
         with pytest.raises(DatasetError, match="no header"):
-            parse_visits(io.StringIO(""), window_hours=168)
+            parse_visits(io.StringIO(""))
         with pytest.raises(DatasetError, match="no header"):
-            parse_visits(io.StringIO("# provenance comment only\n"), window_hours=168)
+            parse_visits(io.StringIO("# provenance comment only\n"))
         # a header with no rows is a legal file with no visits
-        assert parse_visits(visits_csv(), window_hours=168) == {}
+        assert parse_visits(visits_csv()) == {}
 
     def test_hour_at_window_boundary_rejected(self):
         with pytest.raises(RecordError, match=r"outside \[0, 168\)"):
-            parse_visits(visits_csv("v1,168,1"), window_hours=168)
+            parse_visits(visits_csv("v1,168,1"))
 
     def test_negative_hour_rejected(self):
         with pytest.raises(RecordError):
-            parse_visits(visits_csv("v1,-1,1"), window_hours=168)
+            parse_visits(visits_csv("v1,-1,1"))
 
     def test_negative_count_rejected(self):
         with pytest.raises(RecordError, match="non-negative"):
-            parse_visits(visits_csv("v1,0,-2"), window_hours=168)
+            parse_visits(visits_csv("v1,0,-2"))
 
     def test_fractional_counts_allowed(self):
-        table = parse_visits(visits_csv("v1,0,2.5"), window_hours=24)
+        table = parse_visits(visits_csv("v1,0,2.5"))
         assert table["v1"][0] == 2.5
 
     def test_duplicate_hour_rejected(self):
         with pytest.raises(RecordError, match="duplicate"):
-            parse_visits(visits_csv("v1,0,1", "v1,0,2"), window_hours=24)
+            parse_visits(visits_csv("v1,0,1", "v1,0,2"))
 
     def test_non_integer_hour_rejected(self):
         with pytest.raises(RecordError, match="not an integer"):
-            parse_visits(visits_csv("v1,1.5,1"), window_hours=24)
+            parse_visits(visits_csv("v1,1.5,1"))
 
     def test_comment_after_header_is_a_malformed_record(self):
         with pytest.raises(RecordError, match="line 3: expected 3 fields, got 1"):
-            parse_visits(visits_csv("v1,0,1", "# note"), window_hours=24)
+            parse_visits(visits_csv("v1,0,1", "# note"))
 
 
 class TestFastVisitParse:
     """The NumPy path must be the one taken on the files the program writes and ships."""
 
-    def assert_fast_and_exact(self, text, window_hours):
-        fast = _parse_visits_fast(text, window_hours)
+    def assert_fast_and_exact(self, text):
+        fast = _parse_visits_fast(text)
         assert fast is not None
-        slow = _parse_visits_csv(io.StringIO(text), window_hours)
+        slow = _parse_visits_csv(io.StringIO(text))
         assert list(fast) == list(slow)
         assert all(fast[vid].tolist() == slow[vid].tolist() for vid in slow)
 
     def test_taken_on_written_visits(self):
         venues = make_venues({f"v{i}": 10.0 for i in range(3)})
-        counts = np.array([[0.0, 2.0, 0.5], [0.0, 0.0, 0.0], [7.0, 1e-9, 123456.789]])
+        counts = window_counts([[0.0, 2.0, 0.5], [0.0, 0.0, 0.0], [7.0, 1e-9, 123456.789]])
         sink = io.StringIO()
         write_visits(SimulationInput(venues, counts), sink, comment="manifest_sha256: 00ff")
         assert sink.getvalue().startswith("# manifest_sha256: 00ff\n")
-        self.assert_fast_and_exact(sink.getvalue(), 3)
+        self.assert_fast_and_exact(sink.getvalue())
 
     def test_taken_on_sample_data(self):
         with open_input(SAMPLE_DATA / "visits.csv") as handle:
-            self.assert_fast_and_exact(handle.read(), 168)
+            self.assert_fast_and_exact(handle.read())
 
 
 class TestSamplingCorrection:
@@ -227,22 +227,22 @@ class TestJoin:
 
     def test_missing_series_zero_filled(self):
         venues = self._venues("v1", "v2")
-        visits = {"v1": np.ones(24)}
-        sim = join(venues, visits, 24)
+        visits = {"v1": np.ones(168)}
+        sim = join(venues, visits)
         assert list(sim.venues) == ["v1", "v2"]
-        assert sim.counts[1].tolist() == [0.0] * 24
+        assert sim.counts[1].tolist() == [0.0] * 168
 
     def test_unknown_venue_named_in_error(self):
         venues = self._venues("v1")
-        visits = {"ghost": np.zeros(24)}
+        visits = {"ghost": np.zeros(168)}
         with pytest.raises(DatasetError, match="ghost"):
-            join(venues, visits, 24)
+            join(venues, visits)
 
     def test_unknown_ids_listed_up_to_ten_with_count(self):
         venues = self._venues("v1")
-        visits = {f"g{i:02d}": np.zeros(24) for i in range(48)}
+        visits = {f"g{i:02d}": np.zeros(168) for i in range(48)}
         with pytest.raises(DatasetError) as info:
-            join(venues, visits, 24)
+            join(venues, visits)
         message = str(info.value)
         assert "48 unknown venue id(s)" in message
         assert "'g09'" in message and "'g10'" not in message
@@ -251,17 +251,17 @@ class TestJoin:
     def test_full_size_join(self):
         ids = [f"v{i}" for i in range(1034)]
         venues = self._venues(*ids)
-        visits = {vid: np.ones(24) for vid in ids}
-        sim = join(venues, visits, 24)
-        assert len(sim.venues) == 1034 and sim.counts.shape == (1034, 24)
+        visits = {vid: np.ones(168) for vid in ids}
+        sim = join(venues, visits)
+        assert len(sim.venues) == 1034 and sim.counts.shape == (1034, 168)
         assert (sim.counts == 1.0).all()
 
     def test_never_drops_or_invents(self):
         venues = self._venues("a", "b", "c")
-        visits = {"b": np.array([2.0, 0.0, 5.0])}
-        sim = join(venues, visits, 3)
+        visits = {"b": window_counts([[2.0, 0.0, 5.0]])[0]}
+        sim = join(venues, visits)
         assert list(sim.venues) == list(venues)
-        assert sim.counts.tolist() == [[0.0] * 3, [2.0, 0.0, 5.0], [0.0] * 3]
+        assert sim.counts.tolist() == window_counts([[], [2.0, 0.0, 5.0], []]).tolist()
 
     @pytest.mark.parametrize("length", [1, 2, 25])
     def test_length_mismatch(self, length):
@@ -269,7 +269,7 @@ class TestJoin:
         venues = self._venues("a")
         visits = {"a": np.arange(1.0, length + 1)}
         with pytest.raises(DatasetError, match="length"):
-            join(venues, visits, 24)
+            join(venues, visits)
 
 
 class TestRoundTrip:
@@ -281,34 +281,34 @@ class TestRoundTrip:
             categories=("restaurant", "drinking place"),
             areas=np.array([0.1 + 0.2, 1234.5678901234567]),
         )
-        counts = np.array([[0.0, 1e-9, 2.5, 0.0, 123456.789], [0.0] * 5])
+        counts = window_counts([[0.0, 1e-9, 2.5, 0.0, 123456.789], []])
         venue_buf = io.StringIO()
         write_venues(venues, venue_buf)
         visit_buf = io.StringIO()
         write_visits(SimulationInput(venues, counts), visit_buf)
 
         back_venues = parse_venues(io.StringIO(venue_buf.getvalue()))
-        back_visits = parse_visits(io.StringIO(visit_buf.getvalue()), window_hours=5)
+        back_visits = parse_visits(io.StringIO(visit_buf.getvalue()))
         for vid in venues:
             assert column(back_venues, "areas", vid) == column(venues, "areas", vid)
             assert column(back_venues, "names", vid) == column(venues, "names", vid)
         assert back_visits["v1"].tolist() == counts[0].tolist()
         # all-zero series vanish from the sparse file and come back via join
         assert "v2" not in back_visits
-        assert np.array_equal(join(back_venues, back_visits, 5).counts, counts)
+        assert np.array_equal(join(back_venues, back_visits).counts, counts)
 
     def test_hash_id_survives_the_round_trip(self):
         # "#" is a comment only before the header, so this venue is neither dropped nor unknown
         venues = make_venues({"#12": 80.0, "v2": 120.0})
-        counts = np.array([[3.0, 0.0, 1.5], [0.0, 2.0, 0.0]])
+        counts = window_counts([[3.0, 0.0, 1.5], [0.0, 2.0, 0.0]])
         venue_buf, visit_buf = io.StringIO(), io.StringIO()
         write_venues(venues, venue_buf, comment="manifest_sha256: 00ff")
         write_visits(SimulationInput(venues, counts), visit_buf, comment="manifest_sha256: 00ff")
 
         back_venues = parse_venues(io.StringIO(venue_buf.getvalue()))
-        back_visits = parse_visits(io.StringIO(visit_buf.getvalue()), window_hours=3)
+        back_visits = parse_visits(io.StringIO(visit_buf.getvalue()))
         assert same_venues(back_venues, venues)
-        assert np.array_equal(join(back_venues, back_visits, 3).counts, counts)
+        assert np.array_equal(join(back_venues, back_visits).counts, counts)
 
 
 class TestTypeInvariants:
@@ -357,9 +357,14 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match=f"^{column} must not have surrounding whitespace"):
             VenueTable(*columns.values(), np.array([1.0]))
 
+    @pytest.mark.parametrize("shape", [(1, 167), (1, 169), (2, 168), (168,)])
+    def test_simulation_input_holds_the_window(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(1, 168\)"):
+            SimulationInput(make_venues({"v": 1.0}), np.zeros(shape))
+
     def test_series_rejects_negative_count(self):
         venues = make_venues({"v": 1.0})
         with pytest.raises(ValueError):
-            SimulationInput(venues, np.array([[1.0, -0.5]]))
+            SimulationInput(venues, window_counts([[1.0, -0.5]]))
         with pytest.raises(ValueError):
-            SimulationInput(venues, np.array([[1.0, float("nan")]]))
+            SimulationInput(venues, window_counts([[1.0, float("nan")]]))

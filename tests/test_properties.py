@@ -4,6 +4,7 @@ Examples are derandomized, so every run checks the same cases.
 """
 
 import csv
+import dataclasses
 import io
 import math
 from unittest import mock
@@ -27,11 +28,12 @@ from venuerisk import (
     write_venues,
     write_visits,
 )
-from venuerisk import ingest
-from venuerisk.epi import infection_probability
-from venuerisk.ingest import _parse_visits_csv
+from venuerisk import epi, ingest
+from venuerisk.epi import hourly_infections
+from venuerisk.ingest import WINDOW_HOURS, _parse_visits_csv
+from venuerisk.reporting import hashed_manifest
 from venuerisk.scenario import apply_occupancy_cap
-from conftest import make_venues, same_venues
+from conftest import hourly_of, make_venues, same_venues, window_counts
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -60,14 +62,18 @@ id_st = st.one_of(
 
 @st.composite
 def tables(draw, max_venues=5, max_hours=12, ids=None, counts=count_st):
+    """A SimulationInput with counts drawn in a block of up to ``max_hours`` hours, 0 elsewhere."""
     n = draw(st.integers(1, max_venues))
     hours = draw(st.integers(1, max_hours))
+    start = draw(st.integers(0, WINDOW_HOURS - hours))
     areas = draw(st.lists(st.floats(0.5, 5000.0), min_size=n, max_size=n))
     venue_ids = [f"v{i}" for i in range(n)] if ids is None else draw(
         st.lists(ids, min_size=n, max_size=n, unique=True)
     )
     venues = make_venues(dict(zip(venue_ids, areas)))
-    return SimulationInput(venues, draw(arrays(np.float64, (n, hours), elements=counts)))
+    matrix = np.zeros((n, WINDOW_HOURS))
+    matrix[:, start:start + hours] = draw(arrays(np.float64, (n, hours), elements=counts))
+    return SimulationInput(venues, matrix)
 
 
 def ulps(got, want):
@@ -77,11 +83,15 @@ def ulps(got, want):
 @PROPERTY
 @given(
     params_st,
-    arrays(np.float64, (3, 7), elements=st.floats(0.0, 1e4)),
+    arrays(np.int64, (3, 7), elements=st.integers(-30, 13)),
     arrays(np.float64, 3, elements=st.floats(0.1, 1e5)),
 )
-def test_array_probability_within_one_ulp_of_scalar(params, infectors, volumes):
-    probability = infection_probability(infectors, params, volumes[:, None])
+def test_array_probability_within_one_ulp_of_scalar(params, exponents, volumes):
+    # at prevalence 1/2, 2^(k+1) visitors are 2^k infectors and 2^k susceptibles, so
+    # each hourly value is 2^k times the kernel's probability, exactly
+    params = dataclasses.replace(params, documented_prevalence=0.5, underreport_factor=1.0)
+    infectors = np.ldexp(1.0, exponents)
+    probability = hourly_infections(2.0 * infectors, volumes, params) / infectors
     for (i, h), got in np.ndenumerate(probability):
         want = wells_riley_probability(infectors[i, h].item(), params, volumes[i].item())
         assert ulps(got.item(), want) <= 1
@@ -90,7 +100,7 @@ def test_array_probability_within_one_ulp_of_scalar(params, infectors, volumes):
 @PROPERTY
 @given(tables(), params_st)
 def test_infections_within_two_ulp_of_scalar_cohort(table, params):
-    hourly = simulate_week(table, params).hourly
+    hourly = hourly_of(table, params)
     prevalence = params.effective_prevalence
     for (i, h), got in np.ndenumerate(hourly):
         visitors = table.counts[i, h].item()
@@ -98,6 +108,14 @@ def test_infections_within_two_ulp_of_scalar_cohort(table, params):
         infectors = visitors * prevalence
         want = (visitors - infectors) * wells_riley_probability(infectors, params, volume)
         assert ulps(got.item(), want) <= 2
+
+
+@PROPERTY
+@given(tables(max_venues=9), params_st, st.integers(1, 10))
+def test_weekly_is_the_kernel_row_sums_whatever_the_block(table, params, block_rows):
+    with mock.patch.object(epi, "_BLOCK_ROWS", block_rows):
+        weekly = simulate_week(table, params)
+    assert np.array_equal(weekly, hourly_of(table, params).sum(axis=1))
 
 
 @PROPERTY
@@ -114,7 +132,7 @@ def test_capped_rows_match_scalar_cap(table, params, spacing, factor):
     uncapped = run_scenario(table, ScenarioConfig(name="u", sampling_factor=factor), params)
     # the kernel is exact on equal inputs, so equal weekly values mean equal capped rows
     reference = simulate_week(SimulationInput(table.venues, np.array(rows)), params)
-    assert np.array_equal(capped.weekly, reference.weekly)
+    assert np.array_equal(capped.weekly, reference)
     assert (capped.weekly <= uncapped.weekly).all()
 
 
@@ -125,8 +143,8 @@ def test_write_parse_join_round_trip(table):
     write_venues(table.venues, venue_sink, comment="round trip")
     write_visits(table, visit_sink, comment="round trip")
     venues = parse_venues(io.StringIO(venue_sink.getvalue()))
-    visits = parse_visits(io.StringIO(visit_sink.getvalue()), table.window_hours)
-    back = join(venues, visits, table.window_hours)
+    visits = parse_visits(io.StringIO(visit_sink.getvalue()))
+    back = join(venues, visits)
     assert same_venues(back.venues, table.venues)
     assert np.array_equal(back.counts, table.counts)
 
@@ -159,8 +177,8 @@ written_count_st = st.one_of(
     # small write blocks put row-block boundaries inside the table
     st.one_of(st.just(ingest._WRITE_BLOCK_BYTES), st.integers(1, 300)),
 )
-@example(SimulationInput(make_venues({"v1": 1.0, "v2": 2.0}), np.zeros((2, 5))), 1)
-@example(SimulationInput(make_venues({"#\n\"é,": 1.0}), np.array([[0.0, 3.0, 1e300]])), 1)
+@example(SimulationInput(make_venues({"v1": 1.0, "v2": 2.0}), np.zeros((2, WINDOW_HOURS))), 1)
+@example(SimulationInput(make_venues({"#\n\"é,": 1.0}), window_counts([[0.0, 3.0, 1e300]])), 1)
 def test_write_visits_matches_row_by_row_csv(table, block_bytes):
     sink = io.StringIO()
     with mock.patch.object(ingest, "_WRITE_BLOCK_BYTES", block_bytes):
@@ -174,10 +192,10 @@ def test_hour_permutation_permutes_hourly_and_keeps_weekly(table, params, rng):
     permutation = list(range(table.window_hours))
     rng.shuffle(permutation)
     permuted_table = SimulationInput(table.venues, table.counts[:, permutation])
-    result = simulate_week(table, params)
-    permuted = simulate_week(permuted_table, params)
-    assert np.array_equal(permuted.hourly, result.hourly[:, permutation])
-    assert np.allclose(permuted.weekly, result.weekly, rtol=1e-12, atol=0.0)
+    hourly = hourly_of(table, params)
+    assert np.array_equal(hourly_of(permuted_table, params), hourly[:, permutation])
+    weekly = simulate_week(table, params)
+    assert np.allclose(simulate_week(permuted_table, params), weekly, rtol=1e-12, atol=0.0)
 
 
 # Visit files for the differential test: plain rows, which the NumPy path
@@ -186,9 +204,14 @@ odd_field_st = st.one_of(
     st.tuples(st.just(0), st.sampled_from(
         ["", "x" * 31, "x" * 32, "x" * 33, '"v1"', "#v1", "v\x01", "v\u00e9", "v\x00"]
     )),
-    st.tuples(st.just(1), st.one_of(st.integers(-2, 5).map(str), st.sampled_from(
-        ["5.0", "+1", "01", "-0", "1_0", "", "x", "+", "1e0", "99999999999999999999"]
-    ))),
+    # an hour value: in the window or just outside it at either edge, or not an integer
+    st.tuples(st.just(1), st.one_of(
+        st.integers(-2, 5).map(str),
+        st.sampled_from(["167", "168", "169"]),
+        st.sampled_from(
+            ["5.0", "+1", "01", "-0", "1_0", "", "x", "+", "1e0", "99999999999999999999"]
+        ),
+    )),
     st.tuples(st.just(2), st.sampled_from(
         ["nan", "inf", "-inf", "1e400", "-0", "-0.0", "-1", "-1e-300", "1_0", "", "+.5", "0x10",
          "1d5", "5.", "1,5"]
@@ -204,11 +227,14 @@ TRIGGERS = [
 ]
 
 
+# hours at both edges of the window, where the fast parser's checks and cell indices turn
+EDGE_HOURS = [0, 1, WINDOW_HOURS - 2, WINDOW_HOURS - 1]
+
+
 @st.composite
 def visit_files(draw):
-    window_hours = draw(st.integers(1, 4))
     keys = draw(st.lists(
-        st.tuples(st.sampled_from(["v1", "v2", "v3"]), st.integers(0, window_hours - 1)),
+        st.tuples(st.sampled_from(["v1", "v2", "v3"]), st.sampled_from(EDGE_HOURS)),
         unique=True, max_size=8,
     ))  # drawn in any order, so ids are often not grouped
     rows = [[vid, str(hour), repr(draw(count_st))] for vid, hour in keys]
@@ -244,12 +270,12 @@ def visit_files(draw):
             header = None
     lines = [*comments, *([header] if header is not None else []), *map(",".join, rows)]
     text = bom + ending.join(lines) + draw(st.sampled_from([ending, ""]))
-    return text, window_hours
+    return text
 
 
-def parse_outcome(parse, text, window_hours):
+def parse_outcome(parse, text):
     try:
-        visits = parse(io.StringIO(text), window_hours)
+        visits = parse(io.StringIO(text))
     except Exception as exc:  # the csv parser defines every error, so compare them all
         return type(exc), str(exc)
     return [(vid, repr(row.tolist())) for vid, row in visits.items()]
@@ -257,16 +283,48 @@ def parse_outcome(parse, text, window_hours):
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(visit_files())
-@example(("venue_id,hour,count\nv1,0,inf\n", 1))  # rare draws, pinned
-@example(("venue_id,hour,count\nv1,0,1e400\n", 1))
-@example(("venue_id,hour,count\n" + "x" * 32 + ",0,1\n", 1))
-@example(("venue_id,hour,count\n" + "x" * 33 + ",0,1\n", 1))
-@example(("venue_id,hour,count\n\x1cv1,0,1\n", 1))
-@example(("venue_id,hour,count\nv1\v,0,1\n", 1))
-def test_fast_and_csv_visit_parsers_agree(case):
+@example("venue_id,hour,count\nv1,0,inf\n")  # rare draws, pinned
+@example("venue_id,hour,count\nv1,0,1e400\n")
+@example("venue_id,hour,count\n" + "x" * 32 + ",0,1\n")
+@example("venue_id,hour,count\n" + "x" * 33 + ",0,1\n")
+@example("venue_id,hour,count\n\x1cv1,0,1\n")
+@example("venue_id,hour,count\nv1\v,0,1\n")
+def test_fast_and_csv_visit_parsers_agree(text):
     # same keys in the same order and repr-equal rows (so -0.0 counts),
     # or the same exception type and message
-    text, window_hours = case
-    assert parse_outcome(parse_visits, text, window_hours) == parse_outcome(
-        _parse_visits_csv, text, window_hours
+    assert parse_outcome(parse_visits, text) == parse_outcome(_parse_visits_csv, text)
+
+
+json_st = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def reversed_keys(value):
+    """``value`` with the keys of every mapping in it in reverse order."""
+    if isinstance(value, dict):
+        return {key: reversed_keys(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [reversed_keys(item) for item in value]
+    return value
+
+
+@PROPERTY
+@given(
+    st.dictionaries(st.text(max_size=8), json_st, max_size=6),
+    st.none() | st.text(),
+    st.none() | st.text(),
+)
+def test_manifest_hash_ignores_timestamp_and_key_order(payload, stamp_a, stamp_b):
+    first = hashed_manifest(payload, stamp_a)
+    second = hashed_manifest(reversed_keys(payload), stamp_b)
+    assert first["manifest_sha256"] == second["manifest_sha256"]
+    if stamp_a is not None:
+        assert first["timestamp"] == stamp_a
+    # and the hash is of the payload: another payload gets another hash
+    assert hashed_manifest({"payload": payload}, stamp_a)["manifest_sha256"] != (
+        first["manifest_sha256"]
     )

@@ -86,7 +86,7 @@ class TestRunScenario:
         base = self._base()
         config = ScenarioConfig(name="identity", sampling_factor=1.0)
         outcome = run_scenario(base, config, default_params)
-        assert np.array_equal(outcome.weekly, simulate_week(base, default_params).weekly)
+        assert np.array_equal(outcome.weekly, simulate_week(base, default_params))
         assert outcome.severe_count + outcome.mild_count == len(base.venues)
 
     def test_huge_spacing_zeroes_everything(self, default_params):
@@ -117,7 +117,7 @@ class TestRunScenario:
             default_params,
         )
         manual = make_input({"a": math.pi * SIX_FEET ** 2 * 2.2}, {"a": {0: float(cap)}})
-        expected = simulate_week(manual, default_params).weekly[0]
+        expected = simulate_week(manual, default_params)[0]
         assert outcome.weekly[0] == expected
 
     def test_dominance(self, default_params):
@@ -188,8 +188,8 @@ class TestRunScenario:
         )
         tall = run_scenario(base, config, default_params)
         tall_params = EpiParams(documented_prevalence=0.001, ceiling_height=30.0)
-        assert np.array_equal(tall.weekly, simulate_week(base, tall_params).weekly)
-        plain = simulate_week(base, default_params).weekly
+        assert np.array_equal(tall.weekly, simulate_week(base, tall_params))
+        plain = simulate_week(base, default_params)
         assert (tall.weekly < plain).all()
 
     def test_unknown_override_rejected(self):

@@ -1,5 +1,6 @@
 """Repository checks: the tracer in perfbench/ finds every function it wraps and runs the
-CLI, every public name has a caller in the package, and test failures report normally."""
+CLI, every public name has a caller in the package, every CLI flag is used by a test, and
+test failures report normally."""
 
 import ast
 import importlib
@@ -18,6 +19,7 @@ import venuerisk
 ROOT = Path(__file__).resolve().parents[1]
 TRACED_CLI = ROOT / "perfbench" / "traced_cli.py"
 SRC = ROOT / "src"
+TESTS = ROOT / "tests"
 
 
 def test_every_traced_layer_function_exists():
@@ -103,6 +105,26 @@ def test_every_public_name_is_used_in_the_package():
     unused = sorted(set(venuerisk.__all__) - used - CALLED_ONLY_BY_TESTS)
     assert unused == []
     assert CALLED_ONLY_BY_TESTS <= set(venuerisk.__all__) - used
+
+
+def test_every_cli_flag_appears_in_a_test():
+    # a flag counts as tested when some test file holds it as a string constant of its own
+    cli = ast.parse((SRC / "venuerisk" / "cli.py").read_text(encoding="utf-8"))
+    flags = {
+        arg.value
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
+    }
+    assert "--out" in flags
+    in_tests = {
+        node.value
+        for path in TESTS.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert sorted(flags - in_tests) == []
 
 
 def test_failing_property_test_reports_its_example(tmp_path):
