@@ -16,6 +16,7 @@ from .errors import ConfigError, DatasetError, RecordError
 from .ingest import (
     SimulationInput,
     VenueTable,
+    VisitRecords,
     apply_sampling_correction,
     compute_volumes,
     join,
@@ -47,6 +48,7 @@ __all__ = [
     "Severity",
     "SimulationInput",
     "VenueTable",
+    "VisitRecords",
     "apply_sampling_correction",
     "classify",
     "compute_volumes",

@@ -30,12 +30,13 @@ from .epi import EpiParams
 from .errors import ConfigError, InputError, RecordError
 from .ingest import (
     AREA_UNITS,
-    SimulationInput,
+    VenueTable,
+    VisitRecords,
     _data_rows,
-    join,
     open_input,
     parse_venues,
     parse_visits,
+    venue_rows,
     write_venues,
     write_visits,
 )
@@ -223,36 +224,42 @@ def _resolve_params(args) -> EpiParams:
     return EpiParams(**values)
 
 
-def _load_base_input(args) -> SimulationInput:
-    """Parse venue and (optional) visit files into a raw SimulationInput."""
+def _load_base_input(args) -> tuple[VenueTable, VisitRecords]:
+    """Parse the venue file and the (optional) baseline visit file into records.
+
+    Every baseline visit id is checked against the venue table here, so
+    an unknown one fails naming the visit file, before any scenario runs.
+    """
     with open_input(args.venues) as handle:
         venues = parse_venues(handle, args.area_unit)
     if not args.visits:
-        return join(venues, {})
+        return venues, VisitRecords()
     with open_input(args.visits) as handle:
-        return join(venues, parse_visits(handle))
+        visits = parse_visits(handle)
+        venue_rows(venues, visits)
+    return venues, visits
 
 
 def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str]):
     """Run each scenario over the shared inputs.
 
-    Returns the resolved params, the base input, one ScenarioResult per
+    Returns the resolved params, the venue table, one ScenarioResult per
     config, and the manifest over every input file (the scenario files
     in ``config_paths`` included).
     """
     params = _resolve_params(args)
-    base = _load_base_input(args)
+    venues, visits = _load_base_input(args)
     for config in configs:
         if config.visit_source == BASELINE and not args.visits:
             raise ConfigError(
                 f"scenario {config.name!r} uses the baseline visit source but --visits was not given"
             )
-    outcomes = [run_scenario(base, config, params, args.threshold) for config in configs]
+    outcomes = [run_scenario(venues, visits, config, params, args.threshold) for config in configs]
 
     input_paths = [args.venues, *config_paths, *([args.visits] if args.visits else [])]
     input_paths += [c.visit_source for c in configs if c.visit_source != BASELINE]
     manifest = build_manifest(input_paths, params, configs, timestamp=args.timestamp)
-    return params, base, outcomes, manifest
+    return params, venues, outcomes, manifest
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +274,7 @@ def cmd_simulate(args) -> int:
         sampling_factor=args.sampling_factor,
         spacing=spacing,
     )
-    params, base, (outcome,), manifest = _run_scenarios(args, [config], [])
+    params, venues, (outcome,), manifest = _run_scenarios(args, [config], [])
     mhash = manifest["manifest_sha256"]
 
     weekly = outcome.weekly
@@ -290,7 +297,7 @@ def cmd_simulate(args) -> int:
         },
     }
     out_dir = write_reports(args.out, {
-        "venue_results.csv": venue_results_csv(base.venues, weekly, params, args.threshold, mhash),
+        "venue_results.csv": venue_results_csv(venues, weekly, params, args.threshold, mhash),
         "histogram.csv": histogram_csv(hist, mhash),
         "summary.json": dump_json(summary),
         "manifest.json": dump_json(manifest),

@@ -11,12 +11,15 @@ files can carry a provenance stamp; after the header every non-blank
 line is a record. Visitor counts are real numbers throughout: sampling
 correction and occupancy capping act on expected values, not people.
 
-Visit files are parsed by NumPy's C reader when they are plain (the
-exact header, no quoting, no padding, every value valid), which covers
-every file :func:`write_visits` writes. Any other file goes through the
-row-by-row ``csv`` parser, which defines what is accepted, every value
-and every error message; a property test holds the two to the same
-results.
+A parsed visit file is one :class:`VisitRecords`: its distinct venue
+ids, and for each row the index of its id, its hour and its count. Plain
+visit files (the exact header, no quoting, no padding, every value
+valid), which covers every file :func:`write_visits` writes, are parsed
+by NumPy's C reader in line-aligned slices of about 1 MiB, so neither a
+copy of the body nor a record array of the whole file is made. Any
+other file goes through the row-by-row ``csv`` parser, which defines
+what is accepted, every value and every error message; a property test
+holds the two to the same records.
 
 :func:`write_visits` formats every row with array operations: each
 venue id is quoted once by the ``csv`` dialect, each hour and each
@@ -28,10 +31,11 @@ surrounding whitespace or a carriage return.
 
 All functions here are pure. A parsed venue file is one
 :class:`VenueTable` of columns (ids, names, categories and float64 floor
-areas in m2) in file order; :func:`join` turns it and the parsed visits
-into one :class:`SimulationInput`, whose float64 ``counts[venue, hour]``
-matrix carries the visitor counts, row ``i`` for the ``i``-th venue and
-one column per hour of the fixed ``WINDOW_HOURS`` window.
+areas in m2) in file order; :func:`join` maps each distinct visit id to
+its venue row and scatters the records once into one
+:class:`SimulationInput`, whose float64 ``counts[venue, hour]`` matrix
+carries the visitor counts, row ``i`` for the ``i``-th venue and one
+column per hour of the fixed ``WINDOW_HOURS`` window.
 """
 
 from __future__ import annotations
@@ -41,10 +45,10 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Mapping, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -124,6 +128,45 @@ class SimulationInput:
         return self.counts.shape[1]
 
 
+# dtypes of VisitRecords' index columns: a file has fewer than 2**31 distinct ids,
+# and every hour of the window fits one byte
+_VENUE_INDEX = np.int32
+_HOUR = np.uint8
+
+
+@dataclass(frozen=True, eq=False)
+class VisitRecords:
+    """Parsed visit rows as columns, in file order; no (venue, hour) pair twice.
+
+    ``ids`` maps each distinct venue id to its index, in order of first
+    appearance, so ``venue_id in records`` is one dict lookup. Row ``r``
+    says that ``count[r]`` visitors came to the venue with index
+    ``venue[r]`` in hour ``hour[r]`` of the window. ``VisitRecords()``
+    holds no visits.
+    """
+
+    ids: dict[str, int] = field(default_factory=dict)
+    venue: np.ndarray = field(default_factory=lambda: np.empty(0, _VENUE_INDEX))
+    hour: np.ndarray = field(default_factory=lambda: np.empty(0, _HOUR))
+    count: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def __post_init__(self):
+        n = len(self.venue)
+        if not (np.shape(self.venue) == np.shape(self.hour) == np.shape(self.count) == (n,)):
+            raise ValueError("every visit column must have one entry per record")
+        if n and not (
+            0 <= self.venue.min() and self.venue.max() < len(self.ids)
+            and 0 <= self.hour.min() and self.hour.max() < WINDOW_HOURS
+        ):
+            raise ValueError(
+                f"visit records must index their {len(self.ids)} ids and the "
+                f"{WINDOW_HOURS}-hour window"
+            )
+
+    def __contains__(self, venue_id) -> bool:
+        return venue_id in self.ids
+
+
 @contextlib.contextmanager
 def open_input(path: str | Path):
     """Open a UTF-8 input file (BOM dropped); InputErrors raised while it is open name the file."""
@@ -199,20 +242,21 @@ def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
     return VenueTable(tuple(ids), tuple(names), tuple(categories), areas_m2)
 
 
-def parse_visits(source: TextIO) -> dict[str, np.ndarray]:
-    """Parse a visit CSV into one row of ``WINDOW_HOURS`` counts per venue id.
+def parse_visits(source: TextIO) -> VisitRecords:
+    """Parse a visit CSV into :class:`VisitRecords`, one record per data row in file order.
 
-    Hours absent from the file are filled with 0: sparse mobility data
-    routinely omits zero-visit hours. Counts are returned as-read, with
-    no sampling correction. A header with no rows is a legal file with
-    no visits (a total closure). Keys follow the order in which venue
-    ids first appear.
+    Counts are returned as-read, with no sampling correction; hours the
+    file leaves out are filled with 0 by :func:`join`, since sparse
+    mobility data routinely omits zero-visit hours. A header with no rows
+    is a legal file with no visits (a total closure). Ids are numbered in
+    the order in which they first appear.
 
-    The text is read once. NumPy's C reader parses it when the file is
-    plain (see :func:`_parse_visits_fast`); any other file, and every
-    file with an error, goes through the row-by-row ``csv`` parser, so
-    the accepted files, the values and the line-numbered errors are
-    exactly that parser's.
+    The text is read once. NumPy's C reader parses it, in line-aligned
+    slices of about ``_SLICE_CHARS`` characters, when the file is plain
+    (see :func:`_parse_visits_fast`); any other file, and every file with
+    an error, goes through the row-by-row ``csv`` parser, so the accepted
+    files, the values and the line-numbered errors are exactly that
+    parser's.
 
     Raises:
         RecordError: malformed row, hour outside [0, WINDOW_HOURS),
@@ -224,7 +268,7 @@ def parse_visits(source: TextIO) -> dict[str, np.ndarray]:
     return fast if fast is not None else _parse_visits_csv(io.StringIO(text))
 
 
-def _parse_visits_csv(source: TextIO) -> dict[str, np.ndarray]:
+def _parse_visits_csv(source: TextIO) -> VisitRecords:
     """Row-by-row parse of a visit CSV: the reference for every result and error."""
     rows = _data_rows(source)
     first = next(rows, None)
@@ -235,9 +279,9 @@ def _parse_visits_csv(source: TextIO) -> dict[str, np.ndarray]:
             f"visit file header must be {','.join(VISIT_HEADER)!r}, got {','.join(first[1])!r}"
         )
 
-    # NaN marks an hour not read yet, so a second row for it is caught
-    # without a set of every (venue, hour) key
-    counts: dict[str, list[float]] = {}
+    ids: dict[str, int] = {}
+    venues, hours, counts = [], [], []
+    cells = set()  # venue index * WINDOW_HOURS + hour of every row read
     for line, row in rows:
         if len(row) != 3:
             raise RecordError(f"expected 3 fields, got {len(row)}", line)
@@ -256,16 +300,17 @@ def _parse_visits_csv(source: TextIO) -> dict[str, np.ndarray]:
             raise RecordError(f"count {count_text!r} is not a number", line) from None
         if not math.isfinite(count) or count < 0:
             raise RecordError(f"count must be non-negative and finite, got {count_text}", line)
-        series = counts.get(venue_id)
-        if series is None:
-            series = counts[venue_id] = [math.nan] * WINDOW_HOURS
-        elif not math.isnan(series[hour]):
+        venue = ids.setdefault(venue_id, len(ids))
+        cell = venue * WINDOW_HOURS + hour
+        if cell in cells:
             raise RecordError(f"duplicate hour {hour} for venue {venue_id!r}", line)
-        series[hour] = count
-
-    matrix = np.array(list(counts.values()), dtype=float).reshape(-1, WINDOW_HOURS)
-    np.nan_to_num(matrix, copy=False)
-    return dict(zip(counts, matrix))
+        cells.add(cell)
+        venues.append(venue)
+        hours.append(hour)
+        counts.append(count)
+    return VisitRecords(
+        ids, np.array(venues, _VENUE_INDEX), np.array(hours, _HOUR), np.array(counts, float)
+    )
 
 
 # the exact header line, and the body characters on which csv.reader and
@@ -275,9 +320,12 @@ _VISIT_HEADER_LINE = ",".join(VISIT_HEADER) + "\n"
 _NOT_PLAIN = '"#\0 \t\r\v\f\x1c\x1d\x1e\x1f'
 _ID_BYTES = 32
 _VISIT_DTYPE = [("id", f"S{_ID_BYTES}"), ("hour", "i8"), ("count", "f8")]
+# characters of body text per np.loadtxt call: its StringIO and records take about
+# 4 MB each, where a whole 1.37 M-row file would take 64 and 66 MB
+_SLICE_CHARS = 1 << 20
 
 
-def _parse_visits_fast(text: str) -> dict[str, np.ndarray] | None:
+def _parse_visits_fast(text: str) -> VisitRecords | None:
     """Parse a plain visit file with ``np.loadtxt``; None unless sure of the csv parser's result.
 
     Plain is: leading ``#`` lines, the exact header line, then ASCII rows
@@ -285,7 +333,9 @@ def _parse_visits_fast(text: str) -> dict[str, np.ndarray] | None:
     the window, every count finite and non-negative and no (venue_id,
     hour) pair twice. NumPy's warnings count as failures, so a lenient
     reading (such as an old NumPy parsing ``5.0`` as an integer) is
-    never taken.
+    never taken. The body is read in slices that end at a line end, so a
+    row is never split; a failure in any slice returns None, never part
+    of the file.
     """
     start = 0
     while text.startswith("#", start):
@@ -296,21 +346,47 @@ def _parse_visits_fast(text: str) -> dict[str, np.ndarray] | None:
     # next, and some Python versions' csv.reader rejects a NUL
     if any(c in text[:start] for c in '"\r\0') or not text.startswith(_VISIT_HEADER_LINE, start):
         return None
-    body = text[start + len(_VISIT_HEADER_LINE):]
-    if not body.isascii() or any(c in body for c in _NOT_PLAIN):
+    start += len(_VISIT_HEADER_LINE)
+    ids: dict[str, int] = {}
+    parts = []
+    while start < len(text):
+        end = text.find("\n", start + _SLICE_CHARS) + 1 or len(text)
+        part = _parse_slice(text[start:end], ids)
+        if part is None:
+            return None
+        parts.append(part)
+        start = end
+    if not parts:
+        return VisitRecords()
+    venues, hours, counts = (np.concatenate(column) for column in zip(*parts))
+    del parts  # the slices' columns, copied now, go before the check's arrays come
+    cells = venues.astype(np.intp)
+    cells *= WINDOW_HOURS
+    cells += hours
+    seen = np.zeros(len(ids) * WINDOW_HOURS, dtype=bool)
+    seen[cells] = True
+    if np.count_nonzero(seen) != len(cells):
+        return None  # a duplicate (venue_id, hour) pair
+    return VisitRecords(ids, venues, hours, counts)
+
+
+def _parse_slice(part: str, ids: dict[str, int]) -> tuple[np.ndarray, ...] | None:
+    """One slice of plain rows as (venue index, hour, count) columns, or None if not plain.
+
+    Ids not in ``ids`` are added to it, numbered in order of first appearance.
+    """
+    if not part.isascii() or any(c in part for c in _NOT_PLAIN):
         return None
-    if not body:
-        return {}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = np.loadtxt(
-                io.StringIO(body), dtype=_VISIT_DTYPE, delimiter=",", comments=None, ndmin=1
+                io.StringIO(part), dtype=_VISIT_DTYPE, delimiter=",", comments=None, ndmin=1
             )
     except (ValueError, Warning):
         return None
 
-    ids, hours, counts = rows["id"], rows["hour"], rows["count"]
+    names, hours, counts = rows["id"], rows["hour"], rows["count"]
     # the id is the first field of each packed record: its first byte is 0 for an
     # empty id and its last byte is not 0 for an id that may have been truncated
     id_bytes = rows.view(np.uint8).reshape(len(rows), -1)[:, :_ID_BYTES]
@@ -324,18 +400,11 @@ def _parse_visits_fast(text: str) -> dict[str, np.ndarray] | None:
     ):
         return None
 
-    # one dict lookup per run of equal ids; keys in order of first appearance
-    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    row_of: dict[str, int] = {}
-    run_rows = [row_of.setdefault(vid.decode(), len(row_of)) for vid in ids[starts].tolist()]
-    cells = np.repeat(run_rows, np.diff(starts, append=len(rows))) * WINDOW_HOURS + hours
-    seen = np.zeros(len(row_of) * WINDOW_HOURS, dtype=bool)
-    seen[cells] = True
-    if np.count_nonzero(seen) != len(rows):
-        return None  # a duplicate (venue_id, hour) pair
-    matrix = np.zeros((len(row_of), WINDOW_HOURS))
-    matrix.reshape(-1)[cells] = counts
-    return dict(zip(row_of, matrix))
+    # one dict lookup per run of equal ids
+    starts = np.flatnonzero(np.concatenate(([True], names[1:] != names[:-1])))
+    run_venues = [ids.setdefault(name.decode(), len(ids)) for name in names[starts].tolist()]
+    venues = np.repeat(np.array(run_venues, _VENUE_INDEX), np.diff(starts, append=len(rows)))
+    return venues, hours.astype(_HOUR), counts.copy()
 
 
 def apply_sampling_correction(counts: np.ndarray, factor: float) -> np.ndarray:
@@ -352,31 +421,39 @@ def compute_volumes(areas: np.ndarray, ceiling_height: float) -> np.ndarray:
     return areas * ceiling_height
 
 
-def join(venues: VenueTable, visits: Mapping[str, np.ndarray]) -> SimulationInput:
-    """Join a venue table and per-venue count rows into a :class:`SimulationInput`.
+def join(venues: VenueTable, visits: VisitRecords) -> SimulationInput:
+    """Join a venue table and visit records into a :class:`SimulationInput`.
 
-    Venues with no visit row get an all-zero row, so that venue counts
-    stay aligned across scenarios. No venue is dropped and no count is
-    invented.
+    Each distinct visit id is mapped to its venue row once, and every
+    record's count is scattered into its cell of a zero matrix in one
+    assignment. Hours without a record, and venues with none, stay 0, so
+    that venue counts stay aligned across scenarios. No venue is dropped
+    and no count is invented.
 
     Raises:
-        DatasetError: a visit row references an unknown venue_id, or a
-            row's shape is not ``(WINDOW_HOURS,)``.
+        DatasetError: a visit record references an unknown venue_id.
     """
-    row_of = dict(zip(venues, range(len(venues))))
-    unknown = sorted(vid for vid in visits if vid not in row_of)
+    cells = venue_rows(venues, visits)[visits.venue]
+    cells *= WINDOW_HOURS
+    cells += visits.hour
+    counts = np.zeros((len(venues.ids), WINDOW_HOURS))
+    counts.reshape(-1)[cells] = visits.count
+    return SimulationInput(venues=venues, counts=counts)
+
+
+def venue_rows(venues: VenueTable, visits: VisitRecords) -> np.ndarray:
+    """The venue-table row of each distinct id of ``visits``, in ``visits.ids`` order.
+
+    Raises:
+        DatasetError: an id is not in the venue table; the message lists
+            the unknown ids in sorted order, up to ten of them.
+    """
+    row_of = dict(zip(venues.ids, range(len(venues.ids))))
+    unknown = sorted(vid for vid in visits.ids if vid not in row_of)
     if unknown:
         shown = ", ".join(repr(u) for u in unknown[:10]) + (", ..." if len(unknown) > 10 else "")
         raise DatasetError(f"visit series reference {len(unknown)} unknown venue id(s): {shown}")
-    counts = np.zeros((len(venues), WINDOW_HOURS))
-    for vid, row in visits.items():
-        # checked first: NumPy would broadcast a one-hour row across the whole window
-        if row.shape != (WINDOW_HOURS,):
-            raise DatasetError(
-                f"visit series length differs from the window of {WINDOW_HOURS} hours"
-            )
-        counts[row_of[vid]] = row
-    return SimulationInput(venues=venues, counts=counts)
+    return np.fromiter(map(row_of.__getitem__, visits.ids), np.intp, len(visits.ids))
 
 
 def _format_count(value: float) -> str:

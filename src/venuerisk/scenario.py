@@ -1,18 +1,20 @@
-"""Counterfactual policy scenarios over a simulation input.
+"""Counterfactual policy scenarios over a venue table and its visit records.
 
-A scenario names its visit source (the baseline table or an alternate
+A scenario names its visit source (the baseline records or an alternate
 visit file), a panel-sampling factor, an optional physical-distancing
 spacing, and optional parameter overrides. Running one always follows
-the same pipeline order, each step one array expression over the
-``counts[venue, hour]`` matrix:
+the same pipeline order, each step one array expression over the visit
+rows or the ``counts[venue, hour]`` matrix:
 
-    1. select the visit source
-    2. apply the sampling factor:   counts * factor
-    3. cap each venue at its distanced occupancy (if spacing is set):
-                                    minimum(counts, cap[venue])
-    4. merge parameter overrides
-    5. simulate the window, with room volumes from the merged parameters
-    6. count severities:            weekly > threshold
+    1. select the visit source: the baseline records or a parsed file
+    2. apply the sampling factor to the visit rows:   count * factor
+    3. join: scatter the sampled rows once into the scenario's own
+       zero matrix
+    4. cap each venue at its distanced occupancy (if spacing is set),
+       in place:                    minimum(counts, cap[venue])
+    5. merge parameter overrides
+    6. simulate the window, with room volumes from the merged parameters
+    7. count severities:            weekly > threshold
 
 Scenario config files use one ``key = value`` pair per line. A ``#``
 at the start of a line or after whitespace starts a comment, so a value
@@ -42,7 +44,14 @@ import numpy as np
 
 from .epi import EpiParams, count_severities, simulate_week
 from .errors import ConfigError, error_context
-from .ingest import SimulationInput, apply_sampling_correction, join, open_input, parse_visits
+from .ingest import (
+    VenueTable,
+    VisitRecords,
+    apply_sampling_correction,
+    join,
+    open_input,
+    parse_visits,
+)
 
 BASELINE = "baseline"
 FT_TO_M = 0.3048
@@ -113,36 +122,36 @@ def apply_occupancy_cap(counts, cap: float) -> tuple[float, ...]:
 
 
 def run_scenario(
-    base: SimulationInput,
+    venues: VenueTable,
+    visits: VisitRecords,
     config: ScenarioConfig,
     params: EpiParams,
     severity_threshold: float = 1.0,
 ) -> ScenarioResult:
     """Run one scenario over the shared venue table.
 
-    ``base`` carries the baseline counts as-read, so ``sampling_factor``
+    ``visits`` are the baseline records as-read, so ``sampling_factor``
     is the whole correction. An alternate visit file must join against
-    the same venue table. Input errors raised here name the scenario.
-    Overrides are checked when a scenario file is read; one set in code
-    that ``EpiParams`` rejects raises ``ValueError`` here.
+    the same venue table. The scenario's counts are one matrix of its
+    own: the sampled records are scattered into it once and capped in
+    place. Input errors raised here name the scenario. Overrides are
+    checked when a scenario file is read; one set in code that
+    ``EpiParams`` rejects raises ``ValueError`` here.
     """
     with error_context(f"scenario {config.name!r}"):
-        if config.visit_source == BASELINE:
-            counts = base.counts
-        else:
+        if config.visit_source != BASELINE:
             with open_input(config.visit_source) as handle:
                 visits = parse_visits(handle)
-            counts = join(base.venues, visits).counts
-            del visits
-
-        counts = apply_sampling_correction(counts, config.sampling_factor)
+        # the same IEEE products as multiplying the joined matrix
+        sampled = apply_sampling_correction(visits.count, config.sampling_factor)
+        sim_input = join(venues, dataclasses.replace(visits, count=sampled))
+        del visits, sampled  # from here the scenario holds its matrix and no records
         if config.spacing is not None:
-            # capping in place is safe: the correction above returned a new matrix
-            caps = max_distanced_occupancy(base.venues.areas, config.spacing)
-            np.minimum(counts, caps[:, None], out=counts)
+            caps = max_distanced_occupancy(venues.areas, config.spacing)
+            np.minimum(sim_input.counts, caps[:, None], out=sim_input.counts)
 
     effective_params = dataclasses.replace(params, **config.params_override)
-    weekly = simulate_week(SimulationInput(base.venues, counts), effective_params)
+    weekly = simulate_week(sim_input, effective_params)
     severe, mild = count_severities(weekly, severity_threshold)
     return ScenarioResult(config=config, weekly=weekly, severe_count=severe, mild_count=mild)
 

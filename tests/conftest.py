@@ -1,5 +1,7 @@
 """Shared fixtures and small input builders."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from venuerisk import (
     GeneratorConfig,
     SimulationInput,
     VenueTable,
+    VisitRecords,
     apply_sampling_correction,
     compute_volumes,
     generate_dataset,
@@ -50,16 +53,64 @@ def window_counts(rows) -> np.ndarray:
     return counts
 
 
+def visit_records(counts_by_id) -> VisitRecords:
+    """VisitRecords with one record per entry of {venue_id: {hour: count}}, in key order.
+
+    A value may also be a sequence of counts from hour 0 on, one record per entry.
+    """
+    ids, venues, hours, counts = {}, [], [], []
+    for vid, by_hour in counts_by_id.items():
+        index = ids.setdefault(vid, len(ids))
+        pairs = by_hour.items() if isinstance(by_hour, dict) else enumerate(by_hour)
+        for hour, count in pairs:
+            venues.append(index)
+            hours.append(hour)
+            counts.append(float(count))
+    return VisitRecords(
+        ids, np.array(venues, np.int32), np.array(hours, np.uint8), np.array(counts, float)
+    )
+
+
+def visit_rows(visits: VisitRecords) -> dict:
+    """{venue_id: its WINDOW_HOURS counts, 0 where no record is}, in ``visits.ids`` order."""
+    rows = np.zeros((len(visits.ids), WINDOW_HOURS))
+    rows[visits.venue, visits.hour] = visits.count
+    return dict(zip(visits.ids, rows))
+
+
+def record_columns(visits: VisitRecords) -> tuple:
+    """Everything ``visits`` holds, for comparison with ==: ids in order, each column's
+    dtype and values, counts by ``repr`` so that -0.0 and 0.0 differ."""
+    columns = (visits.venue, visits.hour, visits.count)
+    return (
+        list(visits.ids.items()),
+        [column.dtype.str for column in columns],
+        [repr(column.tolist()) for column in columns],
+    )
+
+
+def parse_outcome(parse, text: str):
+    """``record_columns`` of ``parse`` on ``text``, or the type and message of its error."""
+    try:
+        visits = parse(io.StringIO(text))
+    except Exception as exc:  # the csv parser defines every error, so compare them all
+        return type(exc), str(exc)
+    return record_columns(visits)
+
+
+def make_base(area_by_id, counts_by_id) -> tuple[VenueTable, VisitRecords]:
+    """A venue table from {venue_id: area} and its visit records from {venue_id: {hour: count}}."""
+    return make_venues(area_by_id), visit_records(counts_by_id)
+
+
+def split_input(sim: SimulationInput) -> tuple[VenueTable, VisitRecords]:
+    """A SimulationInput's venue table and one visit record per venue-hour of its matrix."""
+    return sim.venues, visit_records(dict(zip(sim.venues.ids, sim.counts)))
+
+
 def make_input(area_by_id, counts_by_id) -> SimulationInput:
     """Build a SimulationInput from {venue_id: area} and {venue_id: {hour: count}}."""
-    venues = make_venues(area_by_id)
-    visits = {}
-    for vid, by_hour in counts_by_id.items():
-        counts = np.zeros(WINDOW_HOURS)
-        for hour, value in by_hour.items():
-            counts[hour] = float(value)
-        visits[vid] = counts
-    return join(venues, visits)
+    return join(*make_base(area_by_id, counts_by_id))
 
 
 def hourly_of(sim: SimulationInput, params: EpiParams) -> np.ndarray:

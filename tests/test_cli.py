@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -488,6 +489,44 @@ class TestCompare:
         assert report["scenario_b"]["mean_weekly_infections"] == 0.0
         assert (out / "histogram_a.csv").exists() and (out / "histogram_b.csv").exists()
         assert "t-test undefined" in capsys.readouterr().out
+
+
+# the SHA-256 of every report on sample_data/, recorded before visit files were parsed
+# into records; a change that alters any report byte must update these on purpose
+GOLDEN_REPORTS = {
+    "simulate": {
+        "histogram.csv": "3cd03b42608e4562ab2bfecde7d8daf6bb80a0a860e825c514138594228d1511",
+        "manifest.json": "22c0167c4011cec38fd47d9b213bdd43166391b4d903074d9fc991205883c192",
+        "summary.json": "173f78a0517994d0de4820c6f02e9a1e781e479f0b23403ca86154030285e836",
+        "venue_results.csv": "2e370c95620287b75654ce88198b4b6221739971aea1004b39404be1b32dd10b",
+    },
+    "compare": {
+        "comparison.json": "1f5e30e6cbe641134c3c29562550dbe69ad6f30ced3b4626dbe15e4c016c37d2",
+        "histogram_a.csv": "84d40259e72c86966ce39fd4472ca199b03a4cefa8c0f81b2722ae7f86175f98",
+        "histogram_b.csv": "5ea593aaf7e3eb41523b8955352329bc231987fc980c5aa065409938547eb405",
+        "manifest.json": "1511b2eee6241f15da084fa8e14bb73ebd689177c44a73712840ca4a354d77de",
+    },
+}
+GOLDEN_ARGS = {
+    "simulate": ["--spacing", "6ft"],
+    "compare": ["--scenario-a", "scenario_lockdown.txt", "--scenario-b", "scenario_reopened.txt"],
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_REPORTS)
+def test_sample_data_reports_match_recorded_digests(command, tmp_path, monkeypatch, capsys):
+    # relative paths, because the manifest records each input path as given
+    monkeypatch.chdir(SAMPLE_DATA)
+    assert run_cli(
+        command, "--venues", "venues.csv", "--visits", "visits.csv", "--params", "params.txt",
+        *GOLDEN_ARGS[command],
+        "--timestamp", "2020-03-16T00:00:00+00:00", "--out", str(tmp_path / "out"),
+    ) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (tmp_path / "out").iterdir()
+    }
+    assert digests == GOLDEN_REPORTS[command]
 
 
 class TestHotspots:

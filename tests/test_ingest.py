@@ -9,6 +9,7 @@ from venuerisk import (
     RecordError,
     SimulationInput,
     VenueTable,
+    VisitRecords,
     apply_sampling_correction,
     compute_volumes,
     join,
@@ -17,8 +18,17 @@ from venuerisk import (
     write_venues,
     write_visits,
 )
+from venuerisk import ingest
 from venuerisk.ingest import SQFT_TO_SQM, _parse_visits_csv, _parse_visits_fast, open_input
-from conftest import make_venues, same_venues, window_counts
+from conftest import (
+    make_venues,
+    parse_outcome,
+    record_columns,
+    same_venues,
+    visit_records,
+    visit_rows,
+    window_counts,
+)
 
 SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"
 
@@ -97,7 +107,7 @@ class TestParseVenues:
 
 class TestParseVisits:
     def test_missing_hours_zero_filled(self):
-        table = parse_visits(visits_csv("v1,0,5", "v1,3,2"))
+        table = visit_rows(parse_visits(visits_csv("v1,0,5", "v1,3,2")))
         series = table["v1"]
         assert len(series) == 168
         assert series[0] == 5.0 and series[3] == 2.0
@@ -110,7 +120,7 @@ class TestParseVisits:
         with pytest.raises(DatasetError, match="no header"):
             parse_visits(io.StringIO("# provenance comment only\n"))
         # a header with no rows is a legal file with no visits
-        assert parse_visits(visits_csv()) == {}
+        assert visit_rows(parse_visits(visits_csv())) == {}
 
     def test_hour_at_window_boundary_rejected(self):
         with pytest.raises(RecordError, match=r"outside \[0, 168\)"):
@@ -125,7 +135,7 @@ class TestParseVisits:
             parse_visits(visits_csv("v1,0,-2"))
 
     def test_fractional_counts_allowed(self):
-        table = parse_visits(visits_csv("v1,0,2.5"))
+        table = visit_rows(parse_visits(visits_csv("v1,0,2.5")))
         assert table["v1"][0] == 2.5
 
     def test_duplicate_hour_rejected(self):
@@ -147,7 +157,8 @@ class TestFastVisitParse:
     def assert_fast_and_exact(self, text):
         fast = _parse_visits_fast(text)
         assert fast is not None
-        slow = _parse_visits_csv(io.StringIO(text))
+        fast = visit_rows(fast)
+        slow = visit_rows(_parse_visits_csv(io.StringIO(text)))
         assert list(fast) == list(slow)
         assert all(fast[vid].tolist() == slow[vid].tolist() for vid in slow)
 
@@ -162,6 +173,43 @@ class TestFastVisitParse:
     def test_taken_on_sample_data(self):
         with open_input(SAMPLE_DATA / "visits.csv") as handle:
             self.assert_fast_and_exact(handle.read())
+
+
+# runs of one id over several lines, a -0.0 count and a last line without its line end
+SLICED_TEXT = (
+    "# stamp\nvenue_id,hour,count\n"
+    + "".join(f"v{i // 7},{i % 7 * 3},{i * 0.5}\n" for i in range(40))
+    + "v9,5,-0.0\nv10,167,12"
+)
+
+
+class TestSlicedVisitParse:
+    """Slices of the body must give the csv parser's records, or nothing at all."""
+
+    @pytest.mark.parametrize("slice_chars", [1, 2, 7, 9, 16, 64, 1 << 20])
+    def test_slices_give_the_csv_records(self, monkeypatch, slice_chars):
+        monkeypatch.setattr(ingest, "_SLICE_CHARS", slice_chars)
+        fast = _parse_visits_fast(SLICED_TEXT)
+        assert fast is not None
+        slow = _parse_visits_csv(io.StringIO(SLICED_TEXT))
+        assert record_columns(fast) == record_columns(slow)
+        assert list(fast.ids)[:3] == ["v0", "v1", "v2"] and len(fast.count) == 42
+
+    @pytest.mark.parametrize(
+        "last_line",
+        [
+            '"v11",3,1\n',  # quoted: accepted, but only the csv parser reads quotes
+            "v0,0,9\n",  # the first row's (venue, hour) again: a duplicate
+            "v11,3,abc\n",
+            "v11,168,1\n",
+            "v11, 3,1\n",
+        ],
+    )
+    def test_non_plain_last_slice_gives_the_csv_result(self, monkeypatch, last_line):
+        text = SLICED_TEXT + "\n" + last_line
+        monkeypatch.setattr(ingest, "_SLICE_CHARS", 16)
+        assert _parse_visits_fast(text) is None
+        assert parse_outcome(parse_visits, text) == parse_outcome(_parse_visits_csv, text)
 
 
 class TestSamplingCorrection:
@@ -227,20 +275,20 @@ class TestJoin:
 
     def test_missing_series_zero_filled(self):
         venues = self._venues("v1", "v2")
-        visits = {"v1": np.ones(168)}
+        visits = visit_records({"v1": np.ones(168)})
         sim = join(venues, visits)
         assert list(sim.venues) == ["v1", "v2"]
         assert sim.counts[1].tolist() == [0.0] * 168
 
     def test_unknown_venue_named_in_error(self):
         venues = self._venues("v1")
-        visits = {"ghost": np.zeros(168)}
+        visits = visit_records({"ghost": np.zeros(168)})
         with pytest.raises(DatasetError, match="ghost"):
             join(venues, visits)
 
     def test_unknown_ids_listed_up_to_ten_with_count(self):
         venues = self._venues("v1")
-        visits = {f"g{i:02d}": np.zeros(168) for i in range(48)}
+        visits = visit_records({f"g{i:02d}": np.zeros(168) for i in range(48)})
         with pytest.raises(DatasetError) as info:
             join(venues, visits)
         message = str(info.value)
@@ -251,25 +299,17 @@ class TestJoin:
     def test_full_size_join(self):
         ids = [f"v{i}" for i in range(1034)]
         venues = self._venues(*ids)
-        visits = {vid: np.ones(168) for vid in ids}
+        visits = visit_records({vid: np.ones(168) for vid in ids})
         sim = join(venues, visits)
         assert len(sim.venues) == 1034 and sim.counts.shape == (1034, 168)
         assert (sim.counts == 1.0).all()
 
     def test_never_drops_or_invents(self):
         venues = self._venues("a", "b", "c")
-        visits = {"b": window_counts([[2.0, 0.0, 5.0]])[0]}
+        visits = visit_records({"b": window_counts([[2.0, 0.0, 5.0]])[0]})
         sim = join(venues, visits)
         assert list(sim.venues) == list(venues)
         assert sim.counts.tolist() == window_counts([[], [2.0, 0.0, 5.0], []]).tolist()
-
-    @pytest.mark.parametrize("length", [1, 2, 25])
-    def test_length_mismatch(self, length):
-        # a one-hour row must not be broadcast across the window
-        venues = self._venues("a")
-        visits = {"a": np.arange(1.0, length + 1)}
-        with pytest.raises(DatasetError, match="length"):
-            join(venues, visits)
 
 
 class TestRoundTrip:
@@ -292,7 +332,7 @@ class TestRoundTrip:
         for vid in venues:
             assert column(back_venues, "areas", vid) == column(venues, "areas", vid)
             assert column(back_venues, "names", vid) == column(venues, "names", vid)
-        assert back_visits["v1"].tolist() == counts[0].tolist()
+        assert visit_rows(back_visits)["v1"].tolist() == counts[0].tolist()
         # all-zero series vanish from the sparse file and come back via join
         assert "v2" not in back_visits
         assert np.array_equal(join(back_venues, back_visits).counts, counts)
@@ -312,6 +352,20 @@ class TestRoundTrip:
 
 
 class TestTypeInvariants:
+    @pytest.mark.parametrize(
+        "ids, venue, hour, count",
+        [
+            ({"a": 0}, [0, 0], [1], [1.0, 2.0]),  # columns of different lengths
+            ({"a": 0}, [1], [0], [1.0]),  # an index with no id
+            ({"a": 0}, [-1], [0], [1.0]),
+            ({"a": 0}, [0], [168], [1.0]),  # an hour outside the window
+        ],
+        ids=["lengths", "index", "negative-index", "hour"],
+    )
+    def test_visit_records_reject_bad_columns(self, ids, venue, hour, count):
+        with pytest.raises(ValueError):
+            VisitRecords(ids, np.array(venue), np.array(hour), np.array(count))
+
     def test_venue_rejects_bad_area(self):
         with pytest.raises(ValueError):
             make_venues({"v": 0.0})

@@ -33,7 +33,15 @@ from venuerisk.epi import hourly_infections
 from venuerisk.ingest import WINDOW_HOURS, _parse_visits_csv
 from venuerisk.reporting import hashed_manifest
 from venuerisk.scenario import apply_occupancy_cap
-from conftest import hourly_of, make_venues, same_venues, window_counts
+from conftest import (
+    hourly_of,
+    make_venues,
+    parse_outcome,
+    record_columns,
+    same_venues,
+    split_input,
+    window_counts,
+)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -126,10 +134,11 @@ def test_capped_rows_match_scalar_cap(table, params, spacing, factor):
     rows = [apply_occupancy_cap(row, cap) for row, cap in zip(sampled, caps)]
     assert (np.array(rows) <= sampled).all()
 
-    capped = run_scenario(
-        table, ScenarioConfig(name="c", sampling_factor=factor, spacing=spacing), params
+    config = ScenarioConfig(name="c", sampling_factor=factor, spacing=spacing)
+    capped = run_scenario(*split_input(table), config, params)
+    uncapped = run_scenario(
+        *split_input(table), ScenarioConfig(name="u", sampling_factor=factor), params
     )
-    uncapped = run_scenario(table, ScenarioConfig(name="u", sampling_factor=factor), params)
     # the kernel is exact on equal inputs, so equal weekly values mean equal capped rows
     reference = simulate_week(SimulationInput(table.venues, np.array(rows)), params)
     assert np.array_equal(capped.weekly, reference)
@@ -147,6 +156,19 @@ def test_write_parse_join_round_trip(table):
     back = join(venues, visits)
     assert same_venues(back.venues, table.venues)
     assert np.array_equal(back.counts, table.counts)
+
+
+@PROPERTY
+@given(tables(max_venues=6, max_hours=30), st.integers(1, 64))
+def test_sliced_fast_parse_gives_the_csv_records(table, slice_chars):
+    # a slice of 1 to 64 characters, extended to its line end, splits runs of one id
+    sink = io.StringIO()
+    write_visits(table, sink, comment="slices")
+    text = sink.getvalue()
+    with mock.patch.object(ingest, "_SLICE_CHARS", slice_chars):
+        fast = ingest._parse_visits_fast(text)
+    assert fast is not None
+    assert record_columns(fast) == record_columns(_parse_visits_csv(io.StringIO(text)))
 
 
 def reference_visit_text(table, comment):
@@ -273,14 +295,6 @@ def visit_files(draw):
     return text
 
 
-def parse_outcome(parse, text):
-    try:
-        visits = parse(io.StringIO(text))
-    except Exception as exc:  # the csv parser defines every error, so compare them all
-        return type(exc), str(exc)
-    return [(vid, repr(row.tolist())) for vid, row in visits.items()]
-
-
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(visit_files())
 @example("venue_id,hour,count\nv1,0,inf\n")  # rare draws, pinned
@@ -290,7 +304,7 @@ def parse_outcome(parse, text):
 @example("venue_id,hour,count\n\x1cv1,0,1\n")
 @example("venue_id,hour,count\nv1\v,0,1\n")
 def test_fast_and_csv_visit_parsers_agree(text):
-    # same keys in the same order and repr-equal rows (so -0.0 counts),
+    # the same records (ids in the same order, repr-equal counts so -0.0 counts),
     # or the same exception type and message
     assert parse_outcome(parse_visits, text) == parse_outcome(_parse_visits_csv, text)
 

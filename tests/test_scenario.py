@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,16 +10,22 @@ from venuerisk import (
     ConfigError,
     DatasetError,
     EpiParams,
+    GeneratorConfig,
     ScenarioConfig,
+    VisitRecords,
+    generate_dataset,
     load_scenario_config,
     max_distanced_occupancy,
     parse_spacing,
+    join,
     run_scenario,
     simulate_week,
     write_visits,
 )
+from venuerisk import epi
+from venuerisk.ingest import WINDOW_HOURS
 from venuerisk.scenario import apply_occupancy_cap, params_from_mapping
-from conftest import make_input
+from conftest import make_base, make_input
 
 SIX_FEET = 1.8288  # meters
 
@@ -80,26 +87,27 @@ class TestRunScenario:
             "b": {h: 9.0 for h in range(12, 160, 3)},
             "c": {40: 2.0},
         }
-        return make_input(areas, counts)
+        return make_base(areas, counts)
 
     def test_identity_scenario_reproduces_simulate_week(self, default_params):
-        base = self._base()
+        venues, visits = self._base()
+        base = join(venues, visits)
         config = ScenarioConfig(name="identity", sampling_factor=1.0)
-        outcome = run_scenario(base, config, default_params)
+        outcome = run_scenario(venues, visits, config, default_params)
         assert np.array_equal(outcome.weekly, simulate_week(base, default_params))
         assert outcome.severe_count + outcome.mild_count == len(base.venues)
 
     def test_huge_spacing_zeroes_everything(self, default_params):
         base = self._base()
         config = ScenarioConfig(name="empty", sampling_factor=1.0, spacing=1000.0)
-        outcome = run_scenario(base, config, default_params)
+        outcome = run_scenario(*base, config, default_params)
         assert (outcome.weekly == 0.0).all()
 
     def test_capped_never_exceeds_uncapped(self, default_params):
         base = self._base()
-        uncapped = run_scenario(base, ScenarioConfig(name="u", sampling_factor=10.0), default_params)
+        uncapped = run_scenario(*base, ScenarioConfig(name="u", sampling_factor=10.0), default_params)
         capped = run_scenario(
-            base,
+            *base,
             ScenarioConfig(name="c", sampling_factor=10.0, spacing=SIX_FEET),
             default_params,
         )
@@ -108,11 +116,12 @@ class TestRunScenario:
     def test_sampling_applied_before_cap(self, default_params):
         # one venue, cap 2, raw count 1: capping after the 10x correction
         # must clamp 10 -> 2, not leave 1 * 10 = 10
-        base = make_input({"a": math.pi * SIX_FEET ** 2 * 2.2}, {"a": {0: 1.0}})
-        cap = max_distanced_occupancy(base.venues.areas[0], SIX_FEET)
+        venues, visits = make_base({"a": math.pi * SIX_FEET ** 2 * 2.2}, {"a": {0: 1.0}})
+        cap = max_distanced_occupancy(venues.areas[0], SIX_FEET)
         assert cap == 2
         outcome = run_scenario(
-            base,
+            venues,
+            visits,
             ScenarioConfig(name="s", sampling_factor=10.0, spacing=SIX_FEET),
             default_params,
         )
@@ -133,18 +142,18 @@ class TestRunScenario:
             for vid, by_hour in big.items()
         }
         res_big = run_scenario(
-            make_input(areas, big), ScenarioConfig(name="b", sampling_factor=1.0), default_params
+            *make_base(areas, big), ScenarioConfig(name="b", sampling_factor=1.0), default_params
         )
         res_small = run_scenario(
-            make_input(areas, small), ScenarioConfig(name="s", sampling_factor=1.0), default_params
+            *make_base(areas, small), ScenarioConfig(name="s", sampling_factor=1.0), default_params
         )
         assert (res_small.weekly <= res_big.weekly).all()
 
     def test_deterministic(self, default_params):
         base = self._base()
         config = ScenarioConfig(name="d", sampling_factor=10.0, spacing=SIX_FEET)
-        first = run_scenario(base, config, default_params)
-        second = run_scenario(base, config, default_params)
+        first = run_scenario(*base, config, default_params)
+        second = run_scenario(*base, config, default_params)
         assert np.array_equal(first.weekly, second.weekly)
         assert (first.config, first.severe_count, first.mild_count) == (
             second.config, second.severe_count, second.mild_count
@@ -156,7 +165,7 @@ class TestRunScenario:
         with open(alt, "w", encoding="utf-8") as handle:
             write_visits(make_input({"a": 100.0}, {"a": {0: 50.0}}), handle)
         config = ScenarioConfig(name="alt", visit_source=str(alt), sampling_factor=1.0)
-        outcome = run_scenario(base, config, default_params)
+        outcome = run_scenario(*base, config, default_params)
         assert outcome.weekly[0] > 0
         # venues absent from the alternate file fall back to zero traffic
         assert outcome.weekly[1] == 0.0
@@ -167,14 +176,14 @@ class TestRunScenario:
         alt.write_text("venue_id,hour,count\nghost,0,5\n", encoding="utf-8")
         config = ScenarioConfig(name="bad", visit_source=str(alt))
         with pytest.raises(DatasetError, match="ghost"):
-            run_scenario(base, config, default_params)
+            run_scenario(*base, config, default_params)
 
     def test_params_override(self, default_params):
         base = self._base()
         config = ScenarioConfig(name="hot", sampling_factor=1.0, params_override={"q": 40.0})
-        boosted = run_scenario(base, config, default_params)
+        boosted = run_scenario(*base, config, default_params)
         plain = run_scenario(
-            base, ScenarioConfig(name="p", sampling_factor=1.0), default_params
+            *base, ScenarioConfig(name="p", sampling_factor=1.0), default_params
         )
         for boosted_weekly, plain_weekly in zip(boosted.weekly, plain.weekly):
             if plain_weekly > 0:
@@ -182,11 +191,12 @@ class TestRunScenario:
 
     def test_ceiling_height_override_sets_the_volumes(self, default_params):
         # volumes follow the scenario's own params, not the base params
-        base = self._base()
+        venues, visits = self._base()
+        base = join(venues, visits)
         config = ScenarioConfig(
             name="tall", sampling_factor=1.0, params_override={"ceiling_height": 30.0}
         )
-        tall = run_scenario(base, config, default_params)
+        tall = run_scenario(venues, visits, config, default_params)
         tall_params = EpiParams(documented_prevalence=0.001, ceiling_height=30.0)
         assert np.array_equal(tall.weekly, simulate_week(base, tall_params))
         plain = simulate_week(base, default_params)
@@ -195,6 +205,31 @@ class TestRunScenario:
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError, match="unknown parameter"):
             ScenarioConfig(name="x", params_override={"quanta": 1.0})
+
+
+# the peak holds the scenario's own venue-hour matrix, the file's records and their
+# per-row temporaries, and never a second matrix: no baseline copy, no per-file
+# intermediate and no corrected or capped copy
+MATRICES_AT_PEAK = 2.0
+
+
+def test_alternate_file_scenario_peak_memory(default_params, tmp_path, monkeypatch):
+    n_venues = 5000
+    alt = tmp_path / "pre_pandemic.csv"
+    with open(alt, "w", encoding="utf-8") as handle:
+        write_visits(generate_dataset(GeneratorConfig(n_venues, "pre_pandemic", seed=3)), handle)
+    venues = generate_dataset(GeneratorConfig(n_venues, "lockdown", seed=3)).venues
+    config = ScenarioConfig(name="alt", visit_source=str(alt), spacing=SIX_FEET)
+    # kernel blocks this small leave only whole-file and whole-matrix arrays to count
+    monkeypatch.setattr(epi, "_BLOCK_ROWS", 256)
+    tracemalloc.start()
+    try:
+        run_scenario(venues, VisitRecords(), config, default_params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix_bytes = n_venues * WINDOW_HOURS * 8
+    assert peak < MATRICES_AT_PEAK * matrix_bytes, f"{peak / matrix_bytes:.2f} matrices"
 
 
 class TestParamsFromMapping:
