@@ -7,34 +7,11 @@ distancing occupancy caps) through distribution comparison and
 significance testing.
 """
 
-from .epi import (
-    EpiParams,
-    simulate_week,
-    wells_riley_probability,
-)
+from .epi import EpiParams, simulate_week, wells_riley_probability
 from .errors import ConfigError, DatasetError, RecordError
-from .ingest import (
-    SimulationInput,
-    VenueTable,
-    VisitRecords,
-    apply_sampling_correction,
-    compute_volumes,
-    join,
-    parse_venues,
-    parse_visits,
-    write_venues,
-    write_visits,
-)
 from .reporting import TOOL_VERSION
-from .scenario import (
-    ScenarioConfig,
-    load_scenario_config,
-    max_distanced_occupancy,
-    parse_spacing,
-    run_scenario,
-)
-from .stats import Severity, classify, histogram, welch_t_test
-from .synthetic import GeneratorConfig, generate_dataset
+from .scenario import ScenarioConfig, max_distanced_occupancy, run_scenario
+from .stats import Severity, classify, welch_t_test
 
 __version__ = TOOL_VERSION
 
@@ -42,28 +19,13 @@ __all__ = [
     "ConfigError",
     "DatasetError",
     "EpiParams",
-    "GeneratorConfig",
     "RecordError",
     "ScenarioConfig",
     "Severity",
-    "SimulationInput",
-    "VenueTable",
-    "VisitRecords",
-    "apply_sampling_correction",
     "classify",
-    "compute_volumes",
-    "generate_dataset",
-    "histogram",
-    "join",
-    "load_scenario_config",
     "max_distanced_occupancy",
-    "parse_spacing",
-    "parse_venues",
-    "parse_visits",
     "run_scenario",
     "simulate_week",
     "welch_t_test",
     "wells_riley_probability",
-    "write_venues",
-    "write_visits",
 ]

@@ -19,24 +19,26 @@ Exit codes: 0 success, 1 validation or config error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import io
 import math
 import statistics
 import sys
+from datetime import datetime
 
 from .epi import EpiParams
-from .errors import ConfigError, InputError, RecordError
+from .errors import ConfigError, InputError
 from .ingest import (
     AREA_UNITS,
+    HOTSPOT_COLUMNS,
+    MANIFEST_COMMENT,
     VenueTable,
     VisitRecords,
-    _data_rows,
+    load_visits,
     open_input,
+    parse_results,
     parse_venues,
-    parse_visits,
-    venue_rows,
+    write_table,
     write_venues,
     write_visits,
 )
@@ -91,6 +93,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _timestamp(text: str) -> str:
+    # kept as given, so a rerun with the same text writes the same manifest
+    try:
+        datetime.fromisoformat(text)
+    except ValueError:
+        message = f"must be an ISO 8601 date and time, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+    return text
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
@@ -140,9 +152,14 @@ def _add_report_flags(sub: argparse.ArgumentParser) -> None:
         default=1.0,
         help="weekly infections above this are severe (default 1.0)",
     )
+    _add_output_flags(sub)
+
+
+def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument(
         "--timestamp",
+        type=_timestamp,
         help="override the manifest timestamp (ISO 8601) for reproducible manifests",
     )
 
@@ -192,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=GeneratorConfig.pre_pandemic_level,
         help="pre-pandemic traffic level as a multiple of lockdown (default 4)",
     )
-    p_gen.add_argument("--out", required=True, help="output directory")
-    p_gen.add_argument("--timestamp", help="override the manifest timestamp (ISO 8601)")
+    _add_output_flags(p_gen)
     p_gen.set_defaults(func=cmd_gen_synthetic)
 
     return parser
@@ -232,12 +248,7 @@ def _load_base_input(args) -> tuple[VenueTable, VisitRecords]:
     """
     with open_input(args.venues) as handle:
         venues = parse_venues(handle, args.area_unit)
-    if not args.visits:
-        return venues, VisitRecords()
-    with open_input(args.visits) as handle:
-        visits = parse_visits(handle)
-        venue_rows(venues, visits)
-    return venues, visits
+    return venues, load_visits(args.visits, venues) if args.visits else VisitRecords()
 
 
 def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str]):
@@ -373,52 +384,21 @@ def cmd_compare(args) -> int:
 
 def cmd_hotspots(args) -> int:
     with open_input(args.results) as handle:
-        rows = _data_rows(handle)
-        first = next(rows, None)
-        if first is None:
-            raise InputError("results file is empty")
-        header = first[1]
-        missing = {"venue_id", "name", "weekly_infections"} - set(header)
-        if missing:
-            raise InputError("results file lacks column(s): " + ", ".join(sorted(missing)))
-
-        entries = []
-        for line, row in rows:
-            # a short row lacks its last fields, read as None like csv.DictReader's
-            record = dict(zip(header, row))
-            venue_id, name, text = map(record.get, ("venue_id", "name", "weekly_infections"))
-            if not venue_id:
-                raise RecordError(f"venue_id is {'empty' if venue_id == '' else 'missing'}", line)
-            try:
-                weekly = float(text)
-            except (TypeError, ValueError):  # TypeError: the field is missing
-                weekly = math.nan
-            if not (math.isfinite(weekly) and weekly >= 0):
-                raise RecordError(
-                    f"bad weekly_infections value {text!r} for venue {venue_id!r}: "
-                    "must be a non-negative finite number",
-                    line,
-                )
-            entries.append((venue_id, name, weekly))
-
+        entries = parse_results(handle)
     entries.sort(key=lambda e: (-e[2], e[0]))
     entries = entries[: args.top]  # --top unset is None: every entry
-
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["rank", "venue_id", "name", "weekly_infections", "severity"])
-    for rank, (venue_id, name, weekly) in enumerate(entries, start=1):
-        writer.writerow([rank, venue_id, name, repr(weekly), classify(weekly, args.threshold).value])
+    write_table(sys.stdout, HOTSPOT_COLUMNS, (
+        (rank, venue_id, name, repr(weekly), classify(weekly, args.threshold).value)
+        for rank, (venue_id, name, weekly) in enumerate(entries, start=1)
+    ))
     return 0
 
 
 def cmd_gen_synthetic(args) -> int:
     config = GeneratorConfig(args.n_venues, args.profile, args.seed, args.traffic_multiplier)
     table = generate_dataset(config)
-    manifest = hashed_manifest(
-        {"tool_version": TOOL_VERSION, "generator_config": dataclasses.asdict(config)},
-        args.timestamp,
-    )
-    stamp = f"manifest_sha256: {manifest['manifest_sha256']}"
+    manifest = hashed_manifest({"generator_config": dataclasses.asdict(config)}, args.timestamp)
+    stamp = MANIFEST_COMMENT.format(manifest["manifest_sha256"])
 
     venue_buf = io.StringIO()
     write_venues(table.venues, venue_buf, comment=stamp)

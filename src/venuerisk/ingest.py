@@ -1,38 +1,37 @@
-"""Ingestion of venue and visit files.
+"""The CSV files the tool reads and writes, and ingestion of venue and visit files.
 
-Two CSV formats are understood, both UTF-8 with a mandatory header:
+Every CSV file is UTF-8 with a header row; the files the tool writes use
+``\\n`` line ends. Before the header, lines starting with ``#`` are
+comments: every file a run writes, apart from the ``hotspots`` listing,
+starts with one ``# manifest_sha256: <hash>`` line (``MANIFEST_COMMENT``)
+naming the manifest of that run. After the header, every non-blank line
+is a record. :func:`write_table` writes every table. The files:
 
-* venue file:  ``venue_id,name,category,area``
-* visit file:  ``venue_id,hour,count``  (``hour`` is a 0-based offset
-  from the start of the ``WINDOW_HOURS`` = 168-hour simulation week)
+* venues, read by ``simulate`` and ``compare``, written by
+  ``gen-synthetic``: ``VENUE_HEADER``, the floor area in m2 or ft2 when
+  read, in m2 when written;
+* visits, read by ``simulate`` and ``compare``, written by
+  ``gen-synthetic``: ``VISIT_HEADER``, where
+  ``hour`` is a 0-based offset from the start of the ``WINDOW_HOURS`` =
+  168-hour simulation week; an hour a file leaves out had no visits;
+* venue_results, written by ``simulate`` and read by ``hotspots``:
+  ``VENUE_RESULT_COLUMNS``, one row per venue in venue-file order;
+* histogram, written by ``simulate`` and ``compare``:
+  ``HISTOGRAM_COLUMNS``, after a second comment line with the binning
+  scale and the count of values in no bin;
+* the ``hotspots`` listing on stdout: ``HOTSPOT_COLUMNS``, no comment.
 
-Lines starting with ``#`` before the header are comments, so generated
-files can carry a provenance stamp; after the header every non-blank
-line is a record. Visitor counts are real numbers throughout: sampling
-correction and occupancy capping act on expected values, not people.
+Visitor counts are real numbers throughout: sampling correction and
+occupancy capping act on expected values, not people. A venue table
+holds only values the venue file carries back: no id, name or category
+has surrounding whitespace or a carriage return.
 
-A parsed visit file is one :class:`VisitRecords`: its distinct venue
-ids, and for each row the index of its id, its hour and its count. Plain
-visit files (the exact header, no quoting, no padding, every value
-valid), which covers every file :func:`write_visits` writes, are parsed
-by NumPy's C reader in line-aligned slices of about 1 MiB, so neither a
-copy of the body nor a record array of the whole file is made. Any
-other file goes through the row-by-row ``csv`` parser, which defines
-what is accepted, every value and every error message; a property test
-holds the two to the same records.
-
-:func:`write_visits` formats every row with array operations: each
-venue id is quoted once by the ``csv`` dialect, each hour and each
-distinct count is formatted once, and the rows are gathered from these
-small byte tables in blocks. A property test holds its output to a
-row-by-row ``csv.writer`` byte for byte. A venue table holds only
-values the venue file carries back: no id, name or category has
-surrounding whitespace or a carriage return.
-
-All functions here are pure. A parsed venue file is one
-:class:`VenueTable` of columns (ids, names, categories and float64 floor
-areas in m2) in file order; :func:`join` maps each distinct visit id to
-its venue row and scatters the records once into one
+Only :func:`open_input` and :func:`load_visits` open files; the other
+functions read and write the streams they are given. A parsed venue file
+is one :class:`VenueTable` of columns (ids, names, categories and
+float64 floor areas in m2) in file order, and a parsed visit file is one
+:class:`VisitRecords`; :func:`join` maps each distinct visit id to its
+venue row and scatters the records once into one
 :class:`SimulationInput`, whose float64 ``counts[venue, hour]`` matrix
 carries the visitor counts, row ``i`` for the ``i``-th venue and one
 column per hour of the fixed ``WINDOW_HOURS`` window.
@@ -42,17 +41,18 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
-from .errors import DatasetError, RecordError, error_context
+from .errors import ConfigError, DatasetError, RecordError, error_context
 
 SQFT_TO_SQM = 0.09290304
 # factor from each accepted unit of a venue file's ``area`` column to m2
@@ -63,6 +63,13 @@ WINDOW_HOURS = 168
 
 VENUE_HEADER = ("venue_id", "name", "category", "area")
 VISIT_HEADER = ("venue_id", "hour", "count")
+VENUE_RESULT_COLUMNS = (
+    "venue_id", "name", "category", "area_m2", "volume_m3", "weekly_infections", "severity",
+)
+HISTOGRAM_COLUMNS = ("bin_lo", "bin_hi", "count")
+HOTSPOT_COLUMNS = ("rank", "venue_id", "name", "weekly_infections", "severity")
+# the text of the comment line that starts every CSV file a run writes
+MANIFEST_COMMENT = "manifest_sha256: {}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +108,11 @@ class VenueTable:
 
     def __iter__(self):
         return iter(self.ids)
+
+    @functools.cached_property
+    def row_of(self) -> dict[str, int]:
+        """Each venue id's row, built on first use."""
+        return dict(zip(self.ids, range(len(self.ids))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +204,34 @@ def _data_rows(source: TextIO):
         raise RecordError(str(exc), reader.line_num) from None
 
 
+def _records(source: TextIO, kind: str, header: tuple[str, ...]):
+    """Yield (line_number, fields) for each record of a ``kind`` file, after checking its header.
+
+    Every field is stripped of surrounding whitespace, and the first one,
+    the venue_id, is never empty.
+
+    Raises:
+        DatasetError: missing header, or one that is not ``header``.
+        RecordError: a record without one field per column of ``header``,
+            or with an empty venue_id.
+    """
+    rows = _data_rows(source)
+    first = next(rows, None)
+    if first is None:
+        raise DatasetError(f"{kind} file has no header: expected {','.join(header)!r}")
+    if tuple(f.strip() for f in first[1]) != header:
+        raise DatasetError(
+            f"{kind} file header must be {','.join(header)!r}, got {','.join(first[1])!r}"
+        )
+    for line, row in rows:
+        if len(row) != len(header):
+            raise RecordError(f"expected {len(header)} fields, got {len(row)}", line)
+        fields = [f.strip() for f in row]
+        if not fields[0]:
+            raise RecordError("venue_id is empty", line)
+        yield line, fields
+
+
 def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
     """Parse a venue CSV into a :class:`VenueTable` in file order, areas in m2.
 
@@ -207,23 +247,9 @@ def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
     """
     if area_unit not in AREA_UNITS:
         raise ValueError(f"area unit must be one of {', '.join(AREA_UNITS)}, got {area_unit!r}")
-    rows = _data_rows(source)
-    first = next(rows, None)
-    if first is None:
-        raise DatasetError(f"venue file has no header: expected {','.join(VENUE_HEADER)!r}")
-    if tuple(f.strip() for f in first[1]) != VENUE_HEADER:
-        raise DatasetError(
-            f"venue file header must be {','.join(VENUE_HEADER)!r}, got {','.join(first[1])!r}"
-        )
-
     ids, names, categories, areas = [], [], [], []
     seen = set()
-    for line, row in rows:
-        if len(row) != 4:
-            raise RecordError(f"expected 4 fields, got {len(row)}", line)
-        venue_id, name, category, area_text = (f.strip() for f in row)
-        if not venue_id:
-            raise RecordError("venue_id is empty", line)
+    for line, (venue_id, name, category, area_text) in _records(source, "venue", VENUE_HEADER):
         try:
             area = float(area_text)
         except ValueError:
@@ -270,24 +296,10 @@ def parse_visits(source: TextIO) -> VisitRecords:
 
 def _parse_visits_csv(source: TextIO) -> VisitRecords:
     """Row-by-row parse of a visit CSV: the reference for every result and error."""
-    rows = _data_rows(source)
-    first = next(rows, None)
-    if first is None:
-        raise DatasetError(f"visit file has no header: expected {','.join(VISIT_HEADER)!r}")
-    if tuple(f.strip() for f in first[1]) != VISIT_HEADER:
-        raise DatasetError(
-            f"visit file header must be {','.join(VISIT_HEADER)!r}, got {','.join(first[1])!r}"
-        )
-
     ids: dict[str, int] = {}
     venues, hours, counts = [], [], []
     cells = set()  # venue index * WINDOW_HOURS + hour of every row read
-    for line, row in rows:
-        if len(row) != 3:
-            raise RecordError(f"expected 3 fields, got {len(row)}", line)
-        venue_id, hour_text, count_text = (f.strip() for f in row)
-        if not venue_id:
-            raise RecordError("venue_id is empty", line)
+    for line, (venue_id, hour_text, count_text) in _records(source, "visit", VISIT_HEADER):
         try:
             hour = int(hour_text)
         except ValueError:
@@ -407,11 +419,62 @@ def _parse_slice(part: str, ids: dict[str, int]) -> tuple[np.ndarray, ...] | Non
     return venues, hours.astype(_HOUR), counts.copy()
 
 
+def parse_results(source: TextIO) -> list[tuple[str, str, float]]:
+    """The (venue_id, name, weekly_infections) of each row of a venue_results CSV, in file order.
+
+    Columns are found by header name, so other columns and the column
+    order do not matter. Fields are taken as written; a short row lacks
+    its last fields.
+
+    Raises:
+        DatasetError: the file is empty, or its header lacks one of the
+            three columns.
+        RecordError: a row without a venue_id, or with a weekly_infections
+            value that is not a non-negative finite number.
+    """
+    rows = _data_rows(source)
+    first = next(rows, None)
+    if first is None:
+        raise DatasetError("results file is empty")
+    header = first[1]
+    missing = {"venue_id", "name", "weekly_infections"} - set(header)
+    if missing:
+        raise DatasetError("results file lacks column(s): " + ", ".join(sorted(missing)))
+
+    entries = []
+    for line, row in rows:
+        # a short row lacks its last fields, read as None like csv.DictReader's
+        record = dict(zip(header, row))
+        venue_id, name, text = map(record.get, ("venue_id", "name", "weekly_infections"))
+        if not venue_id:
+            raise RecordError(f"venue_id is {'empty' if venue_id == '' else 'missing'}", line)
+        try:
+            weekly = float(text)
+        except (TypeError, ValueError):  # TypeError: the field is missing
+            weekly = math.nan
+        if not (math.isfinite(weekly) and weekly >= 0):
+            raise RecordError(
+                f"bad weekly_infections value {text!r} for venue {venue_id!r}: "
+                "must be a non-negative finite number",
+                line,
+            )
+        entries.append((venue_id, name, weekly))
+    return entries
+
+
 def apply_sampling_correction(counts: np.ndarray, factor: float) -> np.ndarray:
-    """Multiply every visitor count by ``factor`` (panel-to-population correction)."""
+    """Multiply every visitor count by ``factor`` (panel-to-population correction).
+
+    Raises:
+        ConfigError: a product overflows; the message names the factor.
+    """
     if not (math.isfinite(factor) and factor > 0):
         raise ValueError(f"sampling factor must be positive and finite, got {factor}")
-    return counts * factor
+    with np.errstate(over="ignore"):
+        sampled = counts * factor
+    if not np.isfinite(sampled).all():
+        raise ConfigError(f"sampling factor {factor!r} makes a visitor count overflow to infinity")
+    return sampled
 
 
 def compute_volumes(areas: np.ndarray, ceiling_height: float) -> np.ndarray:
@@ -419,6 +482,22 @@ def compute_volumes(areas: np.ndarray, ceiling_height: float) -> np.ndarray:
     if not (math.isfinite(ceiling_height) and ceiling_height > 0):
         raise ValueError(f"ceiling height must be positive, got {ceiling_height}")
     return areas * ceiling_height
+
+
+def load_visits(path: str | Path, venues: VenueTable) -> VisitRecords:
+    """Parse the visit file at ``path`` and check every id against ``venues``.
+
+    The check runs while the file is open, so each error names the file.
+
+    Raises:
+        DatasetError: an id is not in the venue table, or a
+            :func:`parse_visits` error.
+        RecordError: as :func:`parse_visits`.
+    """
+    with open_input(path) as handle:
+        visits = parse_visits(handle)
+        venue_rows(venues, visits)
+    return visits
 
 
 def join(venues: VenueTable, visits: VisitRecords) -> SimulationInput:
@@ -448,7 +527,7 @@ def venue_rows(venues: VenueTable, visits: VisitRecords) -> np.ndarray:
         DatasetError: an id is not in the venue table; the message lists
             the unknown ids in sorted order, up to ten of them.
     """
-    row_of = dict(zip(venues.ids, range(len(venues.ids))))
+    row_of = venues.row_of
     unknown = sorted(vid for vid in visits.ids if vid not in row_of)
     if unknown:
         shown = ", ".join(repr(u) for u in unknown[:10]) + (", ..." if len(unknown) > 10 else "")
@@ -461,15 +540,25 @@ def _format_count(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(value)
 
 
+def write_table(
+    sink: TextIO, header: Iterable[str], rows: Iterable = (), comments: Iterable[str | None] = ()
+) -> None:
+    """Write a CSV table: a ``# comment`` line per comment given, the header, then the rows.
+
+    A comment that is None or empty writes no line. The header and the
+    rows go through one ``csv.writer`` with ``\\n`` line ends, which
+    quotes a field only where the ``csv`` dialect must.
+    """
+    sink.writelines(f"# {comment}\n" for comment in comments if comment)
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def write_venues(venues: VenueTable, sink: TextIO, comment: str | None = None) -> None:
     """Serialize a venue table to the documented CSV format (areas in m2)."""
-    if comment:
-        sink.write(f"# {comment}\n")
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(VENUE_HEADER)
-    writer.writerows(
-        zip(venues.ids, venues.names, venues.categories, map(repr, venues.areas.tolist()))
-    )
+    rows = zip(venues.ids, venues.names, venues.categories, map(repr, venues.areas.tolist()))
+    write_table(sink, VENUE_HEADER, rows, [comment])
 
 
 # UTF-8 never uses this byte, so it pads byte-table entries unambiguously
@@ -502,10 +591,7 @@ def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = Non
     ``_WRITE_BLOCK_BYTES``, and the padding is dropped, so the text
     is the one a ``csv.writer`` gives row by row.
     """
-    if comment:
-        sink.write(f"# {comment}\n")
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(VISIT_HEADER)
+    write_table(sink, VISIT_HEADER, comments=[comment])
     rows, hours = np.nonzero(table.counts)
     if not rows.size:
         return

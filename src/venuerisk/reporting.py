@@ -17,7 +17,6 @@ identical inputs stay comparable.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import io
 import hashlib
@@ -31,21 +30,18 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .epi import EpiParams
-from .ingest import VenueTable, compute_volumes
+from .ingest import (
+    HISTOGRAM_COLUMNS,
+    MANIFEST_COMMENT,
+    VENUE_RESULT_COLUMNS,
+    VenueTable,
+    compute_volumes,
+    write_table,
+)
 from .scenario import ScenarioConfig
 from .stats import Histogram, Severity
 
 TOOL_VERSION = "0.1.0"
-
-VENUE_RESULT_COLUMNS = (
-    "venue_id",
-    "name",
-    "category",
-    "area_m2",
-    "volume_m3",
-    "weekly_infections",
-    "severity",
-)
 
 
 def sha256_file(path: str | Path) -> str:
@@ -62,11 +58,13 @@ def dump_json(obj) -> str:
 
 
 def hashed_manifest(payload: dict, timestamp: str | None = None) -> dict:
-    """Return ``payload`` plus a run timestamp and the sha256 of its canonical JSON.
+    """Return ``payload`` with the tool version, a run timestamp and a sha256 hash added.
 
-    The timestamp (now, unless given) is not hashed, so reruns on
-    identical inputs share a hash.
+    The hash is of the canonical JSON of ``payload`` and the tool
+    version. The timestamp (now, unless given) is not hashed, so reruns
+    on identical inputs share a hash.
     """
+    payload = {"tool_version": TOOL_VERSION, **payload}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -86,7 +84,6 @@ def build_manifest(
     """Assemble the manifest for a run over the given input files."""
     digests = {p: sha256_file(p) for p in sorted({str(p) for p in input_paths})}
     payload = {
-        "tool_version": TOOL_VERSION,
         "input_file_digests": digests,
         "resolved_params": dataclasses.asdict(params),
         "scenario_configs": [dataclasses.asdict(c) for c in scenario_configs],
@@ -140,25 +137,23 @@ def venue_results_csv(
     """
     volumes = compute_volumes(venues.areas, params.ceiling_height)
     labels = np.where(weekly > severity_threshold, Severity.SEVERE.value, Severity.MILD.value)
-    buf = io.StringIO()
-    buf.write(f"# manifest_sha256: {manifest_hash}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(VENUE_RESULT_COLUMNS)
-    writer.writerows(zip(
+    rows = zip(
         venues.ids, venues.names, venues.categories,
         *(map(repr, column.tolist()) for column in (venues.areas, volumes, weekly)),
         labels.tolist(),
-    ))
+    )
+    buf = io.StringIO()
+    write_table(buf, VENUE_RESULT_COLUMNS, rows, [MANIFEST_COMMENT.format(manifest_hash)])
     return buf.getvalue()
 
 
 def histogram_csv(hist: Histogram, manifest_hash: str) -> str:
     """Render plot-ready histogram bins with provenance comments."""
+    edges = list(map(repr, hist.bin_edges))
+    comments = [
+        MANIFEST_COMMENT.format(manifest_hash),
+        f"scale: {hist.scale.value}, excluded_count: {hist.excluded_count}",
+    ]
     buf = io.StringIO()
-    buf.write(f"# manifest_sha256: {manifest_hash}\n")
-    buf.write(f"# scale: {hist.scale.value}, excluded_count: {hist.excluded_count}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bin_lo", "bin_hi", "count"])
-    for i, count in enumerate(hist.counts):
-        writer.writerow([repr(hist.bin_edges[i]), repr(hist.bin_edges[i + 1]), count])
+    write_table(buf, HISTOGRAM_COLUMNS, zip(edges, edges[1:], hist.counts), comments)
     return buf.getvalue()

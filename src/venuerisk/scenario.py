@@ -49,8 +49,8 @@ from .ingest import (
     VisitRecords,
     apply_sampling_correction,
     join,
+    load_visits,
     open_input,
-    parse_visits,
 )
 
 BASELINE = "baseline"
@@ -131,17 +131,18 @@ def run_scenario(
     """Run one scenario over the shared venue table.
 
     ``visits`` are the baseline records as-read, so ``sampling_factor``
-    is the whole correction. An alternate visit file must join against
-    the same venue table. The scenario's counts are one matrix of its
-    own: the sampled records are scattered into it once and capped in
-    place. Input errors raised here name the scenario. Overrides are
+    is the whole correction. An alternate visit file is read by
+    :func:`~venuerisk.ingest.load_visits`, so an id it shares with no
+    venue fails naming the file. The scenario's counts are one matrix of
+    its own: the sampled records are scattered into it once and capped in
+    place. Input errors raised here name the scenario, among them a
+    sampling factor that makes a count overflow. Overrides are
     checked when a scenario file is read; one set in code that
     ``EpiParams`` rejects raises ``ValueError`` here.
     """
     with error_context(f"scenario {config.name!r}"):
         if config.visit_source != BASELINE:
-            with open_input(config.visit_source) as handle:
-                visits = parse_visits(handle)
+            visits = load_visits(config.visit_source, venues)
         # the same IEEE products as multiplying the joined matrix
         sampled = apply_sampling_correction(visits.count, config.sampling_factor)
         sim_input = join(venues, dataclasses.replace(visits, count=sampled))

@@ -5,19 +5,17 @@ import io
 import numpy as np
 import pytest
 
-from venuerisk import (
-    EpiParams,
-    GeneratorConfig,
+from venuerisk.epi import EpiParams, hourly_infections
+from venuerisk.ingest import (
+    WINDOW_HOURS,
     SimulationInput,
     VenueTable,
     VisitRecords,
     apply_sampling_correction,
     compute_volumes,
-    generate_dataset,
     join,
 )
-from venuerisk.epi import hourly_infections
-from venuerisk.ingest import WINDOW_HOURS
+from venuerisk.synthetic import GeneratorConfig, generate_dataset
 
 # the shipped synthetic fixture: one seed, both traffic profiles
 FIXTURE_SEED = 42

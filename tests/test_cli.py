@@ -125,6 +125,21 @@ class TestSimulate:
         assert code == 1
         assert "prevalence" in capsys.readouterr().err
 
+    def test_overflowing_sampling_factor_names_scenario_and_factor(
+        self, small_dataset, tmp_path, capsys
+    ):
+        # every count times 1e308 overflows; pytest turns NumPy's overflow warning into an error
+        out = tmp_path / "x"
+        code = run_cli(*simulate_args(small_dataset, out, "--sampling-factor", "1e308"))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scenario 'simulate': sampling factor 1e+308 makes a visitor count "
+            "overflow to infinity\n"
+        )
+        assert not out.exists()
+
     def test_missing_file_is_io_error(self, small_dataset, tmp_path):
         code = run_cli(
             "simulate", "--venues", str(tmp_path / "nope.csv"),
@@ -436,6 +451,48 @@ class TestCompare:
         )
         assert not out.exists()
 
+    def test_overflowing_sampling_factor_names_scenario_and_factor(
+        self, small_dataset, tmp_path, capsys
+    ):
+        a, _ = self._scenarios(tmp_path, small_dataset)
+        huge = tmp_path / "huge.txt"
+        huge.write_text("name = huge\nsampling_factor = 1e308\n", encoding="utf-8")
+        out = tmp_path / "x"
+        code = run_cli(
+            "compare", "--venues", str(small_dataset["venues"]),
+            "--visits", str(small_dataset["visits"]),
+            "--scenario-a", str(a), "--scenario-b", str(huge),
+            "--prevalence", "0.001", "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: scenario 'huge': sampling factor 1e+308 makes a visitor count "
+            "overflow to infinity\n"
+        )
+        assert not out.exists()
+
+    def test_unknown_id_in_scenario_visit_file_names_scenario_and_file(
+        self, small_dataset, tmp_path, capsys
+    ):
+        a, _ = self._scenarios(tmp_path, small_dataset)
+        ghost = tmp_path / "ghost.csv"
+        ghost.write_text("venue_id,hour,count\nv00001,3,2\nghost,0,5\n", encoding="utf-8")
+        alt = tmp_path / "alt.txt"
+        alt.write_text("name = alt\nvisits = ghost.csv\n", encoding="utf-8")
+        out = tmp_path / "x"
+        code = run_cli(
+            "compare", "--venues", str(small_dataset["venues"]),
+            "--visits", str(small_dataset["visits"]),
+            "--scenario-a", str(a), "--scenario-b", str(alt),
+            "--prevalence", "0.001", "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: scenario 'alt': {ghost}: visit series reference 1 unknown venue id(s): "
+            "'ghost'\n"
+        )
+        assert not out.exists()
+
     def test_empty_scenario_visit_file_names_scenario_and_file(
         self, small_dataset, tmp_path, capsys
     ):
@@ -527,6 +584,69 @@ def test_sample_data_reports_match_recorded_digests(command, tmp_path, monkeypat
         for path in (tmp_path / "out").iterdir()
     }
     assert digests == GOLDEN_REPORTS[command]
+
+
+# the same for gen-synthetic's files and for the hotspots listing of the simulate reports
+# above, recorded before every CSV table was written through one writer
+GOLDEN_GENERATED = {
+    "manifest.json": "4da6875228c1ecf02e8a79b71a6e1362a1f9c66d6c2fd2903bc2dfa8b85536d8",
+    "venues.csv": "952746dd491520469dbdc198af41a453375152b4e5ae8c7077f3068cb830c42b",
+    "visits.csv": "b92538d05e8794c5387463da93d7460dcfadc27a316d63bf72c0ff703b916621",
+}
+GOLDEN_HOTSPOTS = "4545bcea0daefe1a60bada769d8460025204f892179d9fba52cc8a2cbbfef8e9"
+
+
+def test_generated_files_match_recorded_digests(tmp_path):
+    out = tmp_path / "gen"
+    assert run_cli(
+        "gen-synthetic", "--n-venues", "40", "--profile", "pre_pandemic", "--seed", "3",
+        "--timestamp", "2020-03-16T00:00:00+00:00", "--out", str(out),
+    ) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert digests == GOLDEN_GENERATED
+
+
+def test_hotspots_listing_matches_recorded_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(SAMPLE_DATA)
+    out = tmp_path / "out"
+    assert run_cli(
+        "simulate", "--venues", "venues.csv", "--visits", "visits.csv", "--params", "params.txt",
+        "--spacing", "6ft", "--timestamp", "2020-03-16T00:00:00+00:00", "--out", str(out),
+    ) == 0
+    capsys.readouterr()
+    assert run_cli("hotspots", "--results", str(out / "venue_results.csv")) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_HOTSPOTS
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "gen-synthetic"])
+def test_timestamp_must_be_iso_8601(command, tmp_path, capsys):
+    # the input files do not exist, so exit 1 (not the i/o error's 2) shows none was read
+    missing = str(tmp_path / "nope.csv")
+    argv = {
+        "simulate": ["--venues", missing, "--visits", missing, "--prevalence", "0.001"],
+        "compare": [
+            "--venues", missing, "--scenario-a", missing, "--scenario-b", missing,
+            "--prevalence", "0.001",
+        ],
+        "gen-synthetic": ["--n-venues", "3", "--profile", "lockdown", "--seed", "1"],
+    }[command]
+    out = tmp_path / "x"
+    assert run_cli(command, *argv, "--timestamp", "not a time", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: argument --timestamp: must be an ISO 8601 date and time, got 'not a time'\n"
+    )
+    assert not out.exists()
+
+
+def test_accepted_timestamp_is_stored_as_given(tmp_path):
+    out = tmp_path / "gen"
+    assert run_cli(
+        "gen-synthetic", "--n-venues", "3", "--profile", "lockdown", "--seed", "1",
+        "--timestamp", "2020-03-16", "--out", str(out),
+    ) == 0
+    assert json.loads((out / "manifest.json").read_text())["timestamp"] == "2020-03-16"
 
 
 class TestHotspots:

@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from venuerisk import EpiParams, SimulationInput, simulate_week, wells_riley_probability
+from venuerisk import EpiParams, simulate_week, wells_riley_probability
+from venuerisk.ingest import SimulationInput
 from venuerisk.epi import count_severities
 from conftest import hourly_of, make_input, make_venues, window_counts
 

@@ -4,22 +4,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from venuerisk import (
-    DatasetError,
-    RecordError,
+from venuerisk import DatasetError, RecordError, ingest
+from venuerisk.ingest import (
+    SQFT_TO_SQM,
     SimulationInput,
     VenueTable,
     VisitRecords,
+    _parse_visits_csv,
+    _parse_visits_fast,
     apply_sampling_correction,
     compute_volumes,
     join,
+    open_input,
     parse_venues,
     parse_visits,
     write_venues,
     write_visits,
 )
-from venuerisk import ingest
-from venuerisk.ingest import SQFT_TO_SQM, _parse_visits_csv, _parse_visits_fast, open_input
 from conftest import (
     make_venues,
     parse_outcome,

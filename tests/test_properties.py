@@ -17,20 +17,24 @@ from hypothesis.extra.numpy import arrays
 from venuerisk import (
     EpiParams,
     ScenarioConfig,
-    SimulationInput,
-    join,
+    epi,
+    ingest,
     max_distanced_occupancy,
-    parse_venues,
-    parse_visits,
     run_scenario,
     simulate_week,
     wells_riley_probability,
+)
+from venuerisk.epi import hourly_infections
+from venuerisk.ingest import (
+    WINDOW_HOURS,
+    SimulationInput,
+    _parse_visits_csv,
+    join,
+    parse_venues,
+    parse_visits,
     write_venues,
     write_visits,
 )
-from venuerisk import epi, ingest
-from venuerisk.epi import hourly_infections
-from venuerisk.ingest import WINDOW_HOURS, _parse_visits_csv
 from venuerisk.reporting import hashed_manifest
 from venuerisk.scenario import apply_occupancy_cap
 from conftest import (

@@ -10,21 +10,20 @@ from venuerisk import (
     ConfigError,
     DatasetError,
     EpiParams,
-    GeneratorConfig,
     ScenarioConfig,
-    VisitRecords,
-    generate_dataset,
-    load_scenario_config,
+    epi,
     max_distanced_occupancy,
-    parse_spacing,
-    join,
     run_scenario,
     simulate_week,
-    write_visits,
 )
-from venuerisk import epi
-from venuerisk.ingest import WINDOW_HOURS
-from venuerisk.scenario import apply_occupancy_cap, params_from_mapping
+from venuerisk.ingest import WINDOW_HOURS, VisitRecords, join, write_visits
+from venuerisk.scenario import (
+    apply_occupancy_cap,
+    load_scenario_config,
+    params_from_mapping,
+    parse_spacing,
+)
+from venuerisk.synthetic import GeneratorConfig, generate_dataset
 from conftest import make_base, make_input
 
 SIX_FEET = 1.8288  # meters

@@ -4,13 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from venuerisk import (
-    Severity,
-    classify,
+from venuerisk import Severity, classify, welch_t_test
+from venuerisk.stats import (
+    combined_range,
     histogram,
-    welch_t_test,
+    regularized_incomplete_beta,
+    student_t_two_sided_p,
 )
-from venuerisk.stats import combined_range, regularized_incomplete_beta, student_t_two_sided_p
 
 # frozen from scipy.stats.ttest_ind(a, b, equal_var=False) and confirmed
 # with a 50-digit incomplete-beta evaluation

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from venuerisk import GeneratorConfig, generate_dataset, write_venues, write_visits
+from venuerisk.ingest import write_venues, write_visits
+from venuerisk.synthetic import GeneratorConfig, generate_dataset
 from venuerisk.cli import main
 from venuerisk.synthetic import AREA_RANGE_M2, DIURNAL_SHAPE
 from conftest import FIXTURE_N_VENUES, FIXTURE_SEED, same_venues

@@ -1,6 +1,7 @@
 """Repository checks: the tracer in perfbench/ finds every function it wraps and runs the
-CLI, every public name has a caller in the package, every CLI flag is used by a test, and
-test failures report normally."""
+CLI, every public name has a caller in the package, no module imports another's private
+name and only ingest imports csv, every CLI flag is used by a test, and test failures
+report normally."""
 
 import ast
 import importlib
@@ -105,6 +106,25 @@ def test_every_public_name_is_used_in_the_package():
     unused = sorted(set(venuerisk.__all__) - used - CALLED_ONLY_BY_TESTS)
     assert unused == []
     assert CALLED_ONLY_BY_TESTS <= set(venuerisk.__all__) - used
+
+
+def test_modules_share_no_private_names_and_only_ingest_reads_csv():
+    # ingest owns every CSV format; a private name stays inside the module defining it
+    private, csv_users = [], []
+    for path in sorted((SRC / "venuerisk").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                names = [alias.name for alias in node.names]
+                private += [f"{path.stem}: {name}" for name in names if name.startswith("_")]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if "csv" in modules:
+                csv_users.append(path.stem)
+    assert private == []
+    assert csv_users == ["ingest"]
 
 
 def test_every_cli_flag_appears_in_a_test():
