@@ -26,7 +26,7 @@ import statistics
 import sys
 from datetime import datetime
 
-from .epi import EpiParams
+from .epi import EpiParams, count_severities
 from .errors import ConfigError, InputError
 from .ingest import (
     AREA_UNITS,
@@ -73,14 +73,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(minimum: int, description: str):
+    """An argparse type: an integer of at least ``minimum``; the error says ``description``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {description}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
 
 
 def _finite_float(text: str) -> float:
@@ -202,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen-synthetic", help="emit a deterministic synthetic dataset")
     p_gen.add_argument("--n-venues", type=int, required=True)
     p_gen.add_argument("--profile", choices=PROFILES, required=True)
-    p_gen.add_argument("--seed", type=int, required=True)
+    p_gen.add_argument("--seed", type=_int_at_least(0, "a non-negative integer"), required=True)
     p_gen.add_argument(
         "--traffic-multiplier",
         type=float,
@@ -254,9 +260,9 @@ def _load_base_input(args) -> tuple[VenueTable, VisitRecords]:
 def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str]):
     """Run each scenario over the shared inputs.
 
-    Returns the resolved params, the venue table, one ScenarioResult per
-    config, and the manifest over every input file (the scenario files
-    in ``config_paths`` included).
+    Returns the resolved params, the venue table, each config's weekly
+    expected infections in venue-table order, and the manifest over
+    every input file (the scenario files in ``config_paths`` included).
     """
     params = _resolve_params(args)
     venues, visits = _load_base_input(args)
@@ -265,12 +271,12 @@ def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str])
             raise ConfigError(
                 f"scenario {config.name!r} uses the baseline visit source but --visits was not given"
             )
-    outcomes = [run_scenario(venues, visits, config, params, args.threshold) for config in configs]
+    weeklies = [run_scenario(venues, visits, config, params) for config in configs]
 
     input_paths = [args.venues, *config_paths, *([args.visits] if args.visits else [])]
     input_paths += [c.visit_source for c in configs if c.visit_source != BASELINE]
     manifest = build_manifest(input_paths, params, configs, timestamp=args.timestamp)
-    return params, venues, outcomes, manifest
+    return params, venues, weeklies, manifest
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +291,17 @@ def cmd_simulate(args) -> int:
         sampling_factor=args.sampling_factor,
         spacing=spacing,
     )
-    params, venues, (outcome,), manifest = _run_scenarios(args, [config], [])
+    params, venues, (weekly,), manifest = _run_scenarios(args, [config], [])
     mhash = manifest["manifest_sha256"]
 
-    weekly = outcome.weekly
+    severe, mild = count_severities(weekly, args.threshold)
     hist = histogram(weekly, args.bins, args.scale)
     summary = {
         "manifest_sha256": mhash,
         "scenario": config.name,
         "venue_count": len(weekly),
-        "severe_count": outcome.severe_count,
-        "mild_count": outcome.mild_count,
+        "severe_count": severe,
+        "mild_count": mild,
         "severity_threshold": args.threshold,
         "total_expected_infections": math.fsum(weekly),
         "effective_prevalence": params.effective_prevalence,
@@ -315,8 +321,8 @@ def cmd_simulate(args) -> int:
     })
 
     print(
-        f"venues={summary['venue_count']} severe={outcome.severe_count} "
-        f"mild={outcome.mild_count} total_expected_infections={summary['total_expected_infections']!r}"
+        f"venues={summary['venue_count']} severe={severe} "
+        f"mild={mild} total_expected_infections={summary['total_expected_infections']!r}"
     )
     print(f"reports written to {out_dir}")
     return 0
@@ -324,10 +330,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     configs = [load_scenario_config(args.scenario_a), load_scenario_config(args.scenario_b)]
-    _, _, outcomes, manifest = _run_scenarios(args, configs, [args.scenario_a, args.scenario_b])
+    _, _, weeklies, manifest = _run_scenarios(args, configs, [args.scenario_a, args.scenario_b])
     mhash = manifest["manifest_sha256"]
 
-    weekly_a, weekly_b = (o.weekly for o in outcomes)
+    weekly_a, weekly_b = weeklies
     try:
         test = welch_t_test(weekly_a, weekly_b)
         t_test = {key: getattr(test, key) for key in T_TEST_KEYS}
@@ -341,18 +347,20 @@ def cmd_compare(args) -> int:
     hist_a = histogram(weekly_a, args.bins, args.scale, value_range=span)
     hist_b = histogram(weekly_b, args.bins, args.scale, value_range=span)
 
-    def scenario_report(outcome, weekly):
+    def scenario_report(config, weekly):
+        severe, mild = count_severities(weekly, args.threshold)
         return {
-            "name": outcome.config.name,
-            "severe_count": outcome.severe_count,
-            "mild_count": outcome.mild_count,
+            "name": config.name,
+            "severe_count": severe,
+            "mild_count": mild,
             "mean_weekly_infections": statistics.fmean(weekly) if len(weekly) else None,
         }
 
+    scenarios = [scenario_report(config, weekly) for config, weekly in zip(configs, weeklies)]
     report = {
         "manifest_sha256": mhash,
-        "scenario_a": scenario_report(outcomes[0], weekly_a),
-        "scenario_b": scenario_report(outcomes[1], weekly_b),
+        "scenario_a": scenarios[0],
+        "scenario_b": scenarios[1],
         **t_test,
         "severity_threshold": args.threshold,
         "histogram": {
@@ -369,10 +377,10 @@ def cmd_compare(args) -> int:
         "manifest.json": dump_json(manifest),
     })
 
-    for side, outcome in zip(("a", "b"), outcomes):
+    for side, scenario in zip(("a", "b"), scenarios):
         print(
-            f"scenario_{side} {outcome.config.name}: "
-            f"severe={outcome.severe_count} mild={outcome.mild_count}"
+            f"scenario_{side} {scenario['name']}: "
+            f"severe={scenario['severe_count']} mild={scenario['mild_count']}"
         )
     if "t_test_undefined" in t_test:
         print(f"t-test undefined: {t_test['t_test_undefined']}")

@@ -16,6 +16,7 @@ is a record. :func:`write_table` writes every table. The files:
   168-hour simulation week; an hour a file leaves out had no visits;
 * venue_results, written by ``simulate`` and read by ``hotspots``:
   ``VENUE_RESULT_COLUMNS``, one row per venue in venue-file order;
+  ``hotspots`` reads a file with exactly that header;
 * histogram, written by ``simulate`` and ``compare``:
   ``HISTOGRAM_COLUMNS``, after a second comment line with the binning
   scale and the count of values in no bin;
@@ -186,50 +187,37 @@ def open_input(path: str | Path):
         yield handle
 
 
-def _data_rows(source: TextIO):
-    """Yield (line_number, row) pairs, skipping blank lines and ``#`` lines before the header.
-
-    Raises:
-        RecordError: a line the ``csv`` reader rejects, such as a field
-            over its size limit.
-    """
-    reader = csv.reader(source)
-    header_seen = False
-    try:
-        for row in reader:
-            if row and (header_seen or not row[0].startswith("#")):
-                header_seen = True
-                yield reader.line_num, row
-    except csv.Error as exc:
-        raise RecordError(str(exc), reader.line_num) from None
-
-
 def _records(source: TextIO, kind: str, header: tuple[str, ...]):
     """Yield (line_number, fields) for each record of a ``kind`` file, after checking its header.
 
-    Every field is stripped of surrounding whitespace, and the first one,
-    the venue_id, is never empty.
+    Blank lines, and lines starting with ``#`` before the header, are
+    skipped. Every field is stripped of surrounding whitespace, and the
+    first one, the venue_id, is never empty.
 
     Raises:
         DatasetError: missing header, or one that is not ``header``.
         RecordError: a record without one field per column of ``header``,
-            or with an empty venue_id.
+            or with an empty venue_id; or a line the ``csv`` reader
+            rejects, such as a field over its size limit.
     """
-    rows = _data_rows(source)
-    first = next(rows, None)
-    if first is None:
-        raise DatasetError(f"{kind} file has no header: expected {','.join(header)!r}")
-    if tuple(f.strip() for f in first[1]) != header:
-        raise DatasetError(
-            f"{kind} file header must be {','.join(header)!r}, got {','.join(first[1])!r}"
-        )
-    for line, row in rows:
-        if len(row) != len(header):
-            raise RecordError(f"expected {len(header)} fields, got {len(row)}", line)
-        fields = [f.strip() for f in row]
-        if not fields[0]:
-            raise RecordError("venue_id is empty", line)
-        yield line, fields
+    reader = csv.reader(source)
+    try:
+        first = next((row for row in reader if row and not row[0].startswith("#")), None)
+        if first is None:
+            raise DatasetError(f"{kind} file has no header: expected {','.join(header)!r}")
+        if tuple(f.strip() for f in first) != header:
+            raise DatasetError(
+                f"{kind} file header must be {','.join(header)!r}, got {','.join(first)!r}"
+            )
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise RecordError(f"expected {len(header)} fields, got {len(row)}", reader.line_num)
+            fields = [f.strip() for f in row]
+            if not fields[0]:
+                raise RecordError("venue_id is empty", reader.line_num)
+            yield reader.line_num, fields
+    except csv.Error as exc:
+        raise RecordError(str(exc), reader.line_num) from None
 
 
 def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
@@ -422,35 +410,21 @@ def _parse_slice(part: str, ids: dict[str, int]) -> tuple[np.ndarray, ...] | Non
 def parse_results(source: TextIO) -> list[tuple[str, str, float]]:
     """The (venue_id, name, weekly_infections) of each row of a venue_results CSV, in file order.
 
-    Columns are found by header name, so other columns and the column
-    order do not matter. Fields are taken as written; a short row lacks
-    its last fields.
+    The header must be exactly ``VENUE_RESULT_COLUMNS``, the one
+    ``simulate`` writes.
 
     Raises:
-        DatasetError: the file is empty, or its header lacks one of the
-            three columns.
-        RecordError: a row without a venue_id, or with a weekly_infections
-            value that is not a non-negative finite number.
+        DatasetError: missing header, or one that is not
+            ``VENUE_RESULT_COLUMNS``.
+        RecordError: a row without one field per column, or with an empty
+            venue_id, or with a weekly_infections value that is not a
+            non-negative finite number.
     """
-    rows = _data_rows(source)
-    first = next(rows, None)
-    if first is None:
-        raise DatasetError("results file is empty")
-    header = first[1]
-    missing = {"venue_id", "name", "weekly_infections"} - set(header)
-    if missing:
-        raise DatasetError("results file lacks column(s): " + ", ".join(sorted(missing)))
-
     entries = []
-    for line, row in rows:
-        # a short row lacks its last fields, read as None like csv.DictReader's
-        record = dict(zip(header, row))
-        venue_id, name, text = map(record.get, ("venue_id", "name", "weekly_infections"))
-        if not venue_id:
-            raise RecordError(f"venue_id is {'empty' if venue_id == '' else 'missing'}", line)
+    for line, (venue_id, name, _, _, _, text, _) in _records(source, "results", VENUE_RESULT_COLUMNS):
         try:
             weekly = float(text)
-        except (TypeError, ValueError):  # TypeError: the field is missing
+        except ValueError:
             weekly = math.nan
         if not (math.isfinite(weekly) and weekly >= 0):
             raise RecordError(

@@ -13,8 +13,8 @@ rows or the ``counts[venue, hour]`` matrix:
     4. cap each venue at its distanced occupancy (if spacing is set),
        in place:                    minimum(counts, cap[venue])
     5. merge parameter overrides
-    6. simulate the window, with room volumes from the merged parameters
-    7. count severities:            weekly > threshold
+    6. simulate the window, with room volumes from the merged parameters;
+       the weekly values and their total must be finite
 
 Scenario config files use one ``key = value`` pair per line. A ``#``
 at the start of a line or after whitespace starts a comment, so a value
@@ -42,7 +42,7 @@ from typing import Mapping, TextIO
 
 import numpy as np
 
-from .epi import EpiParams, count_severities, simulate_week
+from .epi import EpiParams, simulate_week
 from .errors import ConfigError, error_context
 from .ingest import (
     VenueTable,
@@ -82,16 +82,6 @@ class ScenarioConfig:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class ScenarioResult:
-    """One scenario's weekly expected infections, in venue-table order, and its severity counts."""
-
-    config: ScenarioConfig
-    weekly: np.ndarray
-    severe_count: int
-    mild_count: int
-
-
 def max_distanced_occupancy(area, spacing: float):
     """Maximum simultaneous visitors under strict physical distancing.
 
@@ -126,9 +116,8 @@ def run_scenario(
     visits: VisitRecords,
     config: ScenarioConfig,
     params: EpiParams,
-    severity_threshold: float = 1.0,
-) -> ScenarioResult:
-    """Run one scenario over the shared venue table.
+) -> np.ndarray:
+    """One scenario's weekly expected infections, in venue-table order.
 
     ``visits`` are the baseline records as-read, so ``sampling_factor``
     is the whole correction. An alternate visit file is read by
@@ -136,9 +125,10 @@ def run_scenario(
     venue fails naming the file. The scenario's counts are one matrix of
     its own: the sampled records are scattered into it once and capped in
     place. Input errors raised here name the scenario, among them a
-    sampling factor that makes a count overflow. Overrides are
-    checked when a scenario file is read; one set in code that
-    ``EpiParams`` rejects raises ``ValueError`` here.
+    sampling factor that makes a count, a weekly value or the weekly
+    total overflow; the last two are checked so that every report can
+    sum the values. Overrides are checked when a scenario file is read;
+    one set in code that ``EpiParams`` rejects raises ``ValueError`` here.
     """
     with error_context(f"scenario {config.name!r}"):
         if config.visit_source != BASELINE:
@@ -151,10 +141,19 @@ def run_scenario(
             caps = max_distanced_occupancy(venues.areas, config.spacing)
             np.minimum(sim_input.counts, caps[:, None], out=sim_input.counts)
 
-    effective_params = dataclasses.replace(params, **config.params_override)
-    weekly = simulate_week(sim_input, effective_params)
-    severe, mild = count_severities(weekly, severity_threshold)
-    return ScenarioResult(config=config, weekly=weekly, severe_count=severe, mild_count=mild)
+        effective_params = dataclasses.replace(params, **config.params_override)
+        with np.errstate(over="ignore"):
+            weekly = simulate_week(sim_input, effective_params)
+        try:
+            total = math.fsum(weekly)
+        except OverflowError:  # a partial sum overflowed
+            total = math.inf
+        if not (np.isfinite(weekly).all() and math.isfinite(total)):
+            raise ConfigError(
+                f"sampling factor {config.sampling_factor!r} makes the weekly infections "
+                "overflow to infinity"
+            )
+    return weekly
 
 
 # ---------------------------------------------------------------------------

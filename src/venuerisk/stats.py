@@ -39,8 +39,10 @@ class Histogram:
     ``bin_edges`` are always in original units (for log10 they are
     geometrically spaced). ``excluded_count`` holds every input value
     that landed in no bin: non-finite values, non-positives on a log
-    scale, and values outside an explicit range. Conservation holds by
-    construction: sum(counts) + excluded_count == number of inputs.
+    scale, and values outside a ``value_range`` given by hand. A range
+    derived from the data, the default or a :func:`combined_range`,
+    leaves no binnable value out. Conservation holds by construction:
+    sum(counts) + excluded_count == number of inputs.
     """
 
     bin_edges: tuple[float, ...]
@@ -78,31 +80,22 @@ def histogram(
     """Bin values into ``bins`` equal-width intervals in the chosen scale.
 
     Bins are half-open with the last bin closed on the right. By default
-    the edges span [min, max] of the included values; pass
-    ``value_range`` (in original units, such as a :func:`combined_range`)
-    to align histograms from different samples for overlay plots. On the
-    log10 scale, zeros and negatives cannot be binned and are counted in
+    the edges span [min, max] of the binnable values; pass
+    ``value_range`` to align histograms from different samples for
+    overlay plots. The range is in binning units, log10 of the value on
+    the log10 scale, as :func:`combined_range` gives it. On the log10
+    scale, zeros and negatives cannot be binned and are counted in
     ``excluded_count`` instead of being silently dropped.
     """
     scale = Scale(scale)
     if bins < 1:
         raise ValueError(f"bins must be a positive integer, got {bins}")
     arr = np.asarray(list(values), dtype=float)
-    total = arr.size
-
-    points = arr[_binnable(arr, scale)]
-    if scale is Scale.LOG10:
-        points = np.log10(points)
-        span = None if value_range is None else _log_range(value_range)
-    else:
-        span = value_range
-
+    points = _binning_points(arr, scale)
     if points.size == 0:
-        return Histogram(bin_edges=(), counts=(), scale=scale, excluded_count=total)
+        return Histogram(bin_edges=(), counts=(), scale=scale, excluded_count=arr.size)
 
-    lo, hi = span if span is not None else (float(points.min()), float(points.max()))
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-        raise ValueError(f"invalid histogram range ({lo}, {hi})")
+    lo, hi = value_range if value_range is not None else (points.min().item(), points.max().item())
     if lo == hi:
         # all values identical: one degenerate bin, edges nudged apart
         pad = np.finfo(float).eps * max(1.0, abs(lo))
@@ -111,44 +104,41 @@ def histogram(
         edges = np.linspace(lo, hi, bins + 1)
 
     counts, _ = np.histogram(points, bins=edges)
-    excluded = total - int(counts.sum())
     if scale is Scale.LOG10:
         edges = 10.0 ** edges
     return Histogram(
         bin_edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
         scale=scale,
-        excluded_count=excluded,
+        excluded_count=arr.size - int(counts.sum()),
     )
 
 
-def _binnable(values: np.ndarray, scale: Scale) -> np.ndarray:
-    """Mask of the values a histogram on ``scale`` can bin: finite, and positive on log10."""
+def _binning_points(values: np.ndarray, scale: Scale) -> np.ndarray:
+    """The values a histogram on ``scale`` can bin, in binning units.
+
+    Those are the finite values; on the log10 scale only the positive
+    ones, through ``np.log10``.
+    """
     mask = np.isfinite(values)
     if scale is Scale.LOG10:
         mask &= values > 0
-    return mask
+        return np.log10(values[mask])
+    return values[mask]
 
 
 def combined_range(
     values_a: np.ndarray, values_b: np.ndarray, scale: Scale | str
 ) -> tuple[float, float] | None:
-    """The [min, max] of the values of both samples that a histogram on ``scale`` can bin.
+    """The [min, max] of both samples' binnable values, in :func:`histogram`'s binning units.
 
     Passed as :func:`histogram`'s ``value_range``, it puts both
-    samples' histograms on the same bins, so they overlay. None when
-    neither sample has a value to bin.
+    samples' histograms on the same bins, so they overlay. It is taken
+    from the same values the histograms bin, so it leaves none of them
+    out. None when neither sample has a value to bin.
     """
-    pool = np.concatenate([values_a, values_b])
-    pool = pool[_binnable(pool, Scale(scale))]
+    pool = _binning_points(np.concatenate([values_a, values_b]), Scale(scale))
     return (pool.min().item(), pool.max().item()) if pool.size else None
-
-
-def _log_range(value_range: tuple[float, float]) -> tuple[float, float]:
-    lo, hi = value_range
-    if lo <= 0 or hi <= 0:
-        raise ValueError(f"log10 range bounds must be positive, got ({lo}, {hi})")
-    return math.log10(lo), math.log10(hi)
 
 
 def welch_t_test(

@@ -82,8 +82,14 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
 
     level = LOCKDOWN_LEVEL if config.profile == "lockdown" else config.pre_pandemic_level
     shape = np.array([DIURNAL_SHAPE[h % 24] for h in range(WINDOW_HOURS)])
-    rates = BASE_HOURLY_VISITS * level * popularity[:, None] * shape[None, :]
-    draws = rng.poisson(rates)
+    with np.errstate(over="ignore"):  # an infinite rate fails the draw below
+        rates = BASE_HOURLY_VISITS * level * popularity[:, None] * shape[None, :]
+    try:
+        draws = rng.poisson(rates)
+    except ValueError:  # NumPy draws no rate above about 9.2e18
+        raise ValueError(
+            f"pre_pandemic_level {level!r} makes an hourly visit rate too large to draw"
+        ) from None
     del rates  # each full matrix freed once used, so at most two are live at a time
     counts = draws.astype(float)
     del draws

@@ -125,7 +125,7 @@ def test_criterion_4_monotonicity_suite(default_params):
             ScenarioConfig(name="c", sampling_factor=10.0, spacing=spacing),
             default_params,
         )
-        for capped_weekly, uncapped_weekly in zip(capped.weekly, uncapped.weekly):
+        for capped_weekly, uncapped_weekly in zip(capped, uncapped):
             assert capped_weekly <= uncapped_weekly
             pair_checks += 1
     ok = checked >= 1000 and pair_checks >= 200

@@ -140,6 +140,24 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("factor", ["1e307", "2.5e306"])
+    def test_overflowing_weekly_infections_name_scenario_and_factor(self, tmp_path, capsys, factor):
+        # every count stays finite; at 1e307 a weekly value overflows, at 2.5e306 only their total
+        out = tmp_path / "x"
+        code = run_cli(
+            "simulate", "--venues", str(SAMPLE_DATA / "venues.csv"),
+            "--visits", str(SAMPLE_DATA / "visits.csv"), "--params", str(SAMPLE_DATA / "params.txt"),
+            "--sampling-factor", factor, "--out", str(out),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: scenario 'simulate': sampling factor {float(factor)!r} makes the weekly "
+            "infections overflow to infinity\n"
+        )
+        assert not out.exists()
+
     def test_missing_file_is_io_error(self, small_dataset, tmp_path):
         code = run_cli(
             "simulate", "--venues", str(tmp_path / "nope.csv"),
@@ -471,6 +489,25 @@ class TestCompare:
         )
         assert not out.exists()
 
+    def test_overflowing_weekly_total_names_scenario_and_factor(self, tmp_path, capsys):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("name = huge\nsampling_factor = 3e306\n", encoding="utf-8")
+        out = tmp_path / "x"
+        code = run_cli(
+            "compare", "--venues", str(SAMPLE_DATA / "venues.csv"),
+            "--visits", str(SAMPLE_DATA / "visits.csv"), "--params", str(SAMPLE_DATA / "params.txt"),
+            "--scenario-a", str(SAMPLE_DATA / "scenario_lockdown.txt"), "--scenario-b", str(huge),
+            "--out", str(out),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scenario 'huge': sampling factor 3e+306 makes the weekly infections "
+            "overflow to infinity\n"
+        )
+        assert not out.exists()
+
     def test_unknown_id_in_scenario_visit_file_names_scenario_and_file(
         self, small_dataset, tmp_path, capsys
     ):
@@ -584,6 +621,39 @@ def test_sample_data_reports_match_recorded_digests(command, tmp_path, monkeypat
         for path in (tmp_path / "out").iterdir()
     }
     assert digests == GOLDEN_REPORTS[command]
+
+
+# the same on the log10 scale, recorded before the shared log10 range was taken from the
+# binned values
+GOLDEN_LOG10_REPORTS = {
+    "simulate": {
+        "histogram.csv": "5fbf0cd756d429de231b1f76e7f4735c0eb08a477f7e8a377a41756db058ff63",
+        "manifest.json": "22c0167c4011cec38fd47d9b213bdd43166391b4d903074d9fc991205883c192",
+        "summary.json": "bb121e691b5c1422b374d966ada92e55852b5d7233740b3996c7c0eb579e3522",
+        "venue_results.csv": "2e370c95620287b75654ce88198b4b6221739971aea1004b39404be1b32dd10b",
+    },
+    "compare": {
+        "comparison.json": "981473d26eede19a1173b988dcc914e1c339736e4a6679a1de91b42a9cd3c4d9",
+        "histogram_a.csv": "f2c7092fb3fdb1083e5c713ba793e75aef0839d1794c599fc04ebf76f3b4bf55",
+        "histogram_b.csv": "0ea4cd0bb9e47f0aa8b33fabbab42b0e1d2eed3f738bd3ef32c3c68ea41db105",
+        "manifest.json": "1511b2eee6241f15da084fa8e14bb73ebd689177c44a73712840ca4a354d77de",
+    },
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_LOG10_REPORTS)
+def test_sample_data_log10_reports_match_recorded_digests(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(SAMPLE_DATA)
+    assert run_cli(
+        command, "--venues", "venues.csv", "--visits", "visits.csv", "--params", "params.txt",
+        *GOLDEN_ARGS[command], "--scale", "log10",
+        "--timestamp", "2020-03-16T00:00:00+00:00", "--out", str(tmp_path / "out"),
+    ) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (tmp_path / "out").iterdir()
+    }
+    assert digests == GOLDEN_LOG10_REPORTS[command]
 
 
 # the same for gen-synthetic's files and for the hotspots listing of the simulate reports
@@ -706,17 +776,17 @@ class TestHotspots:
         assert "--threshold: must be a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "row, shown",
+        "row, problem",
         [
-            ("v4,Odd Pub,pub,50.0,150.0,nan,mild", "'nan'"),
-            ("v4,Odd Pub,pub,50.0,150.0,inf,mild", "'inf'"),
-            ("v4,Odd Pub,pub,50.0,150.0,-2,mild", "'-2'"),
-            ("v4,Odd Pub,pub,50.0,150.0,,mild", "''"),
-            ("v4,Odd Pub", "None"),
+            ("v4,Odd Pub,pub,50.0,150.0,nan,mild", "bad weekly_infections value 'nan' for venue 'v4'"),
+            ("v4,Odd Pub,pub,50.0,150.0,inf,mild", "bad weekly_infections value 'inf' for venue 'v4'"),
+            ("v4,Odd Pub,pub,50.0,150.0,-2,mild", "bad weekly_infections value '-2' for venue 'v4'"),
+            ("v4,Odd Pub,pub,50.0,150.0,,mild", "bad weekly_infections value '' for venue 'v4'"),
+            ("v4,Odd Pub", "expected 7 fields, got 2"),
         ],
         ids=["nan", "inf", "negative", "empty", "short-row"],
     )
-    def test_bad_weekly_value_names_file_and_venue(self, tmp_path, capsys, row, shown):
+    def test_bad_weekly_value_names_file_and_venue(self, tmp_path, capsys, row, problem):
         path = self._results_file(tmp_path)
         with path.open("a", encoding="utf-8") as handle:
             handle.write(row + "\n")
@@ -724,17 +794,25 @@ class TestHotspots:
         captured = capsys.readouterr()
         assert captured.out == ""
         # the comment line before the header counts: the appended row is line 6
-        assert f"{path}: line 6: bad weekly_infections value {shown} for venue 'v4'" in captured.err
+        assert f"{path}: line 6: {problem}" in captured.err
 
-    @pytest.mark.parametrize("row, problem", [("B,1.0", "missing"), ("B,1.0,", "empty")])
+    @pytest.mark.parametrize(
+        "row, problem",
+        [("B,1.0", "expected 7 fields, got 2"), (",B,pub,50.0,150.0,1.0,mild", "venue_id is empty")],
+        ids=["B,1.0-missing", "B,1.0,-empty"],
+    )
     def test_missing_venue_id_names_file_and_line(self, tmp_path, capsys, row, problem):
-        # venue_id is the last column, so a short row can lack it and still carry a valid value
+        # the header is fixed, so a row lacking its venue_id field is a short row
         path = tmp_path / "venue_results.csv"
-        path.write_text(f"name,weekly_infections,venue_id\nA,1.0,v1\n{row}\n", encoding="utf-8")
+        path.write_text(
+            "venue_id,name,category,area_m2,volume_m3,weekly_infections,severity\n"
+            f"v1,A,pub,50.0,150.0,1.0,severe\n{row}\n",
+            encoding="utf-8",
+        )
         assert run_cli("hotspots", "--results", str(path)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {path}: line 3: venue_id is {problem}\n"
+        assert captured.err == f"error: {path}: line 3: {problem}\n"
 
     def test_oversized_field_names_file_and_line(self, tmp_path, capsys):
         path = self._results_file(tmp_path)
@@ -750,6 +828,17 @@ class TestHotspots:
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n", encoding="utf-8")
         assert run_cli("hotspots", "--results", str(path)) == 1
+
+    def test_other_header_names_the_expected_one(self, tmp_path, capsys):
+        # the columns of a results file are fixed: reordered ones are another header
+        path = tmp_path / "venue_results.csv"
+        path.write_text("name,weekly_infections,venue_id\nA,1.0,v1\n", encoding="utf-8")
+        assert run_cli("hotspots", "--results", str(path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: results file header must be "
+            "'venue_id,name,category,area_m2,volume_m3,weekly_infections,severity', "
+            "got 'name,weekly_infections,venue_id'\n"
+        )
 
     @pytest.mark.parametrize(
         "flag, value, expected",
@@ -843,6 +932,28 @@ class TestGenSynthetic:
             f"--traffic-multiplier={value}", "--out", str(out),
         ) == 1
         assert "pre_pandemic_level must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        assert run_cli(
+            "gen-synthetic", "--n-venues", "5", "--profile", "lockdown", "--seed", "-1",
+            "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: argument --seed: must be a non-negative integer, got '-1'\n"
+        )
+        assert not out.exists()
+
+    def test_rate_too_large_to_draw_names_the_setting(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        assert run_cli(
+            "gen-synthetic", "--n-venues", "5", "--profile", "pre_pandemic", "--seed", "1",
+            "--traffic-multiplier", "1e300", "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: pre_pandemic_level 1e+300 makes an hourly visit rate too large to draw\n"
+        )
         assert not out.exists()
 
     def test_bad_n_venues(self, capsys):

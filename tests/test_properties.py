@@ -37,6 +37,7 @@ from venuerisk.ingest import (
 )
 from venuerisk.reporting import hashed_manifest
 from venuerisk.scenario import apply_occupancy_cap
+from venuerisk.stats import combined_range, histogram
 from conftest import (
     hourly_of,
     make_venues,
@@ -145,8 +146,8 @@ def test_capped_rows_match_scalar_cap(table, params, spacing, factor):
     )
     # the kernel is exact on equal inputs, so equal weekly values mean equal capped rows
     reference = simulate_week(SimulationInput(table.venues, np.array(rows)), params)
-    assert np.array_equal(capped.weekly, reference)
-    assert (capped.weekly <= uncapped.weekly).all()
+    assert np.array_equal(capped, reference)
+    assert (capped <= uncapped).all()
 
 
 @PROPERTY
@@ -346,3 +347,29 @@ def test_manifest_hash_ignores_timestamp_and_key_order(payload, stamp_a, stamp_b
     assert hashed_manifest({"payload": payload}, stamp_a)["manifest_sha256"] != (
         first["manifest_sha256"]
     )
+
+
+# finite values up to 1e300 in size: within about 1e-15 of the largest double, the bin
+# edges themselves overflow, which is not what this property is about
+histogram_values_st = st.lists(
+    st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    max_size=20,
+)
+
+
+@PROPERTY
+@given(
+    histogram_values_st, histogram_values_st, st.sampled_from(["linear", "log10"]),
+    st.integers(1, 12),
+)
+@example(a=[0.3196698954857542, 1.0, 2.0], b=[3.0, 5.0], scale="log10", bins=4)
+def test_histograms_on_the_combined_range_share_edges_and_bin_every_binnable_value(
+    a, b, scale, bins
+):
+    span = combined_range(np.array(a, float), np.array(b, float), scale)
+    hists = [histogram(sample, bins, scale, value_range=span) for sample in (a, b)]
+    assert len({hist.bin_edges for hist in hists if hist.counts}) <= 1
+    for sample, hist in zip((a, b), hists):
+        values = np.array(sample, float)
+        binnable = np.isfinite(values) & ((values > 0) if scale == "log10" else True)
+        assert hist.excluded_count == len(sample) - np.count_nonzero(binnable)

@@ -92,15 +92,14 @@ class TestRunScenario:
         venues, visits = self._base()
         base = join(venues, visits)
         config = ScenarioConfig(name="identity", sampling_factor=1.0)
-        outcome = run_scenario(venues, visits, config, default_params)
-        assert np.array_equal(outcome.weekly, simulate_week(base, default_params))
-        assert outcome.severe_count + outcome.mild_count == len(base.venues)
+        weekly = run_scenario(venues, visits, config, default_params)
+        assert np.array_equal(weekly, simulate_week(base, default_params))
 
     def test_huge_spacing_zeroes_everything(self, default_params):
         base = self._base()
         config = ScenarioConfig(name="empty", sampling_factor=1.0, spacing=1000.0)
-        outcome = run_scenario(*base, config, default_params)
-        assert (outcome.weekly == 0.0).all()
+        weekly = run_scenario(*base, config, default_params)
+        assert (weekly == 0.0).all()
 
     def test_capped_never_exceeds_uncapped(self, default_params):
         base = self._base()
@@ -110,7 +109,7 @@ class TestRunScenario:
             ScenarioConfig(name="c", sampling_factor=10.0, spacing=SIX_FEET),
             default_params,
         )
-        assert (capped.weekly <= uncapped.weekly).all()
+        assert (capped <= uncapped).all()
 
     def test_sampling_applied_before_cap(self, default_params):
         # one venue, cap 2, raw count 1: capping after the 10x correction
@@ -118,7 +117,7 @@ class TestRunScenario:
         venues, visits = make_base({"a": math.pi * SIX_FEET ** 2 * 2.2}, {"a": {0: 1.0}})
         cap = max_distanced_occupancy(venues.areas[0], SIX_FEET)
         assert cap == 2
-        outcome = run_scenario(
+        weekly = run_scenario(
             venues,
             visits,
             ScenarioConfig(name="s", sampling_factor=10.0, spacing=SIX_FEET),
@@ -126,7 +125,7 @@ class TestRunScenario:
         )
         manual = make_input({"a": math.pi * SIX_FEET ** 2 * 2.2}, {"a": {0: float(cap)}})
         expected = simulate_week(manual, default_params)[0]
-        assert outcome.weekly[0] == expected
+        assert weekly[0] == expected
 
     def test_dominance(self, default_params):
         # pointwise-smaller visit counts can never produce more infections
@@ -146,17 +145,14 @@ class TestRunScenario:
         res_small = run_scenario(
             *make_base(areas, small), ScenarioConfig(name="s", sampling_factor=1.0), default_params
         )
-        assert (res_small.weekly <= res_big.weekly).all()
+        assert (res_small <= res_big).all()
 
     def test_deterministic(self, default_params):
         base = self._base()
         config = ScenarioConfig(name="d", sampling_factor=10.0, spacing=SIX_FEET)
         first = run_scenario(*base, config, default_params)
         second = run_scenario(*base, config, default_params)
-        assert np.array_equal(first.weekly, second.weekly)
-        assert (first.config, first.severe_count, first.mild_count) == (
-            second.config, second.severe_count, second.mild_count
-        )
+        assert np.array_equal(first, second)
 
     def test_alternate_visit_file(self, default_params, tmp_path):
         base = self._base()
@@ -164,10 +160,10 @@ class TestRunScenario:
         with open(alt, "w", encoding="utf-8") as handle:
             write_visits(make_input({"a": 100.0}, {"a": {0: 50.0}}), handle)
         config = ScenarioConfig(name="alt", visit_source=str(alt), sampling_factor=1.0)
-        outcome = run_scenario(*base, config, default_params)
-        assert outcome.weekly[0] > 0
+        weekly = run_scenario(*base, config, default_params)
+        assert weekly[0] > 0
         # venues absent from the alternate file fall back to zero traffic
-        assert outcome.weekly[1] == 0.0
+        assert weekly[1] == 0.0
 
     def test_alternate_file_with_unknown_venue(self, default_params, tmp_path):
         base = self._base()
@@ -184,7 +180,7 @@ class TestRunScenario:
         plain = run_scenario(
             *base, ScenarioConfig(name="p", sampling_factor=1.0), default_params
         )
-        for boosted_weekly, plain_weekly in zip(boosted.weekly, plain.weekly):
+        for boosted_weekly, plain_weekly in zip(boosted, plain):
             if plain_weekly > 0:
                 assert boosted_weekly > plain_weekly
 
@@ -197,9 +193,9 @@ class TestRunScenario:
         )
         tall = run_scenario(venues, visits, config, default_params)
         tall_params = EpiParams(documented_prevalence=0.001, ceiling_height=30.0)
-        assert np.array_equal(tall.weekly, simulate_week(base, tall_params))
+        assert np.array_equal(tall, simulate_week(base, tall_params))
         plain = simulate_week(base, default_params)
-        assert (tall.weekly < plain).all()
+        assert (tall < plain).all()
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError, match="unknown parameter"):

@@ -102,7 +102,7 @@ class TestHistogram:
         assert sum(hist.counts) == 500
 
     @pytest.mark.parametrize(
-        "scale, expected", [("linear", (-1.0, 5.0)), ("log10", (0.5, 5.0))]
+        "scale, expected", [("linear", (-1.0, 5.0)), ("log10", (np.log10(0.5), np.log10(5.0)))]
     )
     def test_combined_range_spans_what_both_histograms_bin(self, scale, expected):
         a = np.array([0.0, 0.5, math.nan, math.inf])

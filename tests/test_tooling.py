@@ -81,19 +81,30 @@ def test_traced_compare_counts_the_venue_table(tmp_path):
     assert counters["epi.simulate_week"] == [{"venue_hours": 4 * 168}] * 2
 
 
-# the scalar Wells-Riley form is the tests' reference for acceptance criteria 1, 4 and 8
-CALLED_ONLY_BY_TESTS = {"wells_riley_probability"}
+# scalar references read only by tests: the Wells-Riley form for acceptance criteria 1, 4
+# and 8, and the per-venue cap for the property test of the array cap (the tracer wraps it)
+CALLED_ONLY_BY_TESTS = {"wells_riley_probability", "apply_occupancy_cap"}
+
+
+def _defined_names(statement) -> set[str]:
+    """The names a top-level statement defines: a function, a class or assigned names."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+    return {target.id for target in targets if isinstance(target, ast.Name)}
 
 
 def test_every_public_name_is_used_in_the_package():
-    # a name counts as used when it is read in a top-level statement of a src/
-    # module other than __init__ and other than the statement defining it
-    used = set()
+    # every public top-level name of a src/ module counts as used when it is read in a
+    # top-level statement of a src/ module other than __init__ and other than the
+    # statement defining it
+    public, used = set(), set()
     for path in (SRC / "venuerisk").glob("*.py"):
         if path.stem == "__init__":
             continue
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
-            defined = getattr(statement, "name", None)
+            defined = _defined_names(statement)
+            public |= {name for name in defined if not name.startswith("_")}
             for node in ast.walk(statement):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     name = node.id
@@ -101,11 +112,11 @@ def test_every_public_name_is_used_in_the_package():
                     name = node.attr
                 else:
                     continue
-                if name != defined:
+                if name not in defined:
                     used.add(name)
-    unused = sorted(set(venuerisk.__all__) - used - CALLED_ONLY_BY_TESTS)
-    assert unused == []
-    assert CALLED_ONLY_BY_TESTS <= set(venuerisk.__all__) - used
+    assert set(venuerisk.__all__) <= public
+    assert sorted(public - used - CALLED_ONLY_BY_TESTS) == []
+    assert CALLED_ONLY_BY_TESTS <= public - used
 
 
 def test_modules_share_no_private_names_and_only_ingest_reads_csv():
