@@ -9,8 +9,9 @@ Usage:
     venuerisk hotspots --results results/venue_results.csv --top 10
     venuerisk gen-synthetic --n-venues 1034 --profile lockdown --seed 7 --out data/
 
-The analysis window is one week (168 hours). Parameters come from CLI
-flags and an optional ``key = value`` params file; the documented
+The analysis window is one week (168 hours). Parameters come from
+``--prevalence`` and an optional ``key = value`` params file
+(``--params``), which can set every ``EpiParams`` field; the documented
 prevalence is mandatory because no safe default exists for it.
 
 Exit codes: 0 success, 1 validation or config error, 2 I/O error.
@@ -120,11 +121,6 @@ def _add_params_flags(sub: argparse.ArgumentParser) -> None:
         type=float,
         help="documented community prevalence in [0, 1] (required unless set in --params)",
     )
-    sub.add_argument(
-        "--underreport-factor",
-        type=float,
-        help="case under-reporting multiplier, >= 1 (default 15)",
-    )
 
 
 def _add_input_flags(sub: argparse.ArgumentParser, visits_required: bool) -> None:
@@ -209,12 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n-venues", type=int, required=True)
     p_gen.add_argument("--profile", choices=PROFILES, required=True)
     p_gen.add_argument("--seed", type=_int_at_least(0, "a non-negative integer"), required=True)
-    p_gen.add_argument(
-        "--traffic-multiplier",
-        type=float,
-        default=GeneratorConfig.pre_pandemic_level,
-        help="pre-pandemic traffic level as a multiple of lockdown (default 4)",
-    )
     _add_output_flags(p_gen)
     p_gen.set_defaults(func=cmd_gen_synthetic)
 
@@ -222,16 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_params(args) -> EpiParams:
-    """Merge params file and CLI flags into a validated EpiParams; flags win.
+    """Merge the params file and ``--prevalence`` into a validated EpiParams; the flag wins.
 
     A bad value from the file is reported under the file's name, a bad
-    flag value without it. A file key that a flag overrides is never read.
+    flag value without it. A file key that the flag overrides is never read.
     """
-    flags = {
-        "documented_prevalence": args.prevalence,
-        "underreport_factor": args.underreport_factor,
-    }
-    flags = {name: value for name, value in flags.items() if value is not None}
+    flags = {} if args.prevalence is None else {"documented_prevalence": args.prevalence}
     values: dict[str, float] = {}
     if args.params:
         with open_input(args.params) as handle:
@@ -403,7 +389,7 @@ def cmd_hotspots(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
-    config = GeneratorConfig(args.n_venues, args.profile, args.seed, args.traffic_multiplier)
+    config = GeneratorConfig(args.n_venues, args.profile, args.seed)
     table = generate_dataset(config)
     manifest = hashed_manifest({"generator_config": dataclasses.asdict(config)}, args.timestamp)
     stamp = MANIFEST_COMMENT.format(manifest["manifest_sha256"])

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import SimulationInput, compute_volumes
+from .stats import Severity, severity_labels
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)  # largest double < 1
 # venue rows per kernel call: its two temporaries take 5.5 MB each, where whole
@@ -144,6 +145,6 @@ def simulate_week(sim_input: SimulationInput, params: EpiParams) -> np.ndarray:
 
 
 def count_severities(weekly: np.ndarray, threshold: float) -> tuple[int, int]:
-    """Return (severe_count, mild_count): severe venues exceed ``threshold`` strictly."""
-    severe = int(np.count_nonzero(weekly > threshold))
+    """Return (severe_count, mild_count): the counts of ``stats.severity_labels``' labels."""
+    severe = int(np.count_nonzero(severity_labels(weekly, threshold) == Severity.SEVERE.value))
     return severe, len(weekly) - severe

@@ -122,6 +122,11 @@ class SimulationInput:
 
     ``counts[i, h]`` is the expected number of visitors of the ``i``-th
     venue of ``venues`` in hour ``h`` of the ``WINDOW_HOURS`` window.
+    Every count is finite and >= 0. Only the shape is checked here: the
+    values are checked where they are made, by the visit parsers, by
+    :func:`apply_sampling_correction` (a positive factor, and no product
+    overflowing) and by the generator's Poisson draws, so that a matrix
+    of millions of cells is not scanned again.
     """
 
     venues: VenueTable
@@ -133,8 +138,6 @@ class SimulationInput:
                 f"counts must have one row per venue and one column per hour: shape "
                 f"({len(self.venues)}, {WINDOW_HOURS}), got {self.counts.shape}"
             )
-        if not (np.isfinite(self.counts).all() and (self.counts >= 0).all()):
-            raise ValueError("visitor counts must be non-negative finite numbers")
 
     @property
     def window_hours(self) -> int:

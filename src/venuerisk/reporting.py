@@ -39,7 +39,7 @@ from .ingest import (
     write_table,
 )
 from .scenario import ScenarioConfig
-from .stats import Histogram, Severity
+from .stats import Histogram, severity_labels
 
 TOOL_VERSION = "0.1.0"
 
@@ -132,11 +132,12 @@ def venue_results_csv(
 ) -> str:
     """Render the per-venue report CSV: one row per venue of ``venues``, in its order.
 
-    Volumes come from ``params.ceiling_height``; a venue is severe when
-    its ``weekly`` infections exceed ``severity_threshold``.
+    Volumes come from ``params.ceiling_height``, and each venue's
+    severity from :func:`~venuerisk.stats.severity_labels` at
+    ``severity_threshold``.
     """
     volumes = compute_volumes(venues.areas, params.ceiling_height)
-    labels = np.where(weekly > severity_threshold, Severity.SEVERE.value, Severity.MILD.value)
+    labels = severity_labels(weekly, severity_threshold)
     rows = zip(
         venues.ids, venues.names, venues.categories,
         *(map(repr, column.tolist()) for column in (venues.areas, volumes, weekly)),

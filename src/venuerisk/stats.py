@@ -1,5 +1,11 @@
 """Hotspot classification, histograms, and the two-sample t-test.
 
+:func:`severity_labels` holds the one severity rule; every severe or
+mild count and label in the reports comes from it. It checks no value:
+the weekly values it labels are checked where they are made, by
+:func:`~venuerisk.scenario.run_scenario` (finite, with a finite total)
+and by :func:`~venuerisk.ingest.parse_results` (finite and >= 0).
+
 The t-test is Welch's unequal-variance form: the two scenario
 distributions typically have very different spreads, and a test that
 assumes equal variances would be wrong for them. Two-sided p-values
@@ -60,15 +66,22 @@ class ComparisonResult:
     p_value: float
 
 
-def classify(weekly_infections: float, threshold: float = 1.0) -> Severity:
-    """Label a venue severe when its weekly expected infections exceed ``threshold``.
+def severity_labels(weekly: np.ndarray | float, threshold: float) -> np.ndarray:
+    """The ``Severity`` value of each weekly expected-infections value, in an array of its shape.
 
+    A value is severe when it exceeds ``threshold`` and mild otherwise.
     The comparison is strict, so a venue sitting exactly on the
-    threshold is mild.
+    threshold is mild. This is the one severity rule: every count and
+    label in the reports comes from it.
     """
+    return np.where(weekly > threshold, Severity.SEVERE.value, Severity.MILD.value)
+
+
+def classify(weekly_infections: float, threshold: float = 1.0) -> Severity:
+    """One venue's label under :func:`severity_labels`, for a value that is finite and >= 0."""
     if not (math.isfinite(weekly_infections) and weekly_infections >= 0):
         raise ValueError(f"weekly infections must be non-negative, got {weekly_infections}")
-    return Severity.SEVERE if weekly_infections > threshold else Severity.MILD
+    return Severity(severity_labels(weekly_infections, threshold).item())
 
 
 def histogram(
@@ -151,7 +164,8 @@ def welch_t_test(
 
     Raises:
         ValueError: a sample has fewer than 2 values, contains
-            non-finite values, or has zero variance. Exception: when
+            non-finite values, or has zero variance; or a variance, or
+            the degrees of freedom, overflows. Exception: when
             both samples are constant with equal means the test
             degenerates to t = 0, p = 1 by convention (documented), with
             degrees_of_freedom = len(a) + len(b) - 2.
@@ -164,8 +178,8 @@ def welch_t_test(
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("samples must contain only finite values")
 
-    mean_a, var_a = _mean_and_variance(xs)
-    mean_b, var_b = _mean_and_variance(ys)
+    mean_a, var_a = _mean_and_variance(xs, "a")
+    mean_b, var_b = _mean_and_variance(ys, "b")
 
     if var_a == 0.0 and var_b == 0.0:
         if mean_a == mean_b:
@@ -177,25 +191,39 @@ def welch_t_test(
     qa = var_a / na
     qb = var_b / nb
     t_stat = (mean_a - mean_b) / math.sqrt(qa + qb)
-    df = (qa + qb) ** 2 / (qa * qa / (na - 1) + qb * qb / (nb - 1))
+    try:
+        df = (qa + qb) ** 2 / (qa * qa / (na - 1) + qb * qb / (nb - 1))
+    except OverflowError:  # raised by the float power, where a product would give inf
+        raise ValueError("the degrees of freedom overflow: the variances are too large") from None
     return ComparisonResult(
         t_stat=t_stat, degrees_of_freedom=df, p_value=student_t_two_sided_p(t_stat, df)
     )
 
 
-def _mean_and_variance(x: np.ndarray) -> tuple[float, float]:
-    """Mean and sample variance of a finite sample.
+def _mean_and_variance(x: np.ndarray, name: str) -> tuple[float, float]:
+    """Mean and sample variance of the finite sample ``name``.
 
     The mean is ``fsum(x) / n``, bit for bit ``statistics.fmean``; the
     variance is the ``fsum`` of the squared deviations over ``n - 1``. A
     constant sample (min == max) has variance exactly 0, even where its
     mean is not exactly its value.
+
+    Raises:
+        ValueError: the variance overflows; the message names the sample.
     """
     n = x.size
     mean = math.fsum(x) / n
     if x.min() == x.max():
         return mean, 0.0
-    return mean, math.fsum((x - mean) ** 2) / (n - 1)
+    with np.errstate(over="ignore"):
+        squares = (x - mean) ** 2
+    try:
+        variance = math.fsum(squares) / (n - 1)
+    except OverflowError:  # a partial sum overflowed
+        variance = math.inf
+    if not math.isfinite(variance):
+        raise ValueError(f"the variance of sample {name} overflows to infinity")
+    return mean, variance
 
 
 def student_t_two_sided_p(t_stat: float, df: float) -> float:

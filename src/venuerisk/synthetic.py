@@ -2,17 +2,17 @@
 
 Stands in for proprietary foot-traffic feeds so the pipeline can be
 exercised, tested, and demoed end to end. A user sets the venue count,
-the traffic profile, the seed and the pre-pandemic traffic level
-(:class:`GeneratorConfig`, listed in the manifest of ``gen-synthetic``);
-the module constants below fix the rest, pinned by the tool version:
+the traffic profile and the seed (:class:`GeneratorConfig`, listed in
+the manifest of ``gen-synthetic``); the module constants below fix the
+rest, pinned by the tool version:
 
 * floor areas are log-uniform over ``AREA_RANGE_M2`` (50-2000 m2);
 * each venue gets a log-normal popularity weight (median 1), which gives
   the heavy-tailed traffic mix where a handful of venues dominate;
 * hourly visit counts are Poisson draws around
   ``BASE_HOURLY_VISITS * level * popularity * diurnal_shape``, where the
-  level is the traffic profile's amplitude (pre-pandemic traffic is a
-  configurable multiple of lockdown traffic, default 4x);
+  level is the traffic profile's amplitude (pre-pandemic traffic is
+  ``PRE_PANDEMIC_LEVEL`` = 4 times lockdown traffic);
 * counts model a sampled panel, i.e. they are meant to be fed through
   the usual 10x sampling correction downstream.
 
@@ -37,6 +37,7 @@ AREA_RANGE_M2 = (50.0, 2000.0)
 BASE_HOURLY_VISITS = 0.035  # mean panel visits/venue/hour at lockdown level
 POPULARITY_SIGMA = 1.0
 LOCKDOWN_LEVEL = 1.0
+PRE_PANDEMIC_LEVEL = 4.0  # traffic level as a multiple of lockdown's
 DRINKING_PLACE_SHARE = 0.2
 
 # relative traffic weight per hour of day (0 = midnight); positive at every
@@ -52,26 +53,25 @@ DIURNAL_SHAPE = tuple(w * 24.0 / sum(_RAW_DIURNAL) for w in _RAW_DIURNAL)
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """The generator settings a user chooses; defaults are the shipped fixture settings."""
+    """The generator settings a user chooses."""
 
     n_venues: int
     profile: str
     seed: int
-    pre_pandemic_level: float = 4.0  # traffic level as a multiple of lockdown's
 
     def __post_init__(self):
         if self.n_venues < 1:
             raise ValueError(f"n_venues must be positive, got {self.n_venues}")
         if self.profile not in PROFILES:
             raise ValueError(f"profile must be one of {PROFILES}, got {self.profile!r}")
-        if not (math.isfinite(self.pre_pandemic_level) and self.pre_pandemic_level > 0):
-            raise ValueError(
-                f"pre_pandemic_level must be positive and finite, got {self.pre_pandemic_level}"
-            )
 
 
 def generate_dataset(config: GeneratorConfig) -> SimulationInput:
-    """Generate a venue table and its visit counts, deterministic for a given seed."""
+    """Generate a venue table and its visit counts, deterministic for a given seed.
+
+    The counts are Poisson draws, so each is a whole number >= 0; no
+    later step checks them again.
+    """
     rng = np.random.default_rng(config.seed)
     n = config.n_venues
 
@@ -80,16 +80,10 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
     is_bar = rng.random(size=n) < DRINKING_PLACE_SHARE
     popularity = rng.lognormal(mean=0.0, sigma=POPULARITY_SIGMA, size=n)
 
-    level = LOCKDOWN_LEVEL if config.profile == "lockdown" else config.pre_pandemic_level
+    level = LOCKDOWN_LEVEL if config.profile == "lockdown" else PRE_PANDEMIC_LEVEL
     shape = np.array([DIURNAL_SHAPE[h % 24] for h in range(WINDOW_HOURS)])
-    with np.errstate(over="ignore"):  # an infinite rate fails the draw below
-        rates = BASE_HOURLY_VISITS * level * popularity[:, None] * shape[None, :]
-    try:
-        draws = rng.poisson(rates)
-    except ValueError:  # NumPy draws no rate above about 9.2e18
-        raise ValueError(
-            f"pre_pandemic_level {level!r} makes an hourly visit rate too large to draw"
-        ) from None
+    rates = BASE_HOURLY_VISITS * level * popularity[:, None] * shape[None, :]
+    draws = rng.poisson(rates)
     del rates  # each full matrix freed once used, so at most two are live at a time
     counts = draws.astype(float)
     del draws

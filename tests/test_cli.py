@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import os
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -234,9 +236,9 @@ class TestSimulate:
         # the flag's valid prevalence overrides the file's invalid one
         assert run_cli(*args) == 0
         capsys.readouterr()
-        assert run_cli(*args, "--underreport-factor", "0.5") == 1
+        assert run_cli(*args, "--prevalence", "2") == 1
         err = capsys.readouterr().err
-        assert "underreport_factor must be >= 1, got 0.5" in err
+        assert "documented_prevalence must be in [0, 1], got 2.0" in err
         assert str(params) not in err
 
     def test_empty_visit_file_names_the_file(self, small_dataset, tmp_path, capsys):
@@ -508,6 +510,39 @@ class TestCompare:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "factor, problem",
+        [
+            ("1e306", "the variance of sample b overflows to infinity"),
+            ("1e100", "the degrees of freedom overflow: the variances are too large"),
+        ],
+        ids=["variance", "degrees-of-freedom"],
+    )
+    def test_overflowing_welch_statistic_is_reported_without_a_warning(
+        self, tmp_path, capsys, factor, problem
+    ):
+        # the weekly values and their total are finite, so the reports are written
+        huge = tmp_path / "huge.txt"
+        huge.write_text(f"name = huge\nsampling_factor = {factor}\n", encoding="utf-8")
+        out = tmp_path / "cmp"
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # printed to stderr, as outside the test suite
+            code = run_cli(
+                "compare", "--venues", str(SAMPLE_DATA / "venues.csv"),
+                "--visits", str(SAMPLE_DATA / "visits.csv"),
+                "--params", str(SAMPLE_DATA / "params.txt"),
+                "--scenario-a", str(SAMPLE_DATA / "scenario_lockdown.txt"),
+                "--scenario-b", str(huge), "--out", str(out),
+            )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        undefined = f"scenario_a 'lockdown' vs scenario_b 'huge': {problem}"
+        assert f"t-test undefined: {undefined}\n" in captured.out
+        report = json.loads((out / "comparison.json").read_text())
+        assert report["t_test_undefined"] == undefined
+        assert report["t_stat"] is report["degrees_of_freedom"] is report["p_value"] is None
+
     def test_unknown_id_in_scenario_visit_file_names_scenario_and_file(
         self, small_dataset, tmp_path, capsys
     ):
@@ -657,11 +692,13 @@ def test_sample_data_log10_reports_match_recorded_digests(command, tmp_path, mon
 
 
 # the same for gen-synthetic's files and for the hotspots listing of the simulate reports
-# above, recorded before every CSV table was written through one writer
+# above, recorded before every CSV table was written through one writer; the generated
+# files were recorded again when the manifest lost its pre-pandemic traffic level, which
+# changed the hash and each file's stamp line but no data row
 GOLDEN_GENERATED = {
-    "manifest.json": "4da6875228c1ecf02e8a79b71a6e1362a1f9c66d6c2fd2903bc2dfa8b85536d8",
-    "venues.csv": "952746dd491520469dbdc198af41a453375152b4e5ae8c7077f3068cb830c42b",
-    "visits.csv": "b92538d05e8794c5387463da93d7460dcfadc27a316d63bf72c0ff703b916621",
+    "manifest.json": "79afc2a98201ccf3880fc095047b9eae2ba40638897da93d204324e46fbdd50c",
+    "venues.csv": "0ecaebf09e7dc5a42856796ebc561bf3980eed36fd2d102999e93c5e9a1afe61",
+    "visits.csv": "574d0b8af93aad8037f63efd002ab1e57c1a0bee25130df105965318fbad128b",
 }
 GOLDEN_HOTSPOTS = "4545bcea0daefe1a60bada769d8460025204f892179d9fba52cc8a2cbbfef8e9"
 
@@ -686,6 +723,41 @@ def test_hotspots_listing_matches_recorded_digest(tmp_path, monkeypatch, capsys)
     capsys.readouterr()
     assert run_cli("hotspots", "--results", str(out / "venue_results.csv")) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_HOTSPOTS
+
+
+def _result_rows(path):
+    """The rows of a venue_results.csv file, as lists of fields, after its comment and header."""
+    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[2:]]
+
+
+@pytest.mark.parametrize("just_below, label", [(False, "mild"), (True, "severe")])
+def test_every_report_labels_the_threshold_venue_alike(
+    tmp_path, monkeypatch, capsys, just_below, label
+):
+    # the top venue is mild with its own value as the threshold, and severe with the
+    # double just below it, in venue_results.csv, summary.json and hotspots alike
+    monkeypatch.chdir(SAMPLE_DATA)
+    simulate = [
+        "simulate", "--venues", "venues.csv", "--visits", "visits.csv", "--params", "params.txt",
+    ]
+    assert run_cli(*simulate, "--out", str(tmp_path / "first")) == 0
+    top = max(_result_rows(tmp_path / "first" / "venue_results.csv"), key=lambda r: float(r[5]))
+    value = float(top[5])
+    threshold = repr(math.nextafter(value, 0.0) if just_below else value)
+    out = tmp_path / "second"
+    assert run_cli(*simulate, "--threshold", threshold, "--out", str(out)) == 0
+
+    labels = {row[0]: row[6] for row in _result_rows(out / "venue_results.csv")}
+    assert labels[top[0]] == label
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["severe_count"], summary["mild_count"]) == ((1, 3) if just_below else (0, 4))
+    assert list(labels.values()).count("severe") == summary["severe_count"]
+    capsys.readouterr()
+    results = str(out / "venue_results.csv")
+    assert run_cli("hotspots", "--results", results, "--threshold", threshold) == 0
+    listing = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert listing[0][1] == top[0] and listing[0][4] == label
+    assert {row[1]: row[4] for row in listing} == labels
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare", "gen-synthetic"])
@@ -897,42 +969,11 @@ class TestGenSynthetic:
             "--seed", "11", "--out", str(out),
         ) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["generator_config"] == {
-            "n_venues": 30, "profile": "lockdown", "seed": 11, "pre_pandemic_level": 4.0,
-        }
+        assert manifest["generator_config"] == {"n_venues": 30, "profile": "lockdown", "seed": 11}
 
     def test_generated_files_feed_simulate(self, small_dataset, tmp_path):
         out = tmp_path / "run"
         assert run_cli(*simulate_args(small_dataset, out)) == 0
-
-    def test_traffic_multiplier_flag(self, tmp_path):
-        low = tmp_path / "low"
-        high = tmp_path / "high"
-        for out, mult in ((low, "2"), (high, "8")):
-            assert run_cli(
-                "gen-synthetic", "--n-venues", "60", "--profile", "pre_pandemic",
-                "--seed", "9", "--traffic-multiplier", mult, "--out", str(out),
-            ) == 0
-
-        def total_visits(path):
-            return sum(
-                float(line.split(",")[2])
-                for line in (path / "visits.csv").read_text().splitlines()
-                if line and not line.startswith(("#", "venue_id"))
-            )
-
-        assert total_visits(high) > total_visits(low)
-
-    @pytest.mark.parametrize("profile", ["lockdown", "pre_pandemic"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-    def test_bad_traffic_multiplier_names_the_setting(self, tmp_path, capsys, profile, value):
-        out = tmp_path / "gen"
-        assert run_cli(
-            "gen-synthetic", "--n-venues", "5", "--profile", profile, "--seed", "1",
-            f"--traffic-multiplier={value}", "--out", str(out),
-        ) == 1
-        assert "pre_pandemic_level must be positive and finite" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_negative_seed_names_the_flag(self, tmp_path, capsys):
         out = tmp_path / "gen"
@@ -942,17 +983,6 @@ class TestGenSynthetic:
         ) == 1
         assert capsys.readouterr().err.endswith(
             "error: argument --seed: must be a non-negative integer, got '-1'\n"
-        )
-        assert not out.exists()
-
-    def test_rate_too_large_to_draw_names_the_setting(self, tmp_path, capsys):
-        out = tmp_path / "gen"
-        assert run_cli(
-            "gen-synthetic", "--n-venues", "5", "--profile", "pre_pandemic", "--seed", "1",
-            "--traffic-multiplier", "1e300", "--out", str(out),
-        ) == 1
-        assert capsys.readouterr().err == (
-            "error: pre_pandemic_level 1e+300 makes an hourly visit rate too large to draw\n"
         )
         assert not out.exists()
 

@@ -416,10 +416,3 @@ class TestTypeInvariants:
     def test_simulation_input_holds_the_window(self, shape):
         with pytest.raises(ValueError, match=r"shape \(1, 168\)"):
             SimulationInput(make_venues({"v": 1.0}), np.zeros(shape))
-
-    def test_series_rejects_negative_count(self):
-        venues = make_venues({"v": 1.0})
-        with pytest.raises(ValueError):
-            SimulationInput(venues, window_counts([[1.0, -0.5]]))
-        with pytest.raises(ValueError):
-            SimulationInput(venues, window_counts([[1.0, float("nan")]]))

@@ -29,6 +29,7 @@ from venuerisk.ingest import (
     WINDOW_HOURS,
     SimulationInput,
     _parse_visits_csv,
+    apply_sampling_correction,
     join,
     parse_venues,
     parse_visits,
@@ -151,8 +152,8 @@ def test_capped_rows_match_scalar_cap(table, params, spacing, factor):
 
 
 @PROPERTY
-@given(tables(max_venues=6, max_hours=30, ids=id_st))
-def test_write_parse_join_round_trip(table):
+@given(tables(max_venues=6, max_hours=30, ids=id_st), st.floats(1e-300, 1e300))
+def test_write_parse_join_round_trip(table, factor):
     venue_sink, visit_sink = io.StringIO(), io.StringIO()
     write_venues(table.venues, venue_sink, comment="round trip")
     write_visits(table, visit_sink, comment="round trip")
@@ -161,6 +162,10 @@ def test_write_parse_join_round_trip(table):
     back = join(venues, visits)
     assert same_venues(back.venues, table.venues)
     assert np.array_equal(back.counts, table.counts)
+    # SimulationInput checks only the shape: parsing and sampling keep every count finite, >= 0
+    sampled = apply_sampling_correction(visits.count, factor)
+    counts = join(venues, dataclasses.replace(visits, count=sampled)).counts
+    assert np.isfinite(counts).all() and (counts >= 0).all()
 
 
 @PROPERTY

@@ -59,6 +59,9 @@ def test_pre_pandemic_busier_at_every_hour():
     pre = generate_dataset(
         GeneratorConfig(n_venues=FIXTURE_N_VENUES, profile="pre_pandemic", seed=FIXTURE_SEED)
     )
+    # SimulationInput checks only the shape: the draws must keep every count finite and >= 0
+    for table in (lock, pre):
+        assert np.isfinite(table.counts).all() and (table.counts >= 0).all()
     lock_mean = lock.counts.mean(axis=0)
     pre_mean = pre.counts.mean(axis=0)
     assert (pre_mean > lock_mean).all()

@@ -1,7 +1,7 @@
 """Repository checks: the tracer in perfbench/ finds every function it wraps and runs the
 CLI, every public name has a caller in the package, no module imports another's private
-name and only ingest imports csv, every CLI flag is used by a test, and test failures
-report normally."""
+name and only ingest imports csv, every CLI flag is used by a test, one function compares
+against the severity threshold, and test failures report normally."""
 
 import ast
 import importlib
@@ -178,3 +178,27 @@ def test_failing_property_test_reports_its_example(tmp_path):
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "Falsifying example" in proc.stdout
+
+
+def _threshold_comparisons(tree):
+    """The line of each ordering comparison in ``tree`` with a ``...threshold`` operand."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                names = [getattr(side, "id", getattr(side, "attr", "")) for side in (left, right)]
+                ordering = isinstance(op, (ast.Gt, ast.GtE, ast.Lt, ast.LtE))
+                if ordering and any(str(name).endswith("threshold") for name in names):
+                    yield node.lineno
+
+
+def test_one_function_compares_against_the_severity_threshold():
+    # one severity rule: every severe or mild count and label in the reports comes from it
+    found = []
+    for path in sorted((SRC / "venuerisk").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for line in _threshold_comparisons(tree):
+            owners = [f.name for f in functions if f.lineno <= line <= f.end_lineno]
+            found.append(f"{path.stem}.{owners[-1] if owners else '<module>'}")
+    assert found == ["stats.severity_labels"]
