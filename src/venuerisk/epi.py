@@ -15,11 +15,11 @@ Every hour's cohort is seeded independently from community prevalence;
 newly infected people never feed back into later hours. All quantities
 are expected values, so the whole pipeline is deterministic.
 
-:func:`hourly_infections` evaluates the model for every cell of a
-``counts[venue, hour]`` matrix at once, and :func:`simulate_week` sums
-its rows into weekly infections per venue; :func:`wells_riley_probability`
-is the scalar form of the same formula and the reference the array form
-is tested against.
+:func:`hourly_infections` evaluates the model for an array of cohorts at
+once, and :func:`simulate_week` runs it on each visit record and sums
+each venue's hours into its weekly infections;
+:func:`wells_riley_probability` is the scalar form of the same formula
+and the reference the array form is tested against.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import SimulationInput, compute_volumes
+from .ingest import WINDOW_HOURS, SimulationInput, compute_volumes
 from .stats import Severity, severity_labels
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)  # largest double < 1
-# venue rows per kernel call: its two temporaries take 5.5 MB each, where whole
-# venue-hour matrices take 67 MB each at 50 000 venues and set the memory peak
-_BLOCK_ROWS = 4096
+# visit records per kernel call: its temporaries take 0.5 MB each, where
+# whole-record arrays take 11 MB each at 1.37 M records
+_BLOCK_RECORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -105,19 +105,19 @@ def wells_riley_probability(infectors: float, params: EpiParams, room_volume: fl
 
 
 def hourly_infections(counts: np.ndarray, volumes: np.ndarray, params: EpiParams) -> np.ndarray:
-    """Expected new infections ``hourly[venue, hour]`` of the visitors ``counts[venue, hour]``.
+    """Expected new infections of each cohort of ``counts`` visitors in a room of ``volumes`` m3.
 
-    Each hour's cohort splits into expected infectors I = visitors *
-    prevalence and susceptibles S = visitors - I, and gets S times the
-    infection probability in a room of ``volumes[venue]`` m3. The dose
-    takes the operations of :func:`wells_riley_probability` in the same
-    order, without its argument checks, so only ``np.expm1`` can differ
-    from the scalar form, by at most 1 ulp. Hours are independent, so
-    permuting hours permutes the output columns.
+    The two arrays broadcast against each other. Each cohort splits into
+    expected infectors I = visitors * prevalence and susceptibles
+    S = visitors - I, and gets S times the infection probability in its
+    room. The dose takes the operations of :func:`wells_riley_probability`
+    in the same order, without its argument checks, so only ``np.expm1``
+    can differ from the scalar form, by at most 1 ulp. Cohorts are
+    independent, so permuting them permutes the output.
     """
     infectors = counts * params.effective_prevalence
     probability = infectors * params.q * params.p * params.t
-    probability /= params.ach * volumes[:, None]
+    probability /= params.ach * volumes
     np.expm1(np.negative(probability, out=probability), out=probability)
     np.minimum(np.negative(probability, out=probability), _BELOW_ONE, out=probability)
     # the susceptibles overwrite the infectors: two temporaries the size of counts, not three
@@ -130,18 +130,25 @@ def simulate_week(sim_input: SimulationInput, params: EpiParams) -> np.ndarray:
     """Expected new infections per venue over the window, in venue-table order.
 
     The room volumes are the floor areas times ``params.ceiling_height``.
-    The weekly values are NumPy's pairwise row sums of
-    :func:`hourly_infections`, which can differ from an exactly rounded
-    sum in the last digits. The kernel runs on blocks of ``_BLOCK_ROWS``
-    venues; each row sum covers the same 168 cells whatever the block, so
-    the values do not depend on it.
+    :func:`hourly_infections` runs on blocks of ``_BLOCK_RECORDS``
+    records, and each block is scattered into a zero ``[venue, hour]``
+    matrix that exists only for the row sums: an hour without a record
+    had no visitors and no infections. The weekly values are NumPy's
+    pairwise sums of each row's 168 cells, which can differ from an
+    exactly rounded sum in the last digits, and do not depend on the
+    record order or the block size.
     """
     volumes = compute_volumes(sim_input.venues.areas, params.ceiling_height)
-    weekly = np.empty(len(volumes))
-    for start in range(0, len(volumes), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        weekly[rows] = hourly_infections(sim_input.counts[rows], volumes[rows], params).sum(axis=1)
-    return weekly
+    hourly = np.zeros((len(volumes), WINDOW_HOURS))
+    cells = hourly.reshape(-1)
+    for start in range(0, len(sim_input.count), _BLOCK_RECORDS):
+        block = slice(start, start + _BLOCK_RECORDS)
+        rows = sim_input.row[block]
+        index = rows.astype(np.intp)
+        index *= WINDOW_HOURS
+        index += sim_input.hour[block]
+        cells[index] = hourly_infections(sim_input.count[block], volumes[rows], params)
+    return hourly.sum(axis=1)
 
 
 def count_severities(weekly: np.ndarray, threshold: float) -> tuple[int, int]:

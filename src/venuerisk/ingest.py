@@ -32,10 +32,9 @@ functions read and write the streams they are given. A parsed venue file
 is one :class:`VenueTable` of columns (ids, names, categories and
 float64 floor areas in m2) in file order, and a parsed visit file is one
 :class:`VisitRecords`; :func:`join` maps each distinct visit id to its
-venue row and scatters the records once into one
-:class:`SimulationInput`, whose float64 ``counts[venue, hour]`` matrix
-carries the visitor counts, row ``i`` for the ``i``-th venue and one
-column per hour of the fixed ``WINDOW_HOURS`` window.
+venue row once and gives one :class:`SimulationInput`: the venue table
+plus one record (venue-table row, hour, count) per visit row, with no
+venue-hour matrix. An hour without a record had no visits.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ import csv
 import functools
 import io
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -118,34 +116,44 @@ class VenueTable:
 
 @dataclass(frozen=True, eq=False)
 class SimulationInput:
-    """A venue table and its visitor counts, one matrix row per venue.
+    """A venue table and its visit records, one entry per record in each column.
 
-    ``counts[i, h]`` is the expected number of visitors of the ``i``-th
-    venue of ``venues`` in hour ``h`` of the ``WINDOW_HOURS`` window.
-    Every count is finite and >= 0. Only the shape is checked here: the
-    values are checked where they are made, by the visit parsers, by
-    :func:`apply_sampling_correction` (a positive factor, and no product
-    overflowing) and by the generator's Poisson draws, so that a matrix
-    of millions of cells is not scanned again.
+    Record ``r`` says that ``count[r]`` visitors came to the venue in row
+    ``row[r]`` of ``venues`` in hour ``hour[r]`` of the ``WINDOW_HOURS``
+    window; a venue-hour with no record had no visitors, and none has
+    two. Every count is finite and >= 0. The columns' shapes and index
+    ranges are checked here; the counts are checked where they are made,
+    by the visit parsers, by :func:`apply_sampling_correction` (a
+    positive factor, and no product overflowing) and by the generator's
+    Poisson draws, so that millions of counts are not scanned again.
     """
 
     venues: VenueTable
-    counts: np.ndarray
+    row: np.ndarray
+    hour: np.ndarray
+    count: np.ndarray
 
     def __post_init__(self):
-        if self.counts.shape != (len(self.venues), WINDOW_HOURS):
+        shapes = [np.shape(column) for column in (self.row, self.hour, self.count)]
+        if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
+            raise ValueError(f"record columns must be vectors of one length, got shapes {shapes}")
+        if shapes[0][0] and not (
+            0 <= self.row.min() and self.row.max() < len(self.venues)
+            and 0 <= self.hour.min() and self.hour.max() < WINDOW_HOURS
+        ):
             raise ValueError(
-                f"counts must have one row per venue and one column per hour: shape "
-                f"({len(self.venues)}, {WINDOW_HOURS}), got {self.counts.shape}"
+                f"records must index the {len(self.venues)} venue rows and the "
+                f"{WINDOW_HOURS}-hour window"
             )
 
     @property
     def window_hours(self) -> int:
-        return self.counts.shape[1]
+        return WINDOW_HOURS
 
 
-# dtypes of VisitRecords' index columns: a file has fewer than 2**31 distinct ids,
-# and every hour of the window fits one byte
+# dtypes of VisitRecords' index columns and of the venue rows join gives: a file has
+# fewer than 2**31 distinct ids, a table fewer than 2**31 venues, and every hour of
+# the window fits one byte
 _VENUE_INDEX = np.int32
 _HOUR = np.uint8
 
@@ -262,18 +270,18 @@ def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
 def parse_visits(source: TextIO) -> VisitRecords:
     """Parse a visit CSV into :class:`VisitRecords`, one record per data row in file order.
 
-    Counts are returned as-read, with no sampling correction; hours the
-    file leaves out are filled with 0 by :func:`join`, since sparse
-    mobility data routinely omits zero-visit hours. A header with no rows
-    is a legal file with no visits (a total closure). Ids are numbered in
-    the order in which they first appear.
+    Counts are returned as-read, with no sampling correction; an hour the
+    file leaves out had no visits, since sparse mobility data routinely
+    omits zero-visit hours. A header with no rows is a legal file with no
+    visits (a total closure). Ids are numbered in the order in which they
+    first appear.
 
-    The text is read once. NumPy's C reader parses it, in line-aligned
-    slices of about ``_SLICE_CHARS`` characters, when the file is plain
-    (see :func:`_parse_visits_fast`); any other file, and every file with
-    an error, goes through the row-by-row ``csv`` parser, so the accepted
-    files, the values and the line-numbered errors are exactly that
-    parser's.
+    The text is read once. A byte-level NumPy reader parses it, in
+    line-aligned blocks of about ``_PARSE_BLOCK_CHARS`` characters, when
+    the file is plain (see :func:`_parse_visits_fast`); any other file,
+    and every file with an error, goes through the row-by-row ``csv``
+    parser, so the accepted files, the values and the line-numbered
+    errors are exactly that parser's.
 
     Raises:
         RecordError: malformed row, hour outside [0, WINDOW_HOURS),
@@ -316,29 +324,41 @@ def _parse_visits_csv(source: TextIO) -> VisitRecords:
     )
 
 
-# the exact header line, and the body characters on which csv.reader and
-# NumPy's reader may part ways: quoting, comments, NUL, and every ASCII
-# character str.strip() removes from a field (line ends other than "\n" too)
+# the exact header line, and the body characters on which csv.reader and the
+# byte reader may part ways: quoting, comments, NUL, and every ASCII character
+# str.strip() removes from a field (line ends other than "\n" too)
 _VISIT_HEADER_LINE = ",".join(VISIT_HEADER) + "\n"
 _NOT_PLAIN = '"#\0 \t\r\v\f\x1c\x1d\x1e\x1f'
-_ID_BYTES = 32
-_VISIT_DTYPE = [("id", f"S{_ID_BYTES}"), ("hour", "i8"), ("count", "f8")]
-# characters of body text per np.loadtxt call: its StringIO and records take about
-# 4 MB each, where a whole 1.37 M-row file would take 64 and 66 MB
-_SLICE_CHARS = 1 << 20
+# characters of body text per block: its byte copy and per-row temporaries take a
+# few MB, where a whole 1.37 M-row file would take tens
+_PARSE_BLOCK_CHARS = 1 << 18
+# the longest id and count fields the byte reader takes; ids are compared as
+# four 8-byte words, and a longer count may hit the csv parser's field limit
+_FIELD_BYTES = 32
+_WORD = 8
+_ALL_ONES = (1 << 64) - 1
+# "00000000" as a little-endian word: the first byte of a field is the low byte
+_ZEROS = int.from_bytes(b"0" * _WORD, "little")
+_HIGH_NIBBLES = int.from_bytes(b"\xf0" * _WORD, "little")
+_SIXES = int.from_bytes(b"\x06" * _WORD, "little")
+# by the number n of field bytes a word holds, 0 to 8: the mask of its n high
+# bytes, and "0" digits for the 8 - n low bytes before the field
+_LOW_BYTES = [(1 << 8 * (_WORD - n)) - 1 for n in range(_WORD + 1)]
+_KEEP = np.array([_ALL_ONES ^ low for low in _LOW_BYTES], np.uint64)
+_LEADING_ZEROS = np.array([_ZEROS & low for low in _LOW_BYTES], np.uint64)
 
 
 def _parse_visits_fast(text: str) -> VisitRecords | None:
-    """Parse a plain visit file with ``np.loadtxt``; None unless sure of the csv parser's result.
+    """Parse a plain visit file's bytes with NumPy; None unless sure of the csv parser's result.
 
     Plain is: leading ``#`` lines, the exact header line, then ASCII rows
-    with none of ``_NOT_PLAIN``, every id 1 to 31 bytes, every hour in
-    the window, every count finite and non-negative and no (venue_id,
-    hour) pair twice. NumPy's warnings count as failures, so a lenient
-    reading (such as an old NumPy parsing ``5.0`` as an integer) is
-    never taken. The body is read in slices that end at a line end, so a
-    row is never split; a failure in any slice returns None, never part
-    of the file.
+    of three non-empty fields with none of ``_NOT_PLAIN``, every id and
+    count at most ``_FIELD_BYTES`` bytes, every hour at most 8 digits and
+    in the window, every count finite and non-negative and no (venue_id,
+    hour) pair twice. The body is read in blocks that end at a line end,
+    so a row is never split, into columns allocated once from the count
+    of line ends; a failure in any block returns None, never part of the
+    file.
     """
     start = 0
     while text.startswith("#", start):
@@ -350,64 +370,115 @@ def _parse_visits_fast(text: str) -> VisitRecords | None:
     if any(c in text[:start] for c in '"\r\0') or not text.startswith(_VISIT_HEADER_LINE, start):
         return None
     start += len(_VISIT_HEADER_LINE)
+    n = text.count("\n", start) + (not text.endswith("\n"))
     ids: dict[str, int] = {}
-    parts = []
+    venues, hours, counts = np.empty(n, _VENUE_INDEX), np.empty(n, _HOUR), np.empty(n)
+    done = 0
     while start < len(text):
-        end = text.find("\n", start + _SLICE_CHARS) + 1 or len(text)
-        part = _parse_slice(text[start:end], ids)
-        if part is None:
+        end = text.find("\n", start + _PARSE_BLOCK_CHARS) + 1 or len(text)
+        block = _parse_block(text[start:end], ids)
+        if block is None:
             return None
-        parts.append(part)
-        start = end
-    if not parts:
-        return VisitRecords()
-    venues, hours, counts = (np.concatenate(column) for column in zip(*parts))
-    del parts  # the slices' columns, copied now, go before the check's arrays come
+        rows = slice(done, done + len(block[0]))
+        venues[rows], hours[rows], counts[rows] = block
+        done, start = rows.stop, end
     cells = venues.astype(np.intp)
     cells *= WINDOW_HOURS
     cells += hours
     seen = np.zeros(len(ids) * WINDOW_HOURS, dtype=bool)
     seen[cells] = True
-    if np.count_nonzero(seen) != len(cells):
+    if np.count_nonzero(seen) != n:
         return None  # a duplicate (venue_id, hour) pair
     return VisitRecords(ids, venues, hours, counts)
 
 
-def _parse_slice(part: str, ids: dict[str, int]) -> tuple[np.ndarray, ...] | None:
-    """One slice of plain rows as (venue index, hour, count) columns, or None if not plain.
+def _parse_block(part: str, ids: dict[str, int]) -> tuple[np.ndarray, ...] | None:
+    """One block of whole rows as (venue index, hour, count) columns, or None if not plain.
 
-    Ids not in ``ids`` are added to it, numbered in order of first appearance.
+    The rows are encoded to ASCII after ``_FIELD_BYTES`` zero bytes, so
+    the 8-byte word that ends at any field's end can be read. A field of
+    n <= 8 bytes is then the n high bytes of the word ending at its last
+    byte; digits are parsed from that word, padded with "0" digits,
+    8 at a time. Ids not in ``ids`` are added to it, numbered in order of
+    first appearance.
     """
-    if not part.isascii() or any(c in part for c in _NOT_PLAIN):
+    if any(c in part for c in _NOT_PLAIN):
         return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(
-                io.StringIO(part), dtype=_VISIT_DTYPE, delimiter=",", comments=None, ndmin=1
-            )
-    except (ValueError, Warning):
+        raw = bytes(_FIELD_BYTES) + part.encode("ascii") + b"\n" * (not part.endswith("\n"))
+    except UnicodeEncodeError:
         return None
-
-    names, hours, counts = rows["id"], rows["hour"], rows["count"]
-    # the id is the first field of each packed record: its first byte is 0 for an
-    # empty id and its last byte is not 0 for an id that may have been truncated
-    id_bytes = rows.view(np.uint8).reshape(len(rows), -1)[:, :_ID_BYTES]
+    data = np.frombuffer(raw, np.uint8)
+    # words[i] is the little-endian word of bytes i to i + 7
+    words = np.ndarray((data.size - _WORD + 1,), "<u8", raw, strides=(1,))
+    ends = np.flatnonzero(data == ord("\n"))
+    commas = np.flatnonzero(data == ord(","))
+    if commas.size != 2 * ends.size:
+        return None
+    starts = np.concatenate(([_FIELD_BYTES], ends[:-1] + 1))
+    first, second = commas[0::2], commas[1::2]
+    # each row holds both of its commas, so no row has more or fewer
+    id_len, hour_len, count_len = first - starts, second - first - 1, ends - second - 1
     if not (
-        id_bytes[:, 0].all()
-        and not id_bytes[:, -1].any()
-        and hours.min() >= 0
-        and hours.max() < WINDOW_HOURS
-        and np.isfinite(counts).all()
-        and counts.min() >= 0
+        (id_len >= 1).all() and (id_len <= _FIELD_BYTES).all()
+        and (hour_len >= 1).all() and (hour_len <= _WORD).all()
+        and (count_len >= 1).all() and (count_len <= _FIELD_BYTES).all()
     ):
         return None
 
-    # one dict lookup per run of equal ids
-    starts = np.flatnonzero(np.concatenate(([True], names[1:] != names[:-1])))
-    run_venues = [ids.setdefault(name.decode(), len(ids)) for name in names[starts].tolist()]
-    venues = np.repeat(np.array(run_venues, _VENUE_INDEX), np.diff(starts, append=len(rows)))
-    return venues, hours.astype(_HOUR), counts.copy()
+    def word_before(end, length):
+        """The ``length`` (clipped to 0 to 8) bytes before ``end``, after "0" digits."""
+        length = np.clip(length, 0, _WORD)
+        return (words[end - _WORD] & _KEEP[length]) | _LEADING_ZEROS[length]
+
+    def texts(begin, end):
+        """The text from each ``begin`` to its ``end``, positions counted in ``raw``."""
+        spans = zip((begin - _FIELD_BYTES).tolist(), (end - _FIELD_BYTES).tolist())
+        return [part[a:b] for a, b in spans]
+
+    hour_ok, hours = _digits(word_before(second, hour_len))
+    if not (hour_ok.all() and hours.max() < WINDOW_HOURS):
+        return None
+    low_ok, low = _digits(word_before(ends, count_len))
+    high_ok, high = _digits(word_before(ends - _WORD, count_len - _WORD))
+    # up to 16 digits is below 2**63, so the integer converts to the double float() gives
+    counts = (high * 10**_WORD + low).astype(np.int64).astype(float)
+    other = np.flatnonzero(~(low_ok & high_ok & (count_len <= 2 * _WORD)))
+    if other.size:
+        # the csv parser's own call, on the same text: "1e3", "0.5", "1_000", "-0", "nan"
+        try:
+            values = np.array([float(field) for field in texts(second[other] + 1, ends[other])])
+        except ValueError:
+            return None
+        if not (np.isfinite(values) & (values >= 0)).all():
+            return None
+        counts[other] = values
+
+    # a row starts a run unless its id has the length and the masked words of the row before
+    new_run = np.ones(ends.size, dtype=bool)
+    new_run[1:] = id_len[1:] != id_len[:-1]
+    for k in range(-(-int(id_len.max()) // _WORD)):
+        key = word_before(first - k * _WORD, id_len - k * _WORD)
+        new_run[1:] |= key[1:] != key[:-1]
+    run_starts = np.flatnonzero(new_run)
+    names = texts(starts[run_starts], first[run_starts])
+    run_venues = [ids.setdefault(name, len(ids)) for name in names]
+    venues = np.repeat(np.array(run_venues, _VENUE_INDEX), np.diff(run_starts, append=ends.size))
+    return venues, hours, counts
+
+
+def _digits(word: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each word is 8 ASCII digits, and its value, first byte most significant.
+
+    Each step pairs neighbouring lanes, so the value of 8 digits takes three
+    multiply-adds; the value is meaningless where a byte is not a digit.
+    """
+    ok = ((word & _HIGH_NIBBLES) == _ZEROS) & (((word + _SIXES) & _HIGH_NIBBLES) == _ZEROS)
+    value = word - _ZEROS
+    value = (value * 10 + (value >> 8)) & 0x00FF00FF00FF00FF
+    value = (value * 100 + (value >> 16)) & 0x0000FFFF0000FFFF
+    value = (value * 10000 + (value >> 32)) & 0xFFFFFFFF
+    return ok, value
 
 
 def parse_results(source: TextIO) -> list[tuple[str, str, float]]:
@@ -480,21 +551,17 @@ def load_visits(path: str | Path, venues: VenueTable) -> VisitRecords:
 def join(venues: VenueTable, visits: VisitRecords) -> SimulationInput:
     """Join a venue table and visit records into a :class:`SimulationInput`.
 
-    Each distinct visit id is mapped to its venue row once, and every
-    record's count is scattered into its cell of a zero matrix in one
-    assignment. Hours without a record, and venues with none, stay 0, so
-    that venue counts stay aligned across scenarios. No venue is dropped
-    and no count is invented.
+    Each distinct visit id is mapped to its venue row once, and each
+    record takes the row of its id; the hours and counts are the records'
+    own arrays, not copies. Venues with no record had no visits, so venue
+    results stay aligned across scenarios. No venue is dropped and no
+    count is invented.
 
     Raises:
         DatasetError: a visit record references an unknown venue_id.
     """
-    cells = venue_rows(venues, visits)[visits.venue]
-    cells *= WINDOW_HOURS
-    cells += visits.hour
-    counts = np.zeros((len(venues.ids), WINDOW_HOURS))
-    counts.reshape(-1)[cells] = visits.count
-    return SimulationInput(venues=venues, counts=counts)
+    rows = venue_rows(venues, visits)[visits.venue]
+    return SimulationInput(venues, rows, visits.hour, visits.count)
 
 
 def venue_rows(venues: VenueTable, visits: VisitRecords) -> np.ndarray:
@@ -509,7 +576,7 @@ def venue_rows(venues: VenueTable, visits: VisitRecords) -> np.ndarray:
     if unknown:
         shown = ", ".join(repr(u) for u in unknown[:10]) + (", ..." if len(unknown) > 10 else "")
         raise DatasetError(f"visit series reference {len(unknown)} unknown venue id(s): {shown}")
-    return np.fromiter(map(row_of.__getitem__, visits.ids), np.intp, len(visits.ids))
+    return np.fromiter(map(row_of.__getitem__, visits.ids), _VENUE_INDEX, len(visits.ids))
 
 
 def _format_count(value: float) -> str:
@@ -555,27 +622,26 @@ def _byte_table(texts: list[str]) -> np.ndarray:
 
 
 def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = None) -> None:
-    """Serialize a table's visitor counts to the documented CSV format.
+    """Serialize a table's visit records to the documented CSV format, one row per record.
 
-    Rows follow venue order, then hour. Zero-count hours are omitted;
-    parsing and joining zero-fill them, so the round trip is exact.
+    Rows follow record order: venue order, then hour, for the records of
+    :func:`~venuerisk.synthetic.generate_dataset`, which has one for each
+    non-zero draw. Parsing and joining give the same records back.
 
     Each row is ``id,hour,count``, put together from three byte tables:
     every venue id quoted once by the ``csv`` dialect of the header
-    (``"id,"``), every hour (``"hour,"``) and every distinct non-zero
-    count through :func:`_format_count` (``"count\\n"``). The rows are
+    (``"id,"``), every hour (``"hour,"``) and every distinct count
+    through :func:`_format_count` (``"count\\n"``). The rows are
     gathered from these tables as fixed-width records, in blocks of about
     ``_WRITE_BLOCK_BYTES``, and the padding is dropped, so the text
     is the one a ``csv.writer`` gives row by row.
     """
     write_table(sink, VISIT_HEADER, comments=[comment])
-    rows, hours = np.nonzero(table.counts)
-    if not rows.size:
+    if not table.count.size:
         return
-    counts = table.counts[rows, hours]
-    values = np.unique(counts)
+    values = np.unique(table.count)
     # each count's place among the sorted distinct values; 3x faster than return_inverse
-    value_index = np.searchsorted(values, counts)
+    value_index = np.searchsorted(values, table.count)
     # one quoted "id," plus the line end per venue: writerow makes one write call
     # per row, so nothing is split on lines (an id may hold a newline)
     parts: list[str] = []
@@ -583,14 +649,14 @@ def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = Non
         (vid, "") for vid in table.venues.ids
     )
     fields = (
-        (_byte_table([part[:-1] for part in parts]), rows),
-        (_byte_table([f"{h}," for h in range(table.window_hours)]), hours),
+        (_byte_table([part[:-1] for part in parts]), table.row),
+        (_byte_table([f"{h}," for h in range(table.window_hours)]), table.hour),
         (_byte_table([f"{_format_count(v)}\n" for v in values.tolist()]), value_index),
     )
     record = np.dtype([(f"f{i}", tab.dtype) for i, (tab, _) in enumerate(fields)])
     step = max(1, _WRITE_BLOCK_BYTES // record.itemsize)
-    for start in range(0, rows.size, step):
-        block = np.empty(min(step, rows.size - start), record)
+    for start in range(0, table.count.size, step):
+        block = np.empty(min(step, table.count.size - start), record)
         for i, (tab, index) in enumerate(fields):
             block[f"f{i}"] = tab[index[start:start + step]]
         raw = block.view(np.uint8)

@@ -4,14 +4,13 @@ A scenario names its visit source (the baseline records or an alternate
 visit file), a panel-sampling factor, an optional physical-distancing
 spacing, and optional parameter overrides. Running one always follows
 the same pipeline order, each step one array expression over the visit
-rows or the ``counts[venue, hour]`` matrix:
+records:
 
     1. select the visit source: the baseline records or a parsed file
-    2. apply the sampling factor to the visit rows:   count * factor
-    3. join: scatter the sampled rows once into the scenario's own
-       zero matrix
-    4. cap each venue at its distanced occupancy (if spacing is set),
-       in place:                    minimum(counts, cap[venue])
+    2. apply the sampling factor to the records:      count * factor
+    3. join: give each record its venue-table row
+    4. cap each record at its venue's distanced occupancy (if spacing
+       is set):                       minimum(count, cap[row])
     5. merge parameter overrides
     6. simulate the window, with room volumes from the merged parameters;
        the weekly values and their total must be finite
@@ -122,24 +121,23 @@ def run_scenario(
     ``visits`` are the baseline records as-read, so ``sampling_factor``
     is the whole correction. An alternate visit file is read by
     :func:`~venuerisk.ingest.load_visits`, so an id it shares with no
-    venue fails naming the file. The scenario's counts are one matrix of
-    its own: the sampled records are scattered into it once and capped in
-    place. Input errors raised here name the scenario, among them a
-    sampling factor that makes a count, a weekly value or the weekly
-    total overflow; the last two are checked so that every report can
-    sum the values. Overrides are checked when a scenario file is read;
-    one set in code that ``EpiParams`` rejects raises ``ValueError`` here.
+    venue fails naming the file. The scenario's counts are one array of
+    its own, the sampled records' counts, capped in place. Input errors
+    raised here name the scenario, among them a sampling factor that
+    makes a count, a weekly value or the weekly total overflow; the last
+    two are checked so that every report can sum the values. Overrides
+    are checked when a scenario file is read; one set in code that
+    ``EpiParams`` rejects raises ``ValueError`` here.
     """
     with error_context(f"scenario {config.name!r}"):
         if config.visit_source != BASELINE:
             visits = load_visits(config.visit_source, venues)
-        # the same IEEE products as multiplying the joined matrix
         sampled = apply_sampling_correction(visits.count, config.sampling_factor)
         sim_input = join(venues, dataclasses.replace(visits, count=sampled))
-        del visits, sampled  # from here the scenario holds its matrix and no records
+        del visits, sampled  # from here the scenario holds only its own records
         if config.spacing is not None:
             caps = max_distanced_occupancy(venues.areas, config.spacing)
-            np.minimum(sim_input.counts, caps[:, None], out=sim_input.counts)
+            np.minimum(sim_input.count, caps[sim_input.row], out=sim_input.count)
 
         effective_params = dataclasses.replace(params, **config.params_override)
         with np.errstate(over="ignore"):

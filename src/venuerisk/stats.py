@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+_LARGEST = sys.float_info.max
 
 
 class Severity(str, enum.Enum):
@@ -109,16 +112,23 @@ def histogram(
         return Histogram(bin_edges=(), counts=(), scale=scale, excluded_count=arr.size)
 
     lo, hi = value_range if value_range is not None else (points.min().item(), points.max().item())
+    lo, hi = float(lo), float(hi)
     if lo == hi:
-        # all values identical: one degenerate bin, edges nudged apart
-        pad = np.finfo(float).eps * max(1.0, abs(lo))
-        edges = np.array([lo - pad, hi + pad])
+        # all values identical: one degenerate bin, edges nudged apart but kept finite
+        pad = sys.float_info.epsilon * max(1.0, abs(lo))
+        edges = np.array([max(lo - pad, -_LARGEST), min(hi + pad, _LARGEST)])
+    elif max(abs(lo), abs(hi)) > _LARGEST / 4:
+        # the range, a step or an edge would overflow: the same edges, computed at a
+        # quarter of the size, where scaling by a power of two is exact
+        edges = np.linspace(lo / 4, hi / 4, bins + 1) * 4
     else:
         edges = np.linspace(lo, hi, bins + 1)
 
     counts, _ = np.histogram(points, bins=edges)
     if scale is Scale.LOG10:
-        edges = 10.0 ** edges
+        # 10 ** log10(x) can round past the largest double; every value is below it
+        with np.errstate(over="ignore"):
+            edges = np.minimum(10.0 ** edges, _LARGEST)
     return Histogram(
         bin_edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),

@@ -17,10 +17,10 @@ rest, pinned by the tool version:
   the usual 10x sampling correction downstream.
 
 The result is a :class:`~venuerisk.ingest.SimulationInput`: a venue
-table built column by column from the drawn arrays, and the drawn
-``counts[venue, hour]`` matrix over the ``WINDOW_HOURS`` window. All
-venue draws precede any count draws, so both profiles of one seed share
-an identical venue table.
+table built column by column from the drawn arrays, and one record per
+non-zero draw over the ``WINDOW_HOURS`` window, in venue order, then
+hour. All venue draws precede any count draws, so both profiles of one
+seed share an identical venue table.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ class GeneratorConfig:
 
 
 def generate_dataset(config: GeneratorConfig) -> SimulationInput:
-    """Generate a venue table and its visit counts, deterministic for a given seed.
+    """Generate a venue table and its visit records, deterministic for a given seed.
 
-    The counts are Poisson draws, so each is a whole number >= 0; no
-    later step checks them again.
+    The counts are the non-zero Poisson draws, so each is a whole number
+    > 0; no later step checks them again.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n_venues
@@ -85,10 +85,13 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
     rates = BASE_HOURLY_VISITS * level * popularity[:, None] * shape[None, :]
     draws = rng.poisson(rates)
     del rates  # each full matrix freed once used, so at most two are live at a time
-    counts = draws.astype(float)
+    cells = np.flatnonzero(draws)
+    counts = draws.ravel()[cells].astype(float)
     del draws
+    rows, hours = np.divmod(cells, WINDOW_HOURS)
 
     categories = tuple(np.where(is_bar, "drinking_place", "restaurant").tolist())
     ids = tuple(f"v{i:05d}" for i in range(n))
     names = tuple(f"Synthetic {c.replace('_', ' ')} {i:05d}" for i, c in enumerate(categories))
-    return SimulationInput(VenueTable(ids, names, categories, areas), counts)
+    venues = VenueTable(ids, names, categories, areas)
+    return SimulationInput(venues, rows, hours.astype(np.uint8), counts)

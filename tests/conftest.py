@@ -1,11 +1,13 @@
 """Shared fixtures and small input builders."""
 
+import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
 
-from venuerisk.epi import EpiParams, hourly_infections
+from venuerisk.epi import EpiParams
 from venuerisk.ingest import (
     WINDOW_HOURS,
     SimulationInput,
@@ -15,6 +17,7 @@ from venuerisk.ingest import (
     compute_volumes,
     join,
 )
+from venuerisk.scenario import max_distanced_occupancy
 from venuerisk.synthetic import GeneratorConfig, generate_dataset
 
 # the shipped synthetic fixture: one seed, both traffic profiles
@@ -48,6 +51,19 @@ def window_counts(rows) -> np.ndarray:
     counts = np.zeros((len(rows), WINDOW_HOURS))
     for counts_row, row in zip(counts, rows):
         counts_row[:len(row)] = row
+    return counts
+
+
+def input_from_matrix(venues: VenueTable, counts: np.ndarray) -> SimulationInput:
+    """A SimulationInput with one record per non-zero cell of ``counts[venue, hour]``, in row order."""
+    rows, hours = np.nonzero(counts)
+    return SimulationInput(venues, rows.astype(np.int32), hours.astype(np.uint8), counts[rows, hours])
+
+
+def dense_counts(sim: SimulationInput) -> np.ndarray:
+    """The records of ``sim`` as a ``counts[venue, hour]`` matrix, 0 where no record is."""
+    counts = np.zeros((len(sim.venues), WINDOW_HOURS))
+    counts[sim.row, sim.hour] = sim.count
     return counts
 
 
@@ -102,8 +118,9 @@ def make_base(area_by_id, counts_by_id) -> tuple[VenueTable, VisitRecords]:
 
 
 def split_input(sim: SimulationInput) -> tuple[VenueTable, VisitRecords]:
-    """A SimulationInput's venue table and one visit record per venue-hour of its matrix."""
-    return sim.venues, visit_records(dict(zip(sim.venues.ids, sim.counts)))
+    """A SimulationInput's venue table and its records as VisitRecords, ids numbered by row."""
+    ids = dict(zip(sim.venues.ids, range(len(sim.venues))))
+    return sim.venues, VisitRecords(ids, sim.row.astype(np.int32), sim.hour, sim.count)
 
 
 def make_input(area_by_id, counts_by_id) -> SimulationInput:
@@ -111,10 +128,43 @@ def make_input(area_by_id, counts_by_id) -> SimulationInput:
     return join(*make_base(area_by_id, counts_by_id))
 
 
-def hourly_of(sim: SimulationInput, params: EpiParams) -> np.ndarray:
-    """Expected new infections ``[venue, hour]`` of ``sim``: the kernel ``simulate_week`` sums."""
+# The dense kernel, the reference for the record kernel of simulate_week: every
+# cell of a [venue, hour] count matrix is evaluated, on blocks of DENSE_BLOCK_ROWS
+# venues, and the weekly values are the row sums of each block.
+DENSE_BLOCK_ROWS = 4096
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def dense_hourly_infections(counts: np.ndarray, volumes: np.ndarray, params: EpiParams):
+    """Expected new infections ``hourly[venue, hour]`` of the visitors ``counts[venue, hour]``."""
+    infectors = counts * params.effective_prevalence
+    probability = infectors * params.q * params.p * params.t
+    probability /= params.ach * volumes[:, None]
+    np.expm1(np.negative(probability, out=probability), out=probability)
+    np.minimum(np.negative(probability, out=probability), _BELOW_ONE, out=probability)
+    hourly = np.subtract(counts, infectors, out=infectors)
+    hourly *= probability
+    return hourly
+
+
+def dense_weekly(sim: SimulationInput, params: EpiParams, spacing: float | None = None):
+    """Weekly infections of ``sim`` by the dense kernel, each venue capped at ``spacing`` first."""
+    counts = dense_counts(sim)
+    if spacing is not None:
+        caps = max_distanced_occupancy(sim.venues.areas, spacing)
+        np.minimum(counts, caps[:, None], out=counts)
     volumes = compute_volumes(sim.venues.areas, params.ceiling_height)
-    return hourly_infections(sim.counts, volumes, params)
+    weekly = np.empty(len(volumes))
+    for start in range(0, len(volumes), DENSE_BLOCK_ROWS):
+        rows = slice(start, start + DENSE_BLOCK_ROWS)
+        weekly[rows] = dense_hourly_infections(counts[rows], volumes[rows], params).sum(axis=1)
+    return weekly
+
+
+def hourly_of(sim: SimulationInput, params: EpiParams) -> np.ndarray:
+    """Expected new infections ``[venue, hour]`` of ``sim``: the dense kernel's cells."""
+    volumes = compute_volumes(sim.venues.areas, params.ceiling_height)
+    return dense_hourly_infections(dense_counts(sim), volumes, params)
 
 
 @pytest.fixture(scope="session")
@@ -129,6 +179,6 @@ def fixture_inputs(default_params):
     for profile in ("lockdown", "pre_pandemic"):
         config = GeneratorConfig(n_venues=FIXTURE_N_VENUES, profile=profile, seed=FIXTURE_SEED)
         table = generate_dataset(config)
-        counts = apply_sampling_correction(table.counts, FIXTURE_SAMPLING)
-        inputs[profile] = SimulationInput(table.venues, counts)
+        counts = apply_sampling_correction(table.count, FIXTURE_SAMPLING)
+        inputs[profile] = dataclasses.replace(table, count=counts)
     return inputs

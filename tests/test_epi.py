@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from venuerisk import EpiParams, simulate_week, wells_riley_probability
-from venuerisk.ingest import SimulationInput
 from venuerisk.epi import count_severities
-from conftest import hourly_of, make_input, make_venues, window_counts
+from conftest import hourly_of, make_input
 
 # frozen from an independent 50-digit evaluation of 1 - exp(-dose)
 P_ONE_INFECTOR_V300 = 0.0079680851629393696601  # dose 0.008
@@ -29,8 +28,7 @@ def infections(visitors, prevalence, params, room_volume):
     """
     params = dataclasses.replace(params, documented_prevalence=prevalence, underreport_factor=1.0)
     area = room_volume / params.ceiling_height
-    table = SimulationInput(make_venues({"v": area}), window_counts([[visitors]]))
-    return simulate_week(table, params)[0]
+    return simulate_week(make_input({"v": area}, {"v": {0: visitors}}), params)[0]
 
 
 class TestEffectivePrevalence:

@@ -22,6 +22,8 @@ from venuerisk.ingest import (
     write_visits,
 )
 from conftest import (
+    dense_counts,
+    input_from_matrix,
     make_venues,
     parse_outcome,
     record_columns,
@@ -167,7 +169,7 @@ class TestFastVisitParse:
         venues = make_venues({f"v{i}": 10.0 for i in range(3)})
         counts = window_counts([[0.0, 2.0, 0.5], [0.0, 0.0, 0.0], [7.0, 1e-9, 123456.789]])
         sink = io.StringIO()
-        write_visits(SimulationInput(venues, counts), sink, comment="manifest_sha256: 00ff")
+        write_visits(input_from_matrix(venues, counts), sink, comment="manifest_sha256: 00ff")
         assert sink.getvalue().startswith("# manifest_sha256: 00ff\n")
         self.assert_fast_and_exact(sink.getvalue())
 
@@ -185,11 +187,11 @@ SLICED_TEXT = (
 
 
 class TestSlicedVisitParse:
-    """Slices of the body must give the csv parser's records, or nothing at all."""
+    """Blocks of the body must give the csv parser's records, or nothing at all."""
 
     @pytest.mark.parametrize("slice_chars", [1, 2, 7, 9, 16, 64, 1 << 20])
     def test_slices_give_the_csv_records(self, monkeypatch, slice_chars):
-        monkeypatch.setattr(ingest, "_SLICE_CHARS", slice_chars)
+        monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", slice_chars)
         fast = _parse_visits_fast(SLICED_TEXT)
         assert fast is not None
         slow = _parse_visits_csv(io.StringIO(SLICED_TEXT))
@@ -208,9 +210,57 @@ class TestSlicedVisitParse:
     )
     def test_non_plain_last_slice_gives_the_csv_result(self, monkeypatch, last_line):
         text = SLICED_TEXT + "\n" + last_line
-        monkeypatch.setattr(ingest, "_SLICE_CHARS", 16)
+        monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", 16)
         assert _parse_visits_fast(text) is None
         assert parse_outcome(parse_visits, text) == parse_outcome(_parse_visits_csv, text)
+
+
+class TestByteReaderEdges:
+    """At each edge of its word arithmetic the byte reader gives the csv parser's result."""
+
+    def assert_as_csv(self, text, fast=True):
+        # the same records or the same error, and the byte reader's own answer taken or not
+        assert parse_outcome(parse_visits, text) == parse_outcome(_parse_visits_csv, text)
+        assert (_parse_visits_fast(text) is not None) == fast
+
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 16, 17, 31, 32, 33])
+    def test_id_lengths(self, length):
+        # next to each other: ids of one length that differ only in the first byte or the
+        # last, and ids whose bytes match where the shorter is padded with "0" digits
+        same = "a" * length
+        first, last, shorter = "c" + same[1:], same[:-1] + "b", same[:-1] or "d"
+        rows = [f"{same},0,1", f"{same},1,2", f"{first},0,3", f"{last},1,4", f"{shorter},0,5",
+                f"0{shorter},0,6", f"{same},2,7"]
+        self.assert_as_csv(visits_csv(*rows).getvalue(), fast=length <= ingest._FIELD_BYTES)
+
+    @pytest.mark.parametrize("digits", [8, 9, 15, 16, 17])
+    def test_count_digits(self, digits):
+        # the largest, leading zeros, and the last digits of 2**53 + 1, which rounds to even
+        counts = ["9" * digits, "0" * (digits - 1) + "7", "9007199254740993"[-digits:]]
+        rows = [f"v,{hour},{count}" for hour, count in enumerate(counts)]
+        self.assert_as_csv(visits_csv(*rows).getvalue())
+
+    @pytest.mark.parametrize("hour, fast", [("007", True), ("167", True), ("168", False)])
+    def test_hours(self, hour, fast):
+        self.assert_as_csv(visits_csv(f"v,{hour},1", "v,8,1").getvalue(), fast)
+
+    @pytest.mark.parametrize(
+        "count, fast",
+        [("0.5", True), ("1e3", True), ("1_000", True), ("inf", False), ("nan", False),
+         ("-0", True)],
+    )
+    def test_counts_read_by_float(self, count, fast):
+        self.assert_as_csv(visits_csv(f"v,0,{count}", "v,1,2").getvalue(), fast)
+
+    def test_last_line_without_line_end(self):
+        self.assert_as_csv("venue_id,hour,count\nv,0,1\nw,5,2.5")
+
+    def test_block_edge_after_every_row(self, monkeypatch):
+        text = visits_csv(*(f"v{i % 3},{i},{i * 1.5}" for i in range(9))).getvalue()
+        body = len(text) - len("venue_id,hour,count\n")
+        for block_chars in range(1, body + 1):
+            monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", block_chars)
+            self.assert_as_csv(text)
 
 
 class TestSamplingCorrection:
@@ -279,7 +329,7 @@ class TestJoin:
         visits = visit_records({"v1": np.ones(168)})
         sim = join(venues, visits)
         assert list(sim.venues) == ["v1", "v2"]
-        assert sim.counts[1].tolist() == [0.0] * 168
+        assert dense_counts(sim)[1].tolist() == [0.0] * 168
 
     def test_unknown_venue_named_in_error(self):
         venues = self._venues("v1")
@@ -302,15 +352,15 @@ class TestJoin:
         venues = self._venues(*ids)
         visits = visit_records({vid: np.ones(168) for vid in ids})
         sim = join(venues, visits)
-        assert len(sim.venues) == 1034 and sim.counts.shape == (1034, 168)
-        assert (sim.counts == 1.0).all()
+        assert len(sim.venues) == 1034 and len(sim.count) == 1034 * 168
+        assert (dense_counts(sim) == 1.0).all()
 
     def test_never_drops_or_invents(self):
         venues = self._venues("a", "b", "c")
         visits = visit_records({"b": window_counts([[2.0, 0.0, 5.0]])[0]})
         sim = join(venues, visits)
         assert list(sim.venues) == list(venues)
-        assert sim.counts.tolist() == window_counts([[], [2.0, 0.0, 5.0], []]).tolist()
+        assert dense_counts(sim).tolist() == window_counts([[], [2.0, 0.0, 5.0], []]).tolist()
 
 
 class TestRoundTrip:
@@ -326,7 +376,7 @@ class TestRoundTrip:
         venue_buf = io.StringIO()
         write_venues(venues, venue_buf)
         visit_buf = io.StringIO()
-        write_visits(SimulationInput(venues, counts), visit_buf)
+        write_visits(input_from_matrix(venues, counts), visit_buf)
 
         back_venues = parse_venues(io.StringIO(venue_buf.getvalue()))
         back_visits = parse_visits(io.StringIO(visit_buf.getvalue()))
@@ -336,7 +386,7 @@ class TestRoundTrip:
         assert visit_rows(back_visits)["v1"].tolist() == counts[0].tolist()
         # all-zero series vanish from the sparse file and come back via join
         assert "v2" not in back_visits
-        assert np.array_equal(join(back_venues, back_visits).counts, counts)
+        assert np.array_equal(dense_counts(join(back_venues, back_visits)), counts)
 
     def test_hash_id_survives_the_round_trip(self):
         # "#" is a comment only before the header, so this venue is neither dropped nor unknown
@@ -344,12 +394,12 @@ class TestRoundTrip:
         counts = window_counts([[3.0, 0.0, 1.5], [0.0, 2.0, 0.0]])
         venue_buf, visit_buf = io.StringIO(), io.StringIO()
         write_venues(venues, venue_buf, comment="manifest_sha256: 00ff")
-        write_visits(SimulationInput(venues, counts), visit_buf, comment="manifest_sha256: 00ff")
+        write_visits(input_from_matrix(venues, counts), visit_buf, comment="manifest_sha256: 00ff")
 
         back_venues = parse_venues(io.StringIO(venue_buf.getvalue()))
         back_visits = parse_visits(io.StringIO(visit_buf.getvalue()))
         assert same_venues(back_venues, venues)
-        assert np.array_equal(join(back_venues, back_visits).counts, counts)
+        assert np.array_equal(dense_counts(join(back_venues, back_visits)), counts)
 
 
 class TestTypeInvariants:
@@ -412,7 +462,16 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match=f"^{column} must not have surrounding whitespace"):
             VenueTable(*columns.values(), np.array([1.0]))
 
-    @pytest.mark.parametrize("shape", [(1, 167), (1, 169), (2, 168), (168,)])
+    # a count column of another shape than the row and hour columns', among them the
+    # [venue, hour] matrix a table once held
+    @pytest.mark.parametrize("shape", [(1, 168), (2,), (0,), ()])
     def test_simulation_input_holds_the_window(self, shape):
-        with pytest.raises(ValueError, match=r"shape \(1, 168\)"):
-            SimulationInput(make_venues({"v": 1.0}), np.zeros(shape))
+        with pytest.raises(ValueError, match="record columns must be vectors of one length"):
+            SimulationInput(
+                make_venues({"v": 1.0}), np.zeros(1, np.int32), np.zeros(1, np.uint8), np.ones(shape)
+            )
+
+    @pytest.mark.parametrize("row, hour", [(-1, 0), (1, 0), (0, 168)], ids=["row-1", "row1", "hour"])
+    def test_simulation_input_records_index_the_venues_and_the_window(self, row, hour):
+        with pytest.raises(ValueError, match="records must index the 1 venue rows"):
+            SimulationInput(make_venues({"v": 1.0}), np.array([row]), np.array([hour]), np.ones(1))

@@ -40,7 +40,10 @@ from venuerisk.reporting import hashed_manifest
 from venuerisk.scenario import apply_occupancy_cap
 from venuerisk.stats import combined_range, histogram
 from conftest import (
+    dense_counts,
+    dense_weekly,
     hourly_of,
+    input_from_matrix,
     make_venues,
     parse_outcome,
     record_columns,
@@ -76,18 +79,21 @@ id_st = st.one_of(
 
 @st.composite
 def tables(draw, max_venues=5, max_hours=12, ids=None, counts=count_st):
-    """A SimulationInput with counts drawn in a block of up to ``max_hours`` hours, 0 elsewhere."""
+    """A SimulationInput of up to ``max_hours`` records per venue, in any order, zeros included."""
     n = draw(st.integers(1, max_venues))
-    hours = draw(st.integers(1, max_hours))
-    start = draw(st.integers(0, WINDOW_HOURS - hours))
     areas = draw(st.lists(st.floats(0.5, 5000.0), min_size=n, max_size=n))
     venue_ids = [f"v{i}" for i in range(n)] if ids is None else draw(
         st.lists(ids, min_size=n, max_size=n, unique=True)
     )
     venues = make_venues(dict(zip(venue_ids, areas)))
-    matrix = np.zeros((n, WINDOW_HOURS))
-    matrix[:, start:start + hours] = draw(arrays(np.float64, (n, hours), elements=counts))
-    return SimulationInput(venues, matrix)
+    # hours near the window's edges are drawn more often than their share
+    hour_st = st.one_of(st.sampled_from([0, 1, WINDOW_HOURS - 1]), st.integers(0, WINDOW_HOURS - 1))
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), hour_st), unique=True, max_size=n * max_hours
+    ))
+    rows = np.array([row for row, _ in cells], np.int32)
+    hours = np.array([hour for _, hour in cells], np.uint8)
+    return SimulationInput(venues, rows, hours, draw(arrays(np.float64, len(cells), elements=counts)))
 
 
 def ulps(got, want):
@@ -105,7 +111,7 @@ def test_array_probability_within_one_ulp_of_scalar(params, exponents, volumes):
     # each hourly value is 2^k times the kernel's probability, exactly
     params = dataclasses.replace(params, documented_prevalence=0.5, underreport_factor=1.0)
     infectors = np.ldexp(1.0, exponents)
-    probability = hourly_infections(2.0 * infectors, volumes, params) / infectors
+    probability = hourly_infections(2.0 * infectors, volumes[:, None], params) / infectors
     for (i, h), got in np.ndenumerate(probability):
         want = wells_riley_probability(infectors[i, h].item(), params, volumes[i].item())
         assert ulps(got.item(), want) <= 1
@@ -114,29 +120,53 @@ def test_array_probability_within_one_ulp_of_scalar(params, exponents, volumes):
 @PROPERTY
 @given(tables(), params_st)
 def test_infections_within_two_ulp_of_scalar_cohort(table, params):
-    hourly = hourly_of(table, params)
+    volumes = table.venues.areas * params.ceiling_height
+    hourly = hourly_infections(table.count, volumes[table.row], params)
     prevalence = params.effective_prevalence
-    for (i, h), got in np.ndenumerate(hourly):
-        visitors = table.counts[i, h].item()
-        volume = table.venues.areas[i].item() * params.ceiling_height
+    for visitors, volume, got in zip(table.count.tolist(), volumes[table.row].tolist(), hourly):
         infectors = visitors * prevalence
         want = (visitors - infectors) * wells_riley_probability(infectors, params, volume)
         assert ulps(got.item(), want) <= 2
 
 
+def with_a_full_week(table, rng):
+    """``table`` with a record at every hour of its first venue, of mostly distinct
+    counts, and every record in shuffled order: a row sum of 168 values shows the order
+    in which they are added."""
+    keep = table.row != 0
+    rows = np.concatenate([table.row[keep], np.zeros(WINDOW_HOURS, np.int32)])
+    hours = np.concatenate([table.hour[keep], np.arange(WINDOW_HOURS, dtype=np.uint8)])
+    week = [rng.choice([0.0, rng.uniform(0.0, 500.0)]) for _ in range(WINDOW_HOURS)]
+    counts = np.concatenate([table.count[keep], week])
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    return SimulationInput(table.venues, rows[order], hours[order], counts[order])
+
+
 @PROPERTY
-@given(tables(max_venues=9), params_st, st.integers(1, 10))
-def test_weekly_is_the_kernel_row_sums_whatever_the_block(table, params, block_rows):
-    with mock.patch.object(epi, "_BLOCK_ROWS", block_rows):
-        weekly = simulate_week(table, params)
-    assert np.array_equal(weekly, hourly_of(table, params).sum(axis=1))
+@given(
+    tables(max_venues=9, max_hours=40), params_st, st.floats(0.5, 20.0),
+    st.none() | st.floats(0.3, 4.0), st.sampled_from([1, 7, epi._BLOCK_RECORDS]),
+    st.none() | st.randoms(use_true_random=False),
+)
+def test_weekly_is_the_kernel_row_sums_whatever_the_block(
+    table, params, factor, spacing, block, rng
+):
+    # the record kernel, capped or not, gives the dense kernel's weekly values bit for bit
+    if rng is not None:
+        table = with_a_full_week(table, rng)
+    config = ScenarioConfig(name="c", sampling_factor=factor, spacing=spacing)
+    with mock.patch.object(epi, "_BLOCK_RECORDS", block):
+        weekly = run_scenario(*split_input(table), config, params)
+    sampled = dataclasses.replace(table, count=table.count * factor)
+    assert weekly.tobytes() == dense_weekly(sampled, params, spacing).tobytes()
 
 
 @PROPERTY
 @given(tables(), params_st, st.floats(0.3, 4.0), st.floats(0.5, 20.0))
 def test_capped_rows_match_scalar_cap(table, params, spacing, factor):
     caps = max_distanced_occupancy(table.venues.areas, spacing)
-    sampled = table.counts * factor
+    sampled = dense_counts(table) * factor
     rows = [apply_occupancy_cap(row, cap) for row, cap in zip(sampled, caps)]
     assert (np.array(rows) <= sampled).all()
 
@@ -146,7 +176,7 @@ def test_capped_rows_match_scalar_cap(table, params, spacing, factor):
         *split_input(table), ScenarioConfig(name="u", sampling_factor=factor), params
     )
     # the kernel is exact on equal inputs, so equal weekly values mean equal capped rows
-    reference = simulate_week(SimulationInput(table.venues, np.array(rows)), params)
+    reference = simulate_week(input_from_matrix(table.venues, np.array(rows)), params)
     assert np.array_equal(capped, reference)
     assert (capped <= uncapped).all()
 
@@ -161,10 +191,11 @@ def test_write_parse_join_round_trip(table, factor):
     visits = parse_visits(io.StringIO(visit_sink.getvalue()))
     back = join(venues, visits)
     assert same_venues(back.venues, table.venues)
-    assert np.array_equal(back.counts, table.counts)
-    # SimulationInput checks only the shape: parsing and sampling keep every count finite, >= 0
+    for column in ("row", "hour", "count"):
+        assert getattr(back, column).tolist() == getattr(table, column).tolist()
+    # SimulationInput checks no count: parsing and sampling keep every count finite, >= 0
     sampled = apply_sampling_correction(visits.count, factor)
-    counts = join(venues, dataclasses.replace(visits, count=sampled)).counts
+    counts = join(venues, dataclasses.replace(visits, count=sampled)).count
     assert np.isfinite(counts).all() and (counts >= 0).all()
 
 
@@ -175,22 +206,21 @@ def test_sliced_fast_parse_gives_the_csv_records(table, slice_chars):
     sink = io.StringIO()
     write_visits(table, sink, comment="slices")
     text = sink.getvalue()
-    with mock.patch.object(ingest, "_SLICE_CHARS", slice_chars):
+    with mock.patch.object(ingest, "_PARSE_BLOCK_CHARS", slice_chars):
         fast = ingest._parse_visits_fast(text)
     assert fast is not None
     assert record_columns(fast) == record_columns(_parse_visits_csv(io.StringIO(text)))
 
 
 def reference_visit_text(table, comment):
-    """write_visits' output written one ``csv.writer`` row per non-zero venue-hour."""
+    """write_visits' output written one ``csv.writer`` row per record."""
     sink = io.StringIO()
     sink.write(f"# {comment}\n")
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["venue_id", "hour", "count"])
-    for vid, row in zip(table.venues.ids, table.counts.tolist()):
-        for hour, count in enumerate(row):
-            if count:
-                writer.writerow([vid, hour, str(int(count)) if count.is_integer() else repr(count)])
+    for row, hour, count in zip(table.row.tolist(), table.hour.tolist(), table.count.tolist()):
+        text = str(int(count)) if count.is_integer() else repr(count)
+        writer.writerow([table.venues.ids[row], hour, text])
     return sink.getvalue()
 
 
@@ -209,8 +239,8 @@ written_count_st = st.one_of(
     # small write blocks put row-block boundaries inside the table
     st.one_of(st.just(ingest._WRITE_BLOCK_BYTES), st.integers(1, 300)),
 )
-@example(SimulationInput(make_venues({"v1": 1.0, "v2": 2.0}), np.zeros((2, WINDOW_HOURS))), 1)
-@example(SimulationInput(make_venues({"#\n\"é,": 1.0}), window_counts([[0.0, 3.0, 1e300]])), 1)
+@example(input_from_matrix(make_venues({"v1": 1.0, "v2": 2.0}), np.zeros((2, WINDOW_HOURS))), 1)
+@example(input_from_matrix(make_venues({"#\n\"é,": 1.0}), window_counts([[0.0, 3.0, 1e300]])), 1)
 def test_write_visits_matches_row_by_row_csv(table, block_bytes):
     sink = io.StringIO()
     with mock.patch.object(ingest, "_WRITE_BLOCK_BYTES", block_bytes):
@@ -223,7 +253,9 @@ def test_write_visits_matches_row_by_row_csv(table, block_bytes):
 def test_hour_permutation_permutes_hourly_and_keeps_weekly(table, params, rng):
     permutation = list(range(table.window_hours))
     rng.shuffle(permutation)
-    permuted_table = SimulationInput(table.venues, table.counts[:, permutation])
+    # hour h of the permuted table holds the records of hour permutation[h]
+    new_hour = np.argsort(permutation).astype(np.uint8)
+    permuted_table = dataclasses.replace(table, hour=new_hour[table.hour])
     hourly = hourly_of(table, params)
     assert np.array_equal(hourly_of(permuted_table, params), hourly[:, permutation])
     weekly = simulate_week(table, params)
@@ -354,10 +386,11 @@ def test_manifest_hash_ignores_timestamp_and_key_order(payload, stamp_a, stamp_b
     )
 
 
-# finite values up to 1e300 in size: within about 1e-15 of the largest double, the bin
-# edges themselves overflow, which is not what this property is about
+# every finite double, the largest ones included, where the range and the edges
+# come near overflowing
 histogram_values_st = st.lists(
-    st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.7976931348623157e308]),
     max_size=20,
 )
 
@@ -368,12 +401,17 @@ histogram_values_st = st.lists(
     st.integers(1, 12),
 )
 @example(a=[0.3196698954857542, 1.0, 2.0], b=[3.0, 5.0], scale="log10", bins=4)
+@example(a=[1.7976931348623155e308], b=[], scale="linear", bins=1)  # the degenerate bin's pad
+@example(a=[0.0, 1.7976931348623157e308], b=[], scale="linear", bins=3)  # np.linspace
+@example(a=[1e308, -1e308], b=[], scale="linear", bins=3)  # the range
+@example(a=[1.797693134861975e308], b=[], scale="log10", bins=1)  # 10.0 ** edges
 def test_histograms_on_the_combined_range_share_edges_and_bin_every_binnable_value(
     a, b, scale, bins
 ):
     span = combined_range(np.array(a, float), np.array(b, float), scale)
     hists = [histogram(sample, bins, scale, value_range=span) for sample in (a, b)]
     assert len({hist.bin_edges for hist in hists if hist.counts}) <= 1
+    assert all(math.isfinite(edge) for hist in hists for edge in hist.bin_edges)
     for sample, hist in zip((a, b), hists):
         values = np.array(sample, float)
         binnable = np.isfinite(values) & ((values > 0) if scale == "log10" else True)

@@ -216,7 +216,7 @@ def test_alternate_file_scenario_peak_memory(default_params, tmp_path, monkeypat
     venues = generate_dataset(GeneratorConfig(n_venues, "lockdown", seed=3)).venues
     config = ScenarioConfig(name="alt", visit_source=str(alt), spacing=SIX_FEET)
     # kernel blocks this small leave only whole-file and whole-matrix arrays to count
-    monkeypatch.setattr(epi, "_BLOCK_ROWS", 256)
+    monkeypatch.setattr(epi, "_BLOCK_RECORDS", 256)
     tracemalloc.start()
     try:
         run_scenario(venues, VisitRecords(), config, default_params)

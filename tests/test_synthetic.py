@@ -9,7 +9,7 @@ from venuerisk.ingest import write_venues, write_visits
 from venuerisk.synthetic import GeneratorConfig, generate_dataset
 from venuerisk.cli import main
 from venuerisk.synthetic import AREA_RANGE_M2, DIURNAL_SHAPE
-from conftest import FIXTURE_N_VENUES, FIXTURE_SEED, same_venues
+from conftest import FIXTURE_N_VENUES, FIXTURE_SEED, dense_counts, same_venues
 
 
 def test_diurnal_shape_is_documented_and_positive():
@@ -23,7 +23,8 @@ def test_same_seed_same_dataset():
     first = generate_dataset(config)
     second = generate_dataset(config)
     assert same_venues(first.venues, second.venues)
-    assert np.array_equal(first.counts, second.counts)
+    for column in ("row", "hour", "count"):
+        assert np.array_equal(getattr(first, column), getattr(second, column))
 
 
 def test_same_seed_byte_identical_files():
@@ -43,7 +44,9 @@ def test_requested_venue_count():
         GeneratorConfig(n_venues=FIXTURE_N_VENUES, profile="lockdown", seed=FIXTURE_SEED)
     )
     assert len(table.venues) == FIXTURE_N_VENUES
-    assert table.counts.shape == (FIXTURE_N_VENUES, 168)
+    # one record per non-zero draw, in venue order, then hour
+    assert (table.count > 0).all()
+    assert (np.diff(table.row.astype(np.int64) * 168 + table.hour) > 0).all()
 
 
 def test_profiles_share_the_venue_table():
@@ -59,11 +62,11 @@ def test_pre_pandemic_busier_at_every_hour():
     pre = generate_dataset(
         GeneratorConfig(n_venues=FIXTURE_N_VENUES, profile="pre_pandemic", seed=FIXTURE_SEED)
     )
-    # SimulationInput checks only the shape: the draws must keep every count finite and >= 0
+    # SimulationInput checks no count: the draws must keep every count finite and >= 0
     for table in (lock, pre):
-        assert np.isfinite(table.counts).all() and (table.counts >= 0).all()
-    lock_mean = lock.counts.mean(axis=0)
-    pre_mean = pre.counts.mean(axis=0)
+        assert np.isfinite(table.count).all() and (table.count >= 0).all()
+    lock_mean = dense_counts(lock).mean(axis=0)
+    pre_mean = dense_counts(pre).mean(axis=0)
     assert (pre_mean > lock_mean).all()
 
 
