@@ -16,10 +16,10 @@ newly infected people never feed back into later hours. All quantities
 are expected values, so the whole pipeline is deterministic.
 
 :func:`hourly_infections` evaluates the model for an array of cohorts at
-once, and :func:`simulate_week` runs it on each visit record and sums
-each venue's hours into its weekly infections;
-:func:`wells_riley_probability` is the scalar form of the same formula
-and the reference the array form is tested against.
+once, and :func:`simulate_week` runs it on the visit records of one block
+of venue rows at a time and sums each venue's hours into its weekly
+infections; :func:`wells_riley_probability` is the scalar form of the
+same formula and the reference the array form is tested against.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .ingest import WINDOW_HOURS, SimulationInput, compute_volumes
 from .stats import Severity, severity_labels
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)  # largest double < 1
-# visit records per kernel call: its temporaries take 0.5 MB each, where
-# whole-record arrays take 11 MB each at 1.37 M records
-_BLOCK_RECORDS = 1 << 16
+# venue rows per kernel call: the block's [row, hour] matrix takes 0.3 MB, where
+# one for every venue takes 67 MB at 50 000 venues; larger blocks are no faster
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -130,25 +130,47 @@ def simulate_week(sim_input: SimulationInput, params: EpiParams) -> np.ndarray:
     """Expected new infections per venue over the window, in venue-table order.
 
     The room volumes are the floor areas times ``params.ceiling_height``.
-    :func:`hourly_infections` runs on blocks of ``_BLOCK_RECORDS``
-    records, and each block is scattered into a zero ``[venue, hour]``
-    matrix that exists only for the row sums: an hour without a record
-    had no visitors and no infections. The weekly values are NumPy's
-    pairwise sums of each row's 168 cells, which can differ from an
-    exactly rounded sum in the last digits, and do not depend on the
-    record order or the block size.
+    The venue rows are taken ``_BLOCK_ROWS`` at a time: the records of a
+    block's rows run through :func:`hourly_infections`, are scattered into
+    a zero ``[row, hour]`` matrix of that block alone (an hour without a
+    record had no visitors and no infections), and each row of it is
+    summed into its venue's weekly value. A row sum is NumPy's pairwise
+    sum of the row's 168 cells, which can differ from an exactly rounded
+    sum in the last digits; it reads only that row, so it is the same bit
+    for bit whatever the block size, the record order, or a matrix of
+    every venue would give.
+
+    Records in row order (every generated file) are one slice per block
+    as they stand; records in any other order are first grouped by block,
+    into copies of their columns.
     """
     volumes = compute_volumes(sim_input.venues.areas, params.ceiling_height)
-    hourly = np.zeros((len(volumes), WINDOW_HOURS))
-    cells = hourly.reshape(-1)
-    for start in range(0, len(sim_input.count), _BLOCK_RECORDS):
-        block = slice(start, start + _BLOCK_RECORDS)
-        rows = sim_input.row[block]
-        index = rows.astype(np.intp)
-        index *= WINDOW_HOURS
-        index += sim_input.hour[block]
-        cells[index] = hourly_infections(sim_input.count[block], volumes[rows], params)
-    return hourly.sum(axis=1)
+    row, hour, count = sim_input.row, sim_input.hour, sim_input.count
+    n = len(volumes)
+    starts = range(0, n, _BLOCK_ROWS)
+    if not (row[1:] >= row[:-1]).all():
+        # a stable sort of keys this narrow is a radix sort
+        block = (row // _BLOCK_ROWS).astype(np.min_scalar_type(len(starts)))
+        order = np.argsort(block, kind="stable")
+        row, hour, count = row[order], hour[order], count[order]
+        del block, order
+    # the records are grouped by block, so a binary search for each block's first row
+    # finds the start of its slice; edges of row's dtype, where it holds them (np.arange
+    # would wrap), compare with row without copying it
+    edge_type = row.dtype if np.iinfo(row.dtype).max >= n + _BLOCK_ROWS else np.int64
+    bounds = np.searchsorted(row, np.arange(0, n + _BLOCK_ROWS, _BLOCK_ROWS, edge_type))
+    weekly = np.empty(n)
+    for start, first, last in zip(starts, bounds[:-1], bounds[1:]):
+        stop = min(start + _BLOCK_ROWS, n)
+        rows = row[first:last]
+        hourly = np.zeros((stop - start, WINDOW_HOURS))
+        cells = rows.astype(np.intp)
+        cells -= start
+        cells *= WINDOW_HOURS
+        cells += hour[first:last]
+        hourly.reshape(-1)[cells] = hourly_infections(count[first:last], volumes[rows], params)
+        weekly[start:stop] = hourly.sum(axis=1)
+    return weekly
 
 
 def count_severities(weekly: np.ndarray, threshold: float) -> tuple[int, int]:

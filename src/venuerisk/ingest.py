@@ -151,11 +151,11 @@ class SimulationInput:
         return WINDOW_HOURS
 
 
-# dtypes of VisitRecords' index columns and of the venue rows join gives: a file has
-# fewer than 2**31 distinct ids, a table fewer than 2**31 venues, and every hour of
-# the window fits one byte
-_VENUE_INDEX = np.int32
-_HOUR = np.uint8
+# dtypes of VisitRecords' index columns, and of the record rows and hours that join
+# and the generator give: a file has fewer than 2**31 distinct ids, a table fewer
+# than 2**31 venues, and every hour of the window fits one byte
+INDEX_DTYPE = np.int32
+HOUR_DTYPE = np.uint8
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,9 +170,12 @@ class VisitRecords:
     """
 
     ids: dict[str, int] = field(default_factory=dict)
-    venue: np.ndarray = field(default_factory=lambda: np.empty(0, _VENUE_INDEX))
-    hour: np.ndarray = field(default_factory=lambda: np.empty(0, _HOUR))
+    venue: np.ndarray = field(default_factory=lambda: np.empty(0, INDEX_DTYPE))
+    hour: np.ndarray = field(default_factory=lambda: np.empty(0, HOUR_DTYPE))
     count: np.ndarray = field(default_factory=lambda: np.empty(0))
+    # {venue table: the row of each id in it}, filled by venue_rows; not an init field,
+    # so dataclasses.replace, which may replace the ids, starts an empty one
+    _rows_by_table: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.venue)
@@ -320,7 +323,7 @@ def _parse_visits_csv(source: TextIO) -> VisitRecords:
         hours.append(hour)
         counts.append(count)
     return VisitRecords(
-        ids, np.array(venues, _VENUE_INDEX), np.array(hours, _HOUR), np.array(counts, float)
+        ids, np.array(venues, INDEX_DTYPE), np.array(hours, HOUR_DTYPE), np.array(counts, float)
     )
 
 
@@ -358,7 +361,8 @@ def _parse_visits_fast(text: str) -> VisitRecords | None:
     hour) pair twice. The body is read in blocks that end at a line end,
     so a row is never split, into columns allocated once from the count
     of line ends; a failure in any block returns None, never part of the
-    file.
+    file. Then each block's (venue, hour) cells are set in one bitmap of
+    every id's window: a pair seen twice leaves fewer cells set than rows.
     """
     start = 0
     while text.startswith("#", start):
@@ -372,8 +376,8 @@ def _parse_visits_fast(text: str) -> VisitRecords | None:
     start += len(_VISIT_HEADER_LINE)
     n = text.count("\n", start) + (not text.endswith("\n"))
     ids: dict[str, int] = {}
-    venues, hours, counts = np.empty(n, _VENUE_INDEX), np.empty(n, _HOUR), np.empty(n)
-    done = 0
+    venues, hours, counts = np.empty(n, INDEX_DTYPE), np.empty(n, HOUR_DTYPE), np.empty(n)
+    done, blocks = 0, []
     while start < len(text):
         end = text.find("\n", start + _PARSE_BLOCK_CHARS) + 1 or len(text)
         block = _parse_block(text[start:end], ids)
@@ -381,12 +385,14 @@ def _parse_visits_fast(text: str) -> VisitRecords | None:
             return None
         rows = slice(done, done + len(block[0]))
         venues[rows], hours[rows], counts[rows] = block
+        blocks.append(rows)
         done, start = rows.stop, end
-    cells = venues.astype(np.intp)
-    cells *= WINDOW_HOURS
-    cells += hours
     seen = np.zeros(len(ids) * WINDOW_HOURS, dtype=bool)
-    seen[cells] = True
+    for rows in blocks:
+        cells = venues[rows].astype(np.intp)
+        cells *= WINDOW_HOURS
+        cells += hours[rows]
+        seen[cells] = True
     if np.count_nonzero(seen) != n:
         return None  # a duplicate (venue_id, hour) pair
     return VisitRecords(ids, venues, hours, counts)
@@ -463,7 +469,7 @@ def _parse_block(part: str, ids: dict[str, int]) -> tuple[np.ndarray, ...] | Non
     run_starts = np.flatnonzero(new_run)
     names = texts(starts[run_starts], first[run_starts])
     run_venues = [ids.setdefault(name, len(ids)) for name in names]
-    venues = np.repeat(np.array(run_venues, _VENUE_INDEX), np.diff(run_starts, append=ends.size))
+    venues = np.repeat(np.array(run_venues, INDEX_DTYPE), np.diff(run_starts, append=ends.size))
     return venues, hours, counts
 
 
@@ -533,9 +539,11 @@ def compute_volumes(areas: np.ndarray, ceiling_height: float) -> np.ndarray:
 
 
 def load_visits(path: str | Path, venues: VenueTable) -> VisitRecords:
-    """Parse the visit file at ``path`` and check every id against ``venues``.
+    """Parse the visit file at ``path`` and map every id to its row in ``venues``.
 
-    The check runs while the file is open, so each error names the file.
+    The mapping runs while the file is open, so an unknown id fails
+    naming the file; the records keep it, so no later :func:`join` of
+    them with ``venues`` maps an id again.
 
     Raises:
         DatasetError: an id is not in the venue table, or a
@@ -551,8 +559,9 @@ def load_visits(path: str | Path, venues: VenueTable) -> VisitRecords:
 def join(venues: VenueTable, visits: VisitRecords) -> SimulationInput:
     """Join a venue table and visit records into a :class:`SimulationInput`.
 
-    Each distinct visit id is mapped to its venue row once, and each
-    record takes the row of its id; the hours and counts are the records'
+    Each distinct visit id is mapped to its venue row by
+    :func:`venue_rows`, once per venue table, and each record takes the
+    row of its id; the hours and counts are the records'
     own arrays, not copies. Venues with no record had no visits, so venue
     results stay aligned across scenarios. No venue is dropped and no
     count is invented.
@@ -567,16 +576,24 @@ def join(venues: VenueTable, visits: VisitRecords) -> SimulationInput:
 def venue_rows(venues: VenueTable, visits: VisitRecords) -> np.ndarray:
     """The venue-table row of each distinct id of ``visits``, in ``visits.ids`` order.
 
+    The rows are looked up on the first call with ``venues`` and kept on
+    ``visits``; later calls with the same table return them.
+
     Raises:
         DatasetError: an id is not in the venue table; the message lists
             the unknown ids in sorted order, up to ten of them.
     """
+    kept = visits._rows_by_table.get(venues)
+    if kept is not None:
+        return kept
     row_of = venues.row_of
     unknown = sorted(vid for vid in visits.ids if vid not in row_of)
     if unknown:
         shown = ", ".join(repr(u) for u in unknown[:10]) + (", ..." if len(unknown) > 10 else "")
         raise DatasetError(f"visit series reference {len(unknown)} unknown venue id(s): {shown}")
-    return np.fromiter(map(row_of.__getitem__, visits.ids), _VENUE_INDEX, len(visits.ids))
+    rows = np.fromiter(map(row_of.__getitem__, visits.ids), INDEX_DTYPE, len(visits.ids))
+    visits._rows_by_table[venues] = rows
+    return rows
 
 
 def _format_count(value: float) -> str:

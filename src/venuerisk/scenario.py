@@ -7,8 +7,8 @@ the same pipeline order, each step one array expression over the visit
 records:
 
     1. select the visit source: the baseline records or a parsed file
-    2. apply the sampling factor to the records:      count * factor
-    3. join: give each record its venue-table row
+    2. join: give each record its venue-table row
+    3. apply the sampling factor to the records:      count * factor
     4. cap each record at its venue's distanced occupancy (if spacing
        is set):                       minimum(count, cap[row])
     5. merge parameter overrides
@@ -132,9 +132,10 @@ def run_scenario(
     with error_context(f"scenario {config.name!r}"):
         if config.visit_source != BASELINE:
             visits = load_visits(config.visit_source, venues)
-        sampled = apply_sampling_correction(visits.count, config.sampling_factor)
-        sim_input = join(venues, dataclasses.replace(visits, count=sampled))
-        del visits, sampled  # from here the scenario holds only its own records
+        records = join(venues, visits)
+        sampled = apply_sampling_correction(records.count, config.sampling_factor)
+        sim_input = dataclasses.replace(records, count=sampled)
+        del visits, records, sampled  # from here the scenario holds only its own records
         if config.spacing is not None:
             caps = max_distanced_occupancy(venues.areas, config.spacing)
             np.minimum(sim_input.count, caps[sim_input.row], out=sim_input.count)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import WINDOW_HOURS, SimulationInput, VenueTable
+from .ingest import HOUR_DTYPE, INDEX_DTYPE, WINDOW_HOURS, SimulationInput, VenueTable
 
 PROFILES = ("lockdown", "pre_pandemic")
 AREA_RANGE_M2 = (50.0, 2000.0)
@@ -49,6 +49,9 @@ _RAW_DIURNAL = (
     2.90, 3.10, 2.40, 1.60, 0.90, 0.50,
 )
 DIURNAL_SHAPE = tuple(w * 24.0 / sum(_RAW_DIURNAL) for w in _RAW_DIURNAL)
+# venue rows per Poisson call: its rate and draw matrices take 5.5 MB each, where
+# matrices of every venue take 67 MB each at 50 000 venues
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -82,16 +85,19 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
 
     level = LOCKDOWN_LEVEL if config.profile == "lockdown" else PRE_PANDEMIC_LEVEL
     shape = np.array([DIURNAL_SHAPE[h % 24] for h in range(WINDOW_HOURS)])
-    rates = BASE_HOURLY_VISITS * level * popularity[:, None] * shape[None, :]
-    draws = rng.poisson(rates)
-    del rates  # each full matrix freed once used, so at most two are live at a time
-    cells = np.flatnonzero(draws)
-    counts = draws.ravel()[cells].astype(float)
-    del draws
-    rows, hours = np.divmod(cells, WINDOW_HOURS)
+    rows, hours, counts = [], [], []
+    for start in range(0, n, _BLOCK_ROWS):
+        rates = BASE_HOURLY_VISITS * level * popularity[start:start + _BLOCK_ROWS, None] * shape
+        # drawn in C order, so block after block the draws take the bit stream as one
+        # call over every venue's rates would
+        draws = rng.poisson(rates)
+        cells = np.flatnonzero(draws)
+        rows.append((cells // WINDOW_HOURS + start).astype(INDEX_DTYPE))
+        hours.append((cells % WINDOW_HOURS).astype(HOUR_DTYPE))
+        counts.append(draws.ravel()[cells].astype(float))
 
     categories = tuple(np.where(is_bar, "drinking_place", "restaurant").tolist())
     ids = tuple(f"v{i:05d}" for i in range(n))
     names = tuple(f"Synthetic {c.replace('_', ' ')} {i:05d}" for i, c in enumerate(categories))
     venues = VenueTable(ids, names, categories, areas)
-    return SimulationInput(venues, rows, hours.astype(np.uint8), counts)
+    return SimulationInput(venues, *map(np.concatenate, (rows, hours, counts)))

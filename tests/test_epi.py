@@ -1,12 +1,15 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from venuerisk import EpiParams, simulate_week, wells_riley_probability
 from venuerisk.epi import count_severities
+from venuerisk.ingest import WINDOW_HOURS, apply_sampling_correction
+from venuerisk.synthetic import GeneratorConfig, generate_dataset
 from conftest import hourly_of, make_input
 
 # frozen from an independent 50-digit evaluation of 1 - exp(-dose)
@@ -228,6 +231,21 @@ class TestSimulateWeek:
         assert np.array_equal(permuted[0], result[0, permutation])
         weekly = simulate_week(sim, default_params)
         assert simulate_week(permuted_sim, default_params)[0] == weekly[0]
+
+    def test_peak_memory_is_a_block_not_a_matrix_of_every_venue(self, default_params):
+        # the records run a block of venue rows at a time, so no [venue, hour] matrix
+        # of every venue is made: at 5 000 pre-pandemic venues the peak is a fraction
+        n_venues = 5000
+        table = generate_dataset(GeneratorConfig(n_venues, "pre_pandemic", seed=3))
+        sim = dataclasses.replace(table, count=apply_sampling_correction(table.count, 10.0))
+        tracemalloc.start()
+        try:
+            simulate_week(sim, default_params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = n_venues * WINDOW_HOURS * 8
+        assert peak < matrix_bytes / 4, f"{peak / matrix_bytes:.2f} matrices"
 
 
 class TestEpiParams:

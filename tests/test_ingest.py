@@ -1,5 +1,7 @@
+import dataclasses
 import io
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from venuerisk.ingest import (
     apply_sampling_correction,
     compute_volumes,
     join,
+    load_visits,
     open_input,
     parse_venues,
     parse_visits,
@@ -215,6 +218,15 @@ class TestSlicedVisitParse:
         assert parse_outcome(parse_visits, text) == parse_outcome(_parse_visits_csv, text)
 
 
+def test_duplicate_pair_in_two_parse_blocks_is_the_csv_error(monkeypatch):
+    # one row per block, so the duplicate check meets the pair in its second block
+    text = visits_csv("v,4,1", "w,0,2", "v,4,3").getvalue()
+    monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", 1)
+    assert _parse_visits_fast(text) is None
+    with pytest.raises(RecordError, match="line 4: duplicate hour 4 for venue 'v'"):
+        parse_visits(io.StringIO(text))
+
+
 class TestByteReaderEdges:
     """At each edge of its word arithmetic the byte reader gives the csv parser's result."""
 
@@ -361,6 +373,21 @@ class TestJoin:
         sim = join(venues, visits)
         assert list(sim.venues) == list(venues)
         assert dense_counts(sim).tolist() == window_counts([[], [2.0, 0.0, 5.0], []]).tolist()
+
+    def test_a_loaded_files_ids_are_mapped_once(self, tmp_path):
+        venues = self._venues("a", "b", "c")
+        path = tmp_path / "visits.csv"
+        path.write_text("venue_id,hour,count\nc,0,1\na,3,2\nc,5,4\n", encoding="utf-8")
+        visits = load_visits(path, venues)
+        # every later join of the file's records takes the rows load_visits looked up
+        looked_up = property(lambda table: pytest.fail("a venue id was looked up again"))
+        with mock.patch.object(VenueTable, "row_of", looked_up):
+            first, second = join(venues, visits), join(venues, visits)
+        assert first.row.tolist() == second.row.tolist() == [2, 0, 2]
+        # records with other ids, or another table, are looked up afresh
+        renamed = dataclasses.replace(visits, ids={"b": 0, "c": 1})
+        assert join(venues, renamed).row.tolist() == [1, 2, 1]
+        assert join(self._venues("c", "a"), visits).row.tolist() == [0, 1, 0]
 
 
 class TestRoundTrip:

@@ -146,17 +146,21 @@ def with_a_full_week(table, rng):
 @PROPERTY
 @given(
     tables(max_venues=9, max_hours=40), params_st, st.floats(0.5, 20.0),
-    st.none() | st.floats(0.3, 4.0), st.sampled_from([1, 7, epi._BLOCK_RECORDS]),
-    st.none() | st.randoms(use_true_random=False),
+    st.none() | st.floats(0.3, 4.0), st.sampled_from([1, 7, epi._BLOCK_ROWS]),
+    st.none() | st.randoms(use_true_random=False), st.booleans(),
 )
 def test_weekly_is_the_kernel_row_sums_whatever_the_block(
-    table, params, factor, spacing, block, rng
+    table, params, factor, spacing, block, rng, in_row_order
 ):
-    # the record kernel, capped or not, gives the dense kernel's weekly values bit for bit
+    # the record kernel, capped or not, gives the dense kernel's weekly values bit for bit,
+    # on blocks of venue rows whose records are a slice (row order) or are grouped
     if rng is not None:
         table = with_a_full_week(table, rng)
+    if in_row_order:
+        order = np.argsort(table.row, kind="stable")
+        table = SimulationInput(table.venues, table.row[order], table.hour[order], table.count[order])
     config = ScenarioConfig(name="c", sampling_factor=factor, spacing=spacing)
-    with mock.patch.object(epi, "_BLOCK_RECORDS", block):
+    with mock.patch.object(epi, "_BLOCK_ROWS", block):
         weekly = run_scenario(*split_input(table), config, params)
     sampled = dataclasses.replace(table, count=table.count * factor)
     assert weekly.tobytes() == dense_weekly(sampled, params, spacing).tobytes()

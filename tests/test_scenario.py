@@ -202,10 +202,10 @@ class TestRunScenario:
             ScenarioConfig(name="x", params_override={"quanta": 1.0})
 
 
-# the peak holds the scenario's own venue-hour matrix, the file's records and their
-# per-row temporaries, and never a second matrix: no baseline copy, no per-file
-# intermediate and no corrected or capped copy
-MATRICES_AT_PEAK = 2.0
+# the peak is the visit file's parse: its text, its records and their per-block
+# temporaries; the kernel adds one block's matrix, never a venue-hour matrix of
+# every venue, and no baseline, corrected or capped copy is made
+MATRICES_AT_PEAK = 1.5
 
 
 def test_alternate_file_scenario_peak_memory(default_params, tmp_path, monkeypatch):
@@ -216,7 +216,7 @@ def test_alternate_file_scenario_peak_memory(default_params, tmp_path, monkeypat
     venues = generate_dataset(GeneratorConfig(n_venues, "lockdown", seed=3)).venues
     config = ScenarioConfig(name="alt", visit_source=str(alt), spacing=SIX_FEET)
     # kernel blocks this small leave only whole-file and whole-matrix arrays to count
-    monkeypatch.setattr(epi, "_BLOCK_RECORDS", 256)
+    monkeypatch.setattr(epi, "_BLOCK_ROWS", 256)
     tracemalloc.start()
     try:
         run_scenario(venues, VisitRecords(), config, default_params)

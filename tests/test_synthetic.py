@@ -1,14 +1,23 @@
 import importlib.util
 import io
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from venuerisk.ingest import write_venues, write_visits
+from venuerisk import synthetic
+from venuerisk.ingest import join, parse_venues, parse_visits, write_venues, write_visits
 from venuerisk.synthetic import GeneratorConfig, generate_dataset
 from venuerisk.cli import main
-from venuerisk.synthetic import AREA_RANGE_M2, DIURNAL_SHAPE
+from venuerisk.synthetic import (
+    AREA_RANGE_M2,
+    BASE_HOURLY_VISITS,
+    DIURNAL_SHAPE,
+    DRINKING_PLACE_SHARE,
+    POPULARITY_SIGMA,
+    PRE_PANDEMIC_LEVEL,
+)
 from conftest import FIXTURE_N_VENUES, FIXTURE_SEED, dense_counts, same_venues
 
 
@@ -47,6 +56,51 @@ def test_requested_venue_count():
     # one record per non-zero draw, in venue order, then hour
     assert (table.count > 0).all()
     assert (np.diff(table.row.astype(np.int64) * 168 + table.hour) > 0).all()
+
+
+def whole_matrix_dataset(config):
+    """The generator's draws made with one rng.poisson call over every venue's rates:
+    (areas, drinking-place flags, rows, hours, counts) of the non-zero draws."""
+    rng = np.random.default_rng(config.seed)
+    n = config.n_venues
+    lo, hi = AREA_RANGE_M2
+    areas = np.exp(rng.uniform(math.log(lo), math.log(hi), size=n))
+    is_bar = rng.random(size=n) < DRINKING_PLACE_SHARE
+    popularity = rng.lognormal(mean=0.0, sigma=POPULARITY_SIGMA, size=n)
+    level = 1.0 if config.profile == "lockdown" else PRE_PANDEMIC_LEVEL
+    shape = np.array([DIURNAL_SHAPE[h % 24] for h in range(168)])
+    draws = rng.poisson(BASE_HOURLY_VISITS * level * popularity[:, None] * shape[None, :])
+    rows, hours = np.nonzero(draws)
+    return areas, is_bar, rows, hours, draws[rows, hours].astype(float)
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+@pytest.mark.parametrize("n_venues", [1, 7, 8, 13, 4099])
+def test_blocked_draws_are_one_whole_matrix_draw(monkeypatch, block, n_venues):
+    # Poisson draws block by block take the bit stream as one call over every venue
+    # does, however the venues fall into blocks
+    config = GeneratorConfig(n_venues, "pre_pandemic", seed=11)
+    monkeypatch.setattr(synthetic, "_BLOCK_ROWS", block)
+    table = generate_dataset(config)
+    areas, is_bar, rows, hours, counts = whole_matrix_dataset(config)
+    assert table.venues.areas.tobytes() == areas.tobytes()
+    assert table.venues.categories == tuple(
+        "drinking_place" if bar else "restaurant" for bar in is_bar.tolist()
+    )
+    assert table.row.tolist() == rows.tolist()
+    assert table.hour.tolist() == hours.tolist()
+    assert table.count.tobytes() == counts.tobytes()
+
+
+def test_generated_and_joined_records_share_dtypes():
+    table = generate_dataset(GeneratorConfig(n_venues=30, profile="lockdown", seed=5))
+    venue_sink, visit_sink = io.StringIO(), io.StringIO()
+    write_venues(table.venues, venue_sink)
+    write_visits(table, visit_sink)
+    venues = parse_venues(io.StringIO(venue_sink.getvalue()))
+    joined = join(venues, parse_visits(io.StringIO(visit_sink.getvalue())))
+    for column in ("row", "hour", "count"):
+        assert getattr(table, column).dtype == getattr(joined, column).dtype, column
 
 
 def test_profiles_share_the_venue_table():
