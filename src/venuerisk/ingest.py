@@ -280,7 +280,8 @@ def parse_visits(source: TextIO) -> VisitRecords:
     first appear.
 
     The text is read once. A byte-level NumPy reader parses it, in
-    line-aligned blocks of about ``_PARSE_BLOCK_CHARS`` characters, when
+    line-aligned blocks of about ``_PARSE_BLOCK_CHARS`` characters and
+    one byte position of a field at a time across a block's rows, when
     the file is plain (see :func:`_parse_visits_fast`); any other file,
     and every file with an error, goes through the row-by-row ``csv``
     parser, so the accepted files, the values and the line-numbered
@@ -335,20 +336,12 @@ _NOT_PLAIN = '"#\0 \t\r\v\f\x1c\x1d\x1e\x1f'
 # characters of body text per block: its byte copy and per-row temporaries take a
 # few MB, where a whole 1.37 M-row file would take tens
 _PARSE_BLOCK_CHARS = 1 << 18
-# the longest id and count fields the byte reader takes; ids are compared as
-# four 8-byte words, and a longer count may hit the csv parser's field limit
+# the longest id and count fields the byte reader takes: an id is compared in one pass
+# per byte, and a longer count may hit the csv parser's field limit
 _FIELD_BYTES = 32
-_WORD = 8
-_ALL_ONES = (1 << 64) - 1
-# "00000000" as a little-endian word: the first byte of a field is the low byte
-_ZEROS = int.from_bytes(b"0" * _WORD, "little")
-_HIGH_NIBBLES = int.from_bytes(b"\xf0" * _WORD, "little")
-_SIXES = int.from_bytes(b"\x06" * _WORD, "little")
-# by the number n of field bytes a word holds, 0 to 8: the mask of its n high
-# bytes, and "0" digits for the 8 - n low bytes before the field
-_LOW_BYTES = [(1 << 8 * (_WORD - n)) - 1 for n in range(_WORD + 1)]
-_KEEP = np.array([_ALL_ONES ^ low for low in _LOW_BYTES], np.uint64)
-_LEADING_ZEROS = np.array([_ZEROS & low for low in _LOW_BYTES], np.uint64)
+# the most digits of an hour or a count it reads as an integer: 16 digits stay exact
+# in int64, and converting that to a double rounds as float() of the digits does
+_DIGITS = 16
 
 
 def _parse_visits_fast(text: str) -> VisitRecords | None:
@@ -356,13 +349,15 @@ def _parse_visits_fast(text: str) -> VisitRecords | None:
 
     Plain is: leading ``#`` lines, the exact header line, then ASCII rows
     of three non-empty fields with none of ``_NOT_PLAIN``, every id and
-    count at most ``_FIELD_BYTES`` bytes, every hour at most 8 digits and
-    in the window, every count finite and non-negative and no (venue_id,
-    hour) pair twice. The body is read in blocks that end at a line end,
-    so a row is never split, into columns allocated once from the count
-    of line ends; a failure in any block returns None, never part of the
-    file. Then each block's (venue, hour) cells are set in one bitmap of
-    every id's window: a pair seen twice leaves fewer cells set than rows.
+    count at most ``_FIELD_BYTES`` bytes, every hour at most ``_DIGITS``
+    digits and in the window, every count finite and non-negative and no
+    (venue_id, hour) pair twice. A count of more than ``_DIGITS`` bytes,
+    or not all digits, is read by ``float()``, as the csv parser reads it.
+    The body is read in blocks that end at a line end, so a row is never
+    split, into columns allocated once from the count of line ends; a
+    failure in any block returns None, never part of the file. Then each
+    block's (venue, hour) cells are set in one bitmap of every id's
+    window: a pair seen twice leaves fewer cells set than rows.
     """
     start = 0
     while text.startswith("#", start):
@@ -401,55 +396,42 @@ def _parse_visits_fast(text: str) -> VisitRecords | None:
 def _parse_block(part: str, ids: dict[str, int]) -> tuple[np.ndarray, ...] | None:
     """One block of whole rows as (venue index, hour, count) columns, or None if not plain.
 
-    The rows are encoded to ASCII after ``_FIELD_BYTES`` zero bytes, so
-    the 8-byte word that ends at any field's end can be read. A field of
-    n <= 8 bytes is then the n high bytes of the word ending at its last
-    byte; digits are parsed from that word, padded with "0" digits,
-    8 at a time. Ids not in ``ids`` are added to it, numbered in order of
-    first appearance.
+    The rows are read as ASCII bytes, each field one byte position at a
+    time across every row of the block. Ids not in ``ids`` are added to
+    it, numbered in order of first appearance.
     """
     if any(c in part for c in _NOT_PLAIN):
         return None
     try:
-        raw = bytes(_FIELD_BYTES) + part.encode("ascii") + b"\n" * (not part.endswith("\n"))
+        raw = part.encode("ascii") + b"\n" * (not part.endswith("\n"))
     except UnicodeEncodeError:
         return None
     data = np.frombuffer(raw, np.uint8)
-    # words[i] is the little-endian word of bytes i to i + 7
-    words = np.ndarray((data.size - _WORD + 1,), "<u8", raw, strides=(1,))
     ends = np.flatnonzero(data == ord("\n"))
     commas = np.flatnonzero(data == ord(","))
     if commas.size != 2 * ends.size:
         return None
-    starts = np.concatenate(([_FIELD_BYTES], ends[:-1] + 1))
+    starts = np.concatenate(([0], ends[:-1] + 1))
     first, second = commas[0::2], commas[1::2]
     # each row holds both of its commas, so no row has more or fewer
     id_len, hour_len, count_len = first - starts, second - first - 1, ends - second - 1
     if not (
         (id_len >= 1).all() and (id_len <= _FIELD_BYTES).all()
-        and (hour_len >= 1).all() and (hour_len <= _WORD).all()
+        and (hour_len >= 1).all()
         and (count_len >= 1).all() and (count_len <= _FIELD_BYTES).all()
     ):
         return None
 
-    def word_before(end, length):
-        """The ``length`` (clipped to 0 to 8) bytes before ``end``, after "0" digits."""
-        length = np.clip(length, 0, _WORD)
-        return (words[end - _WORD] & _KEEP[length]) | _LEADING_ZEROS[length]
-
     def texts(begin, end):
-        """The text from each ``begin`` to its ``end``, positions counted in ``raw``."""
-        spans = zip((begin - _FIELD_BYTES).tolist(), (end - _FIELD_BYTES).tolist())
-        return [part[a:b] for a, b in spans]
+        """The text from each ``begin`` to its ``end``."""
+        return [part[a:b] for a, b in zip(begin.tolist(), end.tolist())]
 
-    hour_ok, hours = _digits(word_before(second, hour_len))
+    hour_ok, hours = _integers(data, second, hour_len)
     if not (hour_ok.all() and hours.max() < WINDOW_HOURS):
         return None
-    low_ok, low = _digits(word_before(ends, count_len))
-    high_ok, high = _digits(word_before(ends - _WORD, count_len - _WORD))
-    # up to 16 digits is below 2**63, so the integer converts to the double float() gives
-    counts = (high * 10**_WORD + low).astype(np.int64).astype(float)
-    other = np.flatnonzero(~(low_ok & high_ok & (count_len <= 2 * _WORD)))
+    count_ok, counts = _integers(data, ends, count_len)
+    counts = counts.astype(float)
+    other = np.flatnonzero(~count_ok)
     if other.size:
         # the csv parser's own call, on the same text: "1e3", "0.5", "1_000", "-0", "nan"
         try:
@@ -460,11 +442,12 @@ def _parse_block(part: str, ids: dict[str, int]) -> tuple[np.ndarray, ...] | Non
             return None
         counts[other] = values
 
-    # a row starts a run unless its id has the length and the masked words of the row before
+    # a row starts a run unless its id has the length and the bytes of the row before;
+    # past its last byte an id reads its comma
     new_run = np.ones(ends.size, dtype=bool)
     new_run[1:] = id_len[1:] != id_len[:-1]
-    for k in range(-(-int(id_len.max()) // _WORD)):
-        key = word_before(first - k * _WORD, id_len - k * _WORD)
+    for k in range(int(id_len.max())):
+        key = data[np.minimum(starts + k, first)]
         new_run[1:] |= key[1:] != key[:-1]
     run_starts = np.flatnonzero(new_run)
     names = texts(starts[run_starts], first[run_starts])
@@ -473,17 +456,24 @@ def _parse_block(part: str, ids: dict[str, int]) -> tuple[np.ndarray, ...] | Non
     return venues, hours, counts
 
 
-def _digits(word: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each word is 8 ASCII digits, and its value, first byte most significant.
+def _integers(data: np.ndarray, end: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Whether each field of ``length`` bytes before ``end`` is <= ``_DIGITS`` digits, and its value.
 
-    Each step pairs neighbouring lanes, so the value of 8 digits takes three
-    multiply-adds; the value is meaningless where a byte is not a digit.
+    The value is int64, first byte most significant, and meaningless
+    where the field is not all digits. Byte ``k`` before each end is
+    read in pass ``k``, for ``k`` below the longest field; in a field
+    shorter than that it is no part of it and counts 0. Such a position
+    before the first row wraps to the end of ``data``, which holds the
+    longest field, so it stays in bounds.
     """
-    ok = ((word & _HIGH_NIBBLES) == _ZEROS) & (((word + _SIXES) & _HIGH_NIBBLES) == _ZEROS)
-    value = word - _ZEROS
-    value = (value * 10 + (value >> 8)) & 0x00FF00FF00FF00FF
-    value = (value * 100 + (value >> 16)) & 0x0000FFFF0000FFFF
-    value = (value * 10000 + (value >> 32)) & 0xFFFFFFFF
+    ok = length <= _DIGITS
+    value = np.zeros(end.size, np.int64)
+    for k in range(min(int(length.max()), _DIGITS)):
+        digit = data[end - 1 - k] - np.uint8(ord("0"))  # a byte below "0" wraps above 9
+        digit[k >= length] = 0
+        ok &= digit <= 9
+        # an explicit int64 loop: NumPy 1.x would keep uint8 * np.int64 scalar in uint8
+        value += np.multiply(digit, 10**k, dtype=np.int64)
     return ok, value
 
 

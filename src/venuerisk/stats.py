@@ -20,7 +20,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,7 +88,7 @@ def classify(weekly_infections: float, threshold: float = 1.0) -> Severity:
 
 
 def histogram(
-    values: Iterable[float],
+    values: Sequence[float] | np.ndarray,
     bins: int,
     scale: Scale | str = Scale.LINEAR,
     value_range: tuple[float, float] | None = None,
@@ -106,7 +106,7 @@ def histogram(
     scale = Scale(scale)
     if bins < 1:
         raise ValueError(f"bins must be a positive integer, got {bins}")
-    arr = np.asarray(list(values), dtype=float)
+    arr = np.asarray(values, dtype=float)
     points = _binning_points(arr, scale)
     if points.size == 0:
         return Histogram(bin_edges=(), counts=(), scale=scale, excluded_count=arr.size)

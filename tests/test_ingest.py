@@ -228,7 +228,7 @@ def test_duplicate_pair_in_two_parse_blocks_is_the_csv_error(monkeypatch):
 
 
 class TestByteReaderEdges:
-    """At each edge of its word arithmetic the byte reader gives the csv parser's result."""
+    """At each limit of its id, hour and count fields the byte reader gives the csv result."""
 
     def assert_as_csv(self, text, fast=True):
         # the same records or the same error, and the byte reader's own answer taken or not
@@ -252,7 +252,11 @@ class TestByteReaderEdges:
         rows = [f"v,{hour},{count}" for hour, count in enumerate(counts)]
         self.assert_as_csv(visits_csv(*rows).getvalue())
 
-    @pytest.mark.parametrize("hour, fast", [("007", True), ("167", True), ("168", False)])
+    @pytest.mark.parametrize(
+        "hour, fast",
+        [("007", True), ("167", True), ("168", False),
+         ("7".zfill(ingest._DIGITS), True), ("7".zfill(ingest._DIGITS + 1), False)],
+    )
     def test_hours(self, hour, fast):
         self.assert_as_csv(visits_csv(f"v,{hour},1", "v,8,1").getvalue(), fast)
 

@@ -1,7 +1,8 @@
 """Repository checks: the tracer in perfbench/ finds every function it wraps and runs the
-CLI, every public name has a caller in the package, no module imports another's private
-name and only ingest imports csv, every CLI flag is used by a test, one function compares
-against the severity threshold, and test failures report normally."""
+CLI, every public name has a caller in the package, every private name is read in its
+module, no module imports another's private name and only ingest imports csv, every CLI
+flag is used by a test, one function compares against the severity threshold, and test
+failures report normally."""
 
 import ast
 import importlib
@@ -94,6 +95,17 @@ def _defined_names(statement) -> set[str]:
     return {target.id for target in targets if isinstance(target, ast.Name)}
 
 
+def _read_names(statement) -> set[str]:
+    """The names and attribute names a top-level statement reads, apart from those it defines."""
+    read = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read - _defined_names(statement)
+
+
 def test_every_public_name_is_used_in_the_package():
     # every public top-level name of a src/ module counts as used when it is read in a
     # top-level statement of a src/ module other than __init__ and other than the
@@ -103,20 +115,24 @@ def test_every_public_name_is_used_in_the_package():
         if path.stem == "__init__":
             continue
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
-            defined = _defined_names(statement)
-            public |= {name for name in defined if not name.startswith("_")}
-            for node in ast.walk(statement):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name not in defined:
-                    used.add(name)
+            public |= {name for name in _defined_names(statement) if not name.startswith("_")}
+            used |= _read_names(statement)
     assert set(venuerisk.__all__) <= public
     assert sorted(public - used - CALLED_ONLY_BY_TESTS) == []
     assert CALLED_ONLY_BY_TESTS <= public - used
+
+
+def test_every_private_name_is_read_in_its_module():
+    # a private top-level name is read in a top-level statement of its own module other
+    # than the one defining it, so no constant or helper outlives the code that used it
+    unread = []
+    for path in sorted((SRC / "venuerisk").glob("*.py")):
+        statements = ast.parse(path.read_text(encoding="utf-8")).body
+        defined = {name for statement in statements for name in _defined_names(statement)}
+        private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
+        read = set().union(*map(_read_names, statements))
+        unread += [f"{path.stem}.{name}" for name in sorted(private - read)]
+    assert unread == []
 
 
 def test_modules_share_no_private_names_and_only_ingest_reads_csv():
