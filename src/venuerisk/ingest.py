@@ -28,13 +28,21 @@ holds only values the venue file carries back: no id, name or category
 has surrounding whitespace or a carriage return.
 
 Only :func:`open_input` and :func:`load_visits` open files; the other
-functions read and write the streams they are given. A parsed venue file
-is one :class:`VenueTable` of columns (ids, names, categories and
-float64 floor areas in m2) in file order, and a parsed visit file is one
-:class:`VisitRecords`; :func:`join` maps each distinct visit id to its
-venue row once and gives one :class:`SimulationInput`: the venue table
-plus one record (venue-table row, hour, count) per visit row, with no
-venue-hour matrix. An hour without a record had no visits.
+functions read and write the streams they are given. An input file is
+decoded as it is read, and bytes that are not UTF-8 are an error naming
+the file. A parsed venue file is one :class:`VenueTable` of columns
+(ids, names, categories and float64 floor areas in m2) in file order,
+and a parsed visit file is one :class:`VisitRecords`; :func:`join` maps
+each distinct visit id to its venue row once and gives one
+:class:`SimulationInput`: the venue table plus one record (venue-table
+row, hour, count) per visit row, with no venue-hour matrix. An hour
+without a record had no visits.
+
+Visit files, the largest, pass through memory a block at a time:
+:func:`parse_visits` reads a plain file's body in line-aligned blocks of
+about ``_PARSE_BLOCK_CHARS`` characters and never holds its whole text,
+and :func:`write_visits` hands its sink the rows in blocks of about
+``_WRITE_BLOCK_BYTES``.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -196,9 +203,19 @@ class VisitRecords:
 
 @contextlib.contextmanager
 def open_input(path: str | Path):
-    """Open a UTF-8 input file (BOM dropped); InputErrors raised while it is open name the file."""
+    """Open a UTF-8 input file (BOM dropped); InputErrors raised while it is open name the file.
+
+    The file is decoded as it is read, so bytes that are not UTF-8 fail
+    at the read that meets them, as a :class:`DatasetError`.
+    """
     with open(path, encoding="utf-8-sig") as handle, error_context(str(path)):
-        yield handle
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            # no position: exc.start counts from the chunk being decoded, not the file's start
+            raise DatasetError(
+                f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+            ) from None
 
 
 def _records(source: TextIO, kind: str, header: tuple[str, ...]):
@@ -279,11 +296,12 @@ def parse_visits(source: TextIO) -> VisitRecords:
     visits (a total closure). Ids are numbered in the order in which they
     first appear.
 
-    The text is read once. A byte-level NumPy reader parses it, in
-    line-aligned blocks of about ``_PARSE_BLOCK_CHARS`` characters and
-    one byte position of a field at a time across a block's rows, when
-    the file is plain (see :func:`_parse_visits_fast`); any other file,
-    and every file with an error, goes through the row-by-row ``csv``
+    ``source`` must be seekable and at its start. While the file is
+    plain (see :func:`_parse_visits_fast`), no read takes all of it: a
+    byte-level NumPy reader takes its body in line-aligned blocks of
+    about ``_PARSE_BLOCK_CHARS`` characters, one byte position of a field
+    at a time across a block's rows. Any other file, and every file with
+    an error, is read again from its start by the row-by-row ``csv``
     parser, so the accepted files, the values and the line-numbered
     errors are exactly that parser's.
 
@@ -292,9 +310,11 @@ def parse_visits(source: TextIO) -> VisitRecords:
             negative count, or a duplicate (venue_id, hour) pair.
         DatasetError: missing or bad header.
     """
-    text = source.read()
-    fast = _parse_visits_fast(text)
-    return fast if fast is not None else _parse_visits_csv(io.StringIO(text))
+    fast = _parse_visits_fast(source)
+    if fast is not None:
+        return fast
+    source.seek(0)
+    return _parse_visits_csv(source)
 
 
 def _parse_visits_csv(source: TextIO) -> VisitRecords:
@@ -333,8 +353,9 @@ def _parse_visits_csv(source: TextIO) -> VisitRecords:
 # str.strip() removes from a field (line ends other than "\n" too)
 _VISIT_HEADER_LINE = ",".join(VISIT_HEADER) + "\n"
 _NOT_PLAIN = '"#\0 \t\r\v\f\x1c\x1d\x1e\x1f'
-# characters of body text per block: its byte copy and per-row temporaries take a
-# few MB, where a whole 1.37 M-row file would take tens
+# characters of body text per block, and per read of the pass that counts line ends:
+# a read takes about 1 MB and a block's per-row temporaries about 2, where the text
+# of a 1.37 M-row file takes 17 (reads of 1 MiB characters take 4 MB, no faster)
 _PARSE_BLOCK_CHARS = 1 << 18
 # the longest id and count fields the byte reader takes: an id is compared in one pass
 # per byte, and a longer count may hit the csv parser's field limit
@@ -344,7 +365,7 @@ _FIELD_BYTES = 32
 _DIGITS = 16
 
 
-def _parse_visits_fast(text: str) -> VisitRecords | None:
+def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
     """Parse a plain visit file's bytes with NumPy; None unless sure of the csv parser's result.
 
     Plain is: leading ``#`` lines, the exact header line, then ASCII rows
@@ -353,43 +374,52 @@ def _parse_visits_fast(text: str) -> VisitRecords | None:
     digits and in the window, every count finite and non-negative and no
     (venue_id, hour) pair twice. A count of more than ``_DIGITS`` bytes,
     or not all digits, is read by ``float()``, as the csv parser reads it.
-    The body is read in blocks that end at a line end, so a row is never
-    split, into columns allocated once from the count of line ends; a
-    failure in any block returns None, never part of the file. Then each
-    block's (venue, hour) cells are set in one bitmap of every id's
-    window: a pair seen twice leaves fewer cells set than rows.
+
+    ``source`` is read from its current position, the header line by
+    line. One pass then counts the body's line ends, reading
+    ``_PARSE_BLOCK_CHARS`` characters at a time, so that each column is
+    allocated once. The body is read again in blocks of as many
+    characters, each extended to the next line end, so a row is never
+    split; a failure in any block returns None, never part of the file.
+    Then each block's (venue, hour) cells are set in one bitmap of every
+    id's window: a pair seen twice leaves fewer cells set than rows.
     """
-    start = 0
-    while text.startswith("#", start):
-        start = text.find("\n", start) + 1
-        if not start:
+    line = source.readline()
+    while line.startswith("#"):
+        # a quote or a carriage return can make csv.reader run a comment line into the
+        # next, and some Python versions' csv.reader rejects a NUL
+        if not line.endswith("\n") or any(c in line for c in '"\r\0'):
             return None
-    # a quote or a carriage return can make csv.reader run a comment line into the
-    # next, and some Python versions' csv.reader rejects a NUL
-    if any(c in text[:start] for c in '"\r\0') or not text.startswith(_VISIT_HEADER_LINE, start):
+        line = source.readline()
+    if line != _VISIT_HEADER_LINE:
         return None
-    start += len(_VISIT_HEADER_LINE)
-    n = text.count("\n", start) + (not text.endswith("\n"))
+    body = source.tell()
+    n, last = 0, "\n"
+    while chunk := source.read(_PARSE_BLOCK_CHARS):
+        n, last = n + chunk.count("\n"), chunk
+    n += not last.endswith("\n")
+    source.seek(body)
     ids: dict[str, int] = {}
     venues, hours, counts = np.empty(n, INDEX_DTYPE), np.empty(n, HOUR_DTYPE), np.empty(n)
     done, blocks = 0, []
-    while start < len(text):
-        end = text.find("\n", start + _PARSE_BLOCK_CHARS) + 1 or len(text)
-        block = _parse_block(text[start:end], ids)
-        if block is None:
+    while part := source.read(_PARSE_BLOCK_CHARS):
+        block = _parse_block(part + source.readline(), ids)
+        if block is None or done + len(block[0]) > n:  # not plain, or grown since counted
             return None
         rows = slice(done, done + len(block[0]))
         venues[rows], hours[rows], counts[rows] = block
         blocks.append(rows)
-        done, start = rows.stop, end
+        done = rows.stop
     seen = np.zeros(len(ids) * WINDOW_HOURS, dtype=bool)
     for rows in blocks:
         cells = venues[rows].astype(np.intp)
         cells *= WINDOW_HOURS
         cells += hours[rows]
         seen[cells] = True
+    # fewer cells than the rows counted: a duplicate (venue_id, hour) pair, or a file
+    # that shrank since it was counted
     if np.count_nonzero(seen) != n:
-        return None  # a duplicate (venue_id, hour) pair
+        return None
     return VisitRecords(ids, venues, hours, counts)
 
 
@@ -606,16 +636,33 @@ def write_table(
     writer.writerows(rows)
 
 
+# the characters on which csv.writer may quote a field (the delimiter, the quote and the
+# line ends), and NUL, which some Python versions' csv module rejects
+_QUOTED = ',"\r\n\0'
+
+
 def write_venues(venues: VenueTable, sink: TextIO, comment: str | None = None) -> None:
-    """Serialize a venue table to the documented CSV format (areas in m2)."""
-    rows = zip(venues.ids, venues.names, venues.categories, map(repr, venues.areas.tolist()))
-    write_table(sink, VENUE_HEADER, rows, [comment])
+    """Serialize a venue table to the documented CSV format (areas in m2).
+
+    The rows are one ``csv.writer`` row per venue. When no id, name or
+    category holds a character of ``_QUOTED``, that writer quotes no
+    field, and the same text is put together in one join.
+    """
+    columns = (venues.ids, venues.names, venues.categories)
+    areas = venues.areas.tolist()
+    texts = "".join(map("".join, columns))
+    if any(c in texts for c in _QUOTED):
+        write_table(sink, VENUE_HEADER, zip(*columns, map(repr, areas)), [comment])
+    else:
+        write_table(sink, VENUE_HEADER, comments=[comment])
+        sink.write("".join(map("{},{},{},{!r}\n".format, *columns, areas)))
 
 
 # UTF-8 never uses this byte, so it pads byte-table entries unambiguously
 _PAD = 0xFF
-# record bytes per written block, so long ids cannot inflate the temporaries
-_WRITE_BLOCK_BYTES = 1 << 23
+# record bytes per written block: its gathered records, their mask and their text
+# take a few MB, however many rows or however long the ids
+_WRITE_BLOCK_BYTES = 1 << 20
 
 
 def _byte_table(texts: list[str]) -> np.ndarray:
@@ -640,31 +687,35 @@ def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = Non
     (``"id,"``), every hour (``"hour,"``) and every distinct count
     through :func:`_format_count` (``"count\\n"``). The rows are
     gathered from these tables as fixed-width records, in blocks of about
-    ``_WRITE_BLOCK_BYTES``, and the padding is dropped, so the text
-    is the one a ``csv.writer`` gives row by row.
+    ``_WRITE_BLOCK_BYTES``, each block's counts looked up among the
+    distinct ones on their own, and the padding is dropped; each block's
+    text goes to ``sink`` in one write. So the text is the one a
+    ``csv.writer`` gives row by row, and no temporary is larger than a
+    block.
     """
     write_table(sink, VISIT_HEADER, comments=[comment])
     if not table.count.size:
         return
     values = np.unique(table.count)
-    # each count's place among the sorted distinct values; 3x faster than return_inverse
-    value_index = np.searchsorted(values, table.count)
     # one quoted "id," plus the line end per venue: writerow makes one write call
     # per row, so nothing is split on lines (an id may hold a newline)
     parts: list[str] = []
     csv.writer(SimpleNamespace(write=parts.append), lineterminator="\n").writerows(
         (vid, "") for vid in table.venues.ids
     )
-    fields = (
-        (_byte_table([part[:-1] for part in parts]), table.row),
-        (_byte_table([f"{h}," for h in range(table.window_hours)]), table.hour),
-        (_byte_table([f"{_format_count(v)}\n" for v in values.tolist()]), value_index),
+    id_table = _byte_table([part[:-1] for part in parts])
+    hour_table = _byte_table([f"{h}," for h in range(table.window_hours)])
+    count_table = _byte_table([f"{_format_count(v)}\n" for v in values.tolist()])
+    record = np.dtype(
+        [("id", id_table.dtype), ("hour", hour_table.dtype), ("count", count_table.dtype)]
     )
-    record = np.dtype([(f"f{i}", tab.dtype) for i, (tab, _) in enumerate(fields)])
     step = max(1, _WRITE_BLOCK_BYTES // record.itemsize)
     for start in range(0, table.count.size, step):
-        block = np.empty(min(step, table.count.size - start), record)
-        for i, (tab, index) in enumerate(fields):
-            block[f"f{i}"] = tab[index[start:start + step]]
+        rows = slice(start, start + step)
+        block = np.empty(table.row[rows].size, record)
+        block["id"] = id_table[table.row[rows]]
+        block["hour"] = hour_table[table.hour[rows]]
+        # each count's place among the sorted distinct values; 3x faster than return_inverse
+        block["count"] = count_table[np.searchsorted(values, table.count[rows])]
         raw = block.view(np.uint8)
         sink.write(raw[raw != _PAD].tobytes().decode())

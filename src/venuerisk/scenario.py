@@ -133,9 +133,12 @@ def run_scenario(
         if config.visit_source != BASELINE:
             visits = load_visits(config.visit_source, venues)
         records = join(venues, visits)
-        sampled = apply_sampling_correction(records.count, config.sampling_factor)
-        sim_input = dataclasses.replace(records, count=sampled)
-        del visits, records, sampled  # from here the scenario holds only its own records
+        # a visit file's own records (ids, venue column) go before the sampled copy is made
+        del visits
+        sim_input = dataclasses.replace(
+            records, count=apply_sampling_correction(records.count, config.sampling_factor)
+        )
+        del records  # from here the scenario holds only its own records
         if config.spacing is not None:
             caps = max_distanced_occupancy(venues.areas, config.spacing)
             np.minimum(sim_input.count, caps[sim_input.row], out=sim_input.count)

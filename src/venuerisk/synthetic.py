@@ -100,4 +100,8 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
     ids = tuple(f"v{i:05d}" for i in range(n))
     names = tuple(f"Synthetic {c.replace('_', ' ')} {i:05d}" for i, c in enumerate(categories))
     venues = VenueTable(ids, names, categories, areas)
-    return SimulationInput(venues, *map(np.concatenate, (rows, hours, counts)))
+    columns = []
+    for blocks in (rows, hours, counts):  # one column at a time, each freeing its blocks
+        columns.append(np.concatenate(blocks))
+        blocks.clear()
+    return SimulationInput(venues, *columns)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from venuerisk import ingest
 from venuerisk.cli import main
 from venuerisk.reporting import TOOL_VERSION, dump_json
 
@@ -583,6 +584,34 @@ class TestCompare:
         assert f"scenario 'truncated': {empty}: visit file has no header" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        "corrupted, context",
+        [("venues", ""), ("visits", ""), ("pre_visits", "scenario 'reopened': ")],
+    )
+    def test_non_utf8_byte_names_the_file(
+        self, small_dataset, tmp_path, monkeypatch, capsys, corrupted, context
+    ):
+        # a byte no UTF-8 text holds, at a line start halfway through the file: past the
+        # first parse block of a visit file, as blocks are a few rows long here
+        monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", 64)
+        path = small_dataset[corrupted]
+        data = path.read_bytes()
+        middle = data.index(b"\n", len(data) // 2) + 1
+        path.write_bytes(data[:middle] + b"\xff" + data[middle:])
+        a, b = self._scenarios(tmp_path, small_dataset)
+        out = tmp_path / "x"
+        code = run_cli(
+            "compare", "--venues", str(small_dataset["venues"]),
+            "--visits", str(small_dataset["visits"]),
+            "--scenario-a", str(a), "--scenario-b", str(b),
+            "--prevalence", "0.001", "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {context}{path}: not UTF-8 text: byte 0xff: invalid start byte\n"
+        )
+        assert not out.exists()
 
     def test_non_finite_threshold_rejected(self, small_dataset, tmp_path, capsys):
         a, b = self._scenarios(tmp_path, small_dataset)

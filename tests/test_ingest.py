@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -161,7 +162,7 @@ class TestFastVisitParse:
     """The NumPy path must be the one taken on the files the program writes and ships."""
 
     def assert_fast_and_exact(self, text):
-        fast = _parse_visits_fast(text)
+        fast = _parse_visits_fast(io.StringIO(text))
         assert fast is not None
         fast = visit_rows(fast)
         slow = visit_rows(_parse_visits_csv(io.StringIO(text)))
@@ -195,7 +196,7 @@ class TestSlicedVisitParse:
     @pytest.mark.parametrize("slice_chars", [1, 2, 7, 9, 16, 64, 1 << 20])
     def test_slices_give_the_csv_records(self, monkeypatch, slice_chars):
         monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", slice_chars)
-        fast = _parse_visits_fast(SLICED_TEXT)
+        fast = _parse_visits_fast(io.StringIO(SLICED_TEXT))
         assert fast is not None
         slow = _parse_visits_csv(io.StringIO(SLICED_TEXT))
         assert record_columns(fast) == record_columns(slow)
@@ -214,7 +215,7 @@ class TestSlicedVisitParse:
     def test_non_plain_last_slice_gives_the_csv_result(self, monkeypatch, last_line):
         text = SLICED_TEXT + "\n" + last_line
         monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", 16)
-        assert _parse_visits_fast(text) is None
+        assert _parse_visits_fast(io.StringIO(text)) is None
         assert parse_outcome(parse_visits, text) == parse_outcome(_parse_visits_csv, text)
 
 
@@ -222,9 +223,121 @@ def test_duplicate_pair_in_two_parse_blocks_is_the_csv_error(monkeypatch):
     # one row per block, so the duplicate check meets the pair in its second block
     text = visits_csv("v,4,1", "w,0,2", "v,4,3").getvalue()
     monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", 1)
-    assert _parse_visits_fast(text) is None
+    assert _parse_visits_fast(io.StringIO(text)) is None
     with pytest.raises(RecordError, match="line 4: duplicate hour 4 for venue 'v'"):
         parse_visits(io.StringIO(text))
+
+
+class ReadSizes(io.StringIO):
+    """A text stream that records the size asked of each ``read``."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+def large_table(n_venues=10_000, hours=80):
+    """Records of ``hours`` hours for each of ``n_venues`` venues: a visit file of about 10 MB."""
+    venues = make_venues({f"v{i:05d}": 1.0 for i in range(n_venues)})
+    row = np.repeat(np.arange(n_venues, dtype=np.int32), hours)
+    hour = np.tile(np.arange(hours, dtype=np.uint8), n_venues)
+    return SimulationInput(venues, row, hour, ((row * 7 + hour) % 50 + 1).astype(float))
+
+
+def peak_above_kept(call):
+    """``call()``'s result, and the most memory it held at once beyond what it keeps, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - kept
+
+
+class TestStreamedVisitIO:
+    """Visit files are read and written a block at a time, never whole."""
+
+    def test_fast_path_reads_blocks_only(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", 16)
+        stream = ReadSizes(SLICED_TEXT)
+        visits = parse_visits(stream)
+        assert record_columns(visits) == record_columns(_parse_visits_csv(io.StringIO(SLICED_TEXT)))
+        # the counting pass and the blocks: every read asks for one block's characters
+        assert len(stream.sizes) > 2 and set(stream.sizes) == {16}
+
+    @pytest.mark.parametrize("rows_after", [7, 3], ids=["grown", "shrunk"])
+    def test_file_changed_between_the_passes_is_read_again_whole(self, rows_after):
+        class ChangingStream(io.StringIO):
+            """Holds ``after`` in place of its text from the first seek on."""
+
+            def __init__(self, before, after):
+                super().__init__(before)
+                self.after = after
+
+            def seek(self, pos, whence=0):
+                if self.after is not None:
+                    super().seek(0)
+                    super().truncate()
+                    super().write(self.after)
+                    self.after = None
+                return super().seek(pos, whence)
+
+        def text(rows):
+            return visits_csv(*(f"v,{hour},1" for hour in range(rows))).getvalue()
+
+        # five rows counted, then rows_after parsed: the csv parser reads the file as it is
+        visits = parse_visits(ChangingStream(text(5), text(rows_after)))
+        expected = _parse_visits_csv(io.StringIO(text(rows_after)))
+        assert record_columns(visits) == record_columns(expected)
+
+    def test_load_visits_holds_the_bitmap_and_a_few_blocks(self, tmp_path):
+        table = large_table()
+        path = tmp_path / "visits.csv"
+        with open(path, "w", encoding="utf-8") as sink:
+            write_visits(table, sink)
+        visits, extra = peak_above_kept(lambda: load_visits(path, table.venues))
+        assert visits.count.tolist() == table.count.tolist()
+        # the duplicate bitmap, and a block's text, bytes and per-row temporaries; a read
+        # of the whole file would take twice its 10 MB
+        seen = len(visits.ids) * ingest.WINDOW_HOURS
+        assert extra <= seen + 16 * ingest._PARSE_BLOCK_CHARS
+
+    def test_write_visits_holds_a_few_blocks_beyond_its_text(self):
+        table = large_table()
+        sink = io.StringIO()
+        _, extra = peak_above_kept(lambda: write_visits(table, sink))
+        # a block's records, their mask and their text; blocks of the whole 10 MB text
+        # would take several times that
+        assert extra <= 4 * ingest._WRITE_BLOCK_BYTES
+        assert len(sink.getvalue()) > 10**7
+
+    @pytest.mark.parametrize(
+        "last_line",
+        ['"v11",3,1\n', "v0,0,9\n", "v11,3,abc\n"],
+        ids=["quoted", "duplicate", "count"],
+    )
+    def test_bom_file_falling_back_after_a_block_is_read_again_whole(
+        self, monkeypatch, tmp_path, last_line
+    ):
+        # the csv parser reads the stream again from its start, where the BOM is dropped
+        # again and the comment lines are skipped again
+        text = "# first stamp\n" + SLICED_TEXT + "\n" + last_line
+        path = tmp_path / "visits.csv"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", 64)
+        with open(path, encoding="utf-8-sig") as handle:
+            assert _parse_visits_fast(handle) is None
+
+        def parse_file(_):  # the file's own stream, in place of the one parse_outcome makes
+            with open(path, encoding="utf-8-sig") as handle:
+                return parse_visits(handle)
+
+        assert parse_outcome(parse_file, text) == parse_outcome(_parse_visits_csv, text)
 
 
 class TestByteReaderEdges:
@@ -233,7 +346,7 @@ class TestByteReaderEdges:
     def assert_as_csv(self, text, fast=True):
         # the same records or the same error, and the byte reader's own answer taken or not
         assert parse_outcome(parse_visits, text) == parse_outcome(_parse_visits_csv, text)
-        assert (_parse_visits_fast(text) is not None) == fast
+        assert (_parse_visits_fast(io.StringIO(text)) is not None) == fast
 
     @pytest.mark.parametrize("length", [1, 7, 8, 9, 16, 17, 31, 32, 33])
     def test_id_lengths(self, length):

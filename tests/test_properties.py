@@ -28,6 +28,7 @@ from venuerisk.epi import hourly_infections
 from venuerisk.ingest import (
     WINDOW_HOURS,
     SimulationInput,
+    VenueTable,
     _parse_visits_csv,
     apply_sampling_correction,
     join,
@@ -211,7 +212,7 @@ def test_sliced_fast_parse_gives_the_csv_records(table, slice_chars):
     write_visits(table, sink, comment="slices")
     text = sink.getvalue()
     with mock.patch.object(ingest, "_PARSE_BLOCK_CHARS", slice_chars):
-        fast = ingest._parse_visits_fast(text)
+        fast = ingest._parse_visits_fast(io.StringIO(text))
     assert fast is not None
     assert record_columns(fast) == record_columns(_parse_visits_csv(io.StringIO(text)))
 
@@ -250,6 +251,47 @@ def test_write_visits_matches_row_by_row_csv(table, block_bytes):
     with mock.patch.object(ingest, "_WRITE_BLOCK_BYTES", block_bytes):
         write_visits(table, sink, comment="manifest_sha256: 00ff")
     assert sink.getvalue() == reference_visit_text(table, "manifest_sha256: 00ff")
+
+
+# ids, names and categories a venue file carries back, each drawn from an alphabet
+# csv.writer never quotes or from one it often must
+venue_text_st = st.sampled_from(["ab1 _&'#\u00e9", 'ab ,"\n\u00e9']).flatmap(
+    lambda alphabet: st.text(st.sampled_from(alphabet), max_size=12)
+).filter(lambda v: v == v.strip())
+
+
+@st.composite
+def venue_tables(draw, max_venues=6):
+    """A VenueTable of up to ``max_venues`` rows of ``venue_text_st`` texts."""
+    n = draw(st.integers(1, max_venues))
+    ids = draw(st.lists(venue_text_st.filter(bool), min_size=n, max_size=n, unique=True))
+    names = draw(st.lists(venue_text_st, min_size=n, max_size=n))
+    categories = draw(st.lists(venue_text_st, min_size=n, max_size=n))
+    areas = draw(arrays(np.float64, n, elements=st.floats(1e-300, 1e300)))
+    return VenueTable(tuple(ids), tuple(names), tuple(categories), areas)
+
+
+def reference_venue_text(venues, comment):
+    """write_venues' output written one ``csv.writer`` row per venue."""
+    sink = io.StringIO()
+    sink.write(f"# {comment}\n")
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(["venue_id", "name", "category", "area"])
+    for vid, name, category, area in zip(
+        venues.ids, venues.names, venues.categories, venues.areas.tolist()
+    ):
+        writer.writerow([vid, name, category, repr(area)])
+    return sink.getvalue()
+
+
+@PROPERTY
+@given(venue_tables())
+@example(make_venues({"v1": 0.1 + 0.2, "#2": 1e300}))
+@example(VenueTable(("v1", "v2"), ("Soup, Salad & Co", 'The "Bar"'), ("a\nb", ""), np.ones(2)))
+def test_write_venues_matches_row_by_row_csv(venues):
+    sink = io.StringIO()
+    write_venues(venues, sink, comment="manifest_sha256: 00ff")
+    assert sink.getvalue() == reference_venue_text(venues, "manifest_sha256: 00ff")
 
 
 @PROPERTY
