@@ -42,7 +42,10 @@ Visit files, the largest, pass through memory a block at a time:
 :func:`parse_visits` reads a plain file's body in line-aligned blocks of
 about ``_PARSE_BLOCK_CHARS`` characters and never holds its whole text,
 and :func:`write_visits` hands its sink the rows in blocks of about
-``_WRITE_BLOCK_BYTES``.
+``_WRITE_BLOCK_BYTES``. A file in venue-then-hour order, as every file
+the tool writes, is checked for duplicate (venue_id, hour) pairs block
+by block; only a file out of that order takes a bitmap of every id's
+window for that check.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ MANIFEST_COMMENT = "manifest_sha256: {}"
 class VenueTable:
     """Establishments as columns, one row per venue: ids, names, categories and floor areas in m2.
 
-    Iterating yields the ids in row order and ``len`` is the venue count,
-    as for a dict keyed by venue id.
+    A parsed table holds one string object per distinct category, shared
+    by every row of that category. Iterating yields the ids in row order
+    and ``len`` is the venue count, as for a dict keyed by venue id.
     """
 
     ids: tuple[str, ...]
@@ -206,9 +210,15 @@ def open_input(path: str | Path):
     """Open a UTF-8 input file (BOM dropped); InputErrors raised while it is open name the file.
 
     The file is decoded as it is read, so bytes that are not UTF-8 fail
-    at the read that meets them, as a :class:`DatasetError`.
+    at the read that meets them, as a :class:`DatasetError`. A path no
+    file can have, such as one holding a NUL, is a :class:`ConfigError`
+    naming it; a file that cannot be opened raises ``OSError``.
     """
-    with open(path, encoding="utf-8-sig") as handle, error_context(str(path)):
+    try:
+        handle = open(path, encoding="utf-8-sig")
+    except ValueError as exc:  # a path no file can have, such as one holding a NUL
+        raise ConfigError(f"cannot open {str(path)!r}: {exc}") from None
+    with handle, error_context(str(path)):
         try:
             yield handle
         except UnicodeDecodeError as exc:
@@ -267,7 +277,7 @@ def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
     if area_unit not in AREA_UNITS:
         raise ValueError(f"area unit must be one of {', '.join(AREA_UNITS)}, got {area_unit!r}")
     ids, names, categories, areas = [], [], [], []
-    seen = set()
+    seen, kinds = set(), {}
     for line, (venue_id, name, category, area_text) in _records(source, "venue", VENUE_HEADER):
         try:
             area = float(area_text)
@@ -280,7 +290,7 @@ def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
         seen.add(venue_id)
         ids.append(venue_id)
         names.append(name)
-        categories.append(category)
+        categories.append(kinds.setdefault(category, category))
         areas.append(area)
     # one multiply of the column: the same IEEE products as converting row by row
     areas_m2 = np.array(areas, dtype=float) * AREA_UNITS[area_unit]
@@ -381,8 +391,13 @@ def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
     allocated once. The body is read again in blocks of as many
     characters, each extended to the next line end, so a row is never
     split; a failure in any block returns None, never part of the file.
-    Then each block's (venue, hour) cells are set in one bitmap of every
-    id's window: a pair seen twice leaves fewer cells set than rows.
+
+    A row's cell is its id's index times ``WINDOW_HOURS`` plus its hour.
+    While the cells strictly increase, across each block and from one
+    block to the next, no (venue_id, hour) pair can come twice: every file
+    the tool writes is in venue-then-hour order and needs no more. Only a
+    file out of that order has its cells set in one bitmap of every id's
+    window, where a pair seen twice leaves fewer cells set than rows.
     """
     line = source.readline()
     while line.startswith("#"):
@@ -401,7 +416,8 @@ def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
     source.seek(body)
     ids: dict[str, int] = {}
     venues, hours, counts = np.empty(n, INDEX_DTYPE), np.empty(n, HOUR_DTYPE), np.empty(n)
-    done, blocks = 0, []
+    # last_cell: the cell of the last row read while the cells rise, None once they do not
+    done, blocks, last_cell = 0, [], -1
     while part := source.read(_PARSE_BLOCK_CHARS):
         block = _parse_block(part + source.readline(), ids)
         if block is None or done + len(block[0]) > n:  # not plain, or grown since counted
@@ -410,16 +426,21 @@ def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
         venues[rows], hours[rows], counts[rows] = block
         blocks.append(rows)
         done = rows.stop
-    seen = np.zeros(len(ids) * WINDOW_HOURS, dtype=bool)
-    for rows in blocks:
-        cells = venues[rows].astype(np.intp)
-        cells *= WINDOW_HOURS
-        cells += hours[rows]
-        seen[cells] = True
-    # fewer cells than the rows counted: a duplicate (venue_id, hour) pair, or a file
-    # that shrank since it was counted
-    if np.count_nonzero(seen) != n:
+        if last_cell is not None:
+            cells = block[0].astype(np.intp) * WINDOW_HOURS + block[1]
+            last_cell = int(cells[-1]) if cells[0] > last_cell and (np.diff(cells) > 0).all() else None
+    if done != n:  # shrunk since counted
         return None
+    if last_cell is None:
+        seen = np.zeros(len(ids) * WINDOW_HOURS, dtype=bool)
+        for rows in blocks:
+            cells = venues[rows].astype(np.intp)
+            cells *= WINDOW_HOURS
+            cells += hours[rows]
+            seen[cells] = True
+        # fewer cells set than rows: a duplicate (venue_id, hour) pair
+        if np.count_nonzero(seen) != n:
+            return None
     return VisitRecords(ids, venues, hours, counts)
 
 
@@ -536,8 +557,12 @@ def parse_results(source: TextIO) -> list[tuple[str, str, float]]:
     return entries
 
 
-def apply_sampling_correction(counts: np.ndarray, factor: float) -> np.ndarray:
+def apply_sampling_correction(counts: np.ndarray, factor: float, out=None) -> np.ndarray:
     """Multiply every visitor count by ``factor`` (panel-to-population correction).
+
+    The products go to a new array, or, as for a NumPy ufunc, into
+    ``out`` when it is given, which may be ``counts`` itself; the array
+    written is returned. ``counts`` is left as it is unless it is ``out``.
 
     Raises:
         ConfigError: a product overflows; the message names the factor.
@@ -545,7 +570,7 @@ def apply_sampling_correction(counts: np.ndarray, factor: float) -> np.ndarray:
     if not (math.isfinite(factor) and factor > 0):
         raise ValueError(f"sampling factor must be positive and finite, got {factor}")
     with np.errstate(over="ignore"):
-        sampled = counts * factor
+        sampled = np.multiply(counts, factor, out=out)
     if not np.isfinite(sampled).all():
         raise ConfigError(f"sampling factor {factor!r} makes a visitor count overflow to infinity")
     return sampled

@@ -9,6 +9,8 @@ records:
     1. select the visit source: the baseline records or a parsed file
     2. join: give each record its venue-table row
     3. apply the sampling factor to the records:      count * factor
+       (a visit file's counts are the scenario's own and are scaled in
+       place; the baseline's, shared by every scenario, into a copy)
     4. cap each record at its venue's distanced occupancy (if spacing
        is set):                       minimum(count, cap[row])
     5. merge parameter overrides
@@ -122,7 +124,9 @@ def run_scenario(
     is the whole correction. An alternate visit file is read by
     :func:`~venuerisk.ingest.load_visits`, so an id it shares with no
     venue fails naming the file. The scenario's counts are one array of
-    its own, the sampled records' counts, capped in place. Input errors
+    its own: such a file's parsed counts, scaled in place, or a scaled
+    copy of the baseline counts, which the caller keeps unchanged for
+    other scenarios; the cap then lowers them in place. Input errors
     raised here name the scenario, among them a sampling factor that
     makes a count, a weekly value or the weekly total overflow; the last
     two are checked so that every report can sum the values. Overrides
@@ -133,12 +137,12 @@ def run_scenario(
         if config.visit_source != BASELINE:
             visits = load_visits(config.visit_source, venues)
         records = join(venues, visits)
-        # a visit file's own records (ids, venue column) go before the sampled copy is made
-        del visits
+        del visits  # a visit file's ids and venue column go before the counts are scaled
+        out = records.count if config.visit_source != BASELINE else None
         sim_input = dataclasses.replace(
-            records, count=apply_sampling_correction(records.count, config.sampling_factor)
+            records, count=apply_sampling_correction(records.count, config.sampling_factor, out=out)
         )
-        del records  # from here the scenario holds only its own records
+        del records, out  # from here the scenario holds only its own records
         if config.spacing is not None:
             caps = max_distanced_occupancy(venues.areas, config.spacing)
             np.minimum(sim_input.count, caps[sim_input.row], out=sim_input.count)

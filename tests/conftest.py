@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,25 @@ def split_input(sim: SimulationInput) -> tuple[VenueTable, VisitRecords]:
     """A SimulationInput's venue table and its records as VisitRecords, ids numbered by row."""
     ids = dict(zip(sim.venues.ids, range(len(sim.venues))))
     return sim.venues, VisitRecords(ids, sim.row.astype(np.int32), sim.hour, sim.count)
+
+
+def large_table(n_venues=10_000, hours=80):
+    """Records of ``hours`` hours for each of ``n_venues`` venues: a visit file of about 10 MB."""
+    venues = make_venues({f"v{i:05d}": 1.0 for i in range(n_venues)})
+    row = np.repeat(np.arange(n_venues, dtype=np.int32), hours)
+    hour = np.tile(np.arange(hours, dtype=np.uint8), n_venues)
+    return SimulationInput(venues, row, hour, ((row * 7 + hour) % 50 + 1).astype(float))
+
+
+def peak_above_kept(call):
+    """``call()``'s result, and the most memory it held at once beyond what it keeps, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - kept
 
 
 def make_input(area_by_id, counts_by_id) -> SimulationInput:

@@ -613,6 +613,32 @@ class TestCompare:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name, code", [("vis\0its.csv", 1), ("nope.csv", 2)], ids=["nul", "missing"]
+    )
+    def test_unopenable_scenario_visit_file(
+        self, small_dataset, tmp_path, capsys, name, code
+    ):
+        # a path no file can have is an input error naming the scenario and the path; a
+        # missing file stays an i/o error
+        a, _ = self._scenarios(tmp_path, small_dataset)
+        b = tmp_path / "broken.txt"
+        b.write_text(f"name = broken\nvisits = {name}\nsampling_factor = 10\n", encoding="utf-8")
+        out = tmp_path / "x"
+        assert run_cli(
+            "compare", "--venues", str(small_dataset["venues"]),
+            "--visits", str(small_dataset["visits"]),
+            "--scenario-a", str(a), "--scenario-b", str(b),
+            "--prevalence", "0.001", "--out", str(out),
+        ) == code
+        err = capsys.readouterr().err
+        if code == 1:
+            path = str(tmp_path / name)
+            assert err == f"error: scenario 'broken': cannot open {path!r}: embedded null byte\n"
+        else:
+            assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_finite_threshold_rejected(self, small_dataset, tmp_path, capsys):
         a, b = self._scenarios(tmp_path, small_dataset)
         code = run_cli(

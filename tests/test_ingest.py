@@ -1,13 +1,12 @@
 import dataclasses
 import io
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from venuerisk import DatasetError, RecordError, ingest
+from venuerisk import ConfigError, DatasetError, RecordError, ingest
 from venuerisk.ingest import (
     SQFT_TO_SQM,
     SimulationInput,
@@ -28,8 +27,10 @@ from venuerisk.ingest import (
 from conftest import (
     dense_counts,
     input_from_matrix,
+    large_table,
     make_venues,
     parse_outcome,
+    peak_above_kept,
     record_columns,
     same_venues,
     visit_records,
@@ -62,6 +63,13 @@ class TestParseVenues:
         table = parse_venues(venues_csv("v1,Cafe,restaurant,1000"), area_unit="ft2")
         assert column(table, "areas", "v1") == 1000 * SQFT_TO_SQM
         assert column(table, "areas", "v1") == pytest.approx(92.90304, rel=1e-12)
+
+    def test_rows_of_one_category_share_its_string(self):
+        table = parse_venues(venues_csv(
+            "v1,Cafe,restaurant,10", "v2,Gym,fitness,20", "v3,Diner, restaurant ,30"
+        ))
+        assert table.categories == ("restaurant", "fitness", "restaurant")
+        assert table.categories[0] is table.categories[2]
 
     def test_negative_area_is_record_error(self):
         with pytest.raises(RecordError, match="line 2"):
@@ -228,6 +236,48 @@ def test_duplicate_pair_in_two_parse_blocks_is_the_csv_error(monkeypatch):
         parse_visits(io.StringIO(text))
 
 
+def takes_bitmap(text):
+    """Whether the byte reader builds its duplicate bitmap on ``text``, and its result."""
+    with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros:
+        fast = _parse_visits_fast(io.StringIO(text))
+    return any(call.kwargs.get("dtype") is bool for call in zeros.call_args_list), fast
+
+
+class TestDuplicateCheck:
+    """Rows in venue-then-hour order need no bitmap; only other files build it."""
+
+    @pytest.mark.parametrize("block_chars", [1, 16, 1 << 18])
+    def test_ordered_file_takes_no_bitmap(self, monkeypatch, block_chars):
+        monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", block_chars)
+        bitmap, fast = takes_bitmap(SLICED_TEXT)
+        assert not bitmap
+        assert record_columns(fast) == record_columns(_parse_visits_csv(io.StringIO(SLICED_TEXT)))
+
+    @pytest.mark.parametrize("block_chars", [1, 16, 1 << 18])
+    def test_adjacent_duplicate_in_an_ordered_file(self, monkeypatch, block_chars):
+        # at one character per block, each row is a block: the pair meets across an edge
+        monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", block_chars)
+        text = visits_csv("v,0,1", "v,3,2", "v,3,5", "w,1,1").getvalue()
+        assert _parse_visits_fast(io.StringIO(text)) is None
+        with pytest.raises(RecordError, match="line 4: duplicate hour 3 for venue 'v'"):
+            parse_visits(io.StringIO(text))
+
+    def test_id_back_later_without_a_duplicate_takes_the_bitmap(self):
+        text = visits_csv("v,0,1", "v,5,2", "w,0,3", "v,1,4").getvalue()
+        bitmap, fast = takes_bitmap(text)
+        assert bitmap
+        assert record_columns(fast) == record_columns(_parse_visits_csv(io.StringIO(text)))
+
+    def test_duplicate_in_two_blocks_of_an_unordered_file(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", 16)
+        text = visits_csv("w,9,1", "v,4,1", "w,0,2", "x,1,1", "y,7,1", "v,4,3").getvalue()
+        bitmap, fast = takes_bitmap(text)
+        assert bitmap and fast is None
+        assert parse_outcome(parse_visits, text) == parse_outcome(_parse_visits_csv, text)
+        with pytest.raises(RecordError, match="line 7: duplicate hour 4 for venue 'v'"):
+            parse_visits(io.StringIO(text))
+
+
 class ReadSizes(io.StringIO):
     """A text stream that records the size asked of each ``read``."""
 
@@ -238,25 +288,6 @@ class ReadSizes(io.StringIO):
     def read(self, size=-1):
         self.sizes.append(size)
         return super().read(size)
-
-
-def large_table(n_venues=10_000, hours=80):
-    """Records of ``hours`` hours for each of ``n_venues`` venues: a visit file of about 10 MB."""
-    venues = make_venues({f"v{i:05d}": 1.0 for i in range(n_venues)})
-    row = np.repeat(np.arange(n_venues, dtype=np.int32), hours)
-    hour = np.tile(np.arange(hours, dtype=np.uint8), n_venues)
-    return SimulationInput(venues, row, hour, ((row * 7 + hour) % 50 + 1).astype(float))
-
-
-def peak_above_kept(call):
-    """``call()``'s result, and the most memory it held at once beyond what it keeps, in bytes."""
-    tracemalloc.start()
-    try:
-        result = call()
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak - kept
 
 
 class TestStreamedVisitIO:
@@ -296,16 +327,26 @@ class TestStreamedVisitIO:
         assert record_columns(visits) == record_columns(expected)
 
     def test_load_visits_holds_the_bitmap_and_a_few_blocks(self, tmp_path):
-        table = large_table()
+        # many venues and few hours each: a bitmap of every id's window (8.4 MB) larger
+        # than a few blocks
+        table = large_table(n_venues=50_000, hours=16)
+        shuffled = np.random.default_rng(5).permutation(table.count.size)
         path = tmp_path / "visits.csv"
-        with open(path, "w", encoding="utf-8") as sink:
-            write_visits(table, sink)
-        visits, extra = peak_above_kept(lambda: load_visits(path, table.venues))
-        assert visits.count.tolist() == table.count.tolist()
-        # the duplicate bitmap, and a block's text, bytes and per-row temporaries; a read
-        # of the whole file would take twice its 10 MB
-        seen = len(visits.ids) * ingest.WINDOW_HOURS
-        assert extra <= seen + 16 * ingest._PARSE_BLOCK_CHARS
+        # built first, so that the peak is not measured against the table's later growth
+        table.venues.row_of
+        for order, bitmap in ((slice(None), False), (shuffled, True)):
+            records = SimulationInput(
+                table.venues, table.row[order], table.hour[order], table.count[order]
+            )
+            with open(path, "w", encoding="utf-8") as sink:
+                write_visits(records, sink)
+            visits, extra = peak_above_kept(lambda: load_visits(path, table.venues))
+            assert visits.count.tolist() == records.count.tolist()
+            # a block's text, bytes and per-row temporaries, and the duplicate bitmap only
+            # for rows out of venue-then-hour order; a read of the whole file would take
+            # twice its 10 MB
+            seen = len(visits.ids) * ingest.WINDOW_HOURS
+            assert extra <= bitmap * seen + 16 * ingest._PARSE_BLOCK_CHARS
 
     def test_write_visits_holds_a_few_blocks_beyond_its_text(self):
         table = large_table()
@@ -402,6 +443,23 @@ class TestSamplingCorrection:
         out = apply_sampling_correction(counts, 1.0)
         assert np.array_equal(out, counts)
 
+    def test_input_unchanged_without_out(self):
+        counts = np.array([1.0, 2.5, 0.0])
+        out = apply_sampling_correction(counts, 4.0)
+        assert counts.tolist() == [1.0, 2.5, 0.0]
+        assert out.tolist() == [4.0, 10.0, 0.0]
+
+    def test_out_scales_in_place(self):
+        counts = np.array([1.0, 2.5, 0.0])
+        assert apply_sampling_correction(counts, 4.0, out=counts) is counts
+        assert counts.tolist() == [4.0, 10.0, 0.0]
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_overflow_names_the_factor(self, in_place):
+        counts = np.array([2.0, 1e300])
+        with pytest.raises(ConfigError, match=r"^sampling factor 1e\+20 makes a visitor count"):
+            apply_sampling_correction(counts, 1e20, out=counts if in_place else None)
+
     def test_fractional_factor(self):
         out = apply_sampling_correction(np.array([[3.0]]), 2.5)
         assert out.tolist() == [[7.5]]
@@ -420,8 +478,10 @@ class TestSamplingCorrection:
             counts = np.array([[rng.uniform(0, 50) for _ in range(24)]])
             a = rng.uniform(0.1, 20)
             b = rng.uniform(0.1, 20)
+            before = counts.copy()
             two_step = apply_sampling_correction(apply_sampling_correction(counts, a), b)
             one_step = apply_sampling_correction(counts, a * b)
+            assert np.array_equal(counts, before)
             for x, y in zip(two_step[0], one_step[0]):
                 assert x == pytest.approx(y, rel=1e-12)
 

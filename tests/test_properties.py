@@ -217,6 +217,26 @@ def test_sliced_fast_parse_gives_the_csv_records(table, slice_chars):
     assert record_columns(fast) == record_columns(_parse_visits_csv(io.StringIO(text)))
 
 
+@PROPERTY
+@given(tables(max_venues=4, max_hours=20), st.booleans(), st.integers(1, 64), st.data())
+def test_reordered_rows_and_duplicates_give_the_csv_outcome(table, shuffle, slice_chars, data):
+    # rows in venue-then-hour order take the block-wise duplicate check, shuffled rows
+    # the bitmap; a (venue_id, hour) pair written again anywhere is the csv parser's error
+    order = np.lexsort((table.hour, table.row))
+    sink = io.StringIO()
+    write_visits(SimulationInput(table.venues, table.row[order], table.hour[order],
+                                 table.count[order]), sink)
+    header, *rows = sink.getvalue().splitlines(keepends=True)
+    if shuffle:
+        rows = data.draw(st.permutations(rows))
+    if rows and data.draw(st.booleans()):
+        pair = data.draw(st.sampled_from(rows)).rsplit(",", 1)[0]
+        rows.insert(data.draw(st.integers(0, len(rows))), f"{pair},7\n")
+    text = header + "".join(rows)
+    with mock.patch.object(ingest, "_PARSE_BLOCK_CHARS", slice_chars):
+        assert parse_outcome(parse_visits, text) == parse_outcome(_parse_visits_csv, text)
+
+
 def reference_visit_text(table, comment):
     """write_visits' output written one ``csv.writer`` row per record."""
     sink = io.StringIO()

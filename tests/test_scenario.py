@@ -16,7 +16,7 @@ from venuerisk import (
     run_scenario,
     simulate_week,
 )
-from venuerisk.ingest import WINDOW_HOURS, VisitRecords, join, write_visits
+from venuerisk.ingest import WINDOW_HOURS, VisitRecords, join, load_visits, write_visits
 from venuerisk.scenario import (
     apply_occupancy_cap,
     load_scenario_config,
@@ -24,7 +24,7 @@ from venuerisk.scenario import (
     parse_spacing,
 )
 from venuerisk.synthetic import GeneratorConfig, generate_dataset
-from conftest import make_base, make_input
+from conftest import large_table, make_base, make_input, peak_above_kept, split_input
 
 SIX_FEET = 1.8288  # meters
 
@@ -154,6 +154,19 @@ class TestRunScenario:
         second = run_scenario(*base, config, default_params)
         assert np.array_equal(first, second)
 
+    def test_scenarios_sharing_the_baseline_leave_it_unchanged(self, default_params):
+        venues, visits = self._base()
+        before = visits.count.tobytes()
+        configs = [
+            ScenarioConfig(name="capped", sampling_factor=10.0, spacing=SIX_FEET),
+            ScenarioConfig(name="scaled", sampling_factor=3.0),
+        ]
+        together = [run_scenario(venues, visits, config, default_params) for config in configs]
+        assert visits.count.tobytes() == before
+        for config, weekly in zip(configs, together):
+            alone = run_scenario(*self._base(), config, default_params)
+            assert weekly.tobytes() == alone.tobytes()
+
     def test_alternate_visit_file(self, default_params, tmp_path):
         base = self._base()
         alt = tmp_path / "alt_visits.csv"
@@ -225,6 +238,25 @@ def test_alternate_file_scenario_peak_memory(default_params, tmp_path, monkeypat
         tracemalloc.stop()
     matrix_bytes = n_venues * WINDOW_HOURS * 8
     assert peak < MATRICES_AT_PEAK * matrix_bytes, f"{peak / matrix_bytes:.2f} matrices"
+
+
+def test_alternate_file_scenario_scales_its_own_counts(default_params, tmp_path):
+    table = large_table()
+    alt = tmp_path / "visits.csv"
+    with open(alt, "w", encoding="utf-8") as handle:
+        write_visits(table, handle)
+    records = join(table.venues, load_visits(alt, table.venues))
+    held = records.row.nbytes + records.hour.nbytes + records.count.nbytes
+    config = ScenarioConfig(name="alt", visit_source=str(alt), sampling_factor=10.0)
+    weekly, extra = peak_above_kept(
+        lambda: run_scenario(table.venues, VisitRecords(), config, default_params)
+    )
+    # the same records as the baseline, which is scaled into a copy
+    baseline = ScenarioConfig(name="base", sampling_factor=10.0)
+    assert weekly.tobytes() == run_scenario(*split_input(table), baseline, default_params).tobytes()
+    # beyond its records, the file's venue column and ids while they are joined, and
+    # less than one more count column: a scaled copy of the counts would be a whole one
+    assert extra < held + records.count.nbytes
 
 
 class TestParamsFromMapping:
