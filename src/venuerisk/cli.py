@@ -33,8 +33,9 @@ from .ingest import (
     AREA_UNITS,
     HOTSPOT_COLUMNS,
     MANIFEST_COMMENT,
-    VenueTable,
+    SimulationInput,
     VisitRecords,
+    join,
     load_visits,
     open_input,
     parse_results,
@@ -232,15 +233,16 @@ def _resolve_params(args) -> EpiParams:
     return EpiParams(**values)
 
 
-def _load_base_input(args) -> tuple[VenueTable, VisitRecords]:
-    """Parse the venue file and the (optional) baseline visit file into records.
+def _load_base_input(args) -> SimulationInput:
+    """Parse the venue file and join the (optional) baseline visit file with it.
 
-    Every baseline visit id is checked against the venue table here, so
-    an unknown one fails naming the visit file, before any scenario runs.
+    The baseline is joined once here, for every scenario that uses it, so
+    an unknown visit id fails naming the visit file, before any scenario
+    runs. Without ``--visits`` the venue table has no baseline records.
     """
     with open_input(args.venues) as handle:
         venues = parse_venues(handle, args.area_unit)
-    return venues, load_visits(args.visits, venues) if args.visits else VisitRecords()
+    return load_visits(args.visits, venues) if args.visits else join(venues, VisitRecords())
 
 
 def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str]):
@@ -251,18 +253,18 @@ def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str])
     every input file (the scenario files in ``config_paths`` included).
     """
     params = _resolve_params(args)
-    venues, visits = _load_base_input(args)
+    baseline = _load_base_input(args)
     for config in configs:
         if config.visit_source == BASELINE and not args.visits:
             raise ConfigError(
                 f"scenario {config.name!r} uses the baseline visit source but --visits was not given"
             )
-    weeklies = [run_scenario(venues, visits, config, params) for config in configs]
+    weeklies = [run_scenario(baseline, config, params) for config in configs]
 
     input_paths = [args.venues, *config_paths, *([args.visits] if args.visits else [])]
     input_paths += [c.visit_source for c in configs if c.visit_source != BASELINE]
     manifest = build_manifest(input_paths, params, configs, timestamp=args.timestamp)
-    return params, venues, weeklies, manifest
+    return params, baseline.venues, weeklies, manifest
 
 
 # ---------------------------------------------------------------------------

@@ -155,10 +155,9 @@ def simulate_week(sim_input: SimulationInput, params: EpiParams) -> np.ndarray:
         row, hour, count = row[order], hour[order], count[order]
         del block, order
     # the records are grouped by block, so a binary search for each block's first row
-    # finds the start of its slice; edges of row's dtype, where it holds them (np.arange
-    # would wrap), compare with row without copying it
-    edge_type = row.dtype if np.iinfo(row.dtype).max >= n + _BLOCK_ROWS else np.int64
-    bounds = np.searchsorted(row, np.arange(0, n + _BLOCK_ROWS, _BLOCK_ROWS, edge_type))
+    # finds the start of its slice; a first row is below n, so it fits row's dtype (as
+    # join and the generator give, INDEX_DTYPE holds every row), and compares without a copy
+    bounds = np.append(np.searchsorted(row, np.arange(0, n, _BLOCK_ROWS, row.dtype)), row.size)
     weekly = np.empty(n)
     for start, first, last in zip(starts, bounds[:-1], bounds[1:]):
         stop = min(start + _BLOCK_ROWS, n)

@@ -32,11 +32,13 @@ functions read and write the streams they are given. An input file is
 decoded as it is read, and bytes that are not UTF-8 are an error naming
 the file. A parsed venue file is one :class:`VenueTable` of columns
 (ids, names, categories and float64 floor areas in m2) in file order,
-and a parsed visit file is one :class:`VisitRecords`; :func:`join` maps
-each distinct visit id to its venue row once and gives one
+and a parsed visit file is one :class:`VisitRecords`. :func:`join` maps
+each distinct visit id to its venue row and gives one
 :class:`SimulationInput`: the venue table plus one record (venue-table
 row, hour, count) per visit row, with no venue-hour matrix. An hour
-without a record had no visits.
+without a record had no visits. :func:`load_visits` parses a visit file
+and joins it while the file is open, so each file's ids are mapped once
+and its id dict and venue column are dropped once it is joined.
 
 Visit files, the largest, pass through memory a block at a time:
 :func:`parse_visits` reads a plain file's body in line-aligned blocks of
@@ -177,16 +179,14 @@ class VisitRecords:
     appearance, so ``venue_id in records`` is one dict lookup. Row ``r``
     says that ``count[r]`` visitors came to the venue with index
     ``venue[r]`` in hour ``hour[r]`` of the window. ``VisitRecords()``
-    holds no visits.
+    holds no visits. They are what :func:`parse_visits` gives, before
+    :func:`join` maps the ids to the rows of a venue table.
     """
 
     ids: dict[str, int] = field(default_factory=dict)
     venue: np.ndarray = field(default_factory=lambda: np.empty(0, INDEX_DTYPE))
     hour: np.ndarray = field(default_factory=lambda: np.empty(0, HOUR_DTYPE))
     count: np.ndarray = field(default_factory=lambda: np.empty(0))
-    # {venue table: the row of each id in it}, filled by venue_rows; not an init field,
-    # so dataclasses.replace, which may replace the ids, starts an empty one
-    _rows_by_table: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.venue)
@@ -577,18 +577,22 @@ def apply_sampling_correction(counts: np.ndarray, factor: float, out=None) -> np
 
 
 def compute_volumes(areas: np.ndarray, ceiling_height: float) -> np.ndarray:
-    """Air volumes in m3: each floor area (m2) times ``ceiling_height`` (m)."""
+    """Air volumes in m3: each floor area (m2) times ``ceiling_height`` (m).
+
+    A product that overflows is an infinite volume: a finite dose numerator over it is 0.
+    """
     if not (math.isfinite(ceiling_height) and ceiling_height > 0):
         raise ValueError(f"ceiling height must be positive, got {ceiling_height}")
-    return areas * ceiling_height
+    with np.errstate(over="ignore"):
+        return areas * ceiling_height
 
 
-def load_visits(path: str | Path, venues: VenueTable) -> VisitRecords:
-    """Parse the visit file at ``path`` and map every id to its row in ``venues``.
+def load_visits(path: str | Path, venues: VenueTable) -> SimulationInput:
+    """Parse the visit file at ``path`` and :func:`join` its records with ``venues``.
 
-    The mapping runs while the file is open, so an unknown id fails
-    naming the file; the records keep it, so no later :func:`join` of
-    them with ``venues`` maps an id again.
+    The join runs while the file is open, so an unknown id fails naming
+    the file. Only the joined records are returned: the parsed ids and
+    venue column go once they are mapped.
 
     Raises:
         DatasetError: an id is not in the venue table, or a
@@ -596,49 +600,30 @@ def load_visits(path: str | Path, venues: VenueTable) -> VisitRecords:
         RecordError: as :func:`parse_visits`.
     """
     with open_input(path) as handle:
-        visits = parse_visits(handle)
-        venue_rows(venues, visits)
-    return visits
+        return join(venues, parse_visits(handle))
 
 
 def join(venues: VenueTable, visits: VisitRecords) -> SimulationInput:
     """Join a venue table and visit records into a :class:`SimulationInput`.
 
-    Each distinct visit id is mapped to its venue row by
-    :func:`venue_rows`, once per venue table, and each record takes the
-    row of its id; the hours and counts are the records'
-    own arrays, not copies. Venues with no record had no visits, so venue
-    results stay aligned across scenarios. No venue is dropped and no
-    count is invented.
+    Each distinct visit id is looked up in the venue table once, and
+    each record takes the row of its id; the hours and counts are the
+    records' own arrays, not copies. Venues with no record had no visits,
+    so venue results stay aligned across scenarios. No venue is dropped
+    and no count is invented.
 
     Raises:
-        DatasetError: a visit record references an unknown venue_id.
+        DatasetError: a visit record references an unknown venue_id; the
+            message lists the unknown ids in sorted order, up to ten of
+            them.
     """
-    rows = venue_rows(venues, visits)[visits.venue]
-    return SimulationInput(venues, rows, visits.hour, visits.count)
-
-
-def venue_rows(venues: VenueTable, visits: VisitRecords) -> np.ndarray:
-    """The venue-table row of each distinct id of ``visits``, in ``visits.ids`` order.
-
-    The rows are looked up on the first call with ``venues`` and kept on
-    ``visits``; later calls with the same table return them.
-
-    Raises:
-        DatasetError: an id is not in the venue table; the message lists
-            the unknown ids in sorted order, up to ten of them.
-    """
-    kept = visits._rows_by_table.get(venues)
-    if kept is not None:
-        return kept
     row_of = venues.row_of
     unknown = sorted(vid for vid in visits.ids if vid not in row_of)
     if unknown:
         shown = ", ".join(repr(u) for u in unknown[:10]) + (", ..." if len(unknown) > 10 else "")
         raise DatasetError(f"visit series reference {len(unknown)} unknown venue id(s): {shown}")
     rows = np.fromiter(map(row_of.__getitem__, visits.ids), INDEX_DTYPE, len(visits.ids))
-    visits._rows_by_table[venues] = rows
-    return rows
+    return SimulationInput(venues, rows[visits.venue], visits.hour, visits.count)
 
 
 def _format_count(value: float) -> str:
@@ -729,7 +714,7 @@ def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = Non
         (vid, "") for vid in table.venues.ids
     )
     id_table = _byte_table([part[:-1] for part in parts])
-    hour_table = _byte_table([f"{h}," for h in range(table.window_hours)])
+    hour_table = _byte_table([f"{h}," for h in range(WINDOW_HOURS)])
     count_table = _byte_table([f"{_format_count(v)}\n" for v in values.tolist()])
     record = np.dtype(
         [("id", id_table.dtype), ("hour", hour_table.dtype), ("count", count_table.dtype)]

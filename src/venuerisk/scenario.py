@@ -6,15 +6,16 @@ spacing, and optional parameter overrides. Running one always follows
 the same pipeline order, each step one array expression over the visit
 records:
 
-    1. select the visit source: the baseline records or a parsed file
-    2. join: give each record its venue-table row
-    3. apply the sampling factor to the records:      count * factor
+    1. select the visit source: the baseline records, joined once when
+       the run loaded them, or a visit file, parsed and joined when the
+       scenario runs; either way each record has its venue-table row
+    2. apply the sampling factor to the records:      count * factor
        (a visit file's counts are the scenario's own and are scaled in
        place; the baseline's, shared by every scenario, into a copy)
-    4. cap each record at its venue's distanced occupancy (if spacing
+    3. cap each record at its venue's distanced occupancy (if spacing
        is set):                       minimum(count, cap[row])
-    5. merge parameter overrides
-    6. simulate the window, with room volumes from the merged parameters;
+    4. merge parameter overrides
+    5. simulate the window, with room volumes from the merged parameters;
        the weekly values and their total must be finite
 
 Scenario config files use one ``key = value`` pair per line. A ``#``
@@ -45,14 +46,7 @@ import numpy as np
 
 from .epi import EpiParams, simulate_week
 from .errors import ConfigError, error_context
-from .ingest import (
-    VenueTable,
-    VisitRecords,
-    apply_sampling_correction,
-    join,
-    load_visits,
-    open_input,
-)
+from .ingest import SimulationInput, apply_sampling_correction, load_visits, open_input
 
 BASELINE = "baseline"
 FT_TO_M = 0.3048
@@ -89,14 +83,16 @@ def max_distanced_occupancy(area, spacing: float):
     Each person claims an exclusion disc of radius ``spacing``, so the
     cap is floor(area / (pi * spacing^2)), elementwise for an array of
     areas. A circular room of radius equal to the spacing holds exactly
-    one person.
+    one person. A spacing so small that the quotient overflows, or the
+    disc's area underflows to 0, gives an infinite cap: no limit.
     """
     areas = np.asarray(area, dtype=float)
     if not (np.isfinite(areas) & (areas > 0)).all():
         raise ValueError(f"area must be positive, got {area}")
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be positive, got {spacing}")
-    return np.floor(areas / (math.pi * spacing * spacing))
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.floor(areas / (math.pi * spacing * spacing))
 
 
 def apply_occupancy_cap(counts, cap: float) -> tuple[float, ...]:
@@ -112,44 +108,45 @@ def apply_occupancy_cap(counts, cap: float) -> tuple[float, ...]:
     return tuple(min(float(c), limit) for c in counts)
 
 
-def run_scenario(
-    venues: VenueTable,
-    visits: VisitRecords,
-    config: ScenarioConfig,
-    params: EpiParams,
-) -> np.ndarray:
+def run_scenario(baseline: SimulationInput, config: ScenarioConfig, params: EpiParams) -> np.ndarray:
     """One scenario's weekly expected infections, in venue-table order.
 
-    ``visits`` are the baseline records as-read, so ``sampling_factor``
-    is the whole correction. An alternate visit file is read by
+    ``baseline`` is the run's venue table and its baseline records,
+    joined and as-read, so ``sampling_factor`` is the whole correction.
+    An alternate visit file is parsed and joined by
     :func:`~venuerisk.ingest.load_visits`, so an id it shares with no
     venue fails naming the file. The scenario's counts are one array of
-    its own: such a file's parsed counts, scaled in place, or a scaled
+    its own: such a file's joined counts, scaled in place, or a scaled
     copy of the baseline counts, which the caller keeps unchanged for
     other scenarios; the cap then lowers them in place. Input errors
     raised here name the scenario, among them a sampling factor that
-    makes a count, a weekly value or the weekly total overflow; the last
-    two are checked so that every report can sum the values. Overrides
-    are checked when a scenario file is read; one set in code that
-    ``EpiParams`` rejects raises ``ValueError`` here.
+    makes a count, a weekly value or the weekly total overflow, and an
+    infection dose of inf/inf or 0/0, which makes a weekly value NaN;
+    these are checked so that every report can sum the values.
+    Overrides are checked when a scenario file is read; one set in code
+    that ``EpiParams`` rejects raises ``ValueError`` here.
     """
     with error_context(f"scenario {config.name!r}"):
-        if config.visit_source != BASELINE:
-            visits = load_visits(config.visit_source, venues)
-        records = join(venues, visits)
-        del visits  # a visit file's ids and venue column go before the counts are scaled
-        out = records.count if config.visit_source != BASELINE else None
-        sim_input = dataclasses.replace(
-            records, count=apply_sampling_correction(records.count, config.sampling_factor, out=out)
-        )
-        del records, out  # from here the scenario holds only its own records
+        if config.visit_source == BASELINE:
+            counts = apply_sampling_correction(baseline.count, config.sampling_factor)
+            sim_input = dataclasses.replace(baseline, count=counts)
+        else:
+            sim_input = load_visits(config.visit_source, baseline.venues)
+            apply_sampling_correction(sim_input.count, config.sampling_factor, out=sim_input.count)
         if config.spacing is not None:
-            caps = max_distanced_occupancy(venues.areas, config.spacing)
+            caps = max_distanced_occupancy(sim_input.venues.areas, config.spacing)
             np.minimum(sim_input.count, caps[sim_input.row], out=sim_input.count)
 
         effective_params = dataclasses.replace(params, **config.params_override)
-        with np.errstate(over="ignore"):
+        # a dose that overflows, or whose air flow underflows to 0, is certain infection;
+        # inf/inf and 0/0 doses are NaN, and both outcomes are checked below
+        with np.errstate(all="ignore"):
             weekly = simulate_week(sim_input, effective_params)
+        if np.isnan(weekly).any():
+            raise ConfigError(
+                f"sampling factor {config.sampling_factor!r}, the venue areas and the parameters "
+                "make an infection dose inf/inf or 0/0, so the weekly infections are undefined"
+            )
         try:
             total = math.fsum(weekly)
         except OverflowError:  # a partial sum overflowed

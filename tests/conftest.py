@@ -113,17 +113,6 @@ def parse_outcome(parse, text: str):
     return record_columns(visits)
 
 
-def make_base(area_by_id, counts_by_id) -> tuple[VenueTable, VisitRecords]:
-    """A venue table from {venue_id: area} and its visit records from {venue_id: {hour: count}}."""
-    return make_venues(area_by_id), visit_records(counts_by_id)
-
-
-def split_input(sim: SimulationInput) -> tuple[VenueTable, VisitRecords]:
-    """A SimulationInput's venue table and its records as VisitRecords, ids numbered by row."""
-    ids = dict(zip(sim.venues.ids, range(len(sim.venues))))
-    return sim.venues, VisitRecords(ids, sim.row.astype(np.int32), sim.hour, sim.count)
-
-
 def large_table(n_venues=10_000, hours=80):
     """Records of ``hours`` hours for each of ``n_venues`` venues: a visit file of about 10 MB."""
     venues = make_venues({f"v{i:05d}": 1.0 for i in range(n_venues)})
@@ -145,7 +134,7 @@ def peak_above_kept(call):
 
 def make_input(area_by_id, counts_by_id) -> SimulationInput:
     """Build a SimulationInput from {venue_id: area} and {venue_id: {hour: count}}."""
-    return join(*make_base(area_by_id, counts_by_id))
+    return join(make_venues(area_by_id), visit_records(counts_by_id))
 
 
 # The dense kernel, the reference for the record kernel of simulate_week: every

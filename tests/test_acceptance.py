@@ -26,7 +26,7 @@ from venuerisk import (
     wells_riley_probability,
 )
 from venuerisk.cli import main as cli_main
-from conftest import FIXTURE_N_VENUES, FIXTURE_SEED, hourly_of, make_base, make_input
+from conftest import FIXTURE_N_VENUES, FIXTURE_SEED, hourly_of, make_input
 
 SIX_FEET = 1.8288
 
@@ -114,14 +114,14 @@ def test_criterion_4_monotonicity_suite(default_params):
         vid: {h: rng.uniform(0, 30) for h in range(0, 168, rng.randrange(1, 7))}
         for vid in areas
     }
-    base_input = make_base(areas, counts)
+    base_input = make_input(areas, counts)
     pair_checks = 0
     for spacing in (0.5, 1.0, SIX_FEET, 3.0):
         uncapped = run_scenario(
-            *base_input, ScenarioConfig(name="u", sampling_factor=10.0), default_params
+            base_input, ScenarioConfig(name="u", sampling_factor=10.0), default_params
         )
         capped = run_scenario(
-            *base_input,
+            base_input,
             ScenarioConfig(name="c", sampling_factor=10.0, spacing=spacing),
             default_params,
         )

@@ -161,6 +161,41 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "params, visits",
+        [
+            # every dose's numerator and its air flow overflow: inf / inf
+            ("q = 1e308\np = 1e308\nach = 1e308\nceiling_height = 1e308\n", None),
+            # a record of no visitors in a room whose air flow underflows: 0 / 0
+            ("ach = 1e-200\nceiling_height = 1e-200\n", "venue_id,hour,count\nr001,3,0\n"),
+        ],
+        ids=["inf-over-inf", "zero-over-zero"],
+    )
+    def test_undefined_dose_is_one_error_line_naming_the_scenario(
+        self, tmp_path, capsys, params, visits
+    ):
+        params_path = tmp_path / "params.txt"
+        params_path.write_text(params + "documented_prevalence = 0.001\n", encoding="utf-8")
+        visits_path = SAMPLE_DATA / "visits.csv"
+        if visits is not None:
+            visits_path = tmp_path / "visits.csv"
+            visits_path.write_text(visits, encoding="utf-8")
+        out = tmp_path / "x"
+        # pytest turns NumPy's invalid-value warning into an error, so no warning may escape
+        code = run_cli(
+            "simulate", "--venues", str(SAMPLE_DATA / "venues.csv"), "--visits", str(visits_path),
+            "--params", str(params_path), "--out", str(out),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scenario 'simulate': sampling factor 10.0, the venue areas and the "
+            "parameters make an infection dose inf/inf or 0/0, so the weekly infections are "
+            "undefined\n"
+        )
+        assert not out.exists()
+
     def test_missing_file_is_io_error(self, small_dataset, tmp_path):
         code = run_cli(
             "simulate", "--venues", str(tmp_path / "nope.csv"),

@@ -1,0 +1,134 @@
+"""The input contract at the ``cli.main`` boundary, checked on mutated copies of ``sample_data/``.
+
+One input file of a ``simulate`` or ``compare`` run is mutated at a time: byte edits,
+inserted NUL, 0xff, BOM, quote, ``#`` and line-end bytes, huge and non-finite numbers,
+deletions, truncation and text spliced in from the other sample files. Whatever the
+file holds, ``main`` returns 0, 1 or 2 and no traceback reaches stderr, and a
+validation error (exit 1) is one ``error: `` line naming the mutated file or a
+scenario that reads it. Examples are derandomized, so every run checks the same cases.
+"""
+
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from venuerisk.errors import InputError
+from venuerisk.cli import main
+from venuerisk.scenario import BASELINE, ScenarioConfig, load_scenario_config
+
+SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"
+ORIGINALS = {path.name: path.read_bytes() for path in sorted(SAMPLE_DATA.iterdir())}
+# the files simulate reads; compare reads them and its scenario files too
+BASE_FILES = ("venues.csv", "visits.csv", "params.txt")
+VISIT_FILES = ("visits.csv", "visits_2019.csv")
+# a params file may leave the prevalence to --prevalence; the run, not the file, then
+# lacks a setting, and the message says where to give it
+NO_PREVALENCE = (
+    "error: documented prevalence is required: pass --prevalence or set "
+    "documented_prevalence in the params file (there is no safe default)\n"
+)
+
+BYTES = [b"\0", b"\xff", b"\xef\xbb\xbf", b'"', b"#", b",", b"=", b"\n", b"\r", b" ", b"-", b"."]
+NUMBERS = [
+    b"0", b"-0", b"-1", b"1e308", b"1e-320", b"1e400", b"inf", b"-inf", b"nan", b"9" * 400,
+    b"1_000", b"0x10",
+]
+NUMBER_RE = re.compile(rb"[0-9][0-9.]*")
+
+
+@st.composite
+def mutation(draw, data: bytes) -> bytes:
+    """``data`` with one edit: a byte, an insert, a deletion, a cut, a number or a splice."""
+    kind = draw(st.sampled_from(["byte", "insert", "delete", "truncate", "number", "splice"]))
+    at = draw(st.integers(0, len(data)))
+    if kind == "byte" and data:
+        at = min(at, len(data) - 1)
+        new = draw(st.sampled_from(BYTES) | st.binary(min_size=1, max_size=1))
+        return data[:at] + new + data[at + 1:]
+    if kind == "insert":
+        return data[:at] + draw(st.sampled_from(BYTES + NUMBERS)) + data[at:]
+    if kind == "delete":
+        return data[:at] + data[at + draw(st.integers(1, 40)):]
+    if kind == "number" and NUMBER_RE.search(data):
+        match = draw(st.sampled_from(list(NUMBER_RE.finditer(data))))
+        return data[:match.start()] + draw(st.sampled_from(NUMBERS)) + data[match.end():]
+    if kind == "splice":
+        other = ORIGINALS[draw(st.sampled_from(sorted(ORIGINALS)))]
+        start = draw(st.integers(0, len(other)))
+        return data[:at] + other[start:start + draw(st.integers(1, 60))] + data[at:]
+    return data[:at]
+
+
+@st.composite
+def mutated_inputs(draw):
+    """(the name of one input file, its mutated bytes)."""
+    name = draw(st.sampled_from(sorted(ORIGINALS)))
+    data = ORIGINALS[name]
+    for _ in range(draw(st.integers(1, 3))):
+        data = draw(mutation(data))
+    return name, data
+
+
+def readers(directory: Path, target: str, scenario_files: list[str]) -> list[str]:
+    """The names of the run's scenarios that read ``target``, from the scenario files that load."""
+    configs = []
+    for name in scenario_files:
+        with contextlib.suppress(InputError, OSError):
+            configs.append((name, load_scenario_config(directory / name)))
+    if not scenario_files:  # simulate
+        configs = [("", ScenarioConfig(name="simulate"))]
+    return [
+        config.name for name, config in configs
+        if target in ("venues.csv", "params.txt", name)
+        or config.visit_source == (BASELINE if target == "visits.csv" else str(directory / target))
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_inputs(), st.booleans())
+# a NUL in a scenario's visit path; parameters that make every dose inf/inf; a spacing
+# whose disc area underflows to 0; an area whose volume overflows
+@example(("scenario_reopened.txt", b"name = reopened\nvisits = visits_2019.csv\0\n"), False)
+@example(
+    ("params.txt", b"q = 1e308\np = 1e308\nach = 1e308\nceiling_height = 1e308\n"
+     b"documented_prevalence = 0.001\n"),
+    True,
+)
+@example(("scenario_distanced.txt", b"visits = baseline\nspacing = 1e-320ft\n"), False)
+@example(("venues.csv", ORIGINALS["venues.csv"].replace(b",210\n", b",1e308\n")), True)
+def test_a_mutated_input_fails_cleanly_naming_the_file_or_its_scenario(mutated, simulate):
+    target, data = mutated
+    simulate = simulate and target in BASE_FILES
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for name, original in ORIGINALS.items():
+            (directory / name).write_bytes(data if name == target else original)
+        scenario_a = target if target in ("scenario_lockdown.txt", "scenario_distanced.txt") else (
+            "scenario_distanced.txt"
+        )
+        scenario_files = [] if simulate else [scenario_a, "scenario_reopened.txt"]
+        argv = [
+            "simulate" if simulate else "compare",
+            "--venues", str(directory / "venues.csv"), "--visits", str(directory / "visits.csv"),
+            "--params", str(directory / "params.txt"), "--out", str(directory / "out"),
+        ]
+        for flag, name in zip(("--scenario-a", "--scenario-b"), scenario_files):
+            argv += [flag, str(directory / name)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        message = err.getvalue()
+        assert code in (0, 1, 2), message
+        assert "Traceback" not in message
+        if code == 1 and message != NO_PREVALENCE:
+            assert message.startswith("error: ") and message.count("\n") == 1, message
+            named = [str(directory / target)]
+            named += [f"scenario {name!r}" for name in readers(directory, target, scenario_files)]
+            if target == "venues.csv":  # an id edit can break a reference a visit file holds
+                named += [str(directory / name) for name in VISIT_FILES]
+            assert any(label in message for label in named), message

@@ -1,12 +1,12 @@
-import dataclasses
 import io
+import math
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from venuerisk import ConfigError, DatasetError, RecordError, ingest
+from venuerisk import ConfigError, DatasetError, RecordError, cli, ingest, scenario
 from venuerisk.ingest import (
     SQFT_TO_SQM,
     SimulationInput,
@@ -17,7 +17,6 @@ from venuerisk.ingest import (
     apply_sampling_correction,
     compute_volumes,
     join,
-    load_visits,
     open_input,
     parse_venues,
     parse_visits,
@@ -332,15 +331,14 @@ class TestStreamedVisitIO:
         table = large_table(n_venues=50_000, hours=16)
         shuffled = np.random.default_rng(5).permutation(table.count.size)
         path = tmp_path / "visits.csv"
-        # built first, so that the peak is not measured against the table's later growth
-        table.venues.row_of
         for order, bitmap in ((slice(None), False), (shuffled, True)):
             records = SimulationInput(
                 table.venues, table.row[order], table.hour[order], table.count[order]
             )
             with open(path, "w", encoding="utf-8") as sink:
                 write_visits(records, sink)
-            visits, extra = peak_above_kept(lambda: load_visits(path, table.venues))
+            with open_input(path) as handle:
+                visits, extra = peak_above_kept(lambda: parse_visits(handle))
             assert visits.count.tolist() == records.count.tolist()
             # a block's text, bytes and per-row temporaries, and the duplicate bitmap only
             # for rows out of venue-then-hour order; a read of the whole file would take
@@ -508,6 +506,9 @@ class TestComputeVolumes:
         with pytest.raises(ValueError):
             compute_volumes(np.array([]), 0.0)
 
+    def test_overflowing_volume_is_infinite_without_a_warning(self):
+        assert compute_volumes(np.array([1e308, 1.0]), 3.0).tolist() == [math.inf, 3.0]
+
 
 class TestJoin:
     def _venues(self, *ids):
@@ -551,20 +552,38 @@ class TestJoin:
         assert list(sim.venues) == list(venues)
         assert dense_counts(sim).tolist() == window_counts([[], [2.0, 0.0, 5.0], []]).tolist()
 
-    def test_a_loaded_files_ids_are_mapped_once(self, tmp_path):
-        venues = self._venues("a", "b", "c")
-        path = tmp_path / "visits.csv"
-        path.write_text("venue_id,hour,count\nc,0,1\na,3,2\nc,5,4\n", encoding="utf-8")
-        visits = load_visits(path, venues)
-        # every later join of the file's records takes the rows load_visits looked up
-        looked_up = property(lambda table: pytest.fail("a venue id was looked up again"))
-        with mock.patch.object(VenueTable, "row_of", looked_up):
-            first, second = join(venues, visits), join(venues, visits)
-        assert first.row.tolist() == second.row.tolist() == [2, 0, 2]
-        # records with other ids, or another table, are looked up afresh
-        renamed = dataclasses.replace(visits, ids={"b": 0, "c": 1})
-        assert join(venues, renamed).row.tolist() == [1, 2, 1]
-        assert join(self._venues("c", "a"), visits).row.tolist() == [0, 1, 0]
+    def test_each_visit_file_is_parsed_and_joined_once_per_run(self, monkeypatch):
+        # two scenarios on the baseline file and one with a file of its own; the spies
+        # replace every binding in the package, as the tracer in perfbench/ does
+        parsed, joined = [], []
+        originals = {"parse_visits": ingest.parse_visits, "join": ingest.join}
+
+        def parse_spy(source):
+            parsed.append(originals["parse_visits"](source))
+            return parsed[-1]
+
+        def join_spy(venues, visits):
+            joined.append(visits)
+            return originals["join"](venues, visits)
+
+        for module in (ingest, scenario, cli):
+            for name, spy in (("parse_visits", parse_spy), ("join", join_spy)):
+                if getattr(module, name, None) is originals[name]:
+                    monkeypatch.setattr(module, name, spy)
+        names = ("lockdown", "distanced", "reopened")
+        paths = [str(SAMPLE_DATA / f"scenario_{name}.txt") for name in names]
+        configs = [scenario.load_scenario_config(path) for path in paths]
+        assert [c.visit_source == scenario.BASELINE for c in configs] == [True, True, False]
+        args = cli.build_parser().parse_args([
+            "compare", "--venues", str(SAMPLE_DATA / "venues.csv"),
+            "--visits", str(SAMPLE_DATA / "visits.csv"), "--params", str(SAMPLE_DATA / "params.txt"),
+            "--scenario-a", paths[0], "--scenario-b", paths[2], "--out", "unused",
+        ])
+        # the engine of compare, given three scenarios where the command line takes two
+        cli._run_scenarios(args, configs, paths)
+        # the baseline file and the reopened scenario's own file, each mapped by one join
+        assert len(parsed) == 2
+        assert list(map(id, joined)) == list(map(id, parsed))
 
 
 class TestRoundTrip:

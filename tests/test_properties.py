@@ -49,7 +49,6 @@ from conftest import (
     parse_outcome,
     record_columns,
     same_venues,
-    split_input,
     window_counts,
 )
 
@@ -162,7 +161,7 @@ def test_weekly_is_the_kernel_row_sums_whatever_the_block(
         table = SimulationInput(table.venues, table.row[order], table.hour[order], table.count[order])
     config = ScenarioConfig(name="c", sampling_factor=factor, spacing=spacing)
     with mock.patch.object(epi, "_BLOCK_ROWS", block):
-        weekly = run_scenario(*split_input(table), config, params)
+        weekly = run_scenario(table, config, params)
     sampled = dataclasses.replace(table, count=table.count * factor)
     assert weekly.tobytes() == dense_weekly(sampled, params, spacing).tobytes()
 
@@ -176,10 +175,8 @@ def test_capped_rows_match_scalar_cap(table, params, spacing, factor):
     assert (np.array(rows) <= sampled).all()
 
     config = ScenarioConfig(name="c", sampling_factor=factor, spacing=spacing)
-    capped = run_scenario(*split_input(table), config, params)
-    uncapped = run_scenario(
-        *split_input(table), ScenarioConfig(name="u", sampling_factor=factor), params
-    )
+    capped = run_scenario(table, config, params)
+    uncapped = run_scenario(table, ScenarioConfig(name="u", sampling_factor=factor), params)
     # the kernel is exact on equal inputs, so equal weekly values mean equal capped rows
     reference = simulate_week(input_from_matrix(table.venues, np.array(rows)), params)
     assert np.array_equal(capped, reference)

@@ -24,7 +24,7 @@ from venuerisk.scenario import (
     parse_spacing,
 )
 from venuerisk.synthetic import GeneratorConfig, generate_dataset
-from conftest import large_table, make_base, make_input, peak_above_kept, split_input
+from conftest import large_table, make_input, peak_above_kept
 
 SIX_FEET = 1.8288  # meters
 
@@ -58,6 +58,11 @@ class TestMaxDistancedOccupancy:
         with pytest.raises(ValueError):
             max_distanced_occupancy(10.0, 0.0)
 
+    def test_spacing_too_small_to_divide_by_is_no_limit(self):
+        # the disc's area underflows to 0 at 1e-320 m, the quotient overflows at 1e-160 m
+        assert max_distanced_occupancy(np.array([10.0]), 1e-320).tolist() == [math.inf]
+        assert max_distanced_occupancy(10.0, 1e-160) == math.inf
+
 
 class TestApplyOccupancyCap:
     def test_clamp(self):
@@ -86,26 +91,25 @@ class TestRunScenario:
             "b": {h: 9.0 for h in range(12, 160, 3)},
             "c": {40: 2.0},
         }
-        return make_base(areas, counts)
+        return make_input(areas, counts)
 
     def test_identity_scenario_reproduces_simulate_week(self, default_params):
-        venues, visits = self._base()
-        base = join(venues, visits)
+        base = self._base()
         config = ScenarioConfig(name="identity", sampling_factor=1.0)
-        weekly = run_scenario(venues, visits, config, default_params)
+        weekly = run_scenario(base, config, default_params)
         assert np.array_equal(weekly, simulate_week(base, default_params))
 
     def test_huge_spacing_zeroes_everything(self, default_params):
         base = self._base()
         config = ScenarioConfig(name="empty", sampling_factor=1.0, spacing=1000.0)
-        weekly = run_scenario(*base, config, default_params)
+        weekly = run_scenario(base, config, default_params)
         assert (weekly == 0.0).all()
 
     def test_capped_never_exceeds_uncapped(self, default_params):
         base = self._base()
-        uncapped = run_scenario(*base, ScenarioConfig(name="u", sampling_factor=10.0), default_params)
+        uncapped = run_scenario(base, ScenarioConfig(name="u", sampling_factor=10.0), default_params)
         capped = run_scenario(
-            *base,
+            base,
             ScenarioConfig(name="c", sampling_factor=10.0, spacing=SIX_FEET),
             default_params,
         )
@@ -114,12 +118,11 @@ class TestRunScenario:
     def test_sampling_applied_before_cap(self, default_params):
         # one venue, cap 2, raw count 1: capping after the 10x correction
         # must clamp 10 -> 2, not leave 1 * 10 = 10
-        venues, visits = make_base({"a": math.pi * SIX_FEET ** 2 * 2.2}, {"a": {0: 1.0}})
-        cap = max_distanced_occupancy(venues.areas[0], SIX_FEET)
+        base = make_input({"a": math.pi * SIX_FEET ** 2 * 2.2}, {"a": {0: 1.0}})
+        cap = max_distanced_occupancy(base.venues.areas[0], SIX_FEET)
         assert cap == 2
         weekly = run_scenario(
-            venues,
-            visits,
+            base,
             ScenarioConfig(name="s", sampling_factor=10.0, spacing=SIX_FEET),
             default_params,
         )
@@ -140,31 +143,31 @@ class TestRunScenario:
             for vid, by_hour in big.items()
         }
         res_big = run_scenario(
-            *make_base(areas, big), ScenarioConfig(name="b", sampling_factor=1.0), default_params
+            make_input(areas, big), ScenarioConfig(name="b", sampling_factor=1.0), default_params
         )
         res_small = run_scenario(
-            *make_base(areas, small), ScenarioConfig(name="s", sampling_factor=1.0), default_params
+            make_input(areas, small), ScenarioConfig(name="s", sampling_factor=1.0), default_params
         )
         assert (res_small <= res_big).all()
 
     def test_deterministic(self, default_params):
         base = self._base()
         config = ScenarioConfig(name="d", sampling_factor=10.0, spacing=SIX_FEET)
-        first = run_scenario(*base, config, default_params)
-        second = run_scenario(*base, config, default_params)
+        first = run_scenario(base, config, default_params)
+        second = run_scenario(base, config, default_params)
         assert np.array_equal(first, second)
 
     def test_scenarios_sharing_the_baseline_leave_it_unchanged(self, default_params):
-        venues, visits = self._base()
-        before = visits.count.tobytes()
+        base = self._base()
+        before = base.count.tobytes()
         configs = [
             ScenarioConfig(name="capped", sampling_factor=10.0, spacing=SIX_FEET),
             ScenarioConfig(name="scaled", sampling_factor=3.0),
         ]
-        together = [run_scenario(venues, visits, config, default_params) for config in configs]
-        assert visits.count.tobytes() == before
+        together = [run_scenario(base, config, default_params) for config in configs]
+        assert base.count.tobytes() == before
         for config, weekly in zip(configs, together):
-            alone = run_scenario(*self._base(), config, default_params)
+            alone = run_scenario(self._base(), config, default_params)
             assert weekly.tobytes() == alone.tobytes()
 
     def test_alternate_visit_file(self, default_params, tmp_path):
@@ -173,7 +176,7 @@ class TestRunScenario:
         with open(alt, "w", encoding="utf-8") as handle:
             write_visits(make_input({"a": 100.0}, {"a": {0: 50.0}}), handle)
         config = ScenarioConfig(name="alt", visit_source=str(alt), sampling_factor=1.0)
-        weekly = run_scenario(*base, config, default_params)
+        weekly = run_scenario(base, config, default_params)
         assert weekly[0] > 0
         # venues absent from the alternate file fall back to zero traffic
         assert weekly[1] == 0.0
@@ -184,27 +187,24 @@ class TestRunScenario:
         alt.write_text("venue_id,hour,count\nghost,0,5\n", encoding="utf-8")
         config = ScenarioConfig(name="bad", visit_source=str(alt))
         with pytest.raises(DatasetError, match="ghost"):
-            run_scenario(*base, config, default_params)
+            run_scenario(base, config, default_params)
 
     def test_params_override(self, default_params):
         base = self._base()
         config = ScenarioConfig(name="hot", sampling_factor=1.0, params_override={"q": 40.0})
-        boosted = run_scenario(*base, config, default_params)
-        plain = run_scenario(
-            *base, ScenarioConfig(name="p", sampling_factor=1.0), default_params
-        )
+        boosted = run_scenario(base, config, default_params)
+        plain = run_scenario(base, ScenarioConfig(name="p", sampling_factor=1.0), default_params)
         for boosted_weekly, plain_weekly in zip(boosted, plain):
             if plain_weekly > 0:
                 assert boosted_weekly > plain_weekly
 
     def test_ceiling_height_override_sets_the_volumes(self, default_params):
         # volumes follow the scenario's own params, not the base params
-        venues, visits = self._base()
-        base = join(venues, visits)
+        base = self._base()
         config = ScenarioConfig(
             name="tall", sampling_factor=1.0, params_override={"ceiling_height": 30.0}
         )
-        tall = run_scenario(venues, visits, config, default_params)
+        tall = run_scenario(base, config, default_params)
         tall_params = EpiParams(documented_prevalence=0.001, ceiling_height=30.0)
         assert np.array_equal(tall, simulate_week(base, tall_params))
         plain = simulate_week(base, default_params)
@@ -232,7 +232,7 @@ def test_alternate_file_scenario_peak_memory(default_params, tmp_path, monkeypat
     monkeypatch.setattr(epi, "_BLOCK_ROWS", 256)
     tracemalloc.start()
     try:
-        run_scenario(venues, VisitRecords(), config, default_params)
+        run_scenario(join(venues, VisitRecords()), config, default_params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -245,15 +245,14 @@ def test_alternate_file_scenario_scales_its_own_counts(default_params, tmp_path)
     alt = tmp_path / "visits.csv"
     with open(alt, "w", encoding="utf-8") as handle:
         write_visits(table, handle)
-    records = join(table.venues, load_visits(alt, table.venues))
+    records = load_visits(alt, table.venues)
     held = records.row.nbytes + records.hour.nbytes + records.count.nbytes
     config = ScenarioConfig(name="alt", visit_source=str(alt), sampling_factor=10.0)
-    weekly, extra = peak_above_kept(
-        lambda: run_scenario(table.venues, VisitRecords(), config, default_params)
-    )
+    empty = join(table.venues, VisitRecords())
+    weekly, extra = peak_above_kept(lambda: run_scenario(empty, config, default_params))
     # the same records as the baseline, which is scaled into a copy
     baseline = ScenarioConfig(name="base", sampling_factor=10.0)
-    assert weekly.tobytes() == run_scenario(*split_input(table), baseline, default_params).tobytes()
+    assert weekly.tobytes() == run_scenario(table, baseline, default_params).tobytes()
     # beyond its records, the file's venue column and ids while they are joined, and
     # less than one more count column: a scaled copy of the counts would be a whole one
     assert extra < held + records.count.nbytes

@@ -47,6 +47,11 @@ TRACED_COMMANDS = {
         "compare", "--venues", "venues.csv", "--visits", "visits.csv", "--params", "params.txt",
         "--scenario-a", "scenario_lockdown.txt", "--scenario-b", "scenario_reopened.txt",
     ],
+    # no baseline visit file: both scenarios read the reopened traffic of their own
+    "compare-own-files": [
+        "compare", "--venues", "venues.csv", "--params", "params.txt",
+        "--scenario-a", "scenario_reopened.txt", "--scenario-b", "scenario_reopened.txt",
+    ],
     "gen-synthetic": ["gen-synthetic", "--n-venues", "20", "--profile", "lockdown", "--seed", "1"],
 }
 
@@ -73,13 +78,25 @@ def test_traced_cli_runs(command, tmp_path):
         assert end >= start
 
 
+def traced_counters(command, tmp_path):
+    """{span name: the counters of each of its spans} of one TRACED_COMMANDS entry."""
+    counters = {}
+    for name, start, end, parent, rss, counts in run_traced(command, tmp_path):
+        counters.setdefault(name, []).append(counts)
+    return counters
+
+
 def test_traced_compare_counts_the_venue_table(tmp_path):
     # sample_data has 4 venues; the baseline visit file leaves one of them without visits
-    counters = {}
-    for name, start, end, parent, rss, counts in run_traced("compare", tmp_path):
-        counters.setdefault(name, []).append(counts)
+    counters = traced_counters("compare", tmp_path)
     assert counters["ingest.join"] == [{"zero_filled_venues": 1}, {"zero_filled_venues": 0}]
     assert counters["epi.simulate_week"] == [{"venue_hours": 4 * 168}] * 2
+
+
+def test_traced_compare_without_visits_joins_an_empty_baseline(tmp_path):
+    # the empty baseline leaves all 4 venues without visits; each scenario's file, one
+    counters = traced_counters("compare-own-files", tmp_path)
+    assert counters["ingest.join"] == [{"zero_filled_venues": 4}] + [{"zero_filled_venues": 0}] * 2
 
 
 # scalar references read only by tests: the Wells-Riley form for acceptance criteria 1, 4
