@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hot.set_defaults(func=cmd_hotspots)
 
     p_gen = sub.add_parser("gen-synthetic", help="emit a deterministic synthetic dataset")
-    p_gen.add_argument("--n-venues", type=int, required=True)
+    p_gen.add_argument("--n-venues", type=_positive_int, required=True)
     p_gen.add_argument("--profile", choices=PROFILES, required=True)
     p_gen.add_argument("--seed", type=_int_at_least(0, "a non-negative integer"), required=True)
     _add_output_flags(p_gen)
@@ -226,10 +226,11 @@ def _resolve_params(args) -> EpiParams:
             values = params_from_mapping({k: v for k, v in pairs.items() if k not in flags})
     values.update(flags)
     if "documented_prevalence" not in values:
-        raise ConfigError(
+        message = (
             "documented prevalence is required: pass --prevalence or set "
             "documented_prevalence in the params file (there is no safe default)"
         )
+        raise ConfigError(f"{args.params}: {message}" if args.params else message)
     return EpiParams(**values)
 
 
@@ -400,9 +401,14 @@ def cmd_gen_synthetic(args) -> int:
     write_venues(table.venues, venue_buf, comment=stamp)
     visit_buf = io.StringIO()
     write_visits(table, visit_buf, comment=stamp)
+    # neither the table nor the buffer outlives its use: the files are written
+    # holding one copy of the visit text
+    del table
+    visits = visit_buf.getvalue()
+    del visit_buf
     out_dir = write_reports(args.out, {
         "venues.csv": venue_buf.getvalue(),
-        "visits.csv": visit_buf.getvalue(),
+        "visits.csv": visits,
         "manifest.json": dump_json(manifest),
     })
 

@@ -113,17 +113,13 @@ def hourly_infections(counts: np.ndarray, volumes: np.ndarray, params: EpiParams
     room. The dose takes the operations of :func:`wells_riley_probability`
     in the same order, without its argument checks, so only ``np.expm1``
     can differ from the scalar form, by at most 1 ulp. Cohorts are
-    independent, so permuting them permutes the output.
+    independent, so permuting them permutes the output. The arrays are
+    one kernel block's records (see :func:`simulate_week`), so the
+    temporaries of these plain expressions stay small.
     """
     infectors = counts * params.effective_prevalence
-    probability = infectors * params.q * params.p * params.t
-    probability /= params.ach * volumes
-    np.expm1(np.negative(probability, out=probability), out=probability)
-    np.minimum(np.negative(probability, out=probability), _BELOW_ONE, out=probability)
-    # the susceptibles overwrite the infectors: two temporaries the size of counts, not three
-    hourly = np.subtract(counts, infectors, out=infectors)
-    hourly *= probability
-    return hourly
+    dose = infectors * params.q * params.p * params.t / (params.ach * volumes)
+    return (counts - infectors) * np.minimum(-np.expm1(-dose), _BELOW_ONE)
 
 
 def simulate_week(sim_input: SimulationInput, params: EpiParams) -> np.ndarray:
@@ -163,10 +159,7 @@ def simulate_week(sim_input: SimulationInput, params: EpiParams) -> np.ndarray:
         stop = min(start + _BLOCK_ROWS, n)
         rows = row[first:last]
         hourly = np.zeros((stop - start, WINDOW_HOURS))
-        cells = rows.astype(np.intp)
-        cells -= start
-        cells *= WINDOW_HOURS
-        cells += hour[first:last]
+        cells = (rows.astype(np.intp) - start) * WINDOW_HOURS + hour[first:last]
         hourly.reshape(-1)[cells] = hourly_infections(count[first:last], volumes[rows], params)
         weekly[start:stop] = hourly.sum(axis=1)
     return weekly

@@ -434,10 +434,7 @@ def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
     if last_cell is None:
         seen = np.zeros(len(ids) * WINDOW_HOURS, dtype=bool)
         for rows in blocks:
-            cells = venues[rows].astype(np.intp)
-            cells *= WINDOW_HOURS
-            cells += hours[rows]
-            seen[cells] = True
+            seen[venues[rows].astype(np.intp) * WINDOW_HOURS + hours[rows]] = True
         # fewer cells set than rows: a duplicate (venue_id, hour) pair
         if np.count_nonzero(seen) != n:
             return None

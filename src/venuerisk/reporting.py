@@ -100,17 +100,11 @@ def write_reports(out_dir: str | Path, reports: Mapping[str, str]) -> Path:
     return out_dir
 
 
-# characters of text encoded per write of atomic_write_text
-_WRITE_CHARS = 1 << 20
-
-
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file + rename so partial outputs never survive.
 
-    The text goes to the file ``_WRITE_CHARS`` characters at a time, so
-    its UTF-8 encoding never takes a second copy of a large report. The
-    file gets the usual ``0o666 & ~umask`` mode; ``mkstemp`` alone would
-    leave it ``0o600``.
+    The text goes to the file in one write. The file gets the usual
+    ``0o666 & ~umask`` mode; ``mkstemp`` alone would leave it ``0o600``.
     """
     path = Path(path)
     umask = os.umask(0)
@@ -118,8 +112,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            for start in range(0, len(text), _WRITE_CHARS):
-                handle.write(text[start:start + _WRITE_CHARS])
+            handle.write(text)
         os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:

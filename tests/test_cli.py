@@ -4,15 +4,20 @@ import math
 import os
 import re
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
 
-from venuerisk import ingest
+from venuerisk import cli, ingest
 from venuerisk.cli import main
 from venuerisk.reporting import TOOL_VERSION, dump_json
 
 SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"
+NO_PREVALENCE = (
+    "documented prevalence is required: pass --prevalence or set "
+    "documented_prevalence in the params file (there is no safe default)"
+)
 
 
 def run_cli(*argv):
@@ -126,7 +131,20 @@ class TestSimulate:
             "--visits", str(small_dataset["visits"]), "--out", str(tmp_path / "x"),
         )
         assert code == 1
-        assert "prevalence" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {NO_PREVALENCE}\n"
+
+    def test_params_file_without_prevalence_names_the_file(self, tmp_path, capsys):
+        # sample_data's params file cut before its last two lines, documented_prevalence among them
+        params = tmp_path / "params.txt"
+        lines = (SAMPLE_DATA / "params.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        params.write_text("".join(lines[:-2]), encoding="utf-8")
+        code = run_cli(
+            "simulate", "--venues", str(SAMPLE_DATA / "venues.csv"),
+            "--visits", str(SAMPLE_DATA / "visits.csv"), "--params", str(params),
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {params}: {NO_PREVALENCE}\n"
 
     def test_overflowing_sampling_factor_names_scenario_and_factor(
         self, small_dataset, tmp_path, capsys
@@ -1076,11 +1094,37 @@ class TestGenSynthetic:
         )
         assert not out.exists()
 
-    def test_bad_n_venues(self, capsys):
+    def test_bad_n_venues(self, tmp_path, capsys):
+        out = tmp_path / "gen"
         assert run_cli(
             "gen-synthetic", "--n-venues", "0", "--profile", "lockdown",
-            "--seed", "1", "--out", "unused",
+            "--seed", "1", "--out", str(out),
         ) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: argument --n-venues: must be a positive integer, got '0'\n"
+        )
+        assert not out.exists()
+
+    def test_generated_table_is_released_before_the_files_are_written(
+        self, tmp_path, monkeypatch
+    ):
+        tables, generate_dataset, write_reports = [], cli.generate_dataset, cli.write_reports
+
+        def generate(config):
+            table = generate_dataset(config)
+            tables.append(weakref.ref(table))
+            return table
+
+        def write(out_dir, reports):
+            assert tables and tables[0]() is None, "the generated table outlives write_visits"
+            return write_reports(out_dir, reports)
+
+        monkeypatch.setattr(cli, "generate_dataset", generate)
+        monkeypatch.setattr(cli, "write_reports", write)
+        assert run_cli(
+            "gen-synthetic", "--n-venues", "30", "--profile", "lockdown",
+            "--seed", "11", "--out", str(tmp_path / "gen"),
+        ) == 0
 
 
 def test_version_flag_prints_the_tool_version(capsys):

