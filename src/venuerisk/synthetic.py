@@ -73,7 +73,9 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
     """Generate a venue table and its visit records, deterministic for a given seed.
 
     The counts are the non-zero Poisson draws, so each is a whole number
-    > 0; no later step checks them again.
+    > 0; no later step checks them again. The record columns are the
+    filled fronts of arrays with one slot per venue-hour, so the unfilled
+    slots take address space but no memory.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n_venues
@@ -85,23 +87,27 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
 
     level = LOCKDOWN_LEVEL if config.profile == "lockdown" else PRE_PANDEMIC_LEVEL
     shape = np.array([DIURNAL_SHAPE[h % 24] for h in range(WINDOW_HOURS)])
-    rows, hours, counts = [], [], []
+    # each column is made once, one slot per venue-hour, and filled from the front:
+    # pages past the last record are never touched, and no per-block arrays are freed
+    # into gaps whose reuse depends on how many records the seed draws
+    rows = np.empty(n * WINDOW_HOURS, INDEX_DTYPE)
+    hours = np.empty(n * WINDOW_HOURS, HOUR_DTYPE)
+    counts = np.empty(n * WINDOW_HOURS)
+    size = 0
     for start in range(0, n, _BLOCK_ROWS):
         rates = BASE_HOURLY_VISITS * level * popularity[start:start + _BLOCK_ROWS, None] * shape
         # drawn in C order, so block after block the draws take the bit stream as one
         # call over every venue's rates would
         draws = rng.poisson(rates)
         cells = np.flatnonzero(draws)
-        rows.append((cells // WINDOW_HOURS + start).astype(INDEX_DTYPE))
-        hours.append((cells % WINDOW_HOURS).astype(HOUR_DTYPE))
-        counts.append(draws.ravel()[cells].astype(float))
+        end = size + cells.size
+        rows[size:end] = cells // WINDOW_HOURS + start
+        hours[size:end] = cells % WINDOW_HOURS
+        counts[size:end] = draws.ravel()[cells]
+        size = end
 
     categories = tuple(np.where(is_bar, "drinking_place", "restaurant").tolist())
     ids = tuple(f"v{i:05d}" for i in range(n))
     names = tuple(f"Synthetic {c.replace('_', ' ')} {i:05d}" for i, c in enumerate(categories))
     venues = VenueTable(ids, names, categories, areas)
-    columns = []
-    for blocks in (rows, hours, counts):  # one column at a time, each freeing its blocks
-        columns.append(np.concatenate(blocks))
-        blocks.clear()
-    return SimulationInput(venues, *columns)
+    return SimulationInput(venues, rows[:size], hours[:size], counts[:size])
