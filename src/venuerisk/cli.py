@@ -111,6 +111,13 @@ def _timestamp(text: str) -> str:
     return text
 
 
+def _output_dir(text: str) -> str:
+    # a NUL would reach mkdir, whose ValueError names neither the flag nor the path
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(f"a path cannot hold a NUL byte, got {text!r}")
+    return text
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
@@ -159,7 +166,7 @@ def _add_report_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", required=True, help="output directory")
+    sub.add_argument("--out", type=_output_dir, required=True, help="output directory")
     sub.add_argument(
         "--timestamp",
         type=_timestamp,
@@ -247,11 +254,14 @@ def _load_base_input(args) -> SimulationInput:
 
 
 def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str]):
-    """Run each scenario over the shared inputs.
+    """Run each scenario over the shared inputs, in order.
 
-    Returns the resolved params, the venue table, each config's weekly
-    expected infections in venue-table order, and the manifest over
-    every input file (the scenario files in ``config_paths`` included).
+    The baseline records are dropped once the last scenario that reads
+    them has run: the scenarios after it, and the reports, get the venue
+    table with no records. Returns the resolved params, the venue table,
+    each config's weekly expected infections in venue-table order, and
+    the manifest over every input file (the scenario files in
+    ``config_paths`` included).
     """
     params = _resolve_params(args)
     baseline = _load_base_input(args)
@@ -260,7 +270,13 @@ def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str])
             raise ConfigError(
                 f"scenario {config.name!r} uses the baseline visit source but --visits was not given"
             )
-    weeklies = [run_scenario(baseline, config, params) for config in configs]
+    last_reader = max((i for i, c in enumerate(configs) if c.visit_source == BASELINE), default=-1)
+    weeklies = []
+    for i, config in enumerate(configs):
+        weeklies.append(run_scenario(baseline, config, params))
+        if i == last_reader:
+            empty = VisitRecords()
+            baseline = SimulationInput(baseline.venues, empty.venue, empty.hour, empty.count)
 
     input_paths = [args.venues, *config_paths, *([args.visits] if args.visits else [])]
     input_paths += [c.visit_source for c in configs if c.visit_source != BASELINE]

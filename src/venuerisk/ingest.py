@@ -32,8 +32,9 @@ functions read and write the streams they are given. An input file is
 decoded as it is read, and bytes that are not UTF-8 are an error naming
 the file. A parsed venue file is one :class:`VenueTable` of columns
 (ids, names, categories and float64 floor areas in m2) in file order,
-and a parsed visit file is one :class:`VisitRecords`. :func:`join` maps
-each distinct visit id to its venue row and gives one
+and a parsed visit file is one :class:`VisitRecords`. :func:`join` looks
+each venue id up in the visit file's own id dict, built while the file
+was parsed, so no dict of the venue table is made; it gives one
 :class:`SimulationInput`: the venue table plus one record (venue-table
 row, hour, count) per visit row, with no venue-hour matrix. An hour
 without a record had no visits. :func:`load_visits` parses a visit file
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -120,11 +121,6 @@ class VenueTable:
 
     def __iter__(self):
         return iter(self.ids)
-
-    @functools.cached_property
-    def row_of(self) -> dict[str, int]:
-        """Each venue id's row, built on first use."""
-        return dict(zip(self.ids, range(len(self.ids))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -603,23 +599,27 @@ def load_visits(path: str | Path, venues: VenueTable) -> SimulationInput:
 def join(venues: VenueTable, visits: VisitRecords) -> SimulationInput:
     """Join a venue table and visit records into a :class:`SimulationInput`.
 
-    Each distinct visit id is looked up in the venue table once, and
-    each record takes the row of its id; the hours and counts are the
-    records' own arrays, not copies. Venues with no record had no visits,
-    so venue results stay aligned across scenarios. No venue is dropped
-    and no count is invented.
+    Each venue id is looked up once in ``visits.ids``, the dict the
+    parser built, and the row of each venue found is put at its id's
+    index; each record then takes the row of its id. The hours and
+    counts are the records' own arrays, not copies. Venues with no record
+    had no visits, so venue results stay aligned across scenarios. No
+    venue is dropped and no count is invented.
 
     Raises:
-        DatasetError: a visit record references an unknown venue_id; the
-            message lists the unknown ids in sorted order, up to ten of
-            them.
+        DatasetError: a visit record references an unknown venue_id, one
+            that no venue id matched; the message lists the unknown ids
+            in sorted order, up to ten of them.
     """
-    row_of = venues.row_of
-    unknown = sorted(vid for vid in visits.ids if vid not in row_of)
-    if unknown:
+    # each venue's index among the visit ids, -1 where it has no visits
+    index = np.fromiter(map(visits.ids.get, venues.ids, itertools.repeat(-1)), np.intp, len(venues))
+    found = index >= 0
+    rows = np.full(len(visits.ids), -1, INDEX_DTYPE)
+    rows[index[found]] = np.flatnonzero(found)
+    if (rows < 0).any():
+        unknown = sorted(vid for vid, row in zip(visits.ids, rows.tolist()) if row < 0)
         shown = ", ".join(repr(u) for u in unknown[:10]) + (", ..." if len(unknown) > 10 else "")
         raise DatasetError(f"visit series reference {len(unknown)} unknown venue id(s): {shown}")
-    rows = np.fromiter(map(row_of.__getitem__, visits.ids), INDEX_DTYPE, len(visits.ids))
     return SimulationInput(venues, rows[visits.venue], visits.hour, visits.count)
 
 

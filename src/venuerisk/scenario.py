@@ -7,7 +7,8 @@ the same pipeline order, each step one array expression over the visit
 records:
 
     1. select the visit source: the baseline records, joined once when
-       the run loaded them, or a visit file, parsed and joined when the
+       the run loaded them and dropped once the last scenario that reads
+       them has run, or a visit file, parsed and joined when the
        scenario runs; either way each record has its venue-table row
     2. apply the sampling factor to the records:      count * factor
        (a visit file's counts are the scenario's own and are scaled in

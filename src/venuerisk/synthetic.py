@@ -106,7 +106,8 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
         counts[size:end] = draws.ravel()[cells]
         size = end
 
-    categories = tuple(np.where(is_bar, "drinking_place", "restaurant").tolist())
+    # one string object per category, shared by its rows, as in a parsed table
+    categories = tuple(map(("restaurant", "drinking_place").__getitem__, is_bar.tolist()))
     ids = tuple(f"v{i:05d}" for i in range(n))
     names = tuple(f"Synthetic {c.replace('_', ' ')} {i:05d}" for i, c in enumerate(categories))
     venues = VenueTable(ids, names, categories, areas)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from venuerisk import cli, ingest
+from venuerisk import cli, ingest, scenario
 from venuerisk.cli import main
 from venuerisk.reporting import TOOL_VERSION, dump_json
 
@@ -1125,6 +1125,62 @@ class TestGenSynthetic:
             "gen-synthetic", "--n-venues", "30", "--profile", "lockdown",
             "--seed", "11", "--out", str(tmp_path / "gen"),
         ) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "gen-synthetic"])
+def test_nul_in_out_names_the_flag_and_the_path(command, small_dataset, tmp_path, capsys):
+    out = str(tmp_path / "o\0ut")
+    argv = simulate_args(small_dataset, out) if command == "simulate" else [
+        "gen-synthetic", "--n-venues", "5", "--profile", "lockdown", "--seed", "1", "--out", out,
+    ]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --out: a path cannot hold a NUL byte, got {out!r}\n"
+    )
+
+
+class TestBaselineLifetime:
+    """The baseline records are dropped once the last scenario that reads them has run."""
+
+    def _run(self, monkeypatch, names):
+        # a weak reference to the baseline counts, and whether it is alive at each step
+        events, baseline = [], []
+        cli_load, scenario_load, run = cli.load_visits, scenario.load_visits, cli.run_scenario
+
+        def load_baseline(path, venues):
+            table = cli_load(path, venues)
+            baseline.append(weakref.ref(table.count))
+            return table
+
+        def load_own_file(path, venues):
+            events.append(("load_visits", baseline[0]() is not None))
+            return scenario_load(path, venues)
+
+        def run_one(base, config, params):
+            events.append((config.name, baseline[0]() is not None))
+            return run(base, config, params)
+
+        monkeypatch.setattr(cli, "load_visits", load_baseline)
+        monkeypatch.setattr(scenario, "load_visits", load_own_file)
+        monkeypatch.setattr(cli, "run_scenario", run_one)
+        paths = [str(SAMPLE_DATA / f"scenario_{name}.txt") for name in names]
+        args = cli.build_parser().parse_args([
+            "compare", "--venues", str(SAMPLE_DATA / "venues.csv"),
+            "--visits", str(SAMPLE_DATA / "visits.csv"), "--params", str(SAMPLE_DATA / "params.txt"),
+            "--scenario-a", paths[0], "--scenario-b", paths[1], "--out", "unused",
+        ])
+        cli._run_scenarios(args, [scenario.load_scenario_config(path) for path in paths], paths)
+        return events, baseline[0]() is not None
+
+    def test_released_before_a_later_scenario_loads_its_own_file(self, monkeypatch):
+        events, alive = self._run(monkeypatch, ["lockdown", "reopened"])
+        assert events == [("lockdown", True), ("reopened", False), ("load_visits", False)]
+        assert not alive
+
+    def test_kept_until_a_later_baseline_scenario_has_run(self, monkeypatch):
+        events, alive = self._run(monkeypatch, ["reopened", "lockdown"])
+        assert events == [("reopened", True), ("load_visits", True), ("lockdown", True)]
+        assert not alive
 
 
 def test_version_flag_prints_the_tool_version(capsys):

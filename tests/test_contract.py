@@ -37,9 +37,6 @@ GEN_ARGUMENTS = {
     "--n-venues": "5", "--profile": PROFILES[0], "--seed": "7",
     "--out": "out", "--timestamp": "2020-03-16T00:00:00",
 }
-# a NUL in --out reaches mkdir, whose ValueError names neither the flag nor the path:
-# an open defect of every command's --out, pinned here until it is mended
-NUL_IN_OUT = "error: embedded null byte\n"
 
 BYTES = [b"\0", b"\xff", b"\xef\xbb\xbf", b'"', b"#", b",", b"=", b"\n", b"\r", b" ", b"-", b"."]
 NUMBERS = [
@@ -205,6 +202,7 @@ def gen_arguments(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(gen_arguments())
 @example(("--n-venues", dict(GEN_ARGUMENTS, **{"--n-venues": "0"})))
+@example(("--out", dict(GEN_ARGUMENTS, **{"--out": "o\0ut"})))
 def test_a_mutated_gen_synthetic_argument_fails_cleanly_naming_the_flag(mutated_arguments):
     flag, arguments = mutated_arguments
     with tempfile.TemporaryDirectory() as tmp:
@@ -213,5 +211,4 @@ def test_a_mutated_gen_synthetic_argument_fails_cleanly_naming_the_flag(mutated_
         assume(out == tmp or out.startswith(tmp + os.sep))
         argv = ["gen-synthetic", *(item for pair in {**arguments, "--out": out}.items() for item in pair)]
         code, message = run_main(argv)
-    if not (flag == "--out" and message == NUL_IN_OUT):
-        assert_fails_cleanly(code, message, [flag, out])
+    assert_fails_cleanly(code, message, [flag, out])

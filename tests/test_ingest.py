@@ -537,6 +537,28 @@ class TestJoin:
         assert "'g09'" in message and "'g10'" not in message
         assert message.endswith(", ...")
 
+    def test_unknown_ids_message_is_sorted_and_cut_at_ten(self):
+        # known ids among the unknown ones, which come in reverse order in the file
+        venues = self._venues("v1", "v2", "v3")
+        visits = visit_records({
+            **{f"g{i:02d}": {3: 1.0} for i in range(11, -1, -1)}, "v2": {5: 2.0}, "z1": {0: 1.0},
+        })
+        with pytest.raises(DatasetError) as info:
+            join(venues, visits)
+        assert str(info.value) == (
+            "visit series reference 13 unknown venue id(s): 'g00', 'g01', 'g02', 'g03', "
+            "'g04', 'g05', 'g06', 'g07', 'g08', 'g09', ..."
+        )
+
+    def test_table_larger_than_the_file_and_in_another_order(self):
+        # the file names three of six venues, in an order of its own
+        venues = self._venues("a", "b", "c", "d", "e", "f")
+        visits = visit_records({"e": {0: 1.0, 7: 2.0}, "b": {1: 3.0}, "f": {2: 4.0}})
+        sim = join(venues, visits)
+        assert sim.row.tolist() == [4, 4, 1, 5]
+        assert sim.hour is visits.hour and sim.count is visits.count
+        assert dense_counts(sim).sum(axis=1).tolist() == [0.0, 3.0, 0.0, 0.0, 3.0, 4.0]
+
     def test_full_size_join(self):
         ids = [f"v{i}" for i in range(1034)]
         venues = self._venues(*ids)

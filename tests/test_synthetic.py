@@ -36,6 +36,12 @@ def test_same_seed_same_dataset():
         assert np.array_equal(getattr(first, column), getattr(second, column))
 
 
+def test_generated_table_shares_one_string_per_category():
+    venues = generate_dataset(GeneratorConfig(n_venues=200, profile="lockdown", seed=7)).venues
+    assert len(set(map(id, venues.categories))) == 2
+    assert set(venues.categories) == {"restaurant", "drinking_place"}
+
+
 def test_same_seed_byte_identical_files():
     config = GeneratorConfig(n_venues=40, profile="pre_pandemic", seed=3)
     blobs = []
