@@ -12,7 +12,9 @@ Usage:
 The analysis window is one week (168 hours). Parameters come from
 ``--prevalence`` and an optional ``key = value`` params file
 (``--params``), which can set every ``EpiParams`` field; the documented
-prevalence is mandatory because no safe default exists for it.
+prevalence is mandatory because no safe default exists for it. The
+params apply to every scenario of a run: a scenario file sets its visit
+source and corrections, never a parameter.
 
 Exit codes: 0 success, 1 validation or config error, 2 I/O error.
 """
@@ -28,7 +30,7 @@ import sys
 from datetime import datetime
 
 from .epi import EpiParams, count_severities
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, error_context
 from .ingest import (
     AREA_UNITS,
     HOTSPOT_COLUMNS,
@@ -223,7 +225,7 @@ def _resolve_params(args) -> EpiParams:
     """Merge the params file and ``--prevalence`` into a validated EpiParams; the flag wins.
 
     A bad value from the file is reported under the file's name, a bad
-    flag value without it. A file key that the flag overrides is never read.
+    flag value under the flag's. A file key that the flag overrides is never read.
     """
     flags = {} if args.prevalence is None else {"documented_prevalence": args.prevalence}
     values: dict[str, float] = {}
@@ -238,7 +240,10 @@ def _resolve_params(args) -> EpiParams:
             "documented_prevalence in the params file (there is no safe default)"
         )
         raise ConfigError(f"{args.params}: {message}" if args.params else message)
-    return EpiParams(**values)
+    try:
+        return EpiParams(**values)
+    except ValueError as exc:  # the file's values are checked above, so the flag's is bad
+        raise ConfigError(f"argument --prevalence: {exc}") from None
 
 
 def _load_base_input(args) -> SimulationInput:
@@ -289,13 +294,17 @@ def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str])
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    spacing = parse_spacing(args.spacing) if args.spacing else None
-    config = ScenarioConfig(
-        name="simulate",
-        visit_source=BASELINE,
-        sampling_factor=args.sampling_factor,
-        spacing=spacing,
-    )
+    with error_context("argument --spacing"):
+        spacing = None if args.spacing is None else parse_spacing(args.spacing)
+    try:
+        config = ScenarioConfig(
+            name="simulate",
+            visit_source=BASELINE,
+            sampling_factor=args.sampling_factor,
+            spacing=spacing,
+        )
+    except ValueError as exc:  # parse_spacing has checked the spacing
+        raise ConfigError(f"argument --sampling-factor: {exc}") from None
     params, venues, (weekly,), manifest = _run_scenarios(args, [config], [])
     mhash = manifest["manifest_sha256"]
 

@@ -123,6 +123,20 @@ class VenueTable:
         return iter(self.ids)
 
 
+def _check_records(index, hour, count, rows: int, what: str) -> None:
+    """Check three record columns: one length, each index below ``rows``, each hour in the window.
+
+    ``what`` names the indexed rows in the error message.
+    """
+    shapes = [np.shape(column) for column in (index, hour, count)]
+    if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
+        raise ValueError(f"record columns must be vectors of one length, got shapes {shapes}")
+    if shapes[0][0] and not (
+        0 <= index.min() and index.max() < rows and 0 <= hour.min() and hour.max() < WINDOW_HOURS
+    ):
+        raise ValueError(f"records must index the {rows} {what} and the {WINDOW_HOURS}-hour window")
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationInput:
     """A venue table and its visit records, one entry per record in each column.
@@ -143,17 +157,7 @@ class SimulationInput:
     count: np.ndarray
 
     def __post_init__(self):
-        shapes = [np.shape(column) for column in (self.row, self.hour, self.count)]
-        if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
-            raise ValueError(f"record columns must be vectors of one length, got shapes {shapes}")
-        if shapes[0][0] and not (
-            0 <= self.row.min() and self.row.max() < len(self.venues)
-            and 0 <= self.hour.min() and self.hour.max() < WINDOW_HOURS
-        ):
-            raise ValueError(
-                f"records must index the {len(self.venues)} venue rows and the "
-                f"{WINDOW_HOURS}-hour window"
-            )
+        _check_records(self.row, self.hour, self.count, len(self.venues), "venue rows")
 
     @property
     def window_hours(self) -> int:
@@ -185,17 +189,7 @@ class VisitRecords:
     count: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
-        n = len(self.venue)
-        if not (np.shape(self.venue) == np.shape(self.hour) == np.shape(self.count) == (n,)):
-            raise ValueError("every visit column must have one entry per record")
-        if n and not (
-            0 <= self.venue.min() and self.venue.max() < len(self.ids)
-            and 0 <= self.hour.min() and self.hour.max() < WINDOW_HOURS
-        ):
-            raise ValueError(
-                f"visit records must index their {len(self.ids)} ids and the "
-                f"{WINDOW_HOURS}-hour window"
-            )
+        _check_records(self.venue, self.hour, self.count, len(self.ids), "ids")
 
     def __contains__(self, venue_id) -> bool:
         return venue_id in self.ids

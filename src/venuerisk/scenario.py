@@ -1,10 +1,10 @@
 """Counterfactual policy scenarios over a venue table and its visit records.
 
 A scenario names its visit source (the baseline records or an alternate
-visit file), a panel-sampling factor, an optional physical-distancing
-spacing, and optional parameter overrides. Running one always follows
-the same pipeline order, each step one array expression over the visit
-records:
+visit file), a panel-sampling factor and an optional physical-distancing
+spacing; every scenario of a run shares the run's one set of parameters.
+Running one always follows the same pipeline order, each step one array
+expression over the visit records:
 
     1. select the visit source: the baseline records, joined once when
        the run loaded them and dropped once the last scenario that reads
@@ -15,8 +15,7 @@ records:
        place; the baseline's, shared by every scenario, into a copy)
     3. cap each record at its venue's distanced occupancy (if spacing
        is set):                       minimum(count, cap[row])
-    4. merge parameter overrides
-    5. simulate the window, with room volumes from the merged parameters;
+    4. simulate the window, with room volumes from the run's parameters;
        the weekly values and their total must be finite
 
 Scenario config files use one ``key = value`` pair per line. A ``#``
@@ -27,11 +26,8 @@ such as ``data#1.csv`` stays whole. Recognized keys:
     visits = baseline               # or a path to a visit CSV
     sampling_factor = 10
     spacing = 6ft                   # unit suffix required: ft or m
-    param.q = 25                    # any EpiParams field
 
-Each ``param.*`` override is checked by :func:`params_from_mapping` when
-the file is read, so a bad value fails before any venue or visit file is
-opened, with an error naming the file and the scenario.
+Any other key is an error naming the file.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, TextIO
 
@@ -58,24 +54,18 @@ _COMMENT_RE = re.compile(r"(?:^|\s)#")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One named counterfactual: visit source, corrections, and overrides."""
+    """One named counterfactual: its visit source and the corrections applied to it."""
 
     name: str
     visit_source: str = BASELINE  # BASELINE or a visit-file path
     sampling_factor: float = 10.0
     spacing: float | None = None  # exclusion spacing in m; None disables capping
-    params_override: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (math.isfinite(self.sampling_factor) and self.sampling_factor > 0):
             raise ValueError(f"sampling_factor must be positive, got {self.sampling_factor}")
         if self.spacing is not None and not (math.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError(f"spacing must be positive, got {self.spacing}")
-        unknown = set(self.params_override) - _PARAM_FIELDS
-        if unknown:
-            raise ConfigError(
-                "unknown parameter override(s): " + ", ".join(sorted(unknown))
-            )
 
 
 def max_distanced_occupancy(area, spacing: float):
@@ -124,8 +114,6 @@ def run_scenario(baseline: SimulationInput, config: ScenarioConfig, params: EpiP
     makes a count, a weekly value or the weekly total overflow, and an
     infection dose of inf/inf or 0/0, which makes a weekly value NaN;
     these are checked so that every report can sum the values.
-    Overrides are checked when a scenario file is read; one set in code
-    that ``EpiParams`` rejects raises ``ValueError`` here.
     """
     with error_context(f"scenario {config.name!r}"):
         if config.visit_source == BASELINE:
@@ -138,11 +126,10 @@ def run_scenario(baseline: SimulationInput, config: ScenarioConfig, params: EpiP
             caps = max_distanced_occupancy(sim_input.venues.areas, config.spacing)
             np.minimum(sim_input.count, caps[sim_input.row], out=sim_input.count)
 
-        effective_params = dataclasses.replace(params, **config.params_override)
         # a dose that overflows, or whose air flow underflows to 0, is certain infection;
         # inf/inf and 0/0 doses are NaN, and both outcomes are checked below
         with np.errstate(all="ignore"):
-            weekly = simulate_week(sim_input, effective_params)
+            weekly = simulate_week(sim_input, params)
         if np.isnan(weekly).any():
             raise ConfigError(
                 f"sampling factor {config.sampling_factor!r}, the venue areas and the parameters "
@@ -182,9 +169,11 @@ def parse_spacing(text: str) -> float:
         value = float(match.group(1))
     except ValueError:
         raise ConfigError(f"spacing {text!r} has a malformed number") from None
-    if not (math.isfinite(value) and value > 0):
+    meters = value * FT_TO_M if match.group(2) == "ft" else value
+    # checked in meters: a positive number of feet can round to 0 m
+    if not (math.isfinite(meters) and meters > 0):
         raise ConfigError(f"spacing must be positive, got {text!r}")
-    return value * FT_TO_M if match.group(2) == "ft" else value
+    return meters
 
 
 def read_keyvalue(source: TextIO) -> dict[str, str]:
@@ -236,7 +225,7 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
 
     Relative visit paths resolve against the config file's directory.
     Keys the file leaves out take ``ScenarioConfig``'s defaults. Errors
-    name the file, and an override's error names the scenario too.
+    name the file.
     """
     path = Path(path)
     with open_input(path) as handle:
@@ -257,10 +246,6 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
                 raise ConfigError(f"sampling_factor {raw!r} is not a number") from None
         if "spacing" in pairs:
             settings["spacing"] = parse_spacing(pairs.pop("spacing"))
-        with error_context(f"scenario {name!r}: invalid parameter override"):
-            settings["params_override"] = params_from_mapping(
-                {k.removeprefix("param."): pairs.pop(k) for k in list(pairs) if k.startswith("param.")}
-            )
         if pairs:
             raise ConfigError("unknown scenario key(s): " + ", ".join(sorted(pairs)))
 

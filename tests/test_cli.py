@@ -291,9 +291,31 @@ class TestSimulate:
         assert run_cli(*args) == 0
         capsys.readouterr()
         assert run_cli(*args, "--prevalence", "2") == 1
-        err = capsys.readouterr().err
-        assert "documented_prevalence must be in [0, 1], got 2.0" in err
-        assert str(params) not in err
+        assert capsys.readouterr().err == (
+            "error: argument --prevalence: documented_prevalence must be in [0, 1], got 2.0\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--sampling-factor", "0", "sampling_factor must be positive, got 0.0"),
+            ("--spacing", "0ft", "spacing must be positive, got '0ft'"),
+            # an empty spacing once turned distancing off
+            (
+                "--spacing", "", "spacing '' must be a number with a unit suffix, e.g. 6ft or 1.8288m"
+            ),
+        ],
+        ids=["sampling-factor", "spacing", "empty-spacing"],
+    )
+    def test_rejected_flag_value_names_the_flag(
+        self, small_dataset, tmp_path, capsys, flag, value, message
+    ):
+        out = tmp_path / "x"
+        assert run_cli(*simulate_args(small_dataset, out, f"{flag}={value}")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: argument {flag}: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_empty_visit_file_names_the_file(self, small_dataset, tmp_path, capsys):
         empty = tmp_path / "empty_visits.csv"
@@ -491,23 +513,9 @@ class TestCompare:
         assert code == 1
         assert "baseline" in capsys.readouterr().err
 
-    def test_rejected_override_names_the_scenario(self, small_dataset, tmp_path, capsys):
-        a, _ = self._scenarios(tmp_path, small_dataset)
-        neg = tmp_path / "neg.txt"
-        neg.write_text("name = negative_q\nparam.q = -1\n", encoding="utf-8")
-        code = run_cli(
-            "compare", "--venues", str(small_dataset["venues"]),
-            "--visits", str(small_dataset["visits"]),
-            "--scenario-a", str(a), "--scenario-b", str(neg),
-            "--prevalence", "0.001", "--out", str(tmp_path / "x"),
-        )
-        assert code == 1
-        assert "scenario 'negative_q': invalid parameter override: q must be positive" in (
-            capsys.readouterr().err
-        )
-
-    def test_rejected_override_fails_before_reading(self, small_dataset, tmp_path, capsys):
-        # the inputs name missing files, so exit 1 (not the i/o error's 2) shows none was read
+    def test_param_key_is_an_unknown_scenario_key(self, small_dataset, tmp_path, capsys):
+        # every scenario runs on the one set of params; the inputs name missing files, so
+        # exit 1 (not the i/o error's 2) shows that none was read
         a, _ = self._scenarios(tmp_path, small_dataset)
         neg = tmp_path / "neg.txt"
         neg.write_text("name = negative_q\nparam.q = -1\n", encoding="utf-8")
@@ -519,10 +527,7 @@ class TestCompare:
             "--prevalence", "0.001", "--out", str(out),
         )
         assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: {neg}: scenario 'negative_q': invalid parameter override: "
-            "q must be positive and finite, got -1.0\n"
-        )
+        assert capsys.readouterr().err == f"error: {neg}: unknown scenario key(s): param.q\n"
         assert not out.exists()
 
     def test_overflowing_sampling_factor_names_scenario_and_factor(
@@ -729,19 +734,21 @@ class TestCompare:
 
 
 # the SHA-256 of every report on sample_data/, recorded before visit files were parsed
-# into records; a change that alters any report byte must update these on purpose
+# into records; a change that alters any report byte must update these on purpose. Both
+# tables were recorded again when the scenario configs lost their parameter overrides,
+# which changed the manifest, its hash and each report's stamp, but no other byte
 GOLDEN_REPORTS = {
     "simulate": {
-        "histogram.csv": "3cd03b42608e4562ab2bfecde7d8daf6bb80a0a860e825c514138594228d1511",
-        "manifest.json": "22c0167c4011cec38fd47d9b213bdd43166391b4d903074d9fc991205883c192",
-        "summary.json": "173f78a0517994d0de4820c6f02e9a1e781e479f0b23403ca86154030285e836",
-        "venue_results.csv": "2e370c95620287b75654ce88198b4b6221739971aea1004b39404be1b32dd10b",
+        "histogram.csv": "5473d6c54a1160ad037e64ef2c18218679ba221a48a25e212971d277280a7e0c",
+        "manifest.json": "081feb20900fa627d049a46d5f8a81a2ac84a46e53a5923cae14093e56a621b0",
+        "summary.json": "7511c62327563a9e1a7d2307dad439e0f7c2ab1843c5cad6a8b1e8e935c1599e",
+        "venue_results.csv": "42fbbea6daf283b2156d7c3f8c4806c27bee95ffeedbaca42f23ca0e26c0b3a1",
     },
     "compare": {
-        "comparison.json": "1f5e30e6cbe641134c3c29562550dbe69ad6f30ced3b4626dbe15e4c016c37d2",
-        "histogram_a.csv": "84d40259e72c86966ce39fd4472ca199b03a4cefa8c0f81b2722ae7f86175f98",
-        "histogram_b.csv": "5ea593aaf7e3eb41523b8955352329bc231987fc980c5aa065409938547eb405",
-        "manifest.json": "1511b2eee6241f15da084fa8e14bb73ebd689177c44a73712840ca4a354d77de",
+        "comparison.json": "358c8dc0f8616940c426e572c028a3b29df7356ee6204a98341c9d113e2c2116",
+        "histogram_a.csv": "936d18f2b39cf9562e5308966b11aeb899d165e4a886c5600650a3310b3c572f",
+        "histogram_b.csv": "564bd6bb9245a5c8c351c117f73c49e9782c5f79acc9017b47fddf8b17fbf1d8",
+        "manifest.json": "bfcd3bf4d47c81f41f2fc3e9aadca7e1bcf1ed1b8bfc30f10a23b47f3ffb1ea8",
     },
 }
 GOLDEN_ARGS = {
@@ -770,16 +777,16 @@ def test_sample_data_reports_match_recorded_digests(command, tmp_path, monkeypat
 # binned values
 GOLDEN_LOG10_REPORTS = {
     "simulate": {
-        "histogram.csv": "5fbf0cd756d429de231b1f76e7f4735c0eb08a477f7e8a377a41756db058ff63",
-        "manifest.json": "22c0167c4011cec38fd47d9b213bdd43166391b4d903074d9fc991205883c192",
-        "summary.json": "bb121e691b5c1422b374d966ada92e55852b5d7233740b3996c7c0eb579e3522",
-        "venue_results.csv": "2e370c95620287b75654ce88198b4b6221739971aea1004b39404be1b32dd10b",
+        "histogram.csv": "be01e81477a320d59b03d6b7c1bedca09fe9c38806e0d5caea72a0e9b2c85fe8",
+        "manifest.json": "081feb20900fa627d049a46d5f8a81a2ac84a46e53a5923cae14093e56a621b0",
+        "summary.json": "46360a7201c02132075bcea2e72cbcb66e56b8f00ea4163c87461abde032fd40",
+        "venue_results.csv": "42fbbea6daf283b2156d7c3f8c4806c27bee95ffeedbaca42f23ca0e26c0b3a1",
     },
     "compare": {
-        "comparison.json": "981473d26eede19a1173b988dcc914e1c339736e4a6679a1de91b42a9cd3c4d9",
-        "histogram_a.csv": "f2c7092fb3fdb1083e5c713ba793e75aef0839d1794c599fc04ebf76f3b4bf55",
-        "histogram_b.csv": "0ea4cd0bb9e47f0aa8b33fabbab42b0e1d2eed3f738bd3ef32c3c68ea41db105",
-        "manifest.json": "1511b2eee6241f15da084fa8e14bb73ebd689177c44a73712840ca4a354d77de",
+        "comparison.json": "882858480331bc970058706395a177ac60f892a98bfa3cf5f337d94517051708",
+        "histogram_a.csv": "0b4e0a1567d8a1e414f14ca8e80e1f35424b97ac8be38cf456f5971c33924857",
+        "histogram_b.csv": "73f283b8e78855d5080c8336e4abb04dbb5d0ba00a72769be4e32f85e34f0d28",
+        "manifest.json": "bfcd3bf4d47c81f41f2fc3e9aadca7e1bcf1ed1b8bfc30f10a23b47f3ffb1ea8",
     },
 }
 

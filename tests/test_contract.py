@@ -2,13 +2,13 @@
 
 One input of a run is mutated at a time: a file of ``sample_data/`` for ``simulate``
 or ``compare``, the ``venue_results.csv`` of a ``simulate`` run on it for
-``hotspots``, or the text of one ``gen-synthetic`` argument. The mutations are byte
-edits, inserted NUL, 0xff, BOM, quote, ``#`` and line-end bytes, huge and non-finite
-numbers, deletions, truncation and text spliced in from the sample files. Whatever
-the input holds, ``main`` returns 0, 1 or 2 and no traceback reaches stderr, and a
-validation error (exit 1) is one ``error: `` line naming the mutated file, a scenario
-that reads it, or the mutated flag. Examples are derandomized, so every run checks
-the same cases.
+``hotspots``, or the text of one ``simulate`` or ``gen-synthetic`` argument. The
+mutations are byte edits, inserted NUL, 0xff, BOM, quote, ``#`` and line-end bytes,
+huge and non-finite numbers, deletions, truncation and text spliced in from the
+sample files. Whatever the input holds, ``main`` returns 0, 1 or 2 and no traceback
+reaches stderr, and a validation error (exit 1) is one ``error: `` line naming the
+mutated file, a scenario that reads it, or the mutated flag. Examples are
+derandomized, so every run checks the same cases.
 """
 
 import contextlib
@@ -24,7 +24,9 @@ from hypothesis import strategies as st
 
 from venuerisk.errors import InputError
 from venuerisk.cli import main
+from venuerisk.ingest import AREA_UNITS
 from venuerisk.scenario import BASELINE, ScenarioConfig, load_scenario_config
+from venuerisk.stats import Scale
 from venuerisk.synthetic import PROFILES
 
 SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"
@@ -32,11 +34,19 @@ ORIGINALS = {path.name: path.read_bytes() for path in sorted(SAMPLE_DATA.iterdir
 # the files simulate reads; compare reads them and its scenario files too
 BASE_FILES = ("venues.csv", "visits.csv", "params.txt")
 VISIT_FILES = ("visits.csv", "visits_2019.csv")
-# the value of each gen-synthetic flag before it is mutated
+# the value of each gen-synthetic and simulate flag before it is mutated; a flag with a
+# choice of values starts at one of them
 GEN_ARGUMENTS = {
     "--n-venues": "5", "--profile": PROFILES[0], "--seed": "7",
     "--out": "out", "--timestamp": "2020-03-16T00:00:00",
 }
+GEN_CHOICES = {"--profile": PROFILES}
+SIMULATE_ARGUMENTS = {
+    "--prevalence": "0.001", "--sampling-factor": "10", "--spacing": "6ft", "--threshold": "1.0",
+    "--bins": "20", "--scale": Scale.LINEAR.value, "--area-unit": "m2",
+    "--timestamp": "2020-03-16T00:00:00",
+}
+SIMULATE_CHOICES = {"--scale": [scale.value for scale in Scale], "--area-unit": list(AREA_UNITS)}
 
 BYTES = [b"\0", b"\xff", b"\xef\xbb\xbf", b'"', b"#", b",", b"=", b"\n", b"\r", b" ", b"-", b"."]
 NUMBERS = [
@@ -180,7 +190,7 @@ def test_a_mutated_results_file_fails_cleanly_naming_it(data):
 
 
 def small_count(text: str) -> bool:
-    """False for a --n-venues text that reads as more than a thousand venues."""
+    """False for a count text (venues, bins) that reads as more than a thousand."""
     try:
         return int(text) <= 1000
     except ValueError:
@@ -188,19 +198,24 @@ def small_count(text: str) -> bool:
 
 
 @st.composite
-def gen_arguments(draw):
-    """(a gen-synthetic flag, the text of every flag with that one's mutated)."""
-    arguments = dict(GEN_ARGUMENTS, **{"--profile": draw(st.sampled_from(PROFILES))})
+def mutated_arguments(draw, defaults: dict, choices: dict, count_flag: str):
+    """(a flag of ``defaults``, the text of every flag with that one's mutated).
+
+    Each flag of ``choices`` starts at one of its values. ``count_flag`` sets how much
+    the run allocates, so its mutated value stays small.
+    """
+    arguments = dict(defaults)
+    arguments.update((flag, draw(st.sampled_from(values))) for flag, values in choices.items())
     flag = draw(st.sampled_from(sorted(arguments)))
     # argv text is the command line's bytes, decoded as Python decodes them
     arguments[flag] = draw(mutated_bytes(arguments[flag].encode())).decode("utf-8", "surrogateescape")
     # a huge count would ask for more memory than exists: not an input-contract case
-    assume(flag != "--n-venues" or small_count(arguments[flag]))
+    assume(flag != count_flag or small_count(arguments[flag]))
     return flag, arguments
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(gen_arguments())
+@given(mutated_arguments(GEN_ARGUMENTS, GEN_CHOICES, "--n-venues"))
 @example(("--n-venues", dict(GEN_ARGUMENTS, **{"--n-venues": "0"})))
 @example(("--out", dict(GEN_ARGUMENTS, **{"--out": "o\0ut"})))
 def test_a_mutated_gen_synthetic_argument_fails_cleanly_naming_the_flag(mutated_arguments):
@@ -212,3 +227,26 @@ def test_a_mutated_gen_synthetic_argument_fails_cleanly_naming_the_flag(mutated_
         argv = ["gen-synthetic", *(item for pair in {**arguments, "--out": out}.items() for item in pair)]
         code, message = run_main(argv)
     assert_fails_cleanly(code, message, [flag, out])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mutated_arguments(SIMULATE_ARGUMENTS, SIMULATE_CHOICES, "--bins"))
+# each value's one owner rejects it: EpiParams, ScenarioConfig, parse_spacing; a positive
+# number of feet that rounds to 0 m; a factor that makes a count overflow
+@example(("--prevalence", dict(SIMULATE_ARGUMENTS, **{"--prevalence": "2"})))
+@example(("--sampling-factor", dict(SIMULATE_ARGUMENTS, **{"--sampling-factor": "0"})))
+@example(("--spacing", dict(SIMULATE_ARGUMENTS, **{"--spacing": "0ft"})))
+@example(("--spacing", dict(SIMULATE_ARGUMENTS, **{"--spacing": "5e-324ft"})))
+@example(("--sampling-factor", dict(SIMULATE_ARGUMENTS, **{"--sampling-factor": "1e308"})))
+def test_a_mutated_simulate_argument_fails_cleanly_naming_the_flag(mutated_arguments):
+    flag, arguments = mutated_arguments
+    # an overflowing count is found while the run's one scenario runs, and names it
+    named = [flag, "scenario 'simulate'"] if flag == "--sampling-factor" else [flag]
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [
+            "simulate", "--venues", str(SAMPLE_DATA / "venues.csv"),
+            "--visits", str(SAMPLE_DATA / "visits.csv"), "--out", tmp,
+            *(item for pair in arguments.items() for item in pair),
+        ]
+        code, message = run_main(argv)
+    assert_fails_cleanly(code, message, named)

@@ -9,7 +9,6 @@ import pytest
 from venuerisk import (
     ConfigError,
     DatasetError,
-    EpiParams,
     ScenarioConfig,
     epi,
     max_distanced_occupancy,
@@ -189,31 +188,6 @@ class TestRunScenario:
         with pytest.raises(DatasetError, match="ghost"):
             run_scenario(base, config, default_params)
 
-    def test_params_override(self, default_params):
-        base = self._base()
-        config = ScenarioConfig(name="hot", sampling_factor=1.0, params_override={"q": 40.0})
-        boosted = run_scenario(base, config, default_params)
-        plain = run_scenario(base, ScenarioConfig(name="p", sampling_factor=1.0), default_params)
-        for boosted_weekly, plain_weekly in zip(boosted, plain):
-            if plain_weekly > 0:
-                assert boosted_weekly > plain_weekly
-
-    def test_ceiling_height_override_sets_the_volumes(self, default_params):
-        # volumes follow the scenario's own params, not the base params
-        base = self._base()
-        config = ScenarioConfig(
-            name="tall", sampling_factor=1.0, params_override={"ceiling_height": 30.0}
-        )
-        tall = run_scenario(base, config, default_params)
-        tall_params = EpiParams(documented_prevalence=0.001, ceiling_height=30.0)
-        assert np.array_equal(tall, simulate_week(base, tall_params))
-        plain = simulate_week(base, default_params)
-        assert (tall < plain).all()
-
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ConfigError, match="unknown parameter"):
-            ScenarioConfig(name="x", params_override={"quanta": 1.0})
-
 
 # the peak is the visit file's parse: its text, its records and their per-block
 # temporaries; the kernel adds one block's matrix, never a venue-hour matrix of
@@ -290,7 +264,8 @@ class TestSpacingParsing:
     def test_whitespace_tolerated(self):
         assert parse_spacing(" 2 m ") == 2.0
 
-    @pytest.mark.parametrize("text", ["6", "ft", "6 feet", "-2m", "0m", ""])
+    # 5e-324 ft is a positive number of feet that rounds to 0 m
+    @pytest.mark.parametrize("text", ["6", "ft", "6 feet", "-2m", "0m", "", "5e-324ft"])
     def test_bad_spacing(self, text):
         with pytest.raises(ConfigError):
             parse_spacing(text)
@@ -304,8 +279,7 @@ class TestScenarioConfigFile:
             "name = reopened\n"
             "visits = traffic_2019.csv\n"
             "sampling_factor = 10\n"
-            "spacing = 6ft\n"
-            "param.q = 25\n",
+            "spacing = 6ft\n",
             encoding="utf-8",
         )
         config = load_scenario_config(path)
@@ -313,7 +287,6 @@ class TestScenarioConfigFile:
         assert config.visit_source == str(tmp_path / "traffic_2019.csv")
         assert config.sampling_factor == 10.0
         assert config.spacing == pytest.approx(SIX_FEET, rel=1e-12)
-        assert config.params_override == {"q": 25.0}
 
     def test_defaults(self, tmp_path):
         path = tmp_path / "lockdown.txt"
@@ -323,7 +296,6 @@ class TestScenarioConfigFile:
         assert config.visit_source == "baseline"
         assert config.sampling_factor == 10.0
         assert config.spacing is None
-        assert config.params_override == {}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -333,9 +305,10 @@ class TestScenarioConfigFile:
 
     def test_unknown_param_override_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("param.bogus = 5\n", encoding="utf-8")
+        # every scenario runs on the run's one set of params
+        path.write_text("param.q = 25\n", encoding="utf-8")
         with pytest.raises(
-            ConfigError, match="scenario 'bad': invalid parameter override: unknown parameter 'bogus'"
+            ConfigError, match=re.escape(f"{path}: unknown scenario key(s): param.q")
         ):
             load_scenario_config(path)
 
@@ -348,13 +321,13 @@ class TestScenarioConfigFile:
     def test_hash_inside_value_is_not_a_comment(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text(
-            "name = run#2  # a comment after whitespace\nvisits = data#1.csv\n#param.q = 99\n",
+            "name = run#2  # a comment after whitespace\nvisits = data#1.csv\n#spacing = 6\n",
             encoding="utf-8",
         )
         config = load_scenario_config(path)
         assert config.name == "run#2"
         assert config.visit_source == str(tmp_path / "data#1.csv")
-        assert config.params_override == {}
+        assert config.spacing is None
 
     def test_errors_name_the_file(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -1,8 +1,8 @@
 """Repository checks: the tracer in perfbench/ finds every function it wraps and runs the
 CLI, every public name has a caller in the package, every private name is read in its
 module, no module imports another's private name and only ingest imports csv, every CLI
-flag is used by a test, one function compares against the severity threshold, and test
-failures report normally."""
+flag is used by a test, one function compares against the severity threshold, test
+failures report normally, and src/ holds the recorded number of code lines."""
 
 import ast
 import importlib
@@ -235,3 +235,38 @@ def test_one_function_compares_against_the_severity_threshold():
             owners = [f.name for f in functions if f.lineno <= line <= f.end_lineno]
             found.append(f"{path.stem}.{owners[-1] if owners else '<module>'}")
     assert found == ["stats.severity_labels"]
+
+
+# the code lines of src/venuerisk/, the size measure of the package: a change that moves
+# it records the new count here, so the count moves only in a visible diff
+SRC_CODE_LINES = 1274
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(text: str) -> int:
+    """The lines of a module that are not blank, not comment lines and not in a docstring.
+
+    A module, class or function docstring counts from its first line to its last.
+    """
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(
+        1 for number, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.lstrip().startswith("#") and number not in docstrings
+    )
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    text = (
+        '"""Module\ndocstring."""\n\n# a comment\nimport os\n\n\n'
+        'class A:\n    """One line."""\n\n    def f(self):\n        """Two\n        lines."""\n'
+        '        return "not a docstring"  # trailing comment\n'
+    )
+    assert code_lines(text) == 4  # import, class, def, return
+
+
+def test_src_code_lines_are_the_recorded_count():
+    paths = sorted((SRC / "venuerisk").glob("*.py"))
+    assert sum(code_lines(path.read_text(encoding="utf-8")) for path in paths) == SRC_CODE_LINES
