@@ -252,4 +252,4 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
         try:
             return ScenarioConfig(name=name, **settings)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"scenario {name!r}: {exc}") from None

@@ -513,6 +513,40 @@ class TestCompare:
         assert code == 1
         assert "baseline" in capsys.readouterr().err
 
+    def test_rejected_override_names_the_scenario(self, small_dataset, tmp_path, capsys):
+        a, _ = self._scenarios(tmp_path, small_dataset)
+        neg = tmp_path / "neg.txt"
+        neg.write_text("name = negative_factor\nsampling_factor = -1\n", encoding="utf-8")
+        code = run_cli(
+            "compare", "--venues", str(small_dataset["venues"]),
+            "--visits", str(small_dataset["visits"]),
+            "--scenario-a", str(a), "--scenario-b", str(neg),
+            "--prevalence", "0.001", "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert "scenario 'negative_factor': sampling_factor must be positive" in (
+            capsys.readouterr().err
+        )
+
+    def test_rejected_override_fails_before_reading(self, small_dataset, tmp_path, capsys):
+        # the inputs name missing files, so exit 1 (not the i/o error's 2) shows none was read
+        a, _ = self._scenarios(tmp_path, small_dataset)
+        neg = tmp_path / "neg.txt"
+        neg.write_text("name = negative_factor\nsampling_factor = -1\n", encoding="utf-8")
+        missing = str(tmp_path / "nope.csv")
+        out = tmp_path / "x"
+        code = run_cli(
+            "compare", "--venues", missing, "--visits", missing,
+            "--scenario-a", str(a), "--scenario-b", str(neg),
+            "--prevalence", "0.001", "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {neg}: scenario 'negative_factor': sampling_factor must be positive, "
+            "got -1.0\n"
+        )
+        assert not out.exists()
+
     def test_param_key_is_an_unknown_scenario_key(self, small_dataset, tmp_path, capsys):
         # every scenario runs on the one set of params; the inputs name missing files, so
         # exit 1 (not the i/o error's 2) shows that none was read
