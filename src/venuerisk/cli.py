@@ -77,8 +77,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _int_at_least(minimum: int, description: str):
-    """An argparse type: an integer of at least ``minimum``; the error says ``description``."""
+def _int_at_least(minimum: int, description: str, maximum: float = math.inf):
+    """An argparse type: an integer from ``minimum`` to ``maximum``.
+
+    Text that is no such integer gets an error saying ``description``,
+    or, for one above ``maximum``, naming that bound.
+    """
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -86,11 +90,16 @@ def _int_at_least(minimum: int, description: str):
             value = minimum - 1
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be {description}, got {text!r}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {text!r}")
         return value
     return parse
 
 
 _positive_int = _int_at_least(1, "a positive integer")
+# the most histogram bins a report may have: far more than a plot can show, while
+# the bin arrays stay small; a larger count is rejected before any input is read
+MAX_BINS = 10_000
 
 
 def _finite_float(text: str) -> float:
@@ -150,7 +159,10 @@ def _add_input_flags(sub: argparse.ArgumentParser, visits_required: bool) -> Non
 
 def _add_report_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--bins", type=_positive_int, default=20, help="histogram bin count (default 20)"
+        "--bins",
+        type=_int_at_least(1, "a positive integer", MAX_BINS),
+        default=20,
+        help=f"histogram bin count, 1 to {MAX_BINS} (default 20)",
     )
     sub.add_argument(
         "--scale",

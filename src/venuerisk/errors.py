@@ -1,8 +1,25 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one owner of each input value rule.
 
 Scalar argument violations raise plain ``ValueError``; the classes here
 cover failures tied to input files and configuration, where the caller
 needs to know *where* the problem is (line, file, or dataset-wide).
+
+Each value rule is checked in one place, its owner: the check whose
+error names the flag, file or scenario, or the type that every path
+builds. Code past the owner takes the value as checked, and says so in
+its docstring; a direct caller of that code checks its own values.
+
+* spacing > 0 and finite, in m: ``scenario.parse_spacing``
+* sampling factor > 0 and finite: ``scenario.ScenarioConfig``
+* ceiling height > 0 and finite: ``epi.EpiParams``
+* venue area > 0 and finite, in m2: ``ingest.parse_venues``, per line
+* venue ids non-empty and unique: ``ingest._records`` and ``ingest.parse_venues``
+* area unit known: the ``--area-unit`` flag's choices
+* ``bins`` from 1 to ``cli.MAX_BINS``: the ``--bins`` flag's type
+* ``n_venues`` >= 1 and profile known: the ``--n-venues`` flag's type and
+  the ``--profile`` flag's choices
+* weekly values finite, with a finite total: ``scenario.run_scenario``
+* a weekly value read back finite and >= 0: ``ingest.parse_results``
 """
 
 import contextlib

@@ -91,6 +91,13 @@ class VenueTable:
     A parsed table holds one string object per distinct category, shared
     by every row of that category. Iterating yields the ids in row order
     and ``len`` is the venue count, as for a dict keyed by venue id.
+
+    The column lengths, and the values a venue file cannot carry back,
+    are checked here. The ids are non-empty and unique and the areas
+    positive and finite: they are checked where they are made, by
+    :func:`parse_venues` (naming the file and line) and by the
+    generator's numbering and draws, so a table built directly must hold
+    to them itself.
     """
 
     ids: tuple[str, ...]
@@ -102,8 +109,6 @@ class VenueTable:
         n = len(self.ids)
         if not (len(self.names) == len(self.categories) == n and np.shape(self.areas) == (n,)):
             raise ValueError(f"every venue column must have one entry per venue id ({n})")
-        if not all(self.ids) or len(set(self.ids)) != n:
-            raise ValueError("venue ids must be non-empty and unique")
         # a venue file cannot carry these back: its parser strips every field
         # and reads a carriage return as a line end
         for column, values in zip(VENUE_HEADER, (self.ids, self.names, self.categories)):
@@ -113,8 +118,6 @@ class VenueTable:
                     f"{column} must not have surrounding whitespace or a carriage return, "
                     f"got {bad!r}"
                 )
-        if not (np.isfinite(self.areas) & (self.areas > 0)).all():
-            raise ValueError(f"venue areas must be positive and finite, got {self.areas.min()}")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -146,9 +149,11 @@ class SimulationInput:
     window; a venue-hour with no record had no visitors, and none has
     two. Every count is finite and >= 0. The columns' shapes and index
     ranges are checked here; the counts are checked where they are made,
-    by the visit parsers, by :func:`apply_sampling_correction` (a
-    positive factor, and no product overflowing) and by the generator's
-    Poisson draws, so that millions of counts are not scanned again.
+    by the visit parsers, by :func:`apply_sampling_correction` (no
+    product overflowing, from a factor that
+    :class:`~venuerisk.scenario.ScenarioConfig` has checked) and by the
+    generator's Poisson draws, so that millions of counts are not
+    scanned again.
     """
 
     venues: VenueTable
@@ -256,21 +261,24 @@ def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
 
     Args:
         source: character stream of the venue file.
-        area_unit: unit of the ``area`` column, a key of ``AREA_UNITS``;
-            square feet are converted with 1 ft2 = 0.09290304 m2.
+        area_unit: unit of the ``area`` column, a key of ``AREA_UNITS``
+            (the ``--area-unit`` flag's choices); square feet are
+            converted with 1 ft2 = 0.09290304 m2.
+
+    Each area is converted to m2 before it is checked, so an area whose
+    conversion underflows to 0 fails naming its line.
 
     Raises:
-        RecordError: malformed row, non-positive area (with line number).
+        RecordError: malformed row, or an area that is not positive and
+            finite in m2 (with line number).
         DatasetError: missing or bad header, or duplicate venue_id.
-        ValueError: unknown ``area_unit``.
     """
-    if area_unit not in AREA_UNITS:
-        raise ValueError(f"area unit must be one of {', '.join(AREA_UNITS)}, got {area_unit!r}")
+    factor = AREA_UNITS[area_unit]
     ids, names, categories, areas = [], [], [], []
     seen, kinds = set(), {}
     for line, (venue_id, name, category, area_text) in _records(source, "venue", VENUE_HEADER):
         try:
-            area = float(area_text)
+            area = float(area_text) * factor
         except ValueError:
             raise RecordError(f"area {area_text!r} is not a number", line) from None
         if not math.isfinite(area) or area <= 0:
@@ -282,9 +290,7 @@ def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
         names.append(name)
         categories.append(kinds.setdefault(category, category))
         areas.append(area)
-    # one multiply of the column: the same IEEE products as converting row by row
-    areas_m2 = np.array(areas, dtype=float) * AREA_UNITS[area_unit]
-    return VenueTable(tuple(ids), tuple(names), tuple(categories), areas_m2)
+    return VenueTable(tuple(ids), tuple(names), tuple(categories), np.array(areas, dtype=float))
 
 
 def parse_visits(source: TextIO) -> VisitRecords:
@@ -550,12 +556,12 @@ def apply_sampling_correction(counts: np.ndarray, factor: float, out=None) -> np
     The products go to a new array, or, as for a NumPy ufunc, into
     ``out`` when it is given, which may be ``counts`` itself; the array
     written is returned. ``counts`` is left as it is unless it is ``out``.
+    The factor must be positive and finite: it is checked where it is
+    made, by :class:`~venuerisk.scenario.ScenarioConfig`.
 
     Raises:
         ConfigError: a product overflows; the message names the factor.
     """
-    if not (math.isfinite(factor) and factor > 0):
-        raise ValueError(f"sampling factor must be positive and finite, got {factor}")
     with np.errstate(over="ignore"):
         sampled = np.multiply(counts, factor, out=out)
     if not np.isfinite(sampled).all():
@@ -567,9 +573,9 @@ def compute_volumes(areas: np.ndarray, ceiling_height: float) -> np.ndarray:
     """Air volumes in m3: each floor area (m2) times ``ceiling_height`` (m).
 
     A product that overflows is an infinite volume: a finite dose numerator over it is 0.
+    The height must be positive and finite: it is checked where it is
+    made, by :class:`~venuerisk.epi.EpiParams`.
     """
-    if not (math.isfinite(ceiling_height) and ceiling_height > 0):
-        raise ValueError(f"ceiling height must be positive, got {ceiling_height}")
     with np.errstate(over="ignore"):
         return areas * ceiling_height
 

@@ -54,7 +54,12 @@ _COMMENT_RE = re.compile(r"(?:^|\s)#")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One named counterfactual: its visit source and the corrections applied to it."""
+    """One named counterfactual: its visit source and the corrections applied to it.
+
+    The sampling factor is checked here, positive and finite. A spacing
+    is positive and finite, in m: it is checked where it is made, by
+    :func:`parse_spacing`, whose error names the flag or the file.
+    """
 
     name: str
     visit_source: str = BASELINE  # BASELINE or a visit-file path
@@ -64,8 +69,6 @@ class ScenarioConfig:
     def __post_init__(self):
         if not (math.isfinite(self.sampling_factor) and self.sampling_factor > 0):
             raise ValueError(f"sampling_factor must be positive, got {self.sampling_factor}")
-        if self.spacing is not None and not (math.isfinite(self.spacing) and self.spacing > 0):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
 
 
 def max_distanced_occupancy(area, spacing: float):
@@ -76,12 +79,13 @@ def max_distanced_occupancy(area, spacing: float):
     areas. A circular room of radius equal to the spacing holds exactly
     one person. A spacing so small that the quotient overflows, or the
     disc's area underflows to 0, gives an infinite cap: no limit.
+
+    Every area and the spacing must be positive and finite, in m2 and m.
+    They are not checked here but where they are made: the areas by
+    :func:`~venuerisk.ingest.parse_venues`, the spacing by
+    :func:`parse_spacing`. A direct caller checks its own.
     """
     areas = np.asarray(area, dtype=float)
-    if not (np.isfinite(areas) & (areas > 0)).all():
-        raise ValueError(f"area must be positive, got {area}")
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise ValueError(f"spacing must be positive, got {spacing}")
     with np.errstate(over="ignore", divide="ignore"):
         return np.floor(areas / (math.pi * spacing * spacing))
 

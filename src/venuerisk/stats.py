@@ -1,10 +1,13 @@
 """Hotspot classification, histograms, and the two-sample t-test.
 
 :func:`severity_labels` holds the one severity rule; every severe or
-mild count and label in the reports comes from it. It checks no value:
-the weekly values it labels are checked where they are made, by
-:func:`~venuerisk.scenario.run_scenario` (finite, with a finite total)
-and by :func:`~venuerisk.ingest.parse_results` (finite and >= 0).
+mild count and label in the reports comes from it. Neither it nor
+:func:`classify` checks the values it labels, and :func:`welch_t_test`
+takes its samples as finite: the weekly values are checked where they
+are made, by :func:`~venuerisk.scenario.run_scenario` (finite, with a
+finite total) and by :func:`~venuerisk.ingest.parse_results` (finite and
+>= 0). :func:`histogram` takes a bin count that the ``--bins`` flag has
+checked. A direct caller checks its own values.
 
 The t-test is Welch's unequal-variance form: the two scenario
 distributions typically have very different spreads, and a test that
@@ -81,9 +84,11 @@ def severity_labels(weekly: np.ndarray | float, threshold: float) -> np.ndarray:
 
 
 def classify(weekly_infections: float, threshold: float = 1.0) -> Severity:
-    """One venue's label under :func:`severity_labels`, for a value that is finite and >= 0."""
-    if not (math.isfinite(weekly_infections) and weekly_infections >= 0):
-        raise ValueError(f"weekly infections must be non-negative, got {weekly_infections}")
+    """One venue's label under :func:`severity_labels`, for a value that is finite and >= 0.
+
+    The value is not checked here: :func:`~venuerisk.ingest.parse_results`
+    checks each value ``hotspots`` labels, naming the file and line.
+    """
     return Severity(severity_labels(weekly_infections, threshold).item())
 
 
@@ -101,11 +106,11 @@ def histogram(
     overlay plots. The range is in binning units, log10 of the value on
     the log10 scale, as :func:`combined_range` gives it. On the log10
     scale, zeros and negatives cannot be binned and are counted in
-    ``excluded_count`` instead of being silently dropped.
+    ``excluded_count`` instead of being silently dropped. ``bins`` must
+    be at least 1; it is checked where it is made, by the ``--bins``
+    flag.
     """
     scale = Scale(scale)
-    if bins < 1:
-        raise ValueError(f"bins must be a positive integer, got {bins}")
     arr = np.asarray(values, dtype=float)
     points = _binning_points(arr, scale)
     if points.size == 0:
@@ -172,12 +177,16 @@ def welch_t_test(
     The unequal-variance statistic with Welch-Satterthwaite degrees of
     freedom. Swapping the samples negates t and preserves p.
 
+    Every value must be finite. That is not checked here but where the
+    values are made: :func:`~venuerisk.scenario.run_scenario` checks
+    each weekly value it gives, naming the scenario.
+
     Raises:
-        ValueError: a sample has fewer than 2 values, contains
-            non-finite values, or has zero variance; or a variance, or
-            the degrees of freedom, overflows. Exception: when
-            both samples are constant with equal means the test
-            degenerates to t = 0, p = 1 by convention (documented), with
+        ValueError: a sample has fewer than 2 values or has zero
+            variance; or a variance, or the degrees of freedom,
+            overflows. Exception: when both samples are constant with
+            equal means the test degenerates to t = 0, p = 1 by
+            convention (documented), with
             degrees_of_freedom = len(a) + len(b) - 2.
     """
     xs = np.asarray(a, dtype=float)
@@ -185,8 +194,6 @@ def welch_t_test(
     na, nb = xs.size, ys.size
     if na < 2 or nb < 2:
         raise ValueError(f"each sample needs at least 2 values, got {na} and {nb}")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise ValueError("samples must contain only finite values")
 
     mean_a, var_a = _mean_and_variance(xs, "a")
     mean_b, var_b = _mean_and_variance(ys, "b")

@@ -56,17 +56,17 @@ _BLOCK_ROWS = 4096
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """The generator settings a user chooses."""
+    """The generator settings a user chooses.
+
+    ``n_venues`` is at least 1 and ``profile`` one of ``PROFILES``: they
+    are checked where they are made, by the ``--n-venues`` and
+    ``--profile`` flags of ``gen-synthetic``, so a direct caller checks
+    its own.
+    """
 
     n_venues: int
     profile: str
     seed: int
-
-    def __post_init__(self):
-        if self.n_venues < 1:
-            raise ValueError(f"n_venues must be positive, got {self.n_venues}")
-        if self.profile not in PROFILES:
-            raise ValueError(f"profile must be one of {PROFILES}, got {self.profile!r}")
 
 
 def generate_dataset(config: GeneratorConfig) -> SimulationInput:

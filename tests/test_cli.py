@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from venuerisk import cli, ingest, scenario
+from venuerisk import cli, ingest, reporting, scenario
 from venuerisk.cli import main
 from venuerisk.reporting import TOOL_VERSION, dump_json
 
@@ -304,8 +304,9 @@ class TestSimulate:
             (
                 "--spacing", "", "spacing '' must be a number with a unit suffix, e.g. 6ft or 1.8288m"
             ),
+            ("--spacing", "1..2ft", "spacing '1..2ft' has a malformed number"),
         ],
-        ids=["sampling-factor", "spacing", "empty-spacing"],
+        ids=["sampling-factor", "spacing", "empty-spacing", "malformed-spacing"],
     )
     def test_rejected_flag_value_names_the_flag(
         self, small_dataset, tmp_path, capsys, flag, value, message
@@ -334,9 +335,18 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, bins", [("simulate", "0"), ("compare", "0"), ("simulate", "abc")]
+        "command, bins, problem",
+        [
+            ("simulate", "0", "must be a positive integer"),
+            ("compare", "0", "must be a positive integer"),
+            ("simulate", "abc", "must be a positive integer"),
+            ("compare", str(cli.MAX_BINS + 1), f"must be at most {cli.MAX_BINS}"),
+            # a count past any memory is rejected before the run, naming the flag
+            ("simulate", "99999999999999999999", f"must be at most {cli.MAX_BINS}"),
+        ],
+        ids=["simulate-0", "compare-0", "simulate-abc", "compare-past-max", "simulate-huge"],
     )
-    def test_bad_bins_rejected_before_reading(self, tmp_path, capsys, command, bins):
+    def test_bad_bins_rejected_before_reading(self, tmp_path, capsys, command, bins, problem):
         # every input names a missing file, so exit 1 (not the i/o error's 2) shows none was read
         missing = str(tmp_path / "nope.csv")
         inputs = {
@@ -348,7 +358,7 @@ class TestSimulate:
             command, "--venues", missing, *inputs, "--prevalence", "0.001",
             "--bins", bins, "--out", str(out),
         ) == 1
-        assert f"--bins: must be a positive integer, got {bins!r}" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(f"error: argument --bins: {problem}, got {bins!r}\n")
         assert not out.exists()
 
     def test_reports_are_readable_under_umask_022(self, small_dataset, tmp_path):
@@ -413,6 +423,26 @@ class TestSimulate:
         assert outs[0]["total_expected_infections"] == pytest.approx(
             outs[1]["total_expected_infections"], rel=1e-12
         )
+
+    def test_area_that_converts_to_zero_names_file_and_line(self, tmp_path, capsys):
+        # 1e-323 ft2 is 0 m2: each area is checked after its conversion, on its own line
+        venues = tmp_path / "venues.csv"
+        venues.write_text(
+            "venue_id,name,category,area\nv1,Cafe,restaurant,1000\nv2,Bar,pub,1e-323\n",
+            encoding="utf-8",
+        )
+        visits = tmp_path / "visits.csv"
+        visits.write_text("venue_id,hour,count\nv1,0,20\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(
+            "simulate", "--venues", str(venues), "--visits", str(visits),
+            "--area-unit", "ft2", "--prevalence", "0.001", "--out", str(out),
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {venues}: line 3: area must be positive and finite, got 1e-323\n"
+        )
+        assert not out.exists()
 
 
 class TestCompare:
@@ -931,6 +961,28 @@ def test_timestamp_must_be_iso_8601(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("simulate", "--area-unit", "acre"), ("gen-synthetic", "--profile", "weekend")],
+    ids=["area-unit", "profile"],
+)
+def test_unknown_choice_names_the_flag(command, flag, value, tmp_path, capsys):
+    # the input files do not exist, so exit 1 (not the i/o error's 2) shows none was read
+    missing = str(tmp_path / "nope.csv")
+    argv = {
+        "simulate": ["--venues", missing, "--visits", missing, "--prevalence", "0.001"],
+        "gen-synthetic": ["--n-venues", "3", "--seed", "1"],
+    }[command]
+    out = tmp_path / "x"
+    assert run_cli(command, *argv, flag, value, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(
+        f"error: argument {flag}: invalid choice: {value!r}"
+    )
+    assert not out.exists()
+
+
 def test_accepted_timestamp_is_stored_as_given(tmp_path):
     out = tmp_path / "gen"
     assert run_cli(
@@ -1236,3 +1288,18 @@ def test_reports_are_strict_json():
     for value in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
             dump_json({"x": value})
+
+
+def test_failed_rename_removes_the_temporary_file_and_keeps_the_old_report(tmp_path, monkeypatch):
+    target = tmp_path / "summary.json"
+    target.write_bytes(b"old report\n")
+
+    def fail(source, destination):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(reporting.os, "replace", fail)
+    with pytest.raises(OSError, match="^rename failed$"):
+        reporting.atomic_write_text(target, "new report\n")
+    assert list(tmp_path.glob(".*.tmp")) == []
+    assert [path.name for path in tmp_path.iterdir()] == ["summary.json"]
+    assert target.read_bytes() == b"old report\n"

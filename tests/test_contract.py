@@ -23,7 +23,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from venuerisk.errors import InputError
-from venuerisk.cli import main
+from venuerisk.cli import MAX_BINS, main
 from venuerisk.ingest import AREA_UNITS
 from venuerisk.scenario import BASELINE, ScenarioConfig, load_scenario_config
 from venuerisk.stats import Scale
@@ -129,18 +129,20 @@ def readers(directory: Path, target: str, scenario_files: list[str]) -> list[str
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(mutated_inputs(), st.booleans())
+@given(mutated_inputs(), st.booleans(), st.sampled_from(list(AREA_UNITS)))
 # a NUL in a scenario's visit path; parameters that make every dose inf/inf; a spacing
-# whose disc area underflows to 0; an area whose volume overflows
-@example(("scenario_reopened.txt", b"name = reopened\nvisits = visits_2019.csv\0\n"), False)
+# whose disc area underflows to 0; an area whose volume overflows; an area that is 0 m2
+@example(("scenario_reopened.txt", b"name = reopened\nvisits = visits_2019.csv\0\n"), False, "m2")
 @example(
     ("params.txt", b"q = 1e308\np = 1e308\nach = 1e308\nceiling_height = 1e308\n"
      b"documented_prevalence = 0.001\n"),
     True,
+    "m2",
 )
-@example(("scenario_distanced.txt", b"visits = baseline\nspacing = 1e-320ft\n"), False)
-@example(("venues.csv", ORIGINALS["venues.csv"].replace(b",210\n", b",1e308\n")), True)
-def test_a_mutated_input_fails_cleanly_naming_the_file_or_its_scenario(mutated, simulate):
+@example(("scenario_distanced.txt", b"visits = baseline\nspacing = 1e-320ft\n"), False, "m2")
+@example(("venues.csv", ORIGINALS["venues.csv"].replace(b",210\n", b",1e308\n")), True, "m2")
+@example(("venues.csv", ORIGINALS["venues.csv"].replace(b",210\n", b",1e-323\n")), True, "ft2")
+def test_a_mutated_input_fails_cleanly_naming_the_file_or_its_scenario(mutated, simulate, area_unit):
     target, data = mutated
     simulate = simulate and target in BASE_FILES
     with tempfile.TemporaryDirectory() as tmp:
@@ -154,7 +156,8 @@ def test_a_mutated_input_fails_cleanly_naming_the_file_or_its_scenario(mutated, 
         argv = [
             "simulate" if simulate else "compare",
             "--venues", str(directory / "venues.csv"), "--visits", str(directory / "visits.csv"),
-            "--params", str(directory / "params.txt"), "--out", str(directory / "out"),
+            "--params", str(directory / "params.txt"), "--area-unit", area_unit,
+            "--out", str(directory / "out"),
         ]
         for flag, name in zip(("--scenario-a", "--scenario-b"), scenario_files):
             argv += [flag, str(directory / name)]
@@ -190,7 +193,7 @@ def test_a_mutated_results_file_fails_cleanly_naming_it(data):
 
 
 def small_count(text: str) -> bool:
-    """False for a count text (venues, bins) that reads as more than a thousand."""
+    """False for a count text that reads as more than a thousand."""
     try:
         return int(text) <= 1000
     except ValueError:
@@ -198,11 +201,11 @@ def small_count(text: str) -> bool:
 
 
 @st.composite
-def mutated_arguments(draw, defaults: dict, choices: dict, count_flag: str):
+def mutated_arguments(draw, defaults: dict, choices: dict, count_flag: str | None = None):
     """(a flag of ``defaults``, the text of every flag with that one's mutated).
 
-    Each flag of ``choices`` starts at one of its values. ``count_flag`` sets how much
-    the run allocates, so its mutated value stays small.
+    Each flag of ``choices`` starts at one of its values. ``count_flag``, if given, sets
+    how much the run allocates, so its mutated value stays small.
     """
     arguments = dict(defaults)
     arguments.update((flag, draw(st.sampled_from(values))) for flag, values in choices.items())
@@ -230,14 +233,17 @@ def test_a_mutated_gen_synthetic_argument_fails_cleanly_naming_the_flag(mutated_
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(mutated_arguments(SIMULATE_ARGUMENTS, SIMULATE_CHOICES, "--bins"))
+@given(mutated_arguments(SIMULATE_ARGUMENTS, SIMULATE_CHOICES))
 # each value's one owner rejects it: EpiParams, ScenarioConfig, parse_spacing; a positive
-# number of feet that rounds to 0 m; a factor that makes a count overflow
+# number of feet that rounds to 0 m; a factor that makes a count overflow; the most bins
+# the --bins flag takes, and one more
 @example(("--prevalence", dict(SIMULATE_ARGUMENTS, **{"--prevalence": "2"})))
 @example(("--sampling-factor", dict(SIMULATE_ARGUMENTS, **{"--sampling-factor": "0"})))
 @example(("--spacing", dict(SIMULATE_ARGUMENTS, **{"--spacing": "0ft"})))
 @example(("--spacing", dict(SIMULATE_ARGUMENTS, **{"--spacing": "5e-324ft"})))
 @example(("--sampling-factor", dict(SIMULATE_ARGUMENTS, **{"--sampling-factor": "1e308"})))
+@example(("--bins", dict(SIMULATE_ARGUMENTS, **{"--bins": str(MAX_BINS)})))
+@example(("--bins", dict(SIMULATE_ARGUMENTS, **{"--bins": str(MAX_BINS + 1)})))
 def test_a_mutated_simulate_argument_fails_cleanly_naming_the_flag(mutated_arguments):
     flag, arguments = mutated_arguments
     # an overflowing count is found while the run's one scenario runs, and names it

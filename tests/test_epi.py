@@ -179,8 +179,6 @@ class TestExpectedInfectionsHour:
     def test_bad_arguments(self, default_params):
         with pytest.raises(ValueError):
             infections(10.0, 1.5, default_params, 300.0)
-        with pytest.raises(ValueError):
-            infections(10.0, 0.5, default_params, 0.0)
 
 
 class TestSimulateWeek:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from venuerisk import ConfigError, DatasetError, RecordError, cli, ingest, scenario
+from venuerisk.errors import InputError
 from venuerisk.ingest import (
     SQFT_TO_SQM,
     SimulationInput,
@@ -46,6 +47,12 @@ def venues_csv(*rows):
 
 def visits_csv(*rows):
     return io.StringIO("venue_id,hour,count\n" + "\n".join(rows) + "\n")
+
+
+def parsed_venues(ids, names, categories, areas):
+    """The venue table that parse_venues makes of these columns, written as a venue file."""
+    rows = map("{},{},{},{!r}".format, ids, names, categories, areas.tolist())
+    return parse_venues(venues_csv(*rows))
 
 
 def column(table, name, vid):
@@ -113,10 +120,6 @@ class TestParseVenues:
     def test_comment_after_header_is_a_malformed_record(self):
         with pytest.raises(RecordError, match="line 3: expected 4 fields, got 1"):
             parse_venues(venues_csv("v1,Cafe,restaurant,100", "# note"))
-
-    def test_unknown_area_unit(self):
-        with pytest.raises(ValueError, match="area unit"):
-            parse_venues(venues_csv("v1,Cafe,restaurant,100"), area_unit="acre")
 
 
 class TestParseVisits:
@@ -464,8 +467,9 @@ class TestSamplingCorrection:
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_factor(self, factor):
-        with pytest.raises(ValueError):
-            apply_sampling_correction(np.zeros((0, 24)), factor)
+        # the factor's one owner is ScenarioConfig; apply_sampling_correction takes it as checked
+        with pytest.raises(ValueError, match="^sampling_factor must be positive"):
+            scenario.ScenarioConfig(name="s", sampling_factor=factor)
 
     def test_linearity(self):
         # applying a then b equals applying a*b, up to fp associativity
@@ -501,10 +505,6 @@ class TestComputeVolumes:
         once = compute_volumes(areas, 3.0)
         assert np.array_equal(compute_volumes(areas, 3.0), once)
         assert areas.tolist() == [123.456]
-
-    def test_bad_height(self):
-        with pytest.raises(ValueError):
-            compute_volumes(np.array([]), 0.0)
 
     def test_overflowing_volume_is_infinite_without_a_warning(self):
         assert compute_volumes(np.array([1e308, 1.0]), 3.0).tolist() == [math.inf, 3.0]
@@ -663,10 +663,11 @@ class TestTypeInvariants:
             VisitRecords(ids, np.array(venue), np.array(hour), np.array(count))
 
     def test_venue_rejects_bad_area(self):
-        with pytest.raises(ValueError):
-            make_venues({"v": 0.0})
-        with pytest.raises(ValueError):
-            make_venues({"v": float("nan")})
+        # the area's one owner is parse_venues, per line and in m2; VenueTable takes it as checked
+        for area, unit in [("0", "m2"), ("nan", "m2"), ("inf", "m2"), ("1e-323", "ft2")]:
+            message = f"^line 3: area must be positive and finite, got {area}$"
+            with pytest.raises(RecordError, match=message):
+                parse_venues(venues_csv("v1,Cafe,restaurant,100", f"v2,Bar,pub,{area}"), unit)
 
     def test_venue_table_is_a_sequence_of_ids(self):
         venues = make_venues({"b": 2.0, "a": 1.0})
@@ -674,21 +675,24 @@ class TestTypeInvariants:
         assert list(venues) == ["b", "a"]
 
     @pytest.mark.parametrize(
-        "columns",
+        "build, error, columns",
         [
-            (("a", "b"), ("n",), ("c", "c"), np.array([1.0, 2.0])),  # ragged names
-            (("a", "b"), ("n", "n"), ("c", "c"), np.array([1.0])),  # ragged areas
-            (("a",), ("n",), ("c",), np.array([[1.0]])),  # areas not a vector
-            (("",), ("n",), ("c",), np.array([1.0])),  # empty id
-            (("a", "a"), ("n", "n"), ("c", "c"), np.array([1.0, 2.0])),  # duplicate id
-            (("a", "b"), ("n", "n"), ("c", "c"), np.array([1.0, np.inf])),  # infinite area
-            (("a", "b"), ("n", "n"), ("c", "c"), np.array([1.0, -2.0])),  # negative area
+            # ragged names, ragged areas and areas that are not a vector: the table's shape
+            (VenueTable, ValueError, (("a", "b"), ("n",), ("c", "c"), np.array([1.0, 2.0]))),
+            (VenueTable, ValueError, (("a", "b"), ("n", "n"), ("c", "c"), np.array([1.0]))),
+            (VenueTable, ValueError, (("a",), ("n",), ("c",), np.array([[1.0]]))),
+            # an empty or duplicate id and an infinite or negative area: ids and areas have
+            # one owner, the venue file's parser
+            (parsed_venues, InputError, (("",), ("n",), ("c",), np.array([1.0]))),
+            (parsed_venues, InputError, (("a", "a"), ("n", "n"), ("c", "c"), np.array([1.0, 2.0]))),
+            (parsed_venues, InputError, (("a", "b"), ("n", "n"), ("c", "c"), np.array([1, np.inf]))),
+            (parsed_venues, InputError, (("a", "b"), ("n", "n"), ("c", "c"), np.array([1, -2.0]))),
         ],
         ids=["names", "areas", "area-matrix", "empty-id", "duplicate-id", "inf-area", "neg-area"],
     )
-    def test_venue_table_rejects_bad_columns(self, columns):
-        with pytest.raises(ValueError):
-            VenueTable(*columns)
+    def test_venue_table_rejects_bad_columns(self, build, error, columns):
+        with pytest.raises(error):
+            build(*columns)
 
     @pytest.mark.parametrize(
         "column, value",

@@ -51,12 +51,6 @@ class TestMaxDistancedOccupancy:
                 area, spacing
             )
 
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            max_distanced_occupancy(0.0, 1.0)
-        with pytest.raises(ValueError):
-            max_distanced_occupancy(10.0, 0.0)
-
     def test_spacing_too_small_to_divide_by_is_no_limit(self):
         # the disc's area underflows to 0 at 1e-320 m, the quotient overflows at 1e-160 m
         assert max_distanced_occupancy(np.array([10.0]), 1e-320).tolist() == [math.inf]

@@ -38,10 +38,6 @@ class TestClassify:
             y = x + rng.uniform(0, 3)
             assert rank[classify(x)] <= rank[classify(y)]
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            classify(-0.1)
-
 
 class TestHistogram:
     def test_linear_hand_binning(self):
@@ -71,10 +67,6 @@ class TestHistogram:
         hist = histogram([0.0, 0.0], bins=3, scale="log10")
         assert hist.counts == ()
         assert hist.excluded_count == 2
-
-    def test_zero_bins_rejected(self):
-        with pytest.raises(ValueError):
-            histogram([1, 2], bins=0)
 
     def test_conservation(self):
         rng = random.Random(13)

@@ -137,13 +137,6 @@ def test_areas_within_documented_range():
         assert lo <= area <= hi
 
 
-def test_bad_config_rejected():
-    with pytest.raises(ValueError):
-        GeneratorConfig(n_venues=0, profile="lockdown", seed=1)
-    with pytest.raises(ValueError):
-        GeneratorConfig(n_venues=5, profile="weekend", seed=1)
-
-
 DATAGEN = Path(__file__).resolve().parents[1] / "perfbench" / "datagen.py"
 
 

@@ -239,7 +239,7 @@ def test_one_function_compares_against_the_severity_threshold():
 
 # the code lines of src/venuerisk/, the size measure of the package: a change that moves
 # it records the new count here, so the count moves only in a visible diff
-SRC_CODE_LINES = 1274
+SRC_CODE_LINES = 1253
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
