@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -343,8 +344,14 @@ class TestSimulate:
             ("compare", str(cli.MAX_BINS + 1), f"must be at most {cli.MAX_BINS}"),
             # a count past any memory is rejected before the run, naming the flag
             ("simulate", "99999999999999999999", f"must be at most {cli.MAX_BINS}"),
+            # more digits than int() converts: still a number above the bound
+            ("compare", "9" * 5000, f"must be at most {cli.MAX_BINS}"),
+            ("simulate", "9" * 5000 + "x", "must be a positive integer"),
         ],
-        ids=["simulate-0", "compare-0", "simulate-abc", "compare-past-max", "simulate-huge"],
+        ids=[
+            "simulate-0", "compare-0", "simulate-abc", "compare-past-max", "simulate-huge",
+            "compare-past-int-digits", "simulate-long-non-integer",
+        ],
     )
     def test_bad_bins_rejected_before_reading(self, tmp_path, capsys, command, bins, problem):
         # every input names a missing file, so exit 1 (not the i/o error's 2) shows none was read
@@ -360,6 +367,10 @@ class TestSimulate:
         ) == 1
         assert capsys.readouterr().err.endswith(f"error: argument --bins: {problem}, got {bins!r}\n")
         assert not out.exists()
+
+    def test_leading_zeros_past_the_int_digit_limit_are_read(self):
+        parse = cli._int_at_least(1, "a positive integer", cli.MAX_BINS)
+        assert parse(" +" + "0" * 5000 + "7 ") == 7
 
     def test_reports_are_readable_under_umask_022(self, small_dataset, tmp_path):
         out = tmp_path / "run"
@@ -1300,6 +1311,29 @@ def test_failed_rename_removes_the_temporary_file_and_keeps_the_old_report(tmp_p
     monkeypatch.setattr(reporting.os, "replace", fail)
     with pytest.raises(OSError, match="^rename failed$"):
         reporting.atomic_write_text(target, "new report\n")
+    assert list(tmp_path.glob(".*.tmp")) == []
+    assert [path.name for path in tmp_path.iterdir()] == ["summary.json"]
+    assert target.read_bytes() == b"old report\n"
+
+
+def test_failed_write_removes_the_temporary_file_and_keeps_the_old_report(tmp_path, monkeypatch):
+    target = tmp_path / "summary.json"
+    target.write_bytes(b"old report\n")
+    real_fdopen = os.fdopen
+
+    def full_disk(fd, *args, **kwargs):
+        handle = real_fdopen(fd, *args, **kwargs)
+
+        def write(text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        handle.write = write
+        return handle
+
+    monkeypatch.setattr(reporting.os, "fdopen", full_disk)
+    with pytest.raises(OSError) as info:
+        reporting.atomic_write_text(target, "new report\n")
+    assert info.value.errno == errno.ENOSPC
     assert list(tmp_path.glob(".*.tmp")) == []
     assert [path.name for path in tmp_path.iterdir()] == ["summary.json"]
     assert target.read_bytes() == b"old report\n"
