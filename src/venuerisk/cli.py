@@ -87,15 +87,11 @@ def _int_at_least(minimum: int, description: str, maximum: float = math.inf):
         try:
             value = int(text)
         except ValueError:
-            # int() also refuses more digits than sys.get_int_max_str_digits(), leading
-            # zeros included; a number that long without them is above every maximum
-            digits = text.strip().removeprefix("+").lstrip("0") or "0"
-            if not digits.isdecimal():
-                value = minimum - 1
-            elif len(digits) > sys.get_int_max_str_digits():
-                value = math.inf
-            else:
-                value = int(digits)
+            # int() also refuses digit text longer than sys.get_int_max_str_digits():
+            # a number that long is above a finite maximum
+            if math.isfinite(maximum) and text.strip().removeprefix("+").isdecimal():
+                raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {text!r}")
+            value = minimum - 1
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be {description}, got {text!r}")
         if value > maximum:

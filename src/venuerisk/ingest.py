@@ -44,16 +44,14 @@ hands the records' own columns on, so each column is held once.
 open, so each file's ids are mapped once and its id dict is dropped
 once it is joined.
 
-Input files pass through memory a block at a time: :func:`parse_venues`
-and :func:`parse_visits` read a plain file's body in line-aligned
-blocks of about ``_PARSE_BLOCK_CHARS`` characters, through one block
-reader, and never hold its whole text; any other file is read by the
-row-by-row ``csv`` parser, which defines every accepted file, value and
-error. :func:`write_visits` hands its sink the rows in blocks of about
-``_WRITE_BLOCK_BYTES``. A visit file in venue-then-hour order, as every
-file the tool writes, is checked for duplicate (venue_id, hour) pairs
-block by block; only a file out of that order takes a bitmap of every
-id's window for that check.
+Visit files, the largest, pass through memory a block at a time:
+:func:`parse_visits` reads a plain file's body in line-aligned blocks of
+about ``_PARSE_BLOCK_CHARS`` characters and never holds its whole text,
+and :func:`write_visits` hands its sink the rows in blocks of about
+``_WRITE_BLOCK_BYTES``. A file in venue-then-hour order, as every file
+the tool writes, is checked for duplicate (venue_id, hour) pairs block
+by block; only a file out of that order takes a bitmap of every id's
+window for that check.
 """
 
 from __future__ import annotations
@@ -274,27 +272,12 @@ def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
     Each area is converted to m2 before it is checked, so an area whose
     conversion underflows to 0 fails naming its line.
 
-    ``source`` must be seekable and at its start. A plain file (see
-    :func:`_parse_venues_fast`) is read in line-aligned blocks, as
-    :func:`parse_visits` reads one; any other file, and every file with
-    an error, is read again from its start by the row-by-row ``csv``
-    parser, which defines the accepted files, the values and the errors.
-
     Raises:
         RecordError: malformed row, or an area that is not positive and
             finite in m2 (with line number).
         DatasetError: missing or bad header, or duplicate venue_id.
     """
     factor = AREA_UNITS[area_unit]
-    fast = _parse_venues_fast(source, factor)
-    if fast is not None:
-        return fast
-    source.seek(0)
-    return _parse_venues_csv(source, factor)
-
-
-def _parse_venues_csv(source: TextIO, factor: float) -> VenueTable:
-    """Row-by-row parse of a venue CSV, areas times ``factor``: the reference for every outcome."""
     ids, names, categories, areas = [], [], [], []
     seen, kinds = set(), {}
     for line, (venue_id, name, category, area_text) in _records(source, "venue", VENUE_HEADER):
@@ -375,149 +358,40 @@ def _parse_visits_csv(source: TextIO) -> VisitRecords:
     )
 
 
-# the body characters on which csv.reader and the byte readers may part ways: quoting,
-# comments, NUL, and every ASCII character str.strip() removes from a field but the
-# space (line ends other than "\n" too); a space may stand inside a field
-_NOT_PLAIN = '"#\0\t\r\v\f\x1c\x1d\x1e\x1f'
+# the exact header line, and the body characters on which csv.reader and the
+# byte reader may part ways: quoting, comments, NUL, and every ASCII character
+# str.strip() removes from a field (line ends other than "\n" too)
+_VISIT_HEADER_LINE = ",".join(VISIT_HEADER) + "\n"
+_NOT_PLAIN = '"#\0 \t\r\v\f\x1c\x1d\x1e\x1f'
 # characters of body text per block, and per read of the pass that counts line ends:
 # a block's text, bytes and per-row temporaries take about 2 MB, where the text of a
 # 1.37 M-row file takes 17; blocks twice as long take 4 MB, at the peak of compare,
 # for 1 % less CPU time
 _PARSE_BLOCK_CHARS = 1 << 17
-# the longest id the visit reader takes: an id is compared in one pass per byte
+# the longest id and count fields the byte reader takes: an id is compared in one pass
+# per byte, and a longer count may hit the csv parser's field limit
 _FIELD_BYTES = 32
 # the most digits of an hour or a count it reads as an integer: 16 digits stay exact
 # in int64, and converting that to a double rounds as float() of the digits does
 _DIGITS = 16
 
 
-def _plain_blocks(source: TextIO, header: tuple[str, ...]):
-    """Yield a plain CSV body's row count, then its rows a block at a time; None where not plain.
-
-    Plain is: leading ``#`` lines with no quote, carriage return or NUL,
-    the exact ``header`` line, then ASCII rows of one field per column of
-    ``header``, with none of ``_NOT_PLAIN``, no field that starts or ends
-    with a space and none over the csv reader's field limit. The csv
-    parser reads each field of such a row as its text; a blank line, or
-    a field too many or too few, is not plain.
-
-    ``source`` is read from its current position, the header line by
-    line. One pass then counts the body's line ends, reading
-    ``_PARSE_BLOCK_CHARS`` characters at a time, so that a caller can
-    allocate each column once. The body is read again in blocks of as
-    many characters, each extended to the next line end, so a row is
-    never split. Each block is ``(text, data, delimiters)``: its text,
-    the text's ASCII bytes with a final line end, and an array of one row
-    per text row holding the position of the comma or line end after
-    each field. Each field starts after the delimiter before it in
-    ``delimiters.ravel()``, the first at 0. The first None yielded,
-    for a block that is not plain or a body that grew or shrank since it
-    was counted, ends the blocks.
-    """
-    line = source.readline()
-    # a quote or a carriage return can make csv.reader run a comment line into the
-    # next, and some Python versions' csv.reader rejects a NUL
-    while line.startswith("#") and line.endswith("\n") and not any(c in line for c in '"\r\0'):
-        line = source.readline()
-    if line != ",".join(header) + "\n":
-        yield None
-        return
-    body = source.tell()
-    n, last = 0, "\n"
-    while chunk := source.read(_PARSE_BLOCK_CHARS):
-        n, last = n + chunk.count("\n"), chunk
-    n += not last.endswith("\n")
-    yield n
-    source.seek(body)
-    done = 0
-    while part := source.read(_PARSE_BLOCK_CHARS):
-        part += source.readline()  # the text as read is dropped, not held beside the block
-        block = _split_block(part, len(header))
-        if block is None or done + len(block[2]) > n:  # not plain, or grown since counted
-            yield None
-            return
-        done += len(block[2])
-        yield block
-        del part, block  # not held while the next block is read
-    if done != n:  # shrunk since counted
-        yield None
-
-
-def _split_block(part: str, columns: int) -> tuple[str, np.ndarray, np.ndarray] | None:
-    """The rows of ``part`` as a block of :func:`_plain_blocks`, or None if not plain."""
-    if not part.isascii() or any(c in part for c in _NOT_PLAIN):
-        return None
-    data = np.frombuffer(part.encode("ascii") + b"\n" * (not part.endswith("\n")), np.uint8)
-    line_end = data == ord("\n")
-    delimiter = line_end | (data == ord(","))
-    delimiters = np.flatnonzero(delimiter)
-    rows = np.count_nonzero(line_end)
-    ends = delimiters[columns - 1::columns]
-    # columns delimiters a row, every columns-th of them a line end: so each row holds
-    # columns - 1 commas; and a row within the field limit holds no field over it
-    if (
-        delimiters.size != columns * rows
-        or not line_end[ends].all()
-        or (np.diff(ends, prepend=-1) > csv.field_size_limit() + 1).any()
-    ):
-        return None
-    if " " in part:
-        # a space next to a delimiter, or first in the block (whose last byte is a line end)
-        spaces = np.flatnonzero(data == ord(" "))
-        if (delimiter[spaces - 1] | delimiter[spaces + 1]).any():
-            return None
-    return part, data, delimiters.reshape(rows, columns)
-
-
-def _parse_venues_fast(source: TextIO, factor: float) -> VenueTable | None:
-    """A plain venue file's table, areas times ``factor``; None unless sure of the csv result.
-
-    Plain is plain for :func:`_plain_blocks`, with every id non-empty and
-    unique and every area a ``float()`` text whose product with
-    ``factor`` is positive and finite: the conversion and the product
-    are the csv parser's. The fields are sliced out of each block's text,
-    and the rows of one category share one string, as the csv parser's
-    do.
-    """
-    blocks = _plain_blocks(source, VENUE_HEADER)
-    n = next(blocks)
-    if n is None:
-        return None
-    ids, names, categories, kinds = [], [], [], {}
-    areas = np.empty(n)
-    done = 0
-    for block in blocks:
-        if block is None:
-            return None
-        part, _, delimiters = block
-        stops = delimiters.ravel()
-        fields = [part[a:b] for a, b in zip([0, *(stops[:-1] + 1).tolist()], stops.tolist())]
-        ids += fields[0::4]
-        names += fields[1::4]
-        categories += map(kinds.setdefault, fields[2::4], fields[2::4])
-        try:
-            areas[done:done + len(delimiters)] = [float(text) for text in fields[3::4]]
-        except ValueError:
-            return None
-        done += len(delimiters)
-    with np.errstate(over="ignore"):
-        areas *= factor
-    if not (all(ids) and len(set(ids)) == n and (np.isfinite(areas) & (areas > 0)).all()):
-        return None
-    return VenueTable(tuple(ids), tuple(names), tuple(categories), areas)
-
-
 def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
     """Parse a plain visit file's bytes with NumPy; None unless sure of the csv parser's result.
 
-    Plain is plain for :func:`_plain_blocks`, with every id non-empty
-    and at most ``_FIELD_BYTES`` bytes, every hour at most ``_DIGITS``
+    Plain is: leading ``#`` lines, the exact header line, then ASCII rows
+    of three non-empty fields with none of ``_NOT_PLAIN``, every id and
+    count at most ``_FIELD_BYTES`` bytes, every hour at most ``_DIGITS``
     digits and in the window, every count finite and non-negative and no
     (venue_id, hour) pair twice. A count of more than ``_DIGITS`` bytes,
-    or not all digits, is read by ``float()``, as the csv parser reads
-    it. Each column is allocated once, at the counted rows, and filled a
-    block at a time; a failure in any block returns None, never part of
-    the file.
+    or not all digits, is read by ``float()``, as the csv parser reads it.
+
+    ``source`` is read from its current position, the header line by
+    line. One pass then counts the body's line ends, reading
+    ``_PARSE_BLOCK_CHARS`` characters at a time, so that each column is
+    allocated once. The body is read again in blocks of as many
+    characters, each extended to the next line end, so a row is never
+    split; a failure in any block returns None, never part of the file.
 
     A row's cell is its id's index times ``WINDOW_HOURS`` plus its hour.
     While the cells strictly increase, across each block and from one
@@ -526,29 +400,41 @@ def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
     file out of that order has its cells set in one bitmap of every id's
     window, where a pair seen twice leaves fewer cells set than rows.
     """
-    blocks = _plain_blocks(source, VISIT_HEADER)
-    n = next(blocks)
-    if n is None:
+    line = source.readline()
+    while line.startswith("#"):
+        # a quote or a carriage return can make csv.reader run a comment line into the
+        # next, and some Python versions' csv.reader rejects a NUL
+        if not line.endswith("\n") or any(c in line for c in '"\r\0'):
+            return None
+        line = source.readline()
+    if line != _VISIT_HEADER_LINE:
         return None
+    body = source.tell()
+    n, last = 0, "\n"
+    while chunk := source.read(_PARSE_BLOCK_CHARS):
+        n, last = n + chunk.count("\n"), chunk
+    n += not last.endswith("\n")
+    source.seek(body)
     ids: dict[str, int] = {}
     venues, hours, counts = np.empty(n, INDEX_DTYPE), np.empty(n, HOUR_DTYPE), np.empty(n)
     # last_cell: the cell of the last row read while the cells rise, None once they do not
-    done, filled, last_cell = 0, [], -1
-    for block in blocks:
-        columns = None if block is None else _parse_block(*block, ids)
-        if columns is None:
+    done, blocks, last_cell = 0, [], -1
+    while part := source.read(_PARSE_BLOCK_CHARS):
+        block = _parse_block(part + source.readline(), ids)
+        if block is None or done + len(block[0]) > n:  # not plain, or grown since counted
             return None
-        rows = slice(done, done + len(columns[0]))
-        venues[rows], hours[rows], counts[rows] = columns
-        del block, columns  # not held while the next block is read
-        filled.append(rows)
+        rows = slice(done, done + len(block[0]))
+        venues[rows], hours[rows], counts[rows] = block
+        blocks.append(rows)
         done = rows.stop
         if last_cell is not None:
-            cells = venues[rows].astype(np.intp) * WINDOW_HOURS + hours[rows]
+            cells = block[0].astype(np.intp) * WINDOW_HOURS + block[1]
             last_cell = int(cells[-1]) if cells[0] > last_cell and (np.diff(cells) > 0).all() else None
+    if done != n:  # shrunk since counted
+        return None
     if last_cell is None:
         seen = np.zeros(len(ids) * WINDOW_HOURS, dtype=bool)
-        for rows in filled:
+        for rows in blocks:
             seen[venues[rows].astype(np.intp) * WINDOW_HOURS + hours[rows]] = True
         # fewer cells set than rows: a duplicate (venue_id, hour) pair
         if np.count_nonzero(seen) != n:
@@ -556,21 +442,32 @@ def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
     return VisitRecords(ids, venues, hours, counts)
 
 
-def _parse_block(
-    part: str, data: np.ndarray, delimiters: np.ndarray, ids: dict[str, int]
-) -> tuple[np.ndarray, ...] | None:
-    """A block of :func:`_plain_blocks` as (venue index, hour, count) columns; None if not plain.
+def _parse_block(part: str, ids: dict[str, int]) -> tuple[np.ndarray, ...] | None:
+    """One block of whole rows as (venue index, hour, count) columns, or None if not plain.
 
-    Each field is read one byte position at a time across every row of
-    the block. Ids not in ``ids`` are added to it, numbered in order of
-    first appearance.
+    The rows are read as ASCII bytes, each field one byte position at a
+    time across every row of the block. Ids not in ``ids`` are added to
+    it, numbered in order of first appearance.
     """
-    first, second, ends = delimiters.T
+    if any(c in part for c in _NOT_PLAIN):
+        return None
+    try:
+        raw = part.encode("ascii") + b"\n" * (not part.endswith("\n"))
+    except UnicodeEncodeError:
+        return None
+    data = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    commas = np.flatnonzero(data == ord(","))
+    if commas.size != 2 * ends.size:
+        return None
     starts = np.concatenate(([0], ends[:-1] + 1))
+    first, second = commas[0::2], commas[1::2]
+    # each row holds both of its commas, so no row has more or fewer
     id_len, hour_len, count_len = first - starts, second - first - 1, ends - second - 1
     if not (
         (id_len >= 1).all() and (id_len <= _FIELD_BYTES).all()
-        and (hour_len >= 1).all() and (count_len >= 1).all()
+        and (hour_len >= 1).all()
+        and (count_len >= 1).all() and (count_len <= _FIELD_BYTES).all()
     ):
         return None
 

@@ -113,18 +113,6 @@ def parse_outcome(parse, text: str):
     return record_columns(visits)
 
 
-def venue_outcome(parse, text: str):
-    """Everything the venue table ``parse`` gives for ``text`` holds, or the type and message
-    of its error: the columns, the areas by ``repr``, and which rows share a category string."""
-    try:
-        table = parse(io.StringIO(text))
-    except Exception as exc:  # the csv parser defines every error, so compare them all
-        return type(exc), str(exc)
-    first = {}
-    shared = [first.setdefault(id(category), row) for row, category in enumerate(table.categories)]
-    return table.ids, table.names, table.categories, repr(table.areas.tolist()), shared
-
-
 def large_table(n_venues=10_000, hours=80):
     """Records of ``hours`` hours for each of ``n_venues`` venues: a visit file of about 10 MB."""
     venues = make_venues({f"v{i:05d}": 1.0 for i in range(n_venues)})

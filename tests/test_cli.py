@@ -368,10 +368,6 @@ class TestSimulate:
         assert capsys.readouterr().err.endswith(f"error: argument --bins: {problem}, got {bins!r}\n")
         assert not out.exists()
 
-    def test_leading_zeros_past_the_int_digit_limit_are_read(self):
-        parse = cli._int_at_least(1, "a positive integer", cli.MAX_BINS)
-        assert parse(" +" + "0" * 5000 + "7 ") == 7
-
     def test_reports_are_readable_under_umask_022(self, small_dataset, tmp_path):
         out = tmp_path / "run"
         old = os.umask(0o022)
@@ -1241,6 +1237,35 @@ def test_nul_in_out_names_the_flag_and_the_path(command, small_dataset, tmp_path
     assert capsys.readouterr().err.endswith(
         f"error: argument --out: a path cannot hold a NUL byte, got {out!r}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command, flag, expected",
+    [
+        ("hotspots", "--top", "a positive integer"),
+        ("gen-synthetic", "--n-venues", "a positive integer"),
+        ("gen-synthetic", "--seed", "a non-negative integer"),
+    ],
+    ids=["top", "n-venues", "seed"],
+)
+def test_count_past_int_digits_without_a_maximum_names_the_flag(
+    command, flag, expected, tmp_path, capsys
+):
+    # int() refuses digit text this long; a flag with no maximum says what it takes
+    value = "1" * 5000
+    args = {
+        "hotspots": ["--results", str(tmp_path / "results.csv"), "--top", "1"],
+        "gen-synthetic": [
+            "--n-venues", "5", "--profile", "lockdown", "--seed", "1",
+            "--out", str(tmp_path / "gen"),
+        ],
+    }[command]
+    args[args.index(flag) + 1] = value
+    assert run_cli(command, *args) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: must be {expected}, got {value!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestBaselineLifetime:

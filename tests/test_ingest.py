@@ -9,14 +9,11 @@ import pytest
 from venuerisk import ConfigError, DatasetError, RecordError, cli, ingest, scenario
 from venuerisk.errors import InputError
 from venuerisk.ingest import (
-    AREA_UNITS,
     INDEX_DTYPE,
     SQFT_TO_SQM,
     SimulationInput,
     VenueTable,
     VisitRecords,
-    _parse_venues_csv,
-    _parse_venues_fast,
     _parse_visits_csv,
     _parse_visits_fast,
     apply_sampling_correction,
@@ -38,7 +35,6 @@ from conftest import (
     peak_above_kept,
     record_columns,
     same_venues,
-    venue_outcome,
     visit_records,
     visit_rows,
     window_counts,
@@ -126,132 +122,6 @@ class TestParseVenues:
     def test_comment_after_header_is_a_malformed_record(self):
         with pytest.raises(RecordError, match="line 3: expected 4 fields, got 1"):
             parse_venues(venues_csv("v1,Cafe,restaurant,100", "# note"))
-
-
-VENUE_HEADER_LINE = "venue_id,name,category,area\n"
-PLAIN_VENUE_ROWS = "v1,Cafe Nord,restaurant,100\nv2,Tap Room 2,drinking place,0.5\n"
-
-
-class TestBlockVenueParse:
-    """A plain venue file is read block-wise; any other gives the csv parser's table or error."""
-
-    def assert_as_csv(self, text, fast, unit="m2"):
-        factor = AREA_UNITS[unit]
-        got = venue_outcome(lambda source: parse_venues(source, unit), text)
-        assert got == venue_outcome(lambda source: _parse_venues_csv(source, factor), text)
-        assert (_parse_venues_fast(io.StringIO(text), factor) is not None) == fast
-
-    @pytest.mark.parametrize("unit", list(AREA_UNITS))
-    def test_taken_on_written_and_shipped_venues(self, unit):
-        venues = make_venues({f"v{i}": 10.0 * i + 0.1 for i in range(1, 6)})
-        sink = io.StringIO()
-        write_venues(venues, sink, comment="manifest_sha256: 00ff")
-        self.assert_as_csv(sink.getvalue(), True, unit)
-        self.assert_as_csv((SAMPLE_DATA / "venues.csv").read_text(encoding="utf-8"), True, unit)
-
-    @pytest.mark.parametrize(
-        "row, unit",
-        [
-            ('v3,"Bar",pub,50', "m2"),  # quoted
-            ('v3,The "Bar",pub,50', "m2"),
-            ("v3,Bar,pub,50,extra", "m2"),  # a comma past the third
-            ("v3,Bar,50", "m2"),
-            ("v3,Bar,pub,50,5\nv4,Bar,50", "m2"),  # as many commas as rows need, not per row
-            ("v3,Caf\u00e9,restaurant,50", "m2"),  # not ASCII
-            (" v3,Bar,pub,50", "m2"),  # whitespace at a field's edge
-            ("v3,Bar ,pub,50", "m2"),
-            ("v3,Bar, pub,50", "m2"),
-            ("v3,Bar,pub,50 ", "m2"),
-            ("v3,Bar,\tpub,50", "m2"),
-            ("v3,Bar,pub\v,50", "m2"),
-            ("v3,Bar,\x1cpub,50", "m2"),
-            ("v3,B\tar,pub,50", "m2"),  # a tab inside a field: read by the csv parser
-            ("v3,B\0ar,pub,50", "m2"),
-            ("", "m2"),  # a blank line
-            ("#3,Bar,pub,50", "m2"),  # "#" after the header
-            ("v3,Bar #3,pub,50", "m2"),
-            ("# note", "m2"),
-            ("v1,Bar,pub,50", "m2"),  # a duplicate id
-            (",Bar,pub,50", "m2"),  # an empty id
-            ("v3,Bar,pub,", "m2"),
-            ("v3,Bar,pub,big", "m2"),
-            ("v3,Bar,pub,0x10", "m2"),
-            ("v3,Bar,pub,inf", "m2"),  # not finite or not positive once in m2
-            ("v3,Bar,pub,nan", "m2"),
-            ("v3,Bar,pub,1e400", "m2"),
-            ("v3,Bar,pub,0", "m2"),
-            ("v3,Bar,pub,-0", "m2"),
-            ("v3,Bar,pub,-5", "m2"),
-            ("v3,Bar,pub,1e-323", "ft2"),
-            ("v3,Bar,pub,5e-324", "ft2"),
-        ],
-    )
-    def test_rows_not_plain_give_the_csv_result(self, row, unit):
-        rows = PLAIN_VENUE_ROWS.splitlines(keepends=True)
-        self.assert_as_csv(VENUE_HEADER_LINE + rows[0] + row + "\n" + rows[1], False, unit)
-
-    @pytest.mark.parametrize(
-        "text, fast",
-        [
-            (VENUE_HEADER_LINE + PLAIN_VENUE_ROWS, True),
-            (VENUE_HEADER_LINE + PLAIN_VENUE_ROWS.rstrip("\n"), True),  # no final line end
-            (VENUE_HEADER_LINE + "v1,,,7\nv2,1e3,_,1_000\n", True),  # empty name and category
-            (VENUE_HEADER_LINE, True),
-            ("# stamp\n#\n" + VENUE_HEADER_LINE + PLAIN_VENUE_ROWS, True),
-            ('# "stamp"\n' + VENUE_HEADER_LINE + PLAIN_VENUE_ROWS, False),
-            ("\ufeff" + VENUE_HEADER_LINE + PLAIN_VENUE_ROWS, False),  # a BOM the stream kept
-            ((VENUE_HEADER_LINE + PLAIN_VENUE_ROWS).replace("\n", "\r\n"), False),
-            ("venue_id, name,category,area\n" + PLAIN_VENUE_ROWS, False),
-            ("", False),
-        ],
-        ids=["plain", "no-final-line-end", "empty-fields", "header-only", "comments",
-             "quoted-comment", "bom", "crlf", "spaced-header", "empty"],
-    )
-    @pytest.mark.parametrize("unit", list(AREA_UNITS))
-    def test_file_forms(self, text, fast, unit):
-        self.assert_as_csv(text, fast, unit)
-
-    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
-    def test_files_with_a_bom_or_crlf_take_the_block_path(self, tmp_path, ending):
-        # the BOM is dropped and CRLF read as "\n" as the file is opened
-        path = tmp_path / "venues.csv"
-        text = "# stamp\n" + VENUE_HEADER_LINE + PLAIN_VENUE_ROWS
-        path.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", ending).encode())
-        with open_input(path) as handle:
-            assert _parse_venues_fast(handle, 1.0) is not None
-        with open_input(path) as handle:
-            table = parse_venues(handle)
-        assert same_venues(table, parse_venues(io.StringIO(text)))
-
-    @pytest.mark.parametrize("block_chars", [1, 5, 29, 64])
-    def test_blocks_split_at_any_row(self, monkeypatch, block_chars):
-        rows = (f"v{i},Venue {i},kind {i % 3},{i + 0.25}\n" for i in range(40))
-        text = VENUE_HEADER_LINE + "".join(rows)
-        monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", block_chars)
-        self.assert_as_csv(text, True)
-        self.assert_as_csv(text + "v39,again,kind,1\n", False)
-
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ("v3,Bar,pub,inf", "line 3: area must be positive and finite, got inf"),
-            ("v3,Bar,pub,1e-323", "line 3: area must be positive and finite, got 1e-323"),
-            ("v3,Bar,pub,50,extra", "line 3: expected 4 fields, got 5"),
-            ("v3, Bar,pub,", "line 3: area '' is not a number"),
-        ],
-    )
-    def test_errors_name_the_file_and_line(self, tmp_path, capsys, row, message):
-        venues = tmp_path / "venues.csv"
-        rows = PLAIN_VENUE_ROWS.splitlines(keepends=True)
-        venues.write_text(VENUE_HEADER_LINE + rows[0] + row + "\n" + rows[1], encoding="utf-8")
-        visits = tmp_path / "visits.csv"
-        visits.write_text("venue_id,hour,count\nv1,0,1\n", encoding="utf-8")
-        code = cli.main([
-            "simulate", "--venues", str(venues), "--visits", str(visits), "--prevalence", "0.001",
-            "--area-unit", "ft2", "--out", str(tmp_path / "out"),
-        ])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {venues}: {message}\n"
 
 
 class TestParseVisits:

@@ -27,13 +27,11 @@ from venuerisk import (
 from venuerisk.epi import hourly_infections
 from venuerisk.errors import DatasetError
 from venuerisk.ingest import (
-    AREA_UNITS,
     INDEX_DTYPE,
     WINDOW_HOURS,
     SimulationInput,
     VenueTable,
     VisitRecords,
-    _parse_venues_csv,
     _parse_visits_csv,
     apply_sampling_correction,
     join,
@@ -54,7 +52,6 @@ from conftest import (
     parse_outcome,
     record_columns,
     same_venues,
-    venue_outcome,
     window_counts,
 )
 
@@ -352,9 +349,9 @@ odd_field_st = st.one_of(
          "1d5", "5.", "1,5"]
     )),
 )
-# ASCII characters str.strip() removes, each padding one end of a field
-PADS = [" ", "\t", "\v", "\f", "\x1c", "\x1f", "\r"]
-padding_st = st.tuples(st.integers(0, 2), st.sampled_from(PADS))
+padding_st = st.tuples(
+    st.integers(0, 2), st.sampled_from([" ", "\t", "\v", "\f", "\x1c", "\x1f", "\r"])
+)
 # a field-level trigger is listed three times: it hides in one row, so it needs the most draws
 TRIGGERS = [
     *["odd field", "padding"] * 3, "field count", "duplicate", "blank line", "comment row",
@@ -420,82 +417,6 @@ def test_fast_and_csv_visit_parsers_agree(text):
     # the same records (ids in the same order, repr-equal counts so -0.0 counts),
     # or the same exception type and message
     assert parse_outcome(parse_visits, text) == parse_outcome(_parse_visits_csv, text)
-
-
-# Venue files for the differential test: plain rows, which the block reader takes, with
-# up to two of the inputs it must leave to the csv parser.
-venue_name_st = st.text(st.sampled_from("ab C1&'-._"), max_size=8).filter(lambda v: v == v.strip())
-area_text_st = st.one_of(
-    st.floats(1e-300, 1e300).map(repr),
-    st.integers(1, 10**6).map(str),
-    st.sampled_from(["0.5", "1e3", "1_000", "5.", ".5", "+7", "007"]),
-)
-odd_venue_field_st = st.one_of(
-    st.tuples(st.just(0), st.sampled_from(["", '"v9"', "#v9", "v\u00e9", "v\x00", "v\t9", "v 9"])),
-    st.tuples(st.sampled_from([1, 2]), st.sampled_from(['"x"', 'x"y', "\u00e9", "#", "a\tb"])),
-    st.tuples(st.just(3), st.sampled_from(
-        ["inf", "-inf", "nan", "1e400", "0", "-0", "-1", "1e-323", "5e-324", "", "x", "0x10", "1,5"]
-    )),
-)
-VENUE_TRIGGERS = [
-    *["odd field", "padding"] * 3, "field count", "duplicate", "blank line", "comment row",
-    "header", "quote in comment", "crlf", "bom", "no header",
-]
-
-
-@st.composite
-def venue_files(draw):
-    ids = draw(st.lists(st.text("v0123", min_size=1, max_size=3), unique=True, max_size=6))
-    rows = [
-        [vid, draw(venue_name_st), draw(st.sampled_from(["restaurant", "pub", "bar 2", ""])),
-         draw(area_text_st)]
-        for vid in ids
-    ]
-    comments = draw(st.lists(st.sampled_from(["# manifest_sha256: 00ff", "#", "# caf\u00e9"])))
-    header, ending, bom = "venue_id,name,category,area", "\n", ""
-    for trigger in draw(st.lists(st.sampled_from(VENUE_TRIGGERS), max_size=2)):
-        if not any(len(r) == 4 for r in rows):
-            rows.append(["v9", "Bar", "pub", "1"])
-        row = draw(st.sampled_from([r for r in rows if len(r) == 4]))
-        if trigger == "odd field":
-            field, value = draw(odd_venue_field_st)
-            row[field] = value
-        elif trigger == "padding":
-            field, pad = draw(st.integers(0, 3)), draw(st.sampled_from(PADS))
-            row[field] = draw(st.sampled_from([pad + row[field], row[field] + pad]))
-        elif trigger == "field count":
-            row[:] = row[:3] if draw(st.booleans()) else [*row, "1"]
-        elif trigger == "duplicate":
-            rows.insert(draw(st.integers(0, len(rows))), [row[0], "again", "pub", "1"])
-        elif trigger == "blank line":
-            rows.insert(draw(st.integers(0, len(rows))), [""])
-        elif trigger == "comment row":
-            rows.insert(draw(st.integers(0, len(rows))), ["# note"])
-        elif trigger == "header":
-            header = draw(st.sampled_from(["venue_id, name,category,area", "venue_id,name,area"]))
-        elif trigger == "quote in comment":
-            comments.append('# "quoted,"')
-        elif trigger == "crlf":
-            ending = "\r\n"
-        elif trigger == "bom":
-            bom = "\ufeff"
-        elif trigger == "no header":
-            header = None
-    lines = [*comments, *([header] if header is not None else []), *map(",".join, rows)]
-    return bom + ending.join(lines) + draw(st.sampled_from([ending, ""]))
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(venue_files(), st.sampled_from(list(AREA_UNITS)), st.sampled_from([None, 1, 7, 40]))
-@example("venue_id,name,category,area\nv1,a,,1e-323\n", "ft2", None)  # rare draws, pinned
-@example("venue_id,name,category,area\nv1,a b,c,1\nv2,a,c,2", "m2", 1)
-def test_block_and_csv_venue_parsers_agree(text, unit, block_chars):
-    # the same columns, areas and shared category strings, or the same exception type
-    # and message, whatever the block size
-    chars = ingest._PARSE_BLOCK_CHARS if block_chars is None else block_chars
-    with mock.patch.object(ingest, "_PARSE_BLOCK_CHARS", chars):
-        got = venue_outcome(lambda source: parse_venues(source, unit), text)
-    assert got == venue_outcome(lambda source: _parse_venues_csv(source, AREA_UNITS[unit]), text)
 
 
 def gathered_rows(venues, visits):
