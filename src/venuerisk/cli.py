@@ -25,7 +25,6 @@ import argparse
 import dataclasses
 import io
 import math
-import statistics
 import sys
 from datetime import datetime
 
@@ -383,7 +382,7 @@ def cmd_compare(args) -> int:
             "name": config.name,
             "severe_count": severe,
             "mild_count": mild,
-            "mean_weekly_infections": statistics.fmean(weekly) if len(weekly) else None,
+            "mean_weekly_infections": math.fsum(weekly) / len(weekly) if len(weekly) else None,
         }
 
     scenarios = [scenario_report(config, weekly) for config, weekly in zip(configs, weeklies)]

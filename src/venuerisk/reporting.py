@@ -42,6 +42,8 @@ from .scenario import ScenarioConfig
 from .stats import Histogram, severity_labels
 
 TOOL_VERSION = "0.1.0"
+# characters per write of a report file: each slice is copied and encoded on its own
+_WRITE_SLICE_CHARS = 1 << 20
 
 
 def sha256_file(path: str | Path) -> str:
@@ -103,8 +105,10 @@ def write_reports(out_dir: str | Path, reports: Mapping[str, str]) -> Path:
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file + rename so partial outputs never survive.
 
-    The text goes to the file in one write. The file gets the usual
-    ``0o666 & ~umask`` mode; ``mkstemp`` alone would leave it ``0o600``.
+    The text goes to the file in slices of ``_WRITE_SLICE_CHARS``
+    characters, so no encoded copy of the whole text is made beside it.
+    The file gets the usual ``0o666 & ~umask`` mode; ``mkstemp`` alone
+    would leave it ``0o600``.
     """
     path = Path(path)
     umask = os.umask(0)
@@ -112,7 +116,8 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            for start in range(0, len(text), _WRITE_SLICE_CHARS):
+                handle.write(text[start:start + _WRITE_SLICE_CHARS])
         os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:

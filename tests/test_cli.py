@@ -13,6 +13,7 @@ import pytest
 from venuerisk import cli, ingest, reporting, scenario
 from venuerisk.cli import main
 from venuerisk.reporting import TOOL_VERSION, dump_json
+from conftest import peak_above_kept
 
 SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"
 NO_PREVALENCE = (
@@ -1339,6 +1340,15 @@ def test_failed_rename_removes_the_temporary_file_and_keeps_the_old_report(tmp_p
     assert list(tmp_path.glob(".*.tmp")) == []
     assert [path.name for path in tmp_path.iterdir()] == ["summary.json"]
     assert target.read_bytes() == b"old report\n"
+
+
+def test_atomic_write_makes_no_encoded_copy_of_the_whole_text(tmp_path):
+    # 16 MB of text goes to the file a slice at a time, never encoded in one piece
+    text = "0123456789abcdef" * (1 << 20)
+    target = tmp_path / "visits.csv"
+    _, extra = peak_above_kept(lambda: reporting.atomic_write_text(target, text))
+    assert extra < 4 << 20
+    assert target.read_text(encoding="utf-8") == text
 
 
 def test_failed_write_removes_the_temporary_file_and_keeps_the_old_report(tmp_path, monkeypatch):

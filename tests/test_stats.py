@@ -196,6 +196,15 @@ class TestWelchTTest:
         with pytest.raises(ValueError, match="zero variance"):
             welch_t_test([3.0, 3.0], [4.0, 4.0])
 
+    @pytest.mark.parametrize("sample", ["a", "b"])
+    def test_variance_whose_sum_of_squares_overflows_names_the_sample(self, sample):
+        # each squared deviation is 1e308, finite; their fsum overflows
+        wide, narrow = [1e154, -1e154], [1.0, 2.0]
+        a, b = (wide, narrow) if sample == "a" else (narrow, wide)
+        assert math.isfinite(1e154 ** 2)
+        with pytest.raises(ValueError, match=f"^the variance of sample {sample} overflows"):
+            welch_t_test(a, b)
+
 
 class TestIncompleteBeta:
     def test_endpoints(self):
@@ -229,3 +238,28 @@ class TestIncompleteBeta:
             df = 10 ** rng.uniform(-0.3, 4)
             t = rng.gauss(0, 10)
             assert 0.0 <= student_t_two_sided_p(t, df) <= 1.0
+
+    @pytest.mark.parametrize("df", [0.0, -1.0, math.nan, math.inf])
+    def test_p_rejects_degrees_of_freedom_that_are_not_positive_and_finite(self, df):
+        with pytest.raises(ValueError, match="^degrees of freedom must be positive"):
+            student_t_two_sided_p(1.0, df)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_p_rejects_a_t_statistic_that_is_not_finite(self, t):
+        with pytest.raises(ValueError, match="^t statistic must be finite"):
+            student_t_two_sided_p(t, 10.0)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -0.5)])
+    def test_rejects_shapes_that_are_not_positive(self, a, b):
+        with pytest.raises(ValueError, match="^shape parameters must be positive"):
+            regularized_incomplete_beta(a, b, 0.5)
+
+    @pytest.mark.parametrize("x", [-1e-12, 1.0 + 1e-12, math.nan])
+    def test_rejects_x_outside_the_unit_interval(self, x):
+        with pytest.raises(ValueError, match="^x must be in \\[0, 1\\]"):
+            regularized_incomplete_beta(2.0, 3.0, x)
+
+    def test_continued_fraction_that_does_not_converge_raises(self):
+        # at a = b = 1e6 and x = 0.5 the fraction needs far more than its 300 iterations
+        with pytest.raises(ArithmeticError, match="^incomplete beta did not converge"):
+            regularized_incomplete_beta(1e6, 1e6, 0.5)

@@ -2,7 +2,9 @@
 CLI, every public name has a caller in the package, every private name is read in its
 module, no module imports another's private name and only ingest imports csv, every CLI
 flag is used by a test, one function compares against the severity threshold, test
-failures report normally, and src/ holds the recorded number of code lines."""
+failures report normally, src/ holds the recorded number of code lines, no src/ module
+calls a BLAS routine, and importing the CLI starts no BLAS thread and loads no
+statistics module."""
 
 import ast
 import importlib
@@ -239,7 +241,7 @@ def test_one_function_compares_against_the_severity_threshold():
 
 # the code lines of src/venuerisk/, the size measure of the package: a change that moves
 # it records the new count here, so the count moves only in a visible diff
-SRC_CODE_LINES = 1259
+SRC_CODE_LINES = 1264
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -270,3 +272,80 @@ def test_code_lines_skip_blanks_comments_and_docstrings():
 def test_src_code_lines_are_the_recorded_count():
     paths = sorted((SRC / "venuerisk").glob("*.py"))
     assert sum(code_lines(path.read_text(encoding="utf-8")) for path in paths) == SRC_CODE_LINES
+
+
+# the NumPy names whose calls run BLAS; importing venuerisk limits OpenBLAS to one
+# thread, which costs nothing only while no src/ module calls one of them
+BLAS_NAMES = {"dot", "matmul", "vdot", "inner", "tensordot", "einsum", "linalg"}
+
+
+def blas_uses(tree):
+    """The line of each ``@``, ``@=`` and BLAS-backed NumPy name in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            yield node.lineno
+        elif isinstance(node, ast.Name) and node.id in BLAS_NAMES:
+            yield node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            names = modules + [alias.name for alias in node.names]
+            if BLAS_NAMES & {part for name in names for part in name.split(".")}:
+                yield node.lineno
+
+
+def test_blas_uses_are_found():
+    text = (
+        "import numpy.linalg\nfrom numpy import dot\nc = a @ b\nc @= b\n"
+        "d = np.einsum('i,i', a, b)\ne = inner(a, b)\nf = a * b + np.sum(a)\n"
+    )
+    assert sorted(blas_uses(ast.parse(text))) == [1, 2, 3, 4, 5, 6]
+
+
+def test_no_module_calls_blas():
+    found = [
+        f"{path.stem}:{line}"
+        for path in sorted((SRC / "venuerisk").glob("*.py"))
+        for line in blas_uses(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+FRESH_IMPORT = """\
+import json, os, sys
+import venuerisk.cli
+threads = None
+if sys.platform == "linux":
+    with open("/proc/self/status") as status:
+        threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), "statistics" in sys.modules, threads]))
+"""
+
+
+def fresh_import(blas_threads):
+    """Import venuerisk.cli in a new interpreter with OPENBLAS_NUM_THREADS set to
+    ``blas_threads`` (unset for None); return that variable as it then reads, whether
+    ``statistics`` was loaded, and the process's OS threads (None off Linux)."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORT], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_cli_starts_no_blas_thread_and_loads_no_statistics():
+    variable, loaded_statistics, threads = fresh_import(None)
+    assert variable == "1"
+    assert not loaded_statistics
+    if sys.platform != "linux":
+        pytest.skip("counts OS threads through /proc/self/status")
+    assert threads == 1
+
+
+def test_importing_the_cli_keeps_a_preset_blas_thread_count():
+    assert fresh_import("3")[0] == "3"
