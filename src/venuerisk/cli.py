@@ -58,7 +58,6 @@ from .scenario import (
     BASELINE,
     ScenarioConfig,
     load_scenario_config,
-    params_from_mapping,
     parse_spacing,
     read_keyvalue,
     run_scenario,
@@ -236,18 +235,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARAM_FIELDS = frozenset(f.name for f in dataclasses.fields(EpiParams))
+
+
 def _resolve_params(args) -> EpiParams:
     """Merge the params file and ``--prevalence`` into a validated EpiParams; the flag wins.
 
-    A bad value from the file is reported under the file's name, a bad
-    flag value under the flag's. A file key that the flag overrides is never read.
+    The params file is the only parameter text, and it is read, parsed
+    and checked here, while :func:`~venuerisk.ingest.open_input` has it
+    open, so each of its errors names the file: a key that is not an
+    ``EpiParams`` field, a value that is not a number, and values that
+    ``EpiParams``' own rules reject (0.0 stands in for a
+    ``documented_prevalence`` the file leaves out, which the flag may
+    still supply). A file key that the flag overrides is never read. A
+    bad flag value is then reported under the flag's name.
     """
     flags = {} if args.prevalence is None else {"documented_prevalence": args.prevalence}
     values: dict[str, float] = {}
     if args.params:
         with open_input(args.params) as handle:
-            pairs = read_keyvalue(handle)
-            values = params_from_mapping({k: v for k, v in pairs.items() if k not in flags})
+            for key, raw in read_keyvalue(handle).items():
+                if key not in _PARAM_FIELDS:
+                    raise ConfigError(f"unknown parameter {key!r}")
+                if key in flags:
+                    continue
+                try:
+                    values[key] = float(raw)
+                except ValueError:
+                    raise ConfigError(f"parameter {key!r} value {raw!r} is not a number") from None
+            EpiParams(**{"documented_prevalence": 0.0, **values})  # its rules, naming the file
     values.update(flags)
     if "documented_prevalence" not in values:
         message = (
@@ -255,10 +271,8 @@ def _resolve_params(args) -> EpiParams:
             "documented_prevalence in the params file (there is no safe default)"
         )
         raise ConfigError(f"{args.params}: {message}" if args.params else message)
-    try:
+    with error_context("argument --prevalence"):  # the file's values are checked above
         return EpiParams(**values)
-    except ValueError as exc:  # the file's values are checked above, so the flag's is bad
-        raise ConfigError(f"argument --prevalence: {exc}") from None
 
 
 def _load_base_input(args) -> SimulationInput:
@@ -311,15 +325,13 @@ def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str])
 def cmd_simulate(args) -> int:
     with error_context("argument --spacing"):
         spacing = None if args.spacing is None else parse_spacing(args.spacing)
-    try:
+    with error_context("argument --sampling-factor"):  # parse_spacing has checked the spacing
         config = ScenarioConfig(
             name="simulate",
             visit_source=BASELINE,
             sampling_factor=args.sampling_factor,
             spacing=spacing,
         )
-    except ValueError as exc:  # parse_spacing has checked the spacing
-        raise ConfigError(f"argument --sampling-factor: {exc}") from None
     params, venues, (weekly,), manifest = _run_scenarios(args, [config], [])
     mhash = manifest["manifest_sha256"]
 

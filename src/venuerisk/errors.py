@@ -12,6 +12,7 @@ its docstring; a direct caller of that code checks its own values.
 * spacing > 0 and finite, in m: ``scenario.parse_spacing``
 * sampling factor > 0 and finite: ``scenario.ScenarioConfig``
 * ceiling height > 0 and finite: ``epi.EpiParams``
+* a params file's values: ``epi.EpiParams``, under the file's name
 * venue area > 0 and finite, in m2: ``ingest.parse_venues``, per line
 * venue ids non-empty and unique: ``ingest._records`` and ``ingest.parse_venues``
 * area unit known: the ``--area-unit`` flag's choices
@@ -20,6 +21,13 @@ its docstring; a direct caller of that code checks its own values.
   the ``--profile`` flag's choices
 * weekly values finite, with a finite total: ``scenario.run_scenario``
 * a weekly value read back finite and >= 0: ``ingest.parse_results``
+
+An error is labelled with its flag, file or scenario in one way: the
+code that knows the label runs the check in an :func:`error_context`
+block. An ``InputError`` raised there gains the label as a prefix, and
+a ``ValueError``, such as a type's own check, becomes a ``ConfigError``
+reading ``"<label>: <message>"``. Blocks nest, so a scenario file's
+error reads ``"<path>: scenario '<name>': <message>"``.
 """
 
 import contextlib
@@ -47,9 +55,17 @@ class ConfigError(InputError):
 
 @contextlib.contextmanager
 def error_context(label: str):
-    """Prefix ``label`` (a file path or scenario name) to any InputError raised in the block."""
+    """Label the input errors raised in the block with ``label``: a flag, file path or scenario.
+
+    An ``InputError`` keeps its type (and a ``RecordError`` its line)
+    and gains ``"<label>: "`` as a prefix. A ``ValueError`` becomes a
+    ``ConfigError`` reading ``"<label>: <message>"``, with no cause or
+    context, so it prints as one line. Other exceptions pass unchanged.
+    """
     try:
         yield
     except InputError as exc:
         exc.args = (f"{label}: {exc}",)
         raise
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from None

@@ -25,7 +25,11 @@ is a record. :func:`write_table` writes every table. The files:
 Visitor counts are real numbers throughout: sampling correction and
 occupancy capping act on expected values, not people. A venue table
 holds only values the venue file carries back: no id, name or category
-has surrounding whitespace or a carriage return.
+has surrounding whitespace or a carriage return. The reading owns that
+rule, not the table: :func:`open_input` turns every carriage return
+into a line end and :func:`parse_venues` strips every field, so a
+caller that builds a :class:`VenueTable` directly, or parses a stream
+of its own, must hold to it itself.
 
 Only :func:`open_input` and :func:`load_visits` open files; the other
 functions read and write the streams they are given. An input file is
@@ -95,12 +99,14 @@ class VenueTable:
     by every row of that category. Iterating yields the ids in row order
     and ``len`` is the venue count, as for a dict keyed by venue id.
 
-    The column lengths, and the values a venue file cannot carry back,
-    are checked here. The ids are non-empty and unique and the areas
-    positive and finite: they are checked where they are made, by
-    :func:`parse_venues` (naming the file and line) and by the
-    generator's numbering and draws, so a table built directly must hold
-    to them itself.
+    The column lengths are checked here. The ids are non-empty and
+    unique and the areas positive and finite: they are checked where
+    they are made, by :func:`parse_venues` (naming the file and line)
+    and by the generator's numbering and draws. No id, name or category
+    has surrounding whitespace or a carriage return, the values a venue
+    file cannot carry back: :func:`parse_venues` strips every field, and
+    a stream from :func:`open_input` turns every carriage return into a
+    line end. A table built directly must hold to all of these itself.
     """
 
     ids: tuple[str, ...]
@@ -112,15 +118,6 @@ class VenueTable:
         n = len(self.ids)
         if not (len(self.names) == len(self.categories) == n and np.shape(self.areas) == (n,)):
             raise ValueError(f"every venue column must have one entry per venue id ({n})")
-        # a venue file cannot carry these back: its parser strips every field
-        # and reads a carriage return as a line end
-        for column, values in zip(VENUE_HEADER, (self.ids, self.names, self.categories)):
-            bad = next((v for v in values if v != v.strip() or "\r" in v), None)
-            if bad is not None:
-                raise ValueError(
-                    f"{column} must not have surrounding whitespace or a carriage return, "
-                    f"got {bad!r}"
-                )
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -206,17 +203,21 @@ class VisitRecords:
 
 @contextlib.contextmanager
 def open_input(path: str | Path):
-    """Open a UTF-8 input file (BOM dropped); InputErrors raised while it is open name the file.
+    """Open a UTF-8 input file (BOM dropped); input errors raised while it is open name the file.
 
-    The file is decoded as it is read, so bytes that are not UTF-8 fail
-    at the read that meets them, as a :class:`DatasetError`. A path no
-    file can have, such as one holding a NUL, is a :class:`ConfigError`
-    naming it; a file that cannot be opened raises ``OSError``.
+    The block runs in an :func:`~venuerisk.errors.error_context` labelled
+    with the path, so an ``InputError`` raised in it gains the path as a
+    prefix and a ``ValueError``, such as a type's own check on parsed
+    values, becomes a :class:`ConfigError` naming the file. The file is
+    decoded as it is read, so bytes that are not UTF-8 fail at the read
+    that meets them, as a :class:`DatasetError`. Lines are read with
+    universal newlines, so the stream holds no carriage return: each one
+    is a line end. A path no file can have, such as one holding a NUL, is
+    a :class:`ConfigError` naming it; a file that cannot be opened raises
+    ``OSError``.
     """
-    try:
+    with error_context(f"cannot open {str(path)!r}"):  # a path holding a NUL, say
         handle = open(path, encoding="utf-8-sig")
-    except ValueError as exc:  # a path no file can have, such as one holding a NUL
-        raise ConfigError(f"cannot open {str(path)!r}: {exc}") from None
     with handle, error_context(str(path)):
         try:
             yield handle

@@ -37,7 +37,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .ingest import SimulationInput, apply_sampling_correction, load_visits, ope
 BASELINE = "baseline"
 FT_TO_M = 0.3048
 
-_PARAM_FIELDS = frozenset(f.name for f in dataclasses.fields(EpiParams))
 _COMMENT_RE = re.compile(r"(?:^|\s)#")
 
 
@@ -198,38 +197,13 @@ def read_keyvalue(source: TextIO) -> dict[str, str]:
     return out
 
 
-def params_from_mapping(pairs: Mapping[str, str]) -> dict[str, float]:
-    """Parse ``EpiParams`` field names and their text values into checked floats.
-
-    Each value is checked by ``EpiParams``' own rules; 0.0 stands in for
-    a ``documented_prevalence`` the mapping leaves out, which a flag may
-    still supply. This is the only step from parameter text to values.
-
-    Raises:
-        ConfigError: a key is not an ``EpiParams`` field, or a value is
-            not a number or is out of range.
-    """
-    values: dict[str, float] = {}
-    for key, raw in pairs.items():
-        if key not in _PARAM_FIELDS:
-            raise ConfigError(f"unknown parameter {key!r}")
-        try:
-            values[key] = float(raw)
-        except ValueError:
-            raise ConfigError(f"parameter {key!r} value {raw!r} is not a number") from None
-    try:
-        EpiParams(**{"documented_prevalence": 0.0, **values})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return values
-
-
 def load_scenario_config(path: str | Path) -> ScenarioConfig:
     """Load a scenario config file (syntax documented in the module docstring).
 
     Relative visit paths resolve against the config file's directory.
     Keys the file leaves out take ``ScenarioConfig``'s defaults. Errors
-    name the file.
+    name the file, and a value ``ScenarioConfig`` rejects also names the
+    scenario: ``"<path>: scenario '<name>': <message>"``.
     """
     path = Path(path)
     with open_input(path) as handle:
@@ -253,7 +227,5 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
         if pairs:
             raise ConfigError("unknown scenario key(s): " + ", ".join(sorted(pairs)))
 
-        try:
+        with error_context(f"scenario {name!r}"):
             return ScenarioConfig(name=name, **settings)
-        except ValueError as exc:
-            raise ConfigError(f"scenario {name!r}: {exc}") from None

@@ -279,11 +279,30 @@ class TestSimulate:
         assert run_cli(*simulate_args(small_dataset, tmp_path / "x", "--params", str(params))) == 1
         assert f"{params}: line 1: expected 'key = value'" in capsys.readouterr().err
 
-    def test_invalid_params_value_names_the_file(self, small_dataset, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("q = -1", "q must be positive and finite, got -1.0"),
+            ("ceiling_height = inf", "ceiling_height must be positive and finite, got inf"),
+            ("documented_prevalence = 1.5", "documented_prevalence must be in [0, 1], got 1.5"),
+            ("underreport_factor = 0.5", "underreport_factor must be >= 1, got 0.5"),
+            ("quanta = 1", "unknown parameter 'quanta'"),
+            ("q = x", "parameter 'q' value 'x' is not a number"),
+        ],
+        ids=["q", "ceiling_height", "documented_prevalence", "underreport_factor", "unknown", "text"],
+    )
+    def test_invalid_params_value_names_the_file(
+        self, small_dataset, tmp_path, capsys, line, message
+    ):
         params = tmp_path / "params.txt"
-        params.write_text("q = -1\n", encoding="utf-8")
-        assert run_cli(*simulate_args(small_dataset, tmp_path / "x", "--params", str(params))) == 1
-        assert f"{params}: q must be positive and finite, got -1.0" in capsys.readouterr().err
+        params.write_text(f"{line}\n", encoding="utf-8")
+        args = simulate_args(small_dataset, tmp_path / "x", "--params", str(params))
+        if line.startswith("documented_prevalence"):
+            # --prevalence would override the file's value, which is then never read
+            flag = args.index("--prevalence")
+            del args[flag:flag + 2]
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err == f"error: {params}: {message}\n"
 
     def test_invalid_flag_is_not_blamed_on_the_params_file(self, small_dataset, tmp_path, capsys):
         params = tmp_path / "params.txt"

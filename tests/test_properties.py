@@ -71,8 +71,9 @@ params_st = st.builds(
 count_st = st.one_of(st.just(0.0), st.floats(0.0, 500.0), st.floats(0.0, 1e-6))
 
 
-# ids a venue file carries back (VenueTable's rules: no surrounding whitespace, no
-# carriage return), with csv quoting, "#" at the start of a record and non-ASCII text
+# ids a venue file carries back (no surrounding whitespace, no carriage return: the
+# reading's rule, see ingest), with csv quoting, "#" at the start of a record and
+# non-ASCII text
 id_st = st.one_of(
     st.text(max_size=64),
     st.text(st.sampled_from(',"\n#x \u00e9\u20ac\U0001f600'), max_size=64),

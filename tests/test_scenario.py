@@ -19,7 +19,6 @@ from venuerisk.ingest import WINDOW_HOURS, VisitRecords, join, load_visits, writ
 from venuerisk.scenario import (
     apply_occupancy_cap,
     load_scenario_config,
-    params_from_mapping,
     parse_spacing,
 )
 from venuerisk.synthetic import GeneratorConfig, generate_dataset
@@ -224,28 +223,6 @@ def test_alternate_file_scenario_scales_its_own_counts(default_params, tmp_path)
     # beyond its records, the file's venue column and ids while they are joined, and
     # less than one more count column: a scaled copy of the counts would be a whole one
     assert extra < held + records.count.nbytes
-
-
-class TestParamsFromMapping:
-    @pytest.mark.parametrize(
-        "pairs, message",
-        [
-            ({"q": "-1"}, "q must be positive and finite, got -1.0"),
-            ({"ceiling_height": "inf"}, "ceiling_height must be positive and finite, got inf"),
-            ({"documented_prevalence": "1.5"}, "documented_prevalence must be in [0, 1], got 1.5"),
-            ({"underreport_factor": "0.5"}, "underreport_factor must be >= 1, got 0.5"),
-        ],
-        ids=["q", "ceiling_height", "documented_prevalence", "underreport_factor"],
-    )
-    def test_out_of_range_value_names_the_field(self, pairs, message):
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            params_from_mapping(pairs)
-
-    def test_unknown_name_and_bad_number_rejected(self):
-        with pytest.raises(ConfigError, match="unknown parameter 'quanta'"):
-            params_from_mapping({"quanta": "1"})
-        with pytest.raises(ConfigError, match="parameter 'q' value 'x' is not a number"):
-            params_from_mapping({"q": "x"})
 
 
 class TestSpacingParsing:

@@ -1,10 +1,10 @@
 """Repository checks: the tracer in perfbench/ finds every function it wraps and runs the
 CLI, every public name has a caller in the package, every private name is read in its
 module, no module imports another's private name and only ingest imports csv, every CLI
-flag is used by a test, one function compares against the severity threshold, test
-failures report normally, src/ holds the recorded number of code lines, no src/ module
-calls a BLAS routine, and importing the CLI starts no BLAS thread and loads no
-statistics module."""
+flag is used by a test, one function compares against the severity threshold, one
+function relabels a ValueError, test failures report normally, src/ holds the recorded
+number of code lines, no src/ module calls a BLAS routine, and importing the CLI starts
+no BLAS thread and loads no statistics module."""
 
 import ast
 import importlib
@@ -227,21 +227,64 @@ def _threshold_comparisons(tree):
                     yield node.lineno
 
 
-def test_one_function_compares_against_the_severity_threshold():
-    # one severity rule: every severe or mild count and label in the reports comes from it
+def _owners(finder) -> list[str]:
+    """``module.function`` around each line that ``finder`` yields for a src/ module's tree."""
     found = []
     for path in sorted((SRC / "venuerisk").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-        for line in _threshold_comparisons(tree):
+        for line in finder(tree):
             owners = [f.name for f in functions if f.lineno <= line <= f.end_lineno]
             found.append(f"{path.stem}.{owners[-1] if owners else '<module>'}")
-    assert found == ["stats.severity_labels"]
+    return found
+
+
+def test_one_function_compares_against_the_severity_threshold():
+    # one severity rule: every severe or mild count and label in the reports comes from it
+    assert _owners(_threshold_comparisons) == ["stats.severity_labels"]
+
+
+def _value_error_relabels(tree):
+    """The line of each ``except ValueError as name`` handler that raises a new exception
+    whose arguments read ``name``: a relabelled ValueError."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ExceptHandler) and node.name):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if "ValueError" not in [getattr(kind, "id", None) for kind in caught]:
+            continue
+        calls = [
+            inner.exc for statement in node.body for inner in ast.walk(statement)
+            if isinstance(inner, ast.Raise) and isinstance(inner.exc, ast.Call)
+        ]
+        if any(
+            isinstance(name, ast.Name) and name.id == node.name
+            for call in calls for arg in [*call.args, *call.keywords] for name in ast.walk(arg)
+        ):
+            yield node.lineno
+
+
+def test_value_error_relabels_are_found():
+    text = (
+        "try:\n    f()\nexcept ValueError as exc:\n    raise E(f'x: {exc}') from None\n"
+        "try:\n    f()\nexcept (KeyError, ValueError) as e:\n    if e:\n        raise E(str(e))\n"
+        "try:\n    f()\nexcept ValueError:\n    raise E('no name')\n"
+        "try:\n    f()\nexcept ValueError as exc:\n    raise\n"
+        "try:\n    f()\nexcept ValueError as exc:\n    raise E('x') from exc\n"
+        "try:\n    f()\nexcept TypeError as exc:\n    raise E(str(exc))\n"
+    )
+    assert list(_value_error_relabels(ast.parse(text))) == [3, 7]
+
+
+def test_one_function_relabels_a_value_error():
+    # one way to label an input error with its flag, file or scenario: a caught
+    # ValueError gets its label from error_context, never from a handler of its own
+    assert _owners(_value_error_relabels) == ["errors.error_context"]
 
 
 # the code lines of src/venuerisk/, the size measure of the package: a change that moves
 # it records the new count here, so the count moves only in a visible diff
-SRC_CODE_LINES = 1264
+SRC_CODE_LINES = 1244
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
