@@ -449,13 +449,17 @@ def cmd_gen_synthetic(args) -> int:
     manifest = hashed_manifest({"generator_config": dataclasses.asdict(config)}, args.timestamp)
     stamp = MANIFEST_COMMENT.format(manifest["manifest_sha256"])
 
-    venue_buf = io.StringIO()
-    write_venues(table.venues, venue_buf, comment=stamp)
+    # the visit text is rendered first, while the record columns are needed; they are
+    # dropped before anything else is made. The venue text is rendered, and the venue
+    # table dropped, before getvalue copies the visit text out of its buffer, and no
+    # buffer outlives its use, so the files are written holding one copy of it
     visit_buf = io.StringIO()
     write_visits(table, visit_buf, comment=stamp)
-    # neither the table nor the buffer outlives its use: the files are written
-    # holding one copy of the visit text
+    venues = table.venues
     del table
+    venue_buf = io.StringIO()
+    write_venues(venues, venue_buf, comment=stamp)
+    del venues
     visits = visit_buf.getvalue()
     del visit_buf
     out_dir = write_reports(args.out, {

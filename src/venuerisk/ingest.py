@@ -669,17 +669,22 @@ def write_table(
 _QUOTED = ',"\r\n\0'
 
 
+def _plain(*columns: tuple[str, ...]) -> bool:
+    """Whether no text of ``columns`` holds a ``_QUOTED`` character, so that
+    ``csv.writer`` quotes none of them and a row is its fields joined by commas."""
+    return not any(c in text for text in map("".join, columns) for c in _QUOTED)
+
+
 def write_venues(venues: VenueTable, sink: TextIO, comment: str | None = None) -> None:
     """Serialize a venue table to the documented CSV format (areas in m2).
 
-    The rows are one ``csv.writer`` row per venue. When no id, name or
-    category holds a character of ``_QUOTED``, that writer quotes no
-    field, and the same text is put together in one join.
+    The rows are one ``csv.writer`` row per venue. When the ids, names and
+    categories are :func:`_plain`, the same text is put together in one
+    join instead.
     """
     columns = (venues.ids, venues.names, venues.categories)
     areas = venues.areas.tolist()
-    texts = "".join(map("".join, columns))
-    if any(c in texts for c in _QUOTED):
+    if not _plain(*columns):
         write_table(sink, VENUE_HEADER, zip(*columns, map(repr, areas)), [comment])
     else:
         write_table(sink, VENUE_HEADER, comments=[comment])
@@ -703,6 +708,18 @@ def _byte_table(texts: list[str]) -> np.ndarray:
     return table.view(f"V{width}").ravel()
 
 
+def _id_fields(ids: tuple[str, ...]) -> list[str]:
+    """Each id as the first field of a ``csv.writer`` row, with its comma: ``"id,"``."""
+    if _plain(ids):
+        return [f"{vid}," for vid in ids]
+    # one quoted "id," plus the line end per venue: writerow makes one write call
+    # per row, so nothing is split on lines (an id may hold a newline)
+    parts: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=parts.append), lineterminator="\n")
+    writer.writerows((vid, "") for vid in ids)
+    return [part[:-1] for part in parts]
+
+
 def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = None) -> None:
     """Serialize a table's visit records to the documented CSV format, one row per record.
 
@@ -711,27 +728,27 @@ def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = Non
     non-zero draw. Parsing and joining give the same records back.
 
     Each row is ``id,hour,count``, put together from three byte tables:
-    every venue id quoted once by the ``csv`` dialect of the header
-    (``"id,"``), every hour (``"hour,"``) and every distinct count
-    through :func:`_format_count` (``"count\\n"``). The rows are
-    gathered from these tables as fixed-width records, in blocks of about
+    every venue id as the ``csv`` dialect of the header writes it
+    (``"id,"``, by :func:`_id_fields`: the id itself when the ids are
+    :func:`_plain`, as in :func:`write_venues`), every hour
+    (``"hour,"``) and every distinct count through :func:`_format_count`
+    (``"count\\n"``). The distinct counts are the sorted counts with
+    each run of equal values kept once. The rows are gathered from these
+    tables as fixed-width records, in blocks of about
     ``_WRITE_BLOCK_BYTES``, each block's counts looked up among the
     distinct ones on their own, and the padding is dropped; each block's
     text goes to ``sink`` in one write. So the text is the one a
     ``csv.writer`` gives row by row, and no temporary is larger than a
-    block.
+    block but the sorted counts, which are freed before the first block.
     """
     write_table(sink, VISIT_HEADER, comments=[comment])
     if not table.count.size:
         return
-    values = np.unique(table.count)
-    # one quoted "id," plus the line end per venue: writerow makes one write call
-    # per row, so nothing is split on lines (an id may hold a newline)
-    parts: list[str] = []
-    csv.writer(SimpleNamespace(write=parts.append), lineterminator="\n").writerows(
-        (vid, "") for vid in table.venues.ids
-    )
-    id_table = _byte_table([part[:-1] for part in parts])
+    # not np.unique, whose first call imports numpy.ma
+    values = np.sort(table.count)
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    # the id texts are freed here, not held while the rows are written
+    id_table = _byte_table(_id_fields(table.venues.ids))
     hour_table = _byte_table([f"{h}," for h in range(WINDOW_HOURS)])
     count_table = _byte_table([f"{_format_count(v)}\n" for v in values.tolist()])
     record = np.dtype(

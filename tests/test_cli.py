@@ -1228,18 +1228,25 @@ class TestGenSynthetic:
     def test_generated_table_is_released_before_the_files_are_written(
         self, tmp_path, monkeypatch
     ):
-        tables, generate_dataset, write_reports = [], cli.generate_dataset, cli.write_reports
+        tables, generate_dataset = [], cli.generate_dataset
+        write_venues, write_reports = cli.write_venues, cli.write_reports
 
         def generate(config):
             table = generate_dataset(config)
             tables.append(weakref.ref(table))
             return table
 
+        def render_venues(venues, sink, comment):
+            # the visit text comes first, so the records are gone before the venue text
+            assert tables and tables[0]() is None, "the generated table outlives write_visits"
+            return write_venues(venues, sink, comment=comment)
+
         def write(out_dir, reports):
             assert tables and tables[0]() is None, "the generated table outlives write_visits"
             return write_reports(out_dir, reports)
 
         monkeypatch.setattr(cli, "generate_dataset", generate)
+        monkeypatch.setattr(cli, "write_venues", render_venues)
         monkeypatch.setattr(cli, "write_reports", write)
         assert run_cli(
             "gen-synthetic", "--n-venues", "30", "--profile", "lockdown",

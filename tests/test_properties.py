@@ -269,6 +269,26 @@ written_count_st = st.one_of(
 )
 @example(input_from_matrix(make_venues({"v1": 1.0, "v2": 2.0}), np.zeros((2, WINDOW_HOURS))), 1)
 @example(input_from_matrix(make_venues({"#\n\"é,": 1.0}), window_counts([[0.0, 3.0, 1e300]])), 1)
+# plain ids only, so every "id," is put together without csv.writer
+@example(input_from_matrix(make_venues({"v1": 1.0, "#v2": 2.0}), window_counts([[2.5], [0, 1]])), 1)
+# many plain ids and one that must be quoted: the whole id table goes through csv.writer
+@example(
+    input_from_matrix(
+        make_venues({**{f"v{i}": 1.0 for i in range(40)}, 'x,"y': 1.0}), np.ones((41, 2))
+    ),
+    ingest._WRITE_BLOCK_BYTES,
+)
+# repeated counts, 0.0 and -0.0 among them, one record per write block: each block
+# looks its counts up among the distinct ones of the whole table
+@example(
+    SimulationInput(
+        make_venues({"v1": 1.0, "v2": 2.0}),
+        np.array([0, 0, 0, 0, 1, 1, 1, 1], INDEX_DTYPE),
+        np.array([0, 1, 2, 3, 0, 1, 2, 3], np.uint8),
+        np.array([0.0, -0.0, 2.5, 0.0, -0.0, 2.5, 7.0, 0.0]),
+    ),
+    1,
+)
 def test_write_visits_matches_row_by_row_csv(table, block_bytes):
     sink = io.StringIO()
     with mock.patch.object(ingest, "_WRITE_BLOCK_BYTES", block_bytes):
