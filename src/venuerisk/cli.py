@@ -41,7 +41,7 @@ from .ingest import (
     open_input,
     parse_results,
     parse_venues,
-    write_table,
+    render_table,
     write_venues,
     write_visits,
 )
@@ -436,10 +436,10 @@ def cmd_hotspots(args) -> int:
         entries = parse_results(handle)
     entries.sort(key=lambda e: (-e[2], e[0]))
     entries = entries[: args.top]  # --top unset is None: every entry
-    write_table(sys.stdout, HOTSPOT_COLUMNS, (
-        (rank, venue_id, name, repr(weekly), classify(weekly, args.threshold).value)
-        for rank, (venue_id, name, weekly) in enumerate(entries, start=1)
-    ))
+    ids, names, weekly = ([entry[k] for entry in entries] for k in range(3))
+    labels = [classify(value, args.threshold).value for value in weekly]
+    columns = [range(1, len(entries) + 1), ids, names, weekly, labels]
+    sys.stdout.write(render_table(HOTSPOT_COLUMNS, columns))
     return 0
 
 

@@ -5,7 +5,9 @@ Every CSV file is UTF-8 with a header row; the files the tool writes use
 comments: every file a run writes, apart from the ``hotspots`` listing,
 starts with one ``# manifest_sha256: <hash>`` line (``MANIFEST_COMMENT``)
 naming the manifest of that run. After the header, every non-blank line
-is a record. :func:`write_table` writes every table. The files:
+is a record. :func:`render_table` renders every table the tool writes,
+with one row format when no field needs quoting, through one
+``csv.writer`` when one does. The files:
 
 * venues, read by ``simulate`` and ``compare``, written by
   ``gen-synthetic``: ``VENUE_HEADER``, the floor area in m2 or ft2 when
@@ -67,7 +69,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -649,21 +651,6 @@ def _format_count(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(value)
 
 
-def write_table(
-    sink: TextIO, header: Iterable[str], rows: Iterable = (), comments: Iterable[str | None] = ()
-) -> None:
-    """Write a CSV table: a ``# comment`` line per comment given, the header, then the rows.
-
-    A comment that is None or empty writes no line. The header and the
-    rows go through one ``csv.writer`` with ``\\n`` line ends, which
-    quotes a field only where the ``csv`` dialect must.
-    """
-    sink.writelines(f"# {comment}\n" for comment in comments if comment)
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 # the characters on which csv.writer may quote a field (the delimiter, the quote and the
 # line ends), and NUL, which some Python versions' csv module rejects
 _QUOTED = ',"\r\n\0'
@@ -675,20 +662,43 @@ def _plain(*columns: tuple[str, ...]) -> bool:
     return not any(c in text for text in map("".join, columns) for c in _QUOTED)
 
 
-def write_venues(venues: VenueTable, sink: TextIO, comment: str | None = None) -> None:
-    """Serialize a venue table to the documented CSV format (areas in m2).
+# rows per join of the plain path: a block's row strings are freed once it is joined
+_RENDER_BLOCK_ROWS = 1 << 12
 
-    The rows are one ``csv.writer`` row per venue. When the ids, names and
-    categories are :func:`_plain`, the same text is put together in one
-    join instead.
+
+def render_table(header: Sequence[str], columns: Sequence = (), comments: Iterable = ()) -> str:
+    """The text of a CSV table: a ``# comment`` line per comment given, the header, then the rows.
+
+    A comment that is None or empty gives no line. Each of ``columns``
+    holds one entry per row, all ``str`` or all numbers; a float is
+    written as its ``repr``. The text is the one a ``csv.writer`` with
+    ``\\n`` line ends gives row by row, which quotes a field only where
+    the ``csv`` dialect must. When the header and the text columns are
+    :func:`_plain`, and a row has more than one field (``csv.writer``
+    quotes a lone empty one), the rows are put together with one row
+    format, joined ``_RENDER_BLOCK_ROWS`` rows at a time, so that the row
+    strings of one block at most are held at once; otherwise they go
+    through one ``csv.writer``.
     """
-    columns = (venues.ids, venues.names, venues.categories)
-    areas = venues.areas.tolist()
-    if not _plain(*columns):
-        write_table(sink, VENUE_HEADER, zip(*columns, map(repr, areas)), [comment])
-    else:
-        write_table(sink, VENUE_HEADER, comments=[comment])
-        sink.write("".join(map("{},{},{},{!r}\n".format, *columns, areas)))
+    parts = [f"# {comment}\n" for comment in comments if comment]
+    texts = [column for column in columns if column and isinstance(column[0], str)]
+    if columns and len(header) > 1 and _plain(header, *texts):
+        row = ",".join(["{}"] * len(header)) + "\n"
+        parts.append(row.format(*header))
+        for start in range(0, len(columns[0]), _RENDER_BLOCK_ROWS):
+            block = (column[start:start + _RENDER_BLOCK_ROWS] for column in columns)
+            parts.append("".join(map(row.format, *block)))
+        return "".join(parts)
+    writer = csv.writer(SimpleNamespace(write=parts.append), lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    return "".join(parts)
+
+
+def write_venues(venues: VenueTable, sink: TextIO, comment: str | None = None) -> None:
+    """Serialize a venue table to the documented CSV format (areas in m2)."""
+    columns = [venues.ids, venues.names, venues.categories, venues.areas.tolist()]
+    sink.write(render_table(VENUE_HEADER, columns, [comment]))
 
 
 # UTF-8 never uses this byte, so it pads byte-table entries unambiguously
@@ -730,7 +740,7 @@ def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = Non
     Each row is ``id,hour,count``, put together from three byte tables:
     every venue id as the ``csv`` dialect of the header writes it
     (``"id,"``, by :func:`_id_fields`: the id itself when the ids are
-    :func:`_plain`, as in :func:`write_venues`), every hour
+    :func:`_plain`, as in :func:`render_table`), every hour
     (``"hour,"``) and every distinct count through :func:`_format_count`
     (``"count\\n"``). The distinct counts are the sorted counts with
     each run of equal values kept once. The rows are gathered from these
@@ -741,7 +751,7 @@ def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = Non
     ``csv.writer`` gives row by row, and no temporary is larger than a
     block but the sorted counts, which are freed before the first block.
     """
-    write_table(sink, VISIT_HEADER, comments=[comment])
+    sink.write(render_table(VISIT_HEADER, comments=[comment]))
     if not table.count.size:
         return
     # not np.unique, whose first call imports numpy.ma

@@ -4,7 +4,9 @@ Reports are JSON (summary, comparison) and CSV (per-venue results,
 histogram bins). Floats are serialized with Python's shortest
 round-trip ``repr``, JSON keys are sorted, and CSV rows follow the
 input venue order, so identical runs produce byte-identical report
-files.
+files. Each CSV text is rendered by
+:func:`~venuerisk.ingest.render_table` from the report's columns: the
+number columns are passed as Python numbers, not as text.
 
 Every output file names the manifest hash that produced it: CSV files
 carry a leading ``# manifest_sha256: ...`` comment, JSON files a
@@ -18,7 +20,6 @@ identical inputs stay comparable.
 from __future__ import annotations
 
 import dataclasses
-import io
 import hashlib
 import json
 import os
@@ -36,7 +37,7 @@ from .ingest import (
     VENUE_RESULT_COLUMNS,
     VenueTable,
     compute_volumes,
-    write_table,
+    render_table,
 )
 from .scenario import ScenarioConfig
 from .stats import Histogram, severity_labels
@@ -143,23 +144,18 @@ def venue_results_csv(
     """
     volumes = compute_volumes(venues.areas, params.ceiling_height)
     labels = severity_labels(weekly, severity_threshold)
-    rows = zip(
+    columns = [
         venues.ids, venues.names, venues.categories,
-        *(map(repr, column.tolist()) for column in (venues.areas, volumes, weekly)),
-        labels.tolist(),
-    )
-    buf = io.StringIO()
-    write_table(buf, VENUE_RESULT_COLUMNS, rows, [MANIFEST_COMMENT.format(manifest_hash)])
-    return buf.getvalue()
+        *(column.tolist() for column in (venues.areas, volumes, weekly, labels)),
+    ]
+    return render_table(VENUE_RESULT_COLUMNS, columns, [MANIFEST_COMMENT.format(manifest_hash)])
 
 
 def histogram_csv(hist: Histogram, manifest_hash: str) -> str:
     """Render plot-ready histogram bins with provenance comments."""
-    edges = list(map(repr, hist.bin_edges))
+    edges = hist.bin_edges
     comments = [
         MANIFEST_COMMENT.format(manifest_hash),
         f"scale: {hist.scale.value}, excluded_count: {hist.excluded_count}",
     ]
-    buf = io.StringIO()
-    write_table(buf, HISTOGRAM_COLUMNS, zip(edges, edges[1:], hist.counts), comments)
-    return buf.getvalue()
+    return render_table(HISTOGRAM_COLUMNS, [edges[:-1], edges[1:], hist.counts], comments)

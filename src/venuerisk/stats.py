@@ -72,15 +72,21 @@ class ComparisonResult:
     p_value: float
 
 
+# the labels as 0-d object arrays: a label array then holds references to these two
+# strings, and its list makes no string of its own per venue
+_SEVERE, _MILD = (np.array(s.value, dtype=object) for s in (Severity.SEVERE, Severity.MILD))
+
+
 def severity_labels(weekly: np.ndarray | float, threshold: float) -> np.ndarray:
     """The ``Severity`` value of each weekly expected-infections value, in an array of its shape.
 
+    The array holds objects: every entry is one of the two value strings.
     A value is severe when it exceeds ``threshold`` and mild otherwise.
     The comparison is strict, so a venue sitting exactly on the
     threshold is mild. This is the one severity rule: every count and
     label in the reports comes from it.
     """
-    return np.where(weekly > threshold, Severity.SEVERE.value, Severity.MILD.value)
+    return np.where(weekly > threshold, _SEVERE, _MILD)
 
 
 def classify(weekly_infections: float, threshold: float = 1.0) -> Severity:

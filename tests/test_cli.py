@@ -8,9 +8,10 @@ import warnings
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from venuerisk import cli, ingest, reporting, scenario
+from venuerisk import EpiParams, cli, ingest, reporting, scenario, synthetic
 from venuerisk.cli import main
 from venuerisk.reporting import TOOL_VERSION, dump_json
 from conftest import peak_above_kept
@@ -824,6 +825,37 @@ class TestCompare:
         assert "t-test undefined" in capsys.readouterr().out
 
 
+def test_header_only_inputs_give_header_only_tables(tmp_path, capsys):
+    # no venue at all: every table is its comment lines and header, with no row
+    venues, visits = tmp_path / "venues.csv", tmp_path / "visits.csv"
+    venues.write_text("venue_id,name,category,area\n", encoding="utf-8")
+    visits.write_text("venue_id,hour,count\n", encoding="utf-8")
+    (tmp_path / "a.txt").write_text("name = closed\nvisits = baseline\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("name = open\nvisits = visits.csv\n", encoding="utf-8")
+    inputs = ["--venues", str(venues), "--visits", str(visits), "--prevalence", "0.01"]
+    assert run_cli("simulate", *inputs, "--out", str(tmp_path / "sim")) == 0
+    assert run_cli(
+        "compare", *inputs, "--scenario-a", str(tmp_path / "a.txt"),
+        "--scenario-b", str(tmp_path / "b.txt"), "--out", str(tmp_path / "cmp"),
+    ) == 0
+    histogram = ["# scale: linear, excluded_count: 0", "bin_lo,bin_hi,count"]
+    tables = {
+        "sim/venue_results.csv": [",".join(ingest.VENUE_RESULT_COLUMNS)],
+        "sim/histogram.csv": histogram,
+        "cmp/histogram_a.csv": histogram,
+        "cmp/histogram_b.csv": histogram,
+    }
+    for name, lines in tables.items():
+        first, *rest = (tmp_path / name).read_text(encoding="utf-8").split("\n")
+        assert first.startswith("# manifest_sha256: ")
+        assert rest == [*lines, ""], name
+    report = json.loads((tmp_path / "cmp" / "comparison.json").read_text(encoding="utf-8"))
+    assert "each sample needs at least 2 values, got 0 and 0" in report["t_test_undefined"]
+    capsys.readouterr()
+    assert run_cli("hotspots", "--results", str(tmp_path / "sim" / "venue_results.csv")) == 0
+    assert capsys.readouterr().out == "rank,venue_id,name,weekly_infections,severity\n"
+
+
 # the SHA-256 of every report on sample_data/, recorded before visit files were parsed
 # into records; a change that alters any report byte must update these on purpose. Both
 # tables were recorded again when the scenario configs lost their parameter overrides,
@@ -1367,6 +1399,17 @@ def test_failed_rename_removes_the_temporary_file_and_keeps_the_old_report(tmp_p
     assert [path.name for path in tmp_path.iterdir()] == ["summary.json"]
     assert target.read_bytes() == b"old report\n"
 
+    # when the temporary file cannot be removed either, the rename's error is the one raised
+    def fail_unlink(path):
+        raise OSError("unlink failed")
+
+    monkeypatch.setattr(reporting.os, "unlink", fail_unlink)
+    with pytest.raises(OSError, match="^rename failed$"):
+        reporting.atomic_write_text(target, "new report\n")
+    [left] = tmp_path.glob(".summary.json.*.tmp")
+    assert left.read_bytes() == b"new report\n"
+    assert target.read_bytes() == b"old report\n"
+
 
 def test_atomic_write_makes_no_encoded_copy_of_the_whole_text(tmp_path):
     # 16 MB of text goes to the file a slice at a time, never encoded in one piece
@@ -1375,6 +1418,21 @@ def test_atomic_write_makes_no_encoded_copy_of_the_whole_text(tmp_path):
     _, extra = peak_above_kept(lambda: reporting.atomic_write_text(target, text))
     assert extra < 4 << 20
     assert target.read_text(encoding="utf-8") == text
+
+
+def test_venue_results_csv_holds_little_beyond_its_text():
+    # the float columns reach the renderer as numbers, the labels as two shared strings,
+    # and rows are joined a block at a time: beyond the text, 2.1 times its length is
+    # held at once. Each of these undone makes that 2.7 or more (3.3 at the parent)
+    n = 10_000
+    venues = synthetic.generate_dataset(synthetic.GeneratorConfig(n, "lockdown", 42)).venues
+    weekly = np.random.default_rng(1).exponential(1.0, n)
+    params = EpiParams(documented_prevalence=0.01)
+    text, extra = peak_above_kept(
+        lambda: reporting.venue_results_csv(venues, weekly, params, 1.0, "00" * 32)
+    )
+    assert text.count("\n") == n + 2
+    assert extra < 2.5 * len(text)
 
 
 def test_failed_write_removes_the_temporary_file_and_keeps_the_old_report(tmp_path, monkeypatch):

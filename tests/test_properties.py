@@ -3,10 +3,13 @@
 Examples are derandomized, so every run checks the same cases.
 """
 
+import contextlib
 import csv
 import dataclasses
 import io
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 from venuerisk import (
     EpiParams,
     ScenarioConfig,
+    cli,
     epi,
     ingest,
     max_distanced_occupancy,
@@ -27,7 +31,9 @@ from venuerisk import (
 from venuerisk.epi import hourly_infections
 from venuerisk.errors import DatasetError
 from venuerisk.ingest import (
+    HOTSPOT_COLUMNS,
     INDEX_DTYPE,
+    VENUE_RESULT_COLUMNS,
     WINDOW_HOURS,
     SimulationInput,
     VenueTable,
@@ -40,7 +46,7 @@ from venuerisk.ingest import (
     write_venues,
     write_visits,
 )
-from venuerisk.reporting import hashed_manifest
+from venuerisk.reporting import hashed_manifest, venue_results_csv
 from venuerisk.scenario import apply_occupancy_cap
 from venuerisk.stats import combined_range, histogram
 from conftest import (
@@ -240,16 +246,25 @@ def test_reordered_rows_and_duplicates_give_the_csv_outcome(table, shuffle, slic
         assert parse_outcome(parse_visits, text) == parse_outcome(_parse_visits_csv, text)
 
 
+def row_by_row_csv(header, rows, comments=()):
+    """A ``# comment`` line per comment, then the header and ``rows`` written one
+    ``csv.writer`` row at a time: the text every table the tool writes must equal."""
+    sink = io.StringIO()
+    sink.writelines(f"# {comment}\n" for comment in comments)
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return sink.getvalue()
+
+
 def reference_visit_text(table, comment):
     """write_visits' output written one ``csv.writer`` row per record."""
-    sink = io.StringIO()
-    sink.write(f"# {comment}\n")
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["venue_id", "hour", "count"])
-    for row, hour, count in zip(table.row.tolist(), table.hour.tolist(), table.count.tolist()):
-        text = str(int(count)) if count.is_integer() else repr(count)
-        writer.writerow([table.venues.ids[row], hour, text])
-    return sink.getvalue()
+    rows = (
+        (table.venues.ids[row], hour, str(int(count)) if count.is_integer() else repr(count))
+        for row, hour, count in zip(table.row.tolist(), table.hour.tolist(), table.count.tolist())
+    )
+    return row_by_row_csv(["venue_id", "hour", "count"], rows, [comment])
 
 
 # integral and not, the extremes of the double range, and many zeros
@@ -305,8 +320,8 @@ venue_text_st = st.sampled_from(["ab1 _&'#\u00e9", 'ab ,"\n\u00e9']).flatmap(
 
 @st.composite
 def venue_tables(draw, max_venues=6):
-    """A VenueTable of up to ``max_venues`` rows of ``venue_text_st`` texts."""
-    n = draw(st.integers(1, max_venues))
+    """A VenueTable of up to ``max_venues`` rows of ``venue_text_st`` texts; it may have none."""
+    n = draw(st.integers(0, max_venues))
     ids = draw(st.lists(venue_text_st.filter(bool), min_size=n, max_size=n, unique=True))
     names = draw(st.lists(venue_text_st, min_size=n, max_size=n))
     categories = draw(st.lists(venue_text_st, min_size=n, max_size=n))
@@ -316,15 +331,8 @@ def venue_tables(draw, max_venues=6):
 
 def reference_venue_text(venues, comment):
     """write_venues' output written one ``csv.writer`` row per venue."""
-    sink = io.StringIO()
-    sink.write(f"# {comment}\n")
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["venue_id", "name", "category", "area"])
-    for vid, name, category, area in zip(
-        venues.ids, venues.names, venues.categories, venues.areas.tolist()
-    ):
-        writer.writerow([vid, name, category, repr(area)])
-    return sink.getvalue()
+    rows = zip(venues.ids, venues.names, venues.categories, map(repr, venues.areas.tolist()))
+    return row_by_row_csv(["venue_id", "name", "category", "area"], rows, [comment])
 
 
 @PROPERTY
@@ -335,6 +343,82 @@ def test_write_venues_matches_row_by_row_csv(venues):
     sink = io.StringIO()
     write_venues(venues, sink, comment="manifest_sha256: 00ff")
     assert sink.getvalue() == reference_venue_text(venues, "manifest_sha256: 00ff")
+
+
+# the two kinds of column render_table takes: texts, or Python numbers
+number_st = st.one_of(st.integers(-(10**20), 10**20), st.floats())
+
+
+@st.composite
+def table_columns(draw):
+    """A header of one to three names and one column per name, of texts or of numbers."""
+    width, rows = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    header = draw(st.lists(venue_text_st, min_size=width, max_size=width))
+    kind_st = st.sampled_from([venue_text_st, number_st])
+    kinds = draw(st.lists(kind_st, min_size=width, max_size=width))
+    return tuple(header), [draw(st.lists(kind, min_size=rows, max_size=rows)) for kind in kinds]
+
+
+@PROPERTY
+@given(
+    table_columns(),
+    st.lists(st.sampled_from(["manifest_sha256: 00ff", 'a, "b"', "", None])),
+    st.integers(1, 3),
+)
+@example((("a",), [["", "x"]]), [], 1)  # csv.writer quotes a lone empty field
+@example((("a", "b"), []), ["manifest_sha256: 00ff"], 1)  # a header and no columns
+@example((("a", "b"), [[], []]), [], 1)  # columns with no rows
+def test_render_table_matches_row_by_row_csv(table, comments, block_rows):
+    header, columns = table
+    expected = row_by_row_csv(header, zip(*columns), [comment for comment in comments if comment])
+    with mock.patch.object(ingest, "_RENDER_BLOCK_ROWS", block_rows):
+        assert ingest.render_table(header, columns, comments) == expected
+
+
+@st.composite
+def venue_reports(draw):
+    """A ``venue_tables`` table, each venue's weekly infections and a severity threshold."""
+    venues = draw(venue_tables())
+    # values on the threshold, and ties, which hotspots breaks by venue id
+    weekly_st = st.one_of(st.just(1.0), st.floats(0.0, 1e6))
+    weekly = draw(arrays(np.float64, len(venues), elements=weekly_st))
+    return venues, weekly, draw(st.sampled_from([0.0, 1.0, 2.5]))
+
+
+@PROPERTY
+@given(venue_reports())
+@example((VenueTable((), (), (), np.empty(0)), np.empty(0), 1.0))
+@example((
+    VenueTable(
+        ("v,1", "v\n2", "\u00e9"), ('The "Bar"', "Soup, Salad", ""), ("a\nb", "caf\u00e9", ""),
+        np.array([1.0, 0.1, 1e300]),
+    ),
+    np.array([1.0, 2.5, 2.5]),
+    1.0,
+))
+def test_venue_results_and_hotspots_match_row_by_row_csv(report):
+    venues, weekly, threshold = report
+    params = EpiParams(documented_prevalence=0.01)
+    labels = ["severe" if value > threshold else "mild" for value in weekly.tolist()]
+    volumes = [area * params.ceiling_height for area in venues.areas.tolist()]
+    numbers = (venues.areas.tolist(), volumes, weekly.tolist())
+    texts = (venues.ids, venues.names, venues.categories)
+    rows = zip(*texts, *(map(repr, column) for column in numbers), labels)
+    text = venue_results_csv(venues, weekly, params, threshold, "00ff")
+    assert text == row_by_row_csv(VENUE_RESULT_COLUMNS, rows, ["manifest_sha256: 00ff"])
+
+    listing = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(listing):
+        path = Path(tmp, "venue_results.csv")
+        path.write_text(text, encoding="utf-8", newline="")
+        assert cli.main(["hotspots", "--results", str(path), "--threshold", repr(threshold)]) == 0
+    entries = zip(weekly.tolist(), venues.ids, venues.names, labels)
+    ranked = sorted(entries, key=lambda entry: (-entry[0], entry[1]))
+    rows = (
+        (rank, vid, name, repr(value), label)
+        for rank, (value, vid, name, label) in enumerate(ranked, start=1)
+    )
+    assert listing.getvalue() == row_by_row_csv(HOTSPOT_COLUMNS, rows)
 
 
 @PROPERTY

@@ -244,6 +244,25 @@ def test_one_function_compares_against_the_severity_threshold():
     assert _owners(_threshold_comparisons) == ["stats.severity_labels"]
 
 
+def _csv_writers(tree):
+    """The line of each ``csv.writer(...)`` call in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "csv.writer":
+            yield node.lineno
+
+
+def test_csv_writers_are_found():
+    text = "csv.writer(sink)\nw = csv.writer(s, lineterminator='\\n')\ncsv.reader(s)\nwriter(s)\n"
+    assert list(_csv_writers(ast.parse(text))) == [1, 2]
+
+
+def test_one_function_renders_csv_rows():
+    # one table renderer: every CSV table the tool writes is rendered by
+    # ingest.render_table, by one join or by csv.writer; write_visits' id fields are
+    # the one other csv.writer, quoting each id for its byte table
+    assert sorted(_owners(_csv_writers)) == ["ingest._id_fields", "ingest.render_table"]
+
+
 def _value_error_relabels(tree):
     """The line of each ``except ValueError as name`` handler that raises a new exception
     whose arguments read ``name``: a relabelled ValueError."""
@@ -284,7 +303,7 @@ def test_one_function_relabels_a_value_error():
 
 # the code lines of src/venuerisk/, the size measure of the package: a change that moves
 # it records the new count here, so the count moves only in a visible diff
-SRC_CODE_LINES = 1251
+SRC_CODE_LINES = 1249
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
