@@ -144,12 +144,12 @@ def _add_params_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_input_flags(sub: argparse.ArgumentParser, visits_required: bool) -> None:
+def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--venues", required=True, help="venue CSV (venue_id,name,category,area)")
     sub.add_argument(
         "--visits",
-        required=visits_required,
-        help="visit CSV (venue_id,hour,count), hour in [0, 168)",
+        help="baseline visit CSV (venue_id,hour,count), hour in [0, 168); "
+        "required by a scenario on the baseline",
     )
     sub.add_argument(
         "--area-unit",
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run the weekly infection model")
-    _add_input_flags(p_sim, visits_required=True)
+    _add_input_flags(p_sim)
     _add_params_flags(p_sim)
     p_sim.add_argument(
         "--sampling-factor",
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="run and compare two scenario configs")
-    _add_input_flags(p_cmp, visits_required=False)
+    _add_input_flags(p_cmp)
     _add_params_flags(p_cmp)
     p_cmp.add_argument("--scenario-a", required=True, help="scenario config file A")
     p_cmp.add_argument("--scenario-b", required=True, help="scenario config file B")
@@ -235,34 +235,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARAM_FIELDS = frozenset(f.name for f in dataclasses.fields(EpiParams))
-
-
 def _resolve_params(args) -> EpiParams:
     """Merge the params file and ``--prevalence`` into a validated EpiParams; the flag wins.
 
-    The params file is the only parameter text, and it is read, parsed
-    and checked here, while :func:`~venuerisk.ingest.open_input` has it
-    open, so each of its errors names the file: a key that is not an
-    ``EpiParams`` field, a value that is not a number, and values that
-    ``EpiParams``' own rules reject (0.0 stands in for a
+    The params file is the only parameter text. It is read by
+    :func:`~venuerisk.scenario.read_keyvalue`, whose errors name the
+    line: a key that is not an ``EpiParams`` field, or a value that is
+    not a number. The values are then checked by ``EpiParams``' own
+    rules while :func:`~venuerisk.ingest.open_input` has the file open,
+    so every error names the file (0.0 stands in for a
     ``documented_prevalence`` the file leaves out, which the flag may
-    still supply). A file key that the flag overrides is never read. A
-    bad flag value is then reported under the flag's name.
+    still supply). A file key that the flag overrides is read as text,
+    never as a number, and dropped. A bad flag value is then reported
+    under the flag's name.
     """
     flags = {} if args.prevalence is None else {"documented_prevalence": args.prevalence}
     values: dict[str, float] = {}
     if args.params:
+        fields = {f.name: str if f.name in flags else float for f in dataclasses.fields(EpiParams)}
         with open_input(args.params) as handle:
-            for key, raw in read_keyvalue(handle).items():
-                if key not in _PARAM_FIELDS:
-                    raise ConfigError(f"unknown parameter {key!r}")
-                if key in flags:
-                    continue
-                try:
-                    values[key] = float(raw)
-                except ValueError:
-                    raise ConfigError(f"parameter {key!r} value {raw!r} is not a number") from None
+            read = read_keyvalue(handle, fields)
+            values = {key: value for key, value in read.items() if key not in flags}
             EpiParams(**{"documented_prevalence": 0.0, **values})  # its rules, naming the file
     values.update(flags)
     if "documented_prevalence" not in values:
@@ -288,22 +281,26 @@ def _load_base_input(args) -> SimulationInput:
 
 
 def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str]):
-    """Run each scenario over the shared inputs, in order.
+    """Run each scenario over the shared inputs, in order, and bin their weekly values.
 
-    The baseline records are dropped once the last scenario that reads
-    them has run: the scenarios after it, and the reports, get the venue
-    table with no records. Returns the resolved params, the venue table,
-    each config's weekly expected infections in venue-table order, and
-    the manifest over every input file (the scenario files in
-    ``config_paths`` included).
+    A scenario on the baseline needs ``--visits``: that is checked here,
+    for every command, before any input is read. The baseline records
+    are dropped once the last scenario that reads them has run: the
+    scenarios after it, and the reports, get the venue table with no
+    records. Every scenario's histogram has ``--bins`` bins over the
+    one range of all the scenarios' binnable values, so they overlay;
+    for one scenario that is its own range. Returns the resolved params,
+    the venue table, each config's weekly expected infections in
+    venue-table order, their histograms, and the manifest over every
+    input file (the scenario files in ``config_paths`` included).
     """
-    params = _resolve_params(args)
-    baseline = _load_base_input(args)
     for config in configs:
         if config.visit_source == BASELINE and not args.visits:
             raise ConfigError(
                 f"scenario {config.name!r} uses the baseline visit source but --visits was not given"
             )
+    params = _resolve_params(args)
+    baseline = _load_base_input(args)
     last_reader = max((i for i, c in enumerate(configs) if c.visit_source == BASELINE), default=-1)
     weeklies = []
     for i, config in enumerate(configs):
@@ -311,11 +308,13 @@ def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str])
         if i == last_reader:
             empty = VisitRecords()
             baseline = SimulationInput(baseline.venues, empty.venue, empty.hour, empty.count)
+    span = combined_range(weeklies, args.scale)
+    hists = [histogram(weekly, args.bins, args.scale, value_range=span) for weekly in weeklies]
 
     input_paths = [args.venues, *config_paths, *([args.visits] if args.visits else [])]
     input_paths += [c.visit_source for c in configs if c.visit_source != BASELINE]
     manifest = build_manifest(input_paths, params, configs, timestamp=args.timestamp)
-    return params, baseline.venues, weeklies, manifest
+    return params, baseline.venues, weeklies, hists, manifest
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +331,10 @@ def cmd_simulate(args) -> int:
             sampling_factor=args.sampling_factor,
             spacing=spacing,
         )
-    params, venues, (weekly,), manifest = _run_scenarios(args, [config], [])
+    params, venues, (weekly,), (hist,), manifest = _run_scenarios(args, [config], [])
     mhash = manifest["manifest_sha256"]
 
     severe, mild = count_severities(weekly, args.threshold)
-    hist = histogram(weekly, args.bins, args.scale)
     summary = {
         "manifest_sha256": mhash,
         "scenario": config.name,
@@ -370,8 +368,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    configs = [load_scenario_config(args.scenario_a), load_scenario_config(args.scenario_b)]
-    _, _, weeklies, manifest = _run_scenarios(args, configs, [args.scenario_a, args.scenario_b])
+    paths = [args.scenario_a, args.scenario_b]
+    configs = [load_scenario_config(path) for path in paths]
+    _, _, weeklies, (hist_a, hist_b), manifest = _run_scenarios(args, configs, paths)
     mhash = manifest["manifest_sha256"]
 
     weekly_a, weekly_b = weeklies
@@ -384,9 +383,6 @@ def cmd_compare(args) -> int:
         t_test["t_test_undefined"] = (
             f"scenario_a {configs[0].name!r} vs scenario_b {configs[1].name!r}: {exc}"
         )
-    span = combined_range(weekly_a, weekly_b, args.scale)
-    hist_a = histogram(weekly_a, args.bins, args.scale, value_range=span)
-    hist_b = histogram(weekly_b, args.bins, args.scale, value_range=span)
 
     def scenario_report(config, weekly):
         severe, mild = count_severities(weekly, args.threshold)
@@ -406,7 +402,7 @@ def cmd_compare(args) -> int:
         "severity_threshold": args.threshold,
         "histogram": {
             "scale": args.scale,
-            "bins": args.bins,
+            "bins": max(len(hist_a.counts), len(hist_b.counts)),
             "excluded_count_a": hist_a.excluded_count,
             "excluded_count_b": hist_b.excluded_count,
         },

@@ -12,7 +12,10 @@ its docstring; a direct caller of that code checks its own values.
 * spacing > 0 and finite, in m: ``scenario.parse_spacing``
 * sampling factor > 0 and finite: ``scenario.ScenarioConfig``
 * ceiling height > 0 and finite: ``epi.EpiParams``
+* a settings file's keys known and its values converted, as each line
+  is read (params and scenario files): ``scenario.read_keyvalue``, per line
 * a params file's values: ``epi.EpiParams``, under the file's name
+* a scenario on the baseline has ``--visits``: ``cli._run_scenarios``
 * venue area > 0 and finite, in m2: ``ingest.parse_venues``, per line
 * venue ids non-empty and unique: ``ingest._records`` and ``ingest.parse_venues``
 * area unit known: the ``--area-unit`` flag's choices

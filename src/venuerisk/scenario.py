@@ -18,16 +18,22 @@ expression over the visit records:
     4. simulate the window, with room volumes from the run's parameters;
        the weekly values and their total must be finite
 
-Scenario config files use one ``key = value`` pair per line. A ``#``
-at the start of a line or after whitespace starts a comment, so a value
-such as ``data#1.csv`` stays whole. Recognized keys:
+Scenario config files and the params file are settings files, read by
+:func:`read_keyvalue`. Each line holds one ``key = value`` pair, or
+nothing. A ``#`` at the start of a line or after whitespace starts a
+comment, so a value such as ``data#1.csv`` stays whole. A key appears at
+most once, and neither it nor its value may be empty. A scenario file's
+keys are:
 
     name = lockdown                 # defaults to the file stem
     visits = baseline               # or a path to a visit CSV
     sampling_factor = 10
     spacing = 6ft                   # unit suffix required: ft or m
 
-Any other key is an error naming the file.
+Each value is converted as its line is read, so every error in a
+settings file names the file and the line, and the key when its value
+is at fault: ``"<path>: line N: <key>: <message>"``. A key the file
+may not set is an error of the same form.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import Any, Callable, Mapping, TextIO
 
 import numpy as np
 
@@ -161,39 +167,47 @@ def parse_spacing(text: str) -> float:
     """Parse a spacing like ``6ft`` or ``1.8288m`` into meters.
 
     The unit suffix is mandatory so feet and meters can never be mixed
-    up silently.
+    up silently. An error does not name the spacing: its caller labels
+    it with the flag or the settings key.
     """
     match = _SPACING_RE.match(text.strip())
     if not match:
-        raise ConfigError(
-            f"spacing {text!r} must be a number with a unit suffix, e.g. 6ft or 1.8288m"
-        )
+        raise ConfigError(f"{text!r} must be a number with a unit suffix, e.g. 6ft or 1.8288m")
     try:
         value = float(match.group(1))
     except ValueError:
-        raise ConfigError(f"spacing {text!r} has a malformed number") from None
+        raise ConfigError(f"{text!r} has a malformed number") from None
     meters = value * FT_TO_M if match.group(2) == "ft" else value
     # checked in meters: a positive number of feet can round to 0 m
     if not (math.isfinite(meters) and meters > 0):
-        raise ConfigError(f"spacing must be positive, got {text!r}")
+        raise ConfigError(f"must be positive, got {text!r}")
     return meters
 
 
-def read_keyvalue(source: TextIO) -> dict[str, str]:
-    """Parse ``key = value`` lines; a ``#`` at line start or after whitespace starts a comment."""
-    out: dict[str, str] = {}
+def read_keyvalue(source: TextIO, fields: Mapping[str, Callable[[str], Any]]) -> dict[str, Any]:
+    """Read a settings file (grammar in the module docstring) into ``{key: fields[key](value)}``.
+
+    ``fields`` maps each key the file may set to the converter of its
+    value. Every error is a :class:`ConfigError` naming its line, and a
+    converter's error also names the key: ``"line N: <key>: <message>"``.
+    """
+    out: dict[str, Any] = {}
     for line_no, raw in enumerate(source, start=1):
         line = _COMMENT_RE.split(raw, 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key or not value:
-            raise ConfigError(f"line {line_no}: empty key or value in {raw.strip()!r}")
-        if key in out:
-            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        out[key] = value
+        with error_context(f"line {line_no}"):
+            if "=" not in line:
+                raise ConfigError(f"expected 'key = value', got {raw.strip()!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if not key or not value:
+                raise ConfigError(f"empty key or value in {raw.strip()!r}")
+            if key in out:
+                raise ConfigError(f"duplicate key {key!r}")
+            if key not in fields:
+                raise ConfigError(f"unknown key {key!r}, expected one of: {', '.join(fields)}")
+            with error_context(key):
+                out[key] = fields[key](value)
     return out
 
 
@@ -202,30 +216,21 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
 
     Relative visit paths resolve against the config file's directory.
     Keys the file leaves out take ``ScenarioConfig``'s defaults. Errors
-    name the file, and a value ``ScenarioConfig`` rejects also names the
-    scenario: ``"<path>: scenario '<name>': <message>"``.
+    name the file; one in a line, such as an unknown key or a value that
+    does not parse, also names the line, and a value ``ScenarioConfig``
+    rejects names the scenario: ``"<path>: scenario '<name>': <message>"``.
     """
     path = Path(path)
+    fields = {
+        "name": str,
+        "visits": lambda source: source if source == BASELINE else str(path.parent / source),
+        "sampling_factor": float,
+        "spacing": parse_spacing,
+    }
     with open_input(path) as handle:
-        pairs = read_keyvalue(handle)
-
-        name = pairs.pop("name", path.stem)
-        settings: dict = {}
-        if "visits" in pairs:
-            source = pairs.pop("visits")
-            if source != BASELINE:
-                source = str(Path(source) if Path(source).is_absolute() else path.parent / source)
-            settings["visit_source"] = source
-        if "sampling_factor" in pairs:
-            raw = pairs.pop("sampling_factor")
-            try:
-                settings["sampling_factor"] = float(raw)
-            except ValueError:
-                raise ConfigError(f"sampling_factor {raw!r} is not a number") from None
-        if "spacing" in pairs:
-            settings["spacing"] = parse_spacing(pairs.pop("spacing"))
-        if pairs:
-            raise ConfigError("unknown scenario key(s): " + ", ".join(sorted(pairs)))
-
+        settings = read_keyvalue(handle, fields)
+        name = settings.setdefault("name", path.stem)
+        if "visits" in settings:
+            settings["visit_source"] = settings.pop("visits")
         with error_context(f"scenario {name!r}"):
-            return ScenarioConfig(name=name, **settings)
+            return ScenarioConfig(**settings)

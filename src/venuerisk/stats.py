@@ -162,16 +162,17 @@ def _binning_points(values: np.ndarray, scale: Scale) -> np.ndarray:
 
 
 def combined_range(
-    values_a: np.ndarray, values_b: np.ndarray, scale: Scale | str
+    samples: Sequence[np.ndarray], scale: Scale | str
 ) -> tuple[float, float] | None:
-    """The [min, max] of both samples' binnable values, in :func:`histogram`'s binning units.
+    """The [min, max] of every sample's binnable values, in :func:`histogram`'s binning units.
 
-    Passed as :func:`histogram`'s ``value_range``, it puts both
-    samples' histograms on the same bins, so they overlay. It is taken
-    from the same values the histograms bin, so it leaves none of them
-    out. None when neither sample has a value to bin.
+    Passed as :func:`histogram`'s ``value_range``, it puts the samples'
+    histograms on the same bins, so they overlay. It is taken from the
+    same values the histograms bin, so it leaves none of them out; for
+    one sample it is the range :func:`histogram` derives by default.
+    None when no sample has a value to bin.
     """
-    pool = _binning_points(np.concatenate([values_a, values_b]), Scale(scale))
+    pool = _binning_points(np.concatenate(samples), Scale(scale))
     return (pool.min().item(), pool.max().item()) if pool.size else None
 
 

@@ -21,6 +21,9 @@ NO_PREVALENCE = (
     "documented prevalence is required: pass --prevalence or set "
     "documented_prevalence in the params file (there is no safe default)"
 )
+# the keys a settings file may set, as an unknown key's message lists them
+PARAM_KEYS = "documented_prevalence, q, p, ach, ceiling_height, t, underreport_factor"
+SCENARIO_KEYS = "name, visits, sampling_factor, spacing"
 
 
 def run_cli(*argv):
@@ -287,8 +290,8 @@ class TestSimulate:
             ("ceiling_height = inf", "ceiling_height must be positive and finite, got inf"),
             ("documented_prevalence = 1.5", "documented_prevalence must be in [0, 1], got 1.5"),
             ("underreport_factor = 0.5", "underreport_factor must be >= 1, got 0.5"),
-            ("quanta = 1", "unknown parameter 'quanta'"),
-            ("q = x", "parameter 'q' value 'x' is not a number"),
+            ("quanta = 1", f"line 1: unknown key 'quanta', expected one of: {PARAM_KEYS}"),
+            ("q = x", "line 1: q: could not convert string to float: 'x'"),
         ],
         ids=["q", "ceiling_height", "documented_prevalence", "underreport_factor", "unknown", "text"],
     )
@@ -317,16 +320,27 @@ class TestSimulate:
             "error: argument --prevalence: documented_prevalence must be in [0, 1], got 2.0\n"
         )
 
+    def test_without_visits_flag_is_error_before_any_input_is_read(self, tmp_path, capsys):
+        # --venues names a missing file, so exit 1 (not the i/o error's 2) shows none was read
+        out = tmp_path / "x"
+        code = run_cli(
+            "simulate", "--venues", str(tmp_path / "nope.csv"), "--prevalence", "0.001",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: scenario 'simulate' uses the baseline visit source but --visits was not given\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--sampling-factor", "0", "sampling_factor must be positive, got 0.0"),
-            ("--spacing", "0ft", "spacing must be positive, got '0ft'"),
+            ("--spacing", "0ft", "must be positive, got '0ft'"),
             # an empty spacing once turned distancing off
-            (
-                "--spacing", "", "spacing '' must be a number with a unit suffix, e.g. 6ft or 1.8288m"
-            ),
-            ("--spacing", "1..2ft", "spacing '1..2ft' has a malformed number"),
+            ("--spacing", "", "'' must be a number with a unit suffix, e.g. 6ft or 1.8288m"),
+            ("--spacing", "1..2ft", "'1..2ft' has a malformed number"),
         ],
         ids=["sampling-factor", "spacing", "empty-spacing", "malformed-spacing"],
     )
@@ -619,7 +633,9 @@ class TestCompare:
             "--prevalence", "0.001", "--out", str(out),
         )
         assert code == 1
-        assert capsys.readouterr().err == f"error: {neg}: unknown scenario key(s): param.q\n"
+        assert capsys.readouterr().err == (
+            f"error: {neg}: line 2: unknown key 'param.q', expected one of: {SCENARIO_KEYS}\n"
+        )
         assert not out.exists()
 
     def test_overflowing_sampling_factor_names_scenario_and_factor(
@@ -800,6 +816,48 @@ class TestCompare:
         assert code == 1
         assert "--threshold: must be a finite number" in capsys.readouterr().err
 
+    def test_total_closure_on_both_sides_reports_its_one_bin(self, small_dataset, tmp_path):
+        # every weekly value is 0: each histogram has one degenerate bin, and says so
+        closed = tmp_path / "no_visits.csv"
+        closed.write_text("venue_id,hour,count\n", encoding="utf-8")
+        a, _ = self._scenarios(tmp_path, small_dataset)
+        inputs = [
+            "--venues", str(small_dataset["venues"]), "--visits", str(closed),
+            "--prevalence", "0.001",
+        ]
+        assert run_cli("simulate", *inputs, "--out", str(tmp_path / "sim")) == 0
+        assert run_cli(
+            "compare", *inputs, "--scenario-a", str(a), "--scenario-b", str(a),
+            "--out", str(tmp_path / "cmp"),
+        ) == 0
+        summary = json.loads((tmp_path / "sim" / "summary.json").read_text())
+        report = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+        assert summary["histogram"]["bins"] == report["histogram"]["bins"] == 1
+        for name in ("sim/histogram.csv", "cmp/histogram_a.csv", "cmp/histogram_b.csv"):
+            rows = (tmp_path / name).read_text().splitlines()[3:]
+            assert [row.split(",")[2] for row in rows] == ["100"], name
+
+    def test_log10_side_with_nothing_to_bin_reports_the_other_sides_bins(
+        self, small_dataset, tmp_path
+    ):
+        _, b = self._scenarios(tmp_path, small_dataset)
+        (tmp_path / "no_visits.csv").write_text("venue_id,hour,count\n", encoding="utf-8")
+        closed = tmp_path / "closed.txt"
+        closed.write_text("name = closure\nvisits = no_visits.csv\n", encoding="utf-8")
+        out = tmp_path / "cmp"
+        assert run_cli(
+            "compare", "--venues", str(small_dataset["venues"]),
+            "--scenario-a", str(closed), "--scenario-b", str(b), "--prevalence", "0.001",
+            "--scale", "log10", "--bins", "7", "--out", str(out),
+        ) == 0
+        rows_a, rows_b = (
+            (out / f"histogram_{side}.csv").read_text().splitlines()[3:] for side in "ab"
+        )
+        assert (len(rows_a), len(rows_b)) == (0, 7)
+        histogram = json.loads((out / "comparison.json").read_text())["histogram"]
+        assert histogram["bins"] == 7
+        assert (histogram["excluded_count_a"], histogram["excluded_count_b"]) == (100, 0)
+
     def test_total_closure_still_reports(self, small_dataset, tmp_path, capsys):
         a, _ = self._scenarios(tmp_path, small_dataset)
         (tmp_path / "no_visits.csv").write_text("venue_id,hour,count\n", encoding="utf-8")
@@ -823,6 +881,53 @@ class TestCompare:
         assert report["scenario_b"]["mean_weekly_infections"] == 0.0
         assert (out / "histogram_a.csv").exists() and (out / "histogram_b.csv").exists()
         assert "t-test undefined" in capsys.readouterr().out
+
+
+SETTINGS_FILES = {
+    # kind: (the key set on line 2, a key whose value is a number, the keys the file may set)
+    "params": ("p", "q", PARAM_KEYS),
+    "scenario": ("name", "sampling_factor", SCENARIO_KEYS),
+}
+SETTINGS_ERRORS = {
+    # case: (line 3 of the file, the message after "line 3: ", per kind where they differ)
+    "no-equals": ("{key} 20", "expected 'key = value', got '{key} 20'"),
+    "empty-key": ("= 20", "empty key or value in '= 20'"),
+    "empty-value": ("{key} =", "empty key or value in '{key} ='"),
+    "duplicate": ("{first} = 2", "duplicate key '{first}'"),
+    "unknown": ("venue_cap = 5", "unknown key 'venue_cap', expected one of: {keys}"),
+    "not-a-number": ("{key} = ten", "{key}: could not convert string to float: 'ten'"),
+    "spacing": (
+        "spacing = 6",
+        {
+            "params": "unknown key 'spacing', expected one of: {keys}",
+            "scenario": "spacing: '6' must be a number with a unit suffix, e.g. 6ft or 1.8288m",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SETTINGS_ERRORS)
+@pytest.mark.parametrize("kind", SETTINGS_FILES)
+def test_settings_file_error_names_its_line(kind, case, tmp_path, capsys):
+    # line 1 is a comment and line 2 is valid: the line count is the file's own. The
+    # inputs name missing files, so exit 1 (not the i/o error's 2) shows none was read
+    first, key, keys = SETTINGS_FILES[kind]
+    line, message = SETTINGS_ERRORS[case]
+    message = message[kind] if isinstance(message, dict) else message
+    settings = tmp_path / f"{kind}.txt"
+    line = line.format(first=first, key=key)
+    settings.write_text(f"# settings\n{first} = 1\n{line}\n", encoding="utf-8")
+    missing, out = str(tmp_path / "nope.csv"), tmp_path / "x"
+    inputs = ["--venues", missing, "--visits", missing, "--out", str(out)]
+    if kind == "params":
+        argv = ["simulate", *inputs, "--params", str(settings)]
+    else:
+        argv = ["compare", *inputs, "--prevalence", "0.001"]
+        argv += ["--scenario-a", str(settings), "--scenario-b", str(settings)]
+    assert run_cli(*argv) == 1
+    expected = message.format(first=first, key=key, keys=keys)
+    assert capsys.readouterr().err == f"error: {settings}: line 3: {expected}\n"
+    assert not out.exists()
 
 
 def test_header_only_inputs_give_header_only_tables(tmp_path, capsys):
@@ -851,6 +956,8 @@ def test_header_only_inputs_give_header_only_tables(tmp_path, capsys):
         assert rest == [*lines, ""], name
     report = json.loads((tmp_path / "cmp" / "comparison.json").read_text(encoding="utf-8"))
     assert "each sample needs at least 2 values, got 0 and 0" in report["t_test_undefined"]
+    summary = json.loads((tmp_path / "sim" / "summary.json").read_text(encoding="utf-8"))
+    assert summary["histogram"]["bins"] == report["histogram"]["bins"] == 0
     capsys.readouterr()
     assert run_cli("hotspots", "--results", str(tmp_path / "sim" / "venue_results.csv")) == 0
     assert capsys.readouterr().out == "rank,venue_id,name,weekly_infections,severity\n"

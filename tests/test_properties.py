@@ -1,4 +1,5 @@
-"""Property tests of the array pipeline against its scalar references.
+"""Property tests of the array pipeline against its scalar references, and of the
+t-test's incomplete beta function against a 50-digit one.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -12,8 +13,9 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -48,7 +50,7 @@ from venuerisk.ingest import (
 )
 from venuerisk.reporting import hashed_manifest, venue_results_csv
 from venuerisk.scenario import apply_occupancy_cap
-from venuerisk.stats import combined_range, histogram
+from venuerisk.stats import combined_range, histogram, regularized_incomplete_beta
 from conftest import (
     dense_counts,
     dense_weekly,
@@ -635,11 +637,47 @@ histogram_values_st = st.lists(
 def test_histograms_on_the_combined_range_share_edges_and_bin_every_binnable_value(
     a, b, scale, bins
 ):
-    span = combined_range(np.array(a, float), np.array(b, float), scale)
+    span = combined_range([np.array(a, float), np.array(b, float)], scale)
     hists = [histogram(sample, bins, scale, value_range=span) for sample in (a, b)]
+    # one sample's range is the one its histogram derives by itself
+    own = combined_range([np.array(a, float)], scale)
+    assert histogram(a, bins, scale, value_range=own) == histogram(a, bins, scale)
     assert len({hist.bin_edges for hist in hists if hist.counts}) <= 1
     assert all(math.isfinite(edge) for hist in hists for edge in hist.bin_edges)
     for sample, hist in zip((a, b), hists):
         values = np.array(sample, float)
         binnable = np.isfinite(values) & ((values > 0) if scale == "log10" else True)
         assert hist.excluded_count == len(sample) - np.count_nonzero(binnable)
+
+
+def betainc_reference(a: float, b: float, x: float):
+    """I_x(a, b) at 50 digits. Past the mean a / (a + b) it is taken as the equal
+    1 - I_{1-x}(b, a): there mpmath's series for I_x converges too slowly."""
+    with mpmath.workdps(50):
+        if x <= a / (a + b):
+            return mpmath.betainc(a, b, 0, x, regularized=True)
+        return 1 - mpmath.betainc(b, a, 0, 1 - mpmath.mpf(x), regularized=True)
+
+
+@PROPERTY
+@given(
+    st.floats(1e-2, 1e6),
+    st.floats(0.5, 1e3),
+    st.floats(0.0, 1e-3, exclude_min=True) | st.floats(1e-16, 1e-3).map(lambda d: 1.0 - d),
+)
+@example(a=1e6, b=0.5, x=1.0 - 1e-5)  # the t-test's b, at the largest a, on the fraction's side
+@example(a=1e5, b=0.5, x=1.0 - 1e-6)  # 1 - I_{1-x}(b, a) at the largest a it is checked at
+def test_incomplete_beta_matches_a_50_digit_reference(a, b, x):
+    # x near 0 and near 1, where the front factor x^a (1 - x)^b is far from 1. The
+    # tolerance is criterion 6's 1e-8 on p, which is this function at b = 1/2. The error
+    # is lgamma(a + b) - lgamma(a)'s rounding, about eps * a * ln(a), so below 3e-9 where
+    # the fraction gives I_x. Past the fraction's switch point, x > (a+1)/(a+b+2), I_x is
+    # 1 - (a value near 1), which multiplies that error by up to 12 at b = 1/2: 2.6e-8
+    # at a near 1e6. That side is checked up to a = 1e5, where it stays below 3e-9.
+    assume(a <= 1e5 or x < (a + 1.0) / (a + b + 2.0))
+    reference = betainc_reference(a, b, x)
+    value = regularized_incomplete_beta(a, b, x)
+    if reference < 1e-300:  # below the smallest double that keeps full precision
+        assert value < 1e-300
+    else:
+        assert abs(value - reference) <= 1e-8 * reference

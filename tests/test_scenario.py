@@ -25,6 +25,7 @@ from venuerisk.synthetic import GeneratorConfig, generate_dataset
 from conftest import large_table, make_input, peak_above_kept
 
 SIX_FEET = 1.8288  # meters
+SCENARIO_KEYS = "name, visits, sampling_factor, spacing"
 
 
 class TestMaxDistancedOccupancy:
@@ -270,23 +271,24 @@ class TestScenarioConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("venue_cap = 5\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="unknown scenario key"):
+        path.write_text("name = capped\nvenue_cap = 5\n", encoding="utf-8")
+        message = f"{path}: line 2: unknown key 'venue_cap', expected one of: {SCENARIO_KEYS}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_scenario_config(path)
 
     def test_unknown_param_override_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         # every scenario runs on the run's one set of params
         path.write_text("param.q = 25\n", encoding="utf-8")
-        with pytest.raises(
-            ConfigError, match=re.escape(f"{path}: unknown scenario key(s): param.q")
-        ):
+        message = f"{path}: line 1: unknown key 'param.q', expected one of: {SCENARIO_KEYS}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_scenario_config(path)
 
     def test_unparseable_value_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("sampling_factor = ten\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="not a number"):
+        path.write_text("# a comment\nsampling_factor = ten\n", encoding="utf-8")
+        message = f"{path}: line 2: sampling_factor: could not convert string to float: 'ten'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_scenario_config(path)
 
     def test_hash_inside_value_is_not_a_comment(self, tmp_path):

@@ -99,7 +99,7 @@ class TestHistogram:
     def test_combined_range_spans_what_both_histograms_bin(self, scale, expected):
         a = np.array([0.0, 0.5, math.nan, math.inf])
         b = np.array([-1.0, 5.0, -math.inf])
-        span = combined_range(a, b, scale)
+        span = combined_range([a, b], scale)
         assert span == expected
         hist_a = histogram(a, bins=3, scale=scale, value_range=span)
         hist_b = histogram(b, bins=3, scale=scale, value_range=span)
@@ -111,8 +111,9 @@ class TestHistogram:
         )
 
     def test_combined_range_none_when_nothing_can_be_binned(self):
-        assert combined_range(np.array([0.0, -2.0]), np.array([math.nan]), "log10") is None
-        assert combined_range(np.array([]), np.array([]), "linear") is None
+        assert combined_range([np.array([0.0, -2.0]), np.array([math.nan])], "log10") is None
+        assert combined_range([np.array([]), np.array([])], "linear") is None
+        assert combined_range([np.array([])], "linear") is None
 
 
 class TestWelchTTest:
