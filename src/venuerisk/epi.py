@@ -16,10 +16,11 @@ newly infected people never feed back into later hours. All quantities
 are expected values, so the whole pipeline is deterministic.
 
 :func:`hourly_infections` evaluates the model for an array of cohorts at
-once, and :func:`simulate_week` runs it on the visit records of one block
-of venue rows at a time and sums each venue's hours into its weekly
-infections; :func:`wells_riley_probability` is the scalar form of the
-same formula and the reference the array form is tested against.
+once, and :func:`simulate_week` scales and caps the visit counts of one
+block of venue rows at a time, runs the model on them and sums each
+venue's hours into its weekly infections; :func:`wells_riley_probability`
+is the scalar form of the same formula and the reference the array form
+is tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import WINDOW_HOURS, SimulationInput, compute_volumes
+from .ingest import WINDOW_HOURS, SimulationInput, apply_sampling_correction, compute_volumes
 from .stats import Severity, severity_labels
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)  # largest double < 1
@@ -122,12 +123,19 @@ def hourly_infections(counts: np.ndarray, volumes: np.ndarray, params: EpiParams
     return (counts - infectors) * np.minimum(-np.expm1(-dose), _BELOW_ONE)
 
 
-def simulate_week(sim_input: SimulationInput, params: EpiParams) -> np.ndarray:
+def simulate_week(
+    sim_input: SimulationInput, params: EpiParams, factor: float = 1.0, caps: np.ndarray | None = None
+) -> np.ndarray:
     """Expected new infections per venue over the window, in venue-table order.
 
     The room volumes are the floor areas times ``params.ceiling_height``.
-    The venue rows are taken ``_BLOCK_ROWS`` at a time: the records of a
-    block's rows run through :func:`hourly_infections`, are scattered into
+    The venue rows are taken ``_BLOCK_ROWS`` at a time. A block's counts
+    become float64 visitors by :func:`apply_sampling_correction` with
+    ``factor``, whose overflow error is raised from the block that meets
+    it, and, where ``caps`` is given, each is lowered to ``caps`` at its
+    venue's row; the counts of ``sim_input`` are left as they are, and no
+    visitor array longer than a block is made. The visitors then run
+    through :func:`hourly_infections`, are scattered into
     a zero ``[row, hour]`` matrix of that block alone (an hour without a
     record had no visitors and no infections), and each row of it is
     summed into its venue's weekly value. A row sum is NumPy's pairwise
@@ -158,9 +166,12 @@ def simulate_week(sim_input: SimulationInput, params: EpiParams) -> np.ndarray:
     for start, first, last in zip(starts, bounds[:-1], bounds[1:]):
         stop = min(start + _BLOCK_ROWS, n)
         rows = row[first:last]
+        visitors = apply_sampling_correction(count[first:last], factor)
+        if caps is not None:
+            np.minimum(visitors, caps[rows], out=visitors)
         hourly = np.zeros((stop - start, WINDOW_HOURS))
         cells = (rows.astype(np.intp) - start) * WINDOW_HOURS + hour[first:last]
-        hourly.reshape(-1)[cells] = hourly_infections(count[first:last], volumes[rows], params)
+        hourly.reshape(-1)[cells] = hourly_infections(visitors, volumes[rows], params)
         weekly[start:stop] = hourly.sum(axis=1)
     return weekly
 

@@ -22,6 +22,8 @@ its docstring; a direct caller of that code checks its own values.
 * ``bins`` from 1 to ``cli.MAX_BINS``: the ``--bins`` flag's type
 * ``n_venues`` >= 1 and profile known: the ``--n-venues`` flag's type and
   the ``--profile`` flag's choices
+* a sampled visitor count finite: ``ingest.apply_sampling_correction``, per
+  kernel block of ``epi.simulate_week``, under the scenario's label
 * weekly values finite, with a finite total: ``scenario.run_scenario``
 * a weekly value read back finite and >= 0: ``ingest.parse_results``
 

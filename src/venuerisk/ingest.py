@@ -25,13 +25,16 @@ with one row format when no field needs quoting, through one
 * the ``hotspots`` listing on stdout: ``HOTSPOT_COLUMNS``, no comment.
 
 Visitor counts are real numbers throughout: sampling correction and
-occupancy capping act on expected values, not people. A venue table
-holds only values the venue file carries back: no id, name or category
-has surrounding whitespace or a carriage return. The reading owns that
-rule, not the table: :func:`open_input` turns every carriage return
-into a line end and :func:`parse_venues` strips every field, so a
-caller that builds a :class:`VenueTable` directly, or parses a stream
-of its own, must hold to it itself.
+occupancy capping act on expected values, not people. A column of
+counts is held one byte per count when every count is a whole number
+up to 255, as hourly foot traffic is, and as ``float64`` otherwise:
+:func:`put_counts` owns that rule. A venue table holds only values the
+venue file carries back: no id, name or category has surrounding
+whitespace or a carriage return. The reading owns that rule, not the
+table: :func:`open_input` turns every carriage return into a line end
+and :func:`parse_venues` strips every field, so a caller that builds a
+:class:`VenueTable` directly, or parses a stream of its own, must hold
+to it itself.
 
 Only :func:`open_input` and :func:`load_visits` open files; the other
 functions read and write the streams they are given. An input file is
@@ -149,11 +152,11 @@ class SimulationInput:
     Record ``r`` says that ``count[r]`` visitors came to the venue in row
     ``row[r]`` of ``venues`` in hour ``hour[r]`` of the ``WINDOW_HOURS``
     window; a venue-hour with no record had no visitors, and none has
-    two. Every count is finite and >= 0. The columns' shapes and index
-    ranges are checked here; the counts are checked where they are made,
-    by the visit parsers, by :func:`apply_sampling_correction` (no
-    product overflowing, from a factor that
-    :class:`~venuerisk.scenario.ScenarioConfig` has checked) and by the
+    two. Every count is finite and >= 0, held at the width
+    :func:`put_counts` picks: the as-read counts, before any sampling
+    correction or cap, which the kernel applies one block at a time. The
+    columns' shapes and index ranges are checked here; the counts are
+    checked where they are made, by the visit parsers and by the
     generator's Poisson draws, so that millions of counts are not
     scanned again.
     """
@@ -185,16 +188,17 @@ class VisitRecords:
     ``ids`` maps each distinct venue id to its index, in order of first
     appearance, so ``venue_id in records`` is one dict lookup. Row ``r``
     says that ``count[r]`` visitors came to the venue with index
-    ``venue[r]`` in hour ``hour[r]`` of the window. ``VisitRecords()``
-    holds no visits. They are what :func:`parse_visits` gives, before
-    :func:`join` maps the ids to the rows of a venue table, writing the
-    rows over ``venue``.
+    ``venue[r]`` in hour ``hour[r]`` of the window; ``count`` has the
+    width :func:`put_counts` picks. ``VisitRecords()`` holds no visits.
+    They are what :func:`parse_visits` gives, before :func:`join` maps
+    the ids to the rows of a venue table, writing the rows over
+    ``venue``.
     """
 
     ids: dict[str, int] = field(default_factory=dict)
     venue: np.ndarray = field(default_factory=lambda: np.empty(0, INDEX_DTYPE))
     hour: np.ndarray = field(default_factory=lambda: np.empty(0, HOUR_DTYPE))
-    count: np.ndarray = field(default_factory=lambda: np.empty(0))
+    count: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint8))
 
     def __post_init__(self):
         _check_records(self.venue, self.hour, self.count, len(self.ids), "ids")
@@ -356,9 +360,8 @@ def _parse_visits_csv(source: TextIO) -> VisitRecords:
         venues.append(venue)
         hours.append(hour)
         counts.append(count)
-    return VisitRecords(
-        ids, np.array(venues, INDEX_DTYPE), np.array(hours, HOUR_DTYPE), np.array(counts, float)
-    )
+    count = put_counts(np.empty(len(counts), np.uint8), 0, counts)
+    return VisitRecords(ids, np.array(venues, INDEX_DTYPE), np.array(hours, HOUR_DTYPE), count)
 
 
 # the exact header line, and the body characters on which csv.reader and the
@@ -392,9 +395,11 @@ def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
     ``source`` is read from its current position, the header line by
     line. One pass then counts the body's line ends, reading
     ``_PARSE_BLOCK_CHARS`` characters at a time, so that each column is
-    allocated once. The body is read again in blocks of as many
-    characters, each extended to the next line end, so a row is never
-    split; a failure in any block returns None, never part of the file.
+    allocated once, the counts as ``uint8``; :func:`put_counts` widens
+    them to ``float64``, once, when a block needs it. The body is read
+    again in blocks of as many characters, each extended to the next
+    line end, so a row is never split; a failure in any block returns
+    None, never part of the file.
 
     A row's cell is its id's index times ``WINDOW_HOURS`` plus its hour.
     While the cells strictly increase, across each block and from one
@@ -419,7 +424,7 @@ def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
     n += not last.endswith("\n")
     source.seek(body)
     ids: dict[str, int] = {}
-    venues, hours, counts = np.empty(n, INDEX_DTYPE), np.empty(n, HOUR_DTYPE), np.empty(n)
+    venues, hours, counts = np.empty(n, INDEX_DTYPE), np.empty(n, HOUR_DTYPE), np.empty(n, np.uint8)
     # last_cell: the cell of the last row read while the cells rise, None once they do not
     done, blocks, last_cell = 0, [], -1
     while part := source.read(_PARSE_BLOCK_CHARS):
@@ -427,7 +432,8 @@ def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
         if block is None or done + len(block[0]) > n:  # not plain, or grown since counted
             return None
         rows = slice(done, done + len(block[0]))
-        venues[rows], hours[rows], counts[rows] = block
+        venues[rows], hours[rows] = block[:2]
+        counts = put_counts(counts, done, block[2])
         blocks.append(rows)
         done = rows.stop
         if last_cell is not None:
@@ -482,9 +488,9 @@ def _parse_block(part: str, ids: dict[str, int]) -> tuple[np.ndarray, ...] | Non
     if not (hour_ok.all() and hours.max() < WINDOW_HOURS):
         return None
     count_ok, counts = _integers(data, ends, count_len)
-    counts = counts.astype(float)
     other = np.flatnonzero(~count_ok)
     if other.size:
+        counts = counts.astype(float)
         # the csv parser's own call, on the same text: "1e3", "0.5", "1_000", "-0", "nan"
         try:
             values = np.array([float(field) for field in texts(second[other] + 1, ends[other])])
@@ -558,20 +564,45 @@ def parse_results(source: TextIO) -> list[tuple[str, str, float]]:
     return entries
 
 
-def apply_sampling_correction(counts: np.ndarray, factor: float, out=None) -> np.ndarray:
-    """Multiply every visitor count by ``factor`` (panel-to-population correction).
+def put_counts(column: np.ndarray, start: int, values) -> np.ndarray:
+    """Write the counts ``values`` into ``column`` from ``start`` on; return the column written.
 
-    The products go to a new array, or, as for a NumPy ufunc, into
-    ``out`` when it is given, which may be ``counts`` itself; the array
-    written is returned. ``counts`` is left as it is unless it is ``out``.
-    The factor must be positive and finite: it is checked where it is
-    made, by :class:`~venuerisk.scenario.ScenarioConfig`.
+    The one width rule of a count column: it is held as ``uint8`` while
+    every count is a whole number from 0 to 255 with no sign bit, and as
+    ``float64`` otherwise, as for ``-0``, a fraction or a count above
+    255. Either way a column gives the float64 values its counts read
+    as. When ``values`` do not fit a ``uint8`` ``column``, a ``float64``
+    one of the same length is made, its first ``start`` counts copied,
+    and it is written and returned; a column widens at most once.
+
+    The counts must be finite and >= 0: they are checked where they are
+    made, by the visit parsers and the generator's draws.
+    """
+    values = np.asarray(values)
+    whole = values.dtype.kind != "f" or ((np.trunc(values) == values) & ~np.signbit(values)).all()
+    narrow = whole and values.max(initial=0) <= 255
+    width = np.promote_types(column.dtype, np.uint8 if narrow else float)
+    if width != column.dtype:
+        wider = np.empty(column.size, width)
+        wider[:start] = column[:start]
+        column = wider
+    column[start:start + values.size] = values
+    return column
+
+
+def apply_sampling_correction(counts: np.ndarray, factor: float) -> np.ndarray:
+    """Every visitor count times ``factor`` (panel-to-population correction), as new float64 values.
+
+    A ``uint8`` count converts to float64 exactly, so each product is
+    the one its float64 count gives. The factor must be positive and
+    finite: it is checked where it is made, by
+    :class:`~venuerisk.scenario.ScenarioConfig`.
 
     Raises:
         ConfigError: a product overflows; the message names the factor.
     """
     with np.errstate(over="ignore"):
-        sampled = np.multiply(counts, factor, out=out)
+        sampled = np.multiply(counts, factor, dtype=float)
     if not np.isfinite(sampled).all():
         raise ConfigError(f"sampling factor {factor!r} makes a visitor count overflow to infinity")
     return sampled
@@ -754,8 +785,9 @@ def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = Non
     sink.write(render_table(VISIT_HEADER, comments=[comment]))
     if not table.count.size:
         return
-    # not np.unique, whose first call imports numpy.ma
-    values = np.sort(table.count)
+    # not np.unique, whose first call imports numpy.ma; a stable sort of one-byte counts
+    # is a radix sort, ten times faster than the default sort of them
+    values = np.sort(table.count, kind="stable")
     values = values[np.concatenate(([True], values[1:] != values[:-1]))]
     # the id texts are freed here, not held while the rows are written
     id_table = _byte_table(_id_fields(table.venues.ids))

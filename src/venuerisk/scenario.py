@@ -11,12 +11,15 @@ expression over the visit records:
        them has run, or a visit file, parsed and joined when the
        scenario runs; either way each record has its venue-table row
     2. apply the sampling factor to the records:      count * factor
-       (a visit file's counts are the scenario's own and are scaled in
-       place; the baseline's, shared by every scenario, into a copy)
     3. cap each record at its venue's distanced occupancy (if spacing
        is set):                       minimum(count, cap[row])
     4. simulate the window, with room volumes from the run's parameters;
        the weekly values and their total must be finite
+
+Steps 2 to 4 run in :func:`~venuerisk.epi.simulate_week`, one kernel
+block of venue rows at a time, so the counts, held at their narrowest
+exact width, are never copied or changed whole: the baseline and a
+visit file's records take the same path.
 
 Scenario config files and the params file are settings files, read by
 :func:`read_keyvalue`. Each line holds one ``key = value`` pair, or
@@ -38,7 +41,6 @@ may not set is an error of the same form.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from dataclasses import dataclass
@@ -49,7 +51,7 @@ import numpy as np
 
 from .epi import EpiParams, simulate_week
 from .errors import ConfigError, error_context
-from .ingest import SimulationInput, apply_sampling_correction, load_visits, open_input
+from .ingest import SimulationInput, load_visits, open_input
 
 BASELINE = "baseline"
 FT_TO_M = 0.3048
@@ -115,30 +117,26 @@ def run_scenario(baseline: SimulationInput, config: ScenarioConfig, params: EpiP
     joined and as-read, so ``sampling_factor`` is the whole correction.
     An alternate visit file is parsed and joined by
     :func:`~venuerisk.ingest.load_visits`, so an id it shares with no
-    venue fails naming the file. The scenario's counts are one array of
-    its own: such a file's joined counts, scaled in place, or a scaled
-    copy of the baseline counts, which the caller keeps unchanged for
-    other scenarios; the cap then lowers them in place. Input errors
-    raised here name the scenario, among them a sampling factor that
-    makes a count, a weekly value or the weekly total overflow, and an
-    infection dose of inf/inf or 0/0, which makes a weekly value NaN;
-    these are checked so that every report can sum the values.
+    venue fails naming the file. Either way the records go to
+    :func:`~venuerisk.epi.simulate_week` as they are, with the factor and
+    the caps, which scales and caps them one block at a time, so the
+    baseline is left unchanged for other scenarios. Input errors raised
+    here name the scenario, among them a sampling factor that makes a
+    count, a weekly value or the weekly total overflow, and an infection
+    dose of inf/inf or 0/0, which makes a weekly value NaN; these are
+    checked so that every report can sum the values.
     """
     with error_context(f"scenario {config.name!r}"):
-        if config.visit_source == BASELINE:
-            counts = apply_sampling_correction(baseline.count, config.sampling_factor)
-            sim_input = dataclasses.replace(baseline, count=counts)
-        else:
+        sim_input = baseline
+        if config.visit_source != BASELINE:
             sim_input = load_visits(config.visit_source, baseline.venues)
-            apply_sampling_correction(sim_input.count, config.sampling_factor, out=sim_input.count)
-        if config.spacing is not None:
-            caps = max_distanced_occupancy(sim_input.venues.areas, config.spacing)
-            np.minimum(sim_input.count, caps[sim_input.row], out=sim_input.count)
+        spacing = config.spacing
+        caps = None if spacing is None else max_distanced_occupancy(baseline.venues.areas, spacing)
 
         # a dose that overflows, or whose air flow underflows to 0, is certain infection;
         # inf/inf and 0/0 doses are NaN, and both outcomes are checked below
         with np.errstate(all="ignore"):
-            weekly = simulate_week(sim_input, params)
+            weekly = simulate_week(sim_input, params, config.sampling_factor, caps)
         if np.isnan(weekly).any():
             raise ConfigError(
                 f"sampling factor {config.sampling_factor!r}, the venue areas and the parameters "

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import HOUR_DTYPE, INDEX_DTYPE, WINDOW_HOURS, SimulationInput, VenueTable
+from .ingest import HOUR_DTYPE, INDEX_DTYPE, WINDOW_HOURS, SimulationInput, VenueTable, put_counts
 
 PROFILES = ("lockdown", "pre_pandemic")
 AREA_RANGE_M2 = (50.0, 2000.0)
@@ -73,9 +73,11 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
     """Generate a venue table and its visit records, deterministic for a given seed.
 
     The counts are the non-zero Poisson draws, so each is a whole number
-    > 0; no later step checks them again. The record columns are the
-    filled fronts of arrays with one slot per venue-hour, so the unfilled
-    slots take address space but no memory.
+    > 0; no later step checks them again. They are held at the width
+    :func:`~venuerisk.ingest.put_counts` picks, as a parsed file of them
+    is. The record columns are the filled fronts of arrays with one slot
+    per venue-hour, so the unfilled slots take address space but no
+    memory.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n_venues
@@ -87,12 +89,13 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
 
     level = LOCKDOWN_LEVEL if config.profile == "lockdown" else PRE_PANDEMIC_LEVEL
     shape = np.array([DIURNAL_SHAPE[h % 24] for h in range(WINDOW_HOURS)])
-    # each column is made once, one slot per venue-hour, and filled from the front:
-    # pages past the last record are never touched, and no per-block arrays are freed
-    # into gaps whose reuse depends on how many records the seed draws
+    # each column is made once, one slot per venue-hour, and filled from the front
+    # (the counts again, as float64, only for a draw above 255): pages past the last
+    # record are never touched, and no per-block arrays are freed into gaps whose reuse
+    # depends on how many records the seed draws
     rows = np.empty(n * WINDOW_HOURS, INDEX_DTYPE)
     hours = np.empty(n * WINDOW_HOURS, HOUR_DTYPE)
-    counts = np.empty(n * WINDOW_HOURS)
+    counts = np.empty(n * WINDOW_HOURS, np.uint8)
     size = 0
     for start in range(0, n, _BLOCK_ROWS):
         rates = BASE_HOURLY_VISITS * level * popularity[start:start + _BLOCK_ROWS, None] * shape
@@ -104,7 +107,7 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
         end = size + cells.size
         block_rows, hours[size:end] = np.divmod(cells, WINDOW_HOURS)
         rows[size:end] = block_rows + start
-        counts[size:end] = draws.ravel()[cells]
+        counts = put_counts(counts, size, draws.ravel()[cells])
         size = end
 
     # one string object per category, shared by its rows, as in a parsed table

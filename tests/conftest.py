@@ -104,6 +104,18 @@ def record_columns(visits: VisitRecords) -> tuple:
     )
 
 
+def narrowest_count_dtype(counts) -> np.dtype:
+    """uint8 when every count is a whole number from 0 to 255, else float64.
+
+    A count fits one byte when it converts there and back to the same float64 bits, so
+    not -0: the reference for the width rule of ``ingest.put_counts``.
+    """
+    values = [float(count) for count in counts]
+    if all(v.is_integer() and math.copysign(1.0, v) > 0 and v <= 255 for v in values):
+        return np.dtype(np.uint8)
+    return np.dtype(float)
+
+
 def parse_outcome(parse, text: str):
     """``record_columns`` of ``parse`` on ``text``, or the type and message of its error."""
     try:

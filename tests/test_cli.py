@@ -658,6 +658,43 @@ class TestCompare:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("visits", ["baseline", "visits.csv"], ids=["baseline", "own-file"])
+    def test_overflow_of_only_the_largest_narrow_count_names_the_scenario(
+        self, tmp_path, capsys, visits
+    ):
+        # one-byte counts, the largest 255 in the last of three kernel blocks: under this
+        # factor 254 visitors stay finite and only 255 overflow
+        venues, visit_file = tmp_path / "venues.csv", tmp_path / "visits.csv"
+        venues.write_text(
+            "venue_id,name,category,area\n"
+            + "".join(f"v{i},n{i},restaurant,100\n" for i in range(600)),
+            encoding="utf-8",
+        )
+        visit_file.write_text(
+            "venue_id,hour,count\n" + "".join(f"v{i},0,{254 + (i == 599)}\n" for i in range(600)),
+            encoding="utf-8",
+        )
+        with ingest.open_input(visit_file) as handle:
+            assert ingest.parse_visits(handle).count.dtype == np.uint8
+        huge = tmp_path / "huge.txt"
+        huge.write_text(
+            f"name = huge\nvisits = {visits}\nsampling_factor = 7.05e305\n", encoding="utf-8"
+        )
+        out = tmp_path / "x"
+        code = run_cli(
+            "compare", "--venues", str(venues), "--visits", str(visit_file),
+            "--scenario-a", str(SAMPLE_DATA / "scenario_lockdown.txt"), "--scenario-b", str(huge),
+            "--prevalence", "0.001", "--out", str(out),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scenario 'huge': sampling factor 7.05e+305 makes a visitor count "
+            "overflow to infinity\n"
+        )
+        assert not out.exists()
+
     def test_overflowing_weekly_total_names_scenario_and_factor(self, tmp_path, capsys):
         huge = tmp_path / "huge.txt"
         huge.write_text("name = huge\nsampling_factor = 3e306\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -466,6 +467,19 @@ class TestByteReaderEdges:
             self.assert_as_csv(text)
 
 
+def test_small_whole_counts_are_parsed_one_byte_each(tmp_path):
+    table = large_table()  # counts 1 to 50
+    path = tmp_path / "visits.csv"
+    with open(path, "w", encoding="utf-8") as sink:
+        write_visits(table, sink)
+    with open_input(path) as handle:
+        visits, extra = peak_above_kept(lambda: parse_visits(handle))
+    assert visits.count.dtype == np.uint8 and visits.count.base is None
+    assert visits.count.tolist() == table.count.tolist()
+    # the blocks' temporaries, far from a float64 copy of every count
+    assert extra < table.count.size * np.dtype(float).itemsize / 2
+
+
 class TestSamplingCorrection:
     def test_factor_ten(self):
         out = apply_sampling_correction(np.array([[1.0, 2.0, 0.0]]), 10.0)
@@ -482,16 +496,23 @@ class TestSamplingCorrection:
         assert counts.tolist() == [1.0, 2.5, 0.0]
         assert out.tolist() == [4.0, 10.0, 0.0]
 
-    def test_out_scales_in_place(self):
-        counts = np.array([1.0, 2.5, 0.0])
-        assert apply_sampling_correction(counts, 4.0, out=counts) is counts
-        assert counts.tolist() == [4.0, 10.0, 0.0]
+    def test_narrow_counts_give_float64_products_as_float64_counts_do(self):
+        # uint8 * 1.5 is float16 under NumPy 1.x's value-based casting; the products must not be
+        counts = np.array([0, 1, 3, 255], np.uint8)
+        out = apply_sampling_correction(counts, 1.1)
+        assert out.dtype == np.float64
+        assert out.tobytes() == apply_sampling_correction(counts.astype(float), 1.1).tobytes()
+        assert counts.tolist() == [0, 1, 3, 255]
 
-    @pytest.mark.parametrize("in_place", [False, True])
-    def test_overflow_names_the_factor(self, in_place):
-        counts = np.array([2.0, 1e300])
-        with pytest.raises(ConfigError, match=r"^sampling factor 1e\+20 makes a visitor count"):
-            apply_sampling_correction(counts, 1e20, out=counts if in_place else None)
+    # a float64 column, and a uint8 one where only its largest count overflows
+    @pytest.mark.parametrize("narrow", [False, True])
+    def test_overflow_names_the_factor(self, narrow):
+        counts = np.array([2, 254, 255], np.uint8) if narrow else np.array([2.0, 1e300])
+        factor = 7.05e305 if narrow else 1e20
+        message = f"sampling factor {factor!r} makes a visitor count overflow to infinity"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            apply_sampling_correction(counts, factor)
+        assert np.isfinite(apply_sampling_correction(counts[:-1], factor)).all()
 
     def test_fractional_factor(self):
         out = apply_sampling_correction(np.array([[3.0]]), 2.5)

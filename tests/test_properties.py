@@ -57,6 +57,7 @@ from conftest import (
     hourly_of,
     input_from_matrix,
     make_venues,
+    narrowest_count_dtype,
     parse_outcome,
     record_columns,
     same_venues,
@@ -524,6 +525,52 @@ def test_fast_and_csv_visit_parsers_agree(text):
     # the same records (ids in the same order, repr-equal counts so -0.0 counts),
     # or the same exception type and message
     assert parse_outcome(parse_visits, text) == parse_outcome(_parse_visits_csv, text)
+
+
+# counts at the edge of one byte and beyond, and counts float() reads: a fraction, an
+# exponent, an underscore, a negative zero and a huge value; and 16-digit integers, which
+# the byte reader reads as digits
+WIDTH_EDGE_COUNTS = (
+    "0", "255", "256", "65535", "65536", "4294967295", "4294967296",
+    "0.5", "1e3", "1_000", "-0", "1e300",
+)
+width_count_st = st.one_of(
+    st.sampled_from(WIDTH_EDGE_COUNTS), st.integers(10**15, 10**16 - 1).map(str)
+)
+
+
+@PROPERTY
+@given(
+    st.lists(st.integers(0, 255).map(str), max_size=20),
+    st.lists(width_count_st, max_size=10),
+    st.integers(1, 64),
+    st.sampled_from([1.0, 10.0]),
+    st.booleans(),
+)
+# a negative zero among one-byte counts, in its own block and in the first one
+@example(["1", "255"], ["-0"], 8, 1.0, False)
+@example(["1", "255"], ["-0", "0"], 64, 10.0, True)
+def test_count_column_takes_the_narrowest_exact_width(small, edge, block_chars, factor, capped):
+    # one-byte counts, then edge counts, in blocks of 1 to 64 characters, so the byte reader
+    # widens its column mid-file
+    counts = small + edge
+    rows = [f"v{i % 4},{i // 4},{count}" for i, count in enumerate(counts)]
+    text = "venue_id,hour,count\n" + "".join(f"{row}\n" for row in rows)
+    with mock.patch.object(ingest, "_PARSE_BLOCK_CHARS", block_chars):
+        fast = ingest._parse_visits_fast(io.StringIO(text))
+    assert fast is not None
+    assert record_columns(fast) == record_columns(_parse_visits_csv(io.StringIO(text)))
+    assert fast.count.dtype == narrowest_count_dtype(map(float, counts))
+    # the kernel gives the weekly values of the same counts held as float64, bit for bit
+    venues = make_venues(dict.fromkeys(fast.ids, 50.0))
+    sim = join(venues, fast)
+    as_float = dataclasses.replace(sim, count=sim.count.astype(float))
+    caps = max_distanced_occupancy(venues.areas, 1.0) if capped else None
+    params = EpiParams(documented_prevalence=0.001)
+    with np.errstate(all="ignore"):
+        weekly = simulate_week(sim, params, factor, caps)
+        expected = simulate_week(as_float, params, factor, caps)
+    assert weekly.tobytes() == expected.tobytes()
 
 
 def gathered_rows(venues, visits):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -208,22 +209,54 @@ def test_alternate_file_scenario_peak_memory(default_params, tmp_path, monkeypat
     assert peak < MATRICES_AT_PEAK * matrix_bytes, f"{peak / matrix_bytes:.2f} matrices"
 
 
-def test_alternate_file_scenario_scales_its_own_counts(default_params, tmp_path):
+def narrow_visit_file(tmp_path):
+    """The venue table of ``large_table`` and the path of a file of its visits, counts 1 to 50."""
     table = large_table()
-    alt = tmp_path / "visits.csv"
-    with open(alt, "w", encoding="utf-8") as handle:
+    path = tmp_path / "visits.csv"
+    with open(path, "w", encoding="utf-8") as handle:
         write_visits(table, handle)
-    records = load_visits(alt, table.venues)
+    return table.venues, path
+
+
+# the share of one float64 count column that a scenario may take beyond its inputs, with
+# kernel blocks of KERNEL_BLOCK_ROWS rows: small blocks leave only whole-column arrays to
+# count, and a scaled or capped float64 copy of the counts would be a whole column
+FLOAT_COLUMN_SHARE = 0.25
+KERNEL_BLOCK_ROWS = 16
+
+
+def test_capped_baseline_scenario_copies_no_count_column(default_params, tmp_path, monkeypatch):
+    venues, path = narrow_visit_file(tmp_path)
+    baseline = load_visits(path, venues)
+    assert baseline.count.dtype == np.uint8
+    before = baseline.count.copy()
+    config = ScenarioConfig(name="capped", sampling_factor=10.0, spacing=SIX_FEET)
+    monkeypatch.setattr(epi, "_BLOCK_ROWS", KERNEL_BLOCK_ROWS)
+    weekly, extra = peak_above_kept(lambda: run_scenario(baseline, config, default_params))
+    assert extra < FLOAT_COLUMN_SHARE * baseline.count.size * np.dtype(float).itemsize
+    assert np.array_equal(baseline.count, before)
+    # the weekly values of the same counts held as float64
+    as_float = dataclasses.replace(baseline, count=baseline.count.astype(float))
+    assert weekly.tobytes() == run_scenario(as_float, config, default_params).tobytes()
+
+
+def test_capped_own_file_scenario_holds_no_more_than_its_parse(
+    default_params, tmp_path, monkeypatch
+):
+    venues, path = narrow_visit_file(tmp_path)
+    records, parse_extra = peak_above_kept(lambda: load_visits(path, venues))
     held = records.row.nbytes + records.hour.nbytes + records.count.nbytes
-    config = ScenarioConfig(name="alt", visit_source=str(alt), sampling_factor=10.0)
-    empty = join(table.venues, VisitRecords())
+    config = ScenarioConfig(
+        name="own", visit_source=str(path), sampling_factor=10.0, spacing=SIX_FEET
+    )
+    empty = join(venues, VisitRecords())
+    monkeypatch.setattr(epi, "_BLOCK_ROWS", KERNEL_BLOCK_ROWS)
     weekly, extra = peak_above_kept(lambda: run_scenario(empty, config, default_params))
-    # the same records as the baseline, which is scaled into a copy
-    baseline = ScenarioConfig(name="base", sampling_factor=10.0)
-    assert weekly.tobytes() == run_scenario(table, baseline, default_params).tobytes()
-    # beyond its records, the file's venue column and ids while they are joined, and
-    # less than one more count column: a scaled copy of the counts would be a whole one
-    assert extra < held + records.count.nbytes
+    # the parse of its file, then its records while the kernel runs on them
+    float_column = records.count.size * np.dtype(float).itemsize
+    assert extra < held + parse_extra + FLOAT_COLUMN_SHARE * float_column
+    baseline = ScenarioConfig(name="base", sampling_factor=10.0, spacing=SIX_FEET)
+    assert weekly.tobytes() == run_scenario(records, baseline, default_params).tobytes()
 
 
 class TestSpacingParsing:

@@ -12,13 +12,18 @@ from venuerisk.synthetic import GeneratorConfig, generate_dataset
 from venuerisk.cli import main
 from venuerisk.synthetic import (
     AREA_RANGE_M2,
-    BASE_HOURLY_VISITS,
     DIURNAL_SHAPE,
     DRINKING_PLACE_SHARE,
     POPULARITY_SIGMA,
     PRE_PANDEMIC_LEVEL,
 )
-from conftest import FIXTURE_N_VENUES, FIXTURE_SEED, dense_counts, same_venues
+from conftest import (
+    FIXTURE_N_VENUES,
+    FIXTURE_SEED,
+    dense_counts,
+    narrowest_count_dtype,
+    same_venues,
+)
 
 
 def test_diurnal_shape_is_documented_and_positive():
@@ -65,8 +70,9 @@ def test_requested_venue_count():
 
 
 def whole_matrix_dataset(config):
-    """The generator's draws made with one rng.poisson call over every venue's rates:
-    (areas, drinking-place flags, rows, hours, counts) of the non-zero draws."""
+    """The generator's draws made with one rng.poisson call over every venue's rates, at
+    its traffic level as it stands: (areas, drinking-place flags, rows, hours, counts) of
+    the non-zero draws."""
     rng = np.random.default_rng(config.seed)
     n = config.n_venues
     lo, hi = AREA_RANGE_M2
@@ -75,7 +81,7 @@ def whole_matrix_dataset(config):
     popularity = rng.lognormal(mean=0.0, sigma=POPULARITY_SIGMA, size=n)
     level = 1.0 if config.profile == "lockdown" else PRE_PANDEMIC_LEVEL
     shape = np.array([DIURNAL_SHAPE[h % 24] for h in range(168)])
-    draws = rng.poisson(BASE_HOURLY_VISITS * level * popularity[:, None] * shape[None, :])
+    draws = rng.poisson(synthetic.BASE_HOURLY_VISITS * level * popularity[:, None] * shape[None, :])
     rows, hours = np.nonzero(draws)
     return areas, is_bar, rows, hours, draws[rows, hours].astype(float)
 
@@ -95,7 +101,23 @@ def test_blocked_draws_are_one_whole_matrix_draw(monkeypatch, block, n_venues):
     )
     assert table.row.tolist() == rows.tolist()
     assert table.hour.tolist() == hours.tolist()
-    assert table.count.tobytes() == counts.tobytes()
+    # the same counts, held at the narrowest width that holds each exactly
+    assert table.count.tolist() == counts.tolist()
+    assert table.count.dtype == narrowest_count_dtype(counts)
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_a_draw_above_255_widens_the_counts_mid_dataset(monkeypatch, block):
+    # at this traffic level venue 4 of seed 1 draws 500 visitors, after four venues whose
+    # draws all fit one byte
+    monkeypatch.setattr(synthetic, "BASE_HOURLY_VISITS", 5.0)
+    monkeypatch.setattr(synthetic, "_BLOCK_ROWS", block)
+    config = GeneratorConfig(13, "pre_pandemic", seed=1)
+    table = generate_dataset(config)
+    *_, rows, _, counts = whole_matrix_dataset(config)
+    assert counts[rows < 4].max() < 256 <= counts[rows == 4].max()
+    assert table.count.tolist() == counts.tolist()
+    assert table.count.dtype == narrowest_count_dtype(counts) == np.float64
 
 
 def test_generated_and_joined_records_share_dtypes():

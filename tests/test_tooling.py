@@ -2,7 +2,8 @@
 CLI, every public name has a caller in the package, every private name is read in its
 module, no module imports another's private name and only ingest imports csv, every CLI
 flag is used by a test, one function compares against the severity threshold, one
-function bins every report's histograms, one function relabels a ValueError, test
+function bins every report's histograms, one function relabels a ValueError, one
+function scales visit counts and one picks their width, test
 failures report normally, src/ holds the recorded number of code lines, no src/ module
 calls a BLAS routine, importing the CLI starts no BLAS thread and loads no statistics
 module, and gen-synthetic loads no numpy.ma."""
@@ -325,9 +326,53 @@ def test_one_function_relabels_a_value_error():
     assert _owners(_value_error_relabels) == ["errors.error_context"]
 
 
+def _calls_of(name):
+    """A finder: the line of each call of ``name`` in a tree, bare or through a module."""
+
+    def calls(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == name:
+                yield node.lineno
+
+    return calls
+
+
+def test_calls_of_a_name_are_found():
+    text = "f(x)\ny = ingest.f(x)\nf\ng(f)\nh.f.g(x)\n"
+    assert list(_calls_of("f")(ast.parse(text))) == [1, 2]
+
+
+def test_one_function_scales_the_counts():
+    # counts are scaled one kernel block at a time, so no scaled copy of a whole count
+    # column is ever made
+    assert _owners(_calls_of("apply_sampling_correction")) == ["epi.simulate_week"]
+
+
+# the NumPy names that pick an integer width wider than a byte or compare widths; the
+# byte-wide uint8 is every hour's dtype and the start of every count column
+WIDTH_NAMES = {"uint16", "uint32", "uint64", "iinfo", "promote_types"}
+
+
+def _width_picks(tree):
+    """The line of each name or attribute in ``tree`` that is one of ``WIDTH_NAMES``."""
+    for node in ast.walk(tree):
+        if getattr(node, "id", getattr(node, "attr", None)) in WIDTH_NAMES:
+            yield node.lineno
+
+
+def test_width_picks_are_found():
+    text = "a = np.uint16\nb = np.iinfo(t).max\nc = uint32(1)\nd = np.uint8\ne = x.size\n"
+    assert sorted(_width_picks(ast.parse(text))) == [1, 2, 3]
+
+
+def test_one_function_picks_a_count_width():
+    # one width rule: every count column is held at the width ingest.put_counts picks
+    assert set(_owners(_width_picks)) == {"ingest.put_counts"}
+
+
 # the code lines of src/venuerisk/, the size measure of the package: a change that moves
 # it records the new count here, so the count moves only in a visible diff
-SRC_CODE_LINES = 1235
+SRC_CODE_LINES = 1246
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
