@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import math
 import sys
@@ -57,6 +58,7 @@ from .reporting import (
 from .scenario import (
     BASELINE,
     ScenarioConfig,
+    build_checked,
     load_scenario_config,
     parse_spacing,
     read_keyvalue,
@@ -241,9 +243,10 @@ def _resolve_params(args) -> EpiParams:
     The params file is the only parameter text. It is read by
     :func:`~venuerisk.scenario.read_keyvalue`, whose errors name the
     line: a key that is not an ``EpiParams`` field, or a value that is
-    not a number. The values are then checked by ``EpiParams``' own
-    rules while :func:`~venuerisk.ingest.open_input` has the file open,
-    so every error names the file (0.0 stands in for a
+    not a number. Each value is then checked by ``EpiParams``' own rules
+    under its line, by :func:`~venuerisk.scenario.build_checked`, while
+    :func:`~venuerisk.ingest.open_input` has the file open, so every
+    error names the file and the line (0.0 stands in for a
     ``documented_prevalence`` the file leaves out, which the flag may
     still supply). A file key that the flag overrides is read as text,
     never as a number, and dropped. A bad flag value is then reported
@@ -254,9 +257,11 @@ def _resolve_params(args) -> EpiParams:
     if args.params:
         fields = {f.name: str if f.name in flags else float for f in dataclasses.fields(EpiParams)}
         with open_input(args.params) as handle:
-            read = read_keyvalue(handle, fields)
+            read, lines = read_keyvalue(handle, fields)
             values = {key: value for key, value in read.items() if key not in flags}
-            EpiParams(**{"documented_prevalence": 0.0, **values})  # its rules, naming the file
+            lines = {key: line for key, line in lines.items() if key in values}
+            # its rules, naming the file and the line
+            build_checked(functools.partial(EpiParams, documented_prevalence=0.0), values, lines)
     values.update(flags)
     if "documented_prevalence" not in values:
         message = (
@@ -268,19 +273,20 @@ def _resolve_params(args) -> EpiParams:
         return EpiParams(**values)
 
 
-def _load_base_input(args) -> SimulationInput:
-    """Parse the venue file and join the (optional) baseline visit file with it.
+def _load_base_input(args, names: bool) -> SimulationInput:
+    """Parse the venue file, with its names if ``names``, and join the (optional) baseline
+    visit file with it.
 
     The baseline is joined once here, for every scenario that uses it, so
     an unknown visit id fails naming the visit file, before any scenario
     runs. Without ``--visits`` the venue table has no baseline records.
     """
     with open_input(args.venues) as handle:
-        venues = parse_venues(handle, args.area_unit)
+        venues = parse_venues(handle, args.area_unit, names)
     return load_visits(args.visits, venues) if args.visits else join(venues, VisitRecords())
 
 
-def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str]):
+def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str], names=False):
     """Run each scenario over the shared inputs, in order, and bin their weekly values.
 
     A scenario on the baseline needs ``--visits``: that is checked here,
@@ -292,7 +298,9 @@ def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str])
     for one scenario that is its own range. Returns the resolved params,
     the venue table, each config's weekly expected infections in
     venue-table order, their histograms, and the manifest over every
-    input file (the scenario files in ``config_paths`` included).
+    input file (the scenario files in ``config_paths`` included). The
+    venue table has its names only where ``names`` asks for them, for a
+    report that writes them.
     """
     for config in configs:
         if config.visit_source == BASELINE and not args.visits:
@@ -300,14 +308,13 @@ def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str])
                 f"scenario {config.name!r} uses the baseline visit source but --visits was not given"
             )
     params = _resolve_params(args)
-    baseline = _load_base_input(args)
+    baseline = _load_base_input(args, names)
     last_reader = max((i for i, c in enumerate(configs) if c.visit_source == BASELINE), default=-1)
     weeklies = []
     for i, config in enumerate(configs):
         weeklies.append(run_scenario(baseline, config, params))
         if i == last_reader:
-            empty = VisitRecords()
-            baseline = SimulationInput(baseline.venues, empty.venue, empty.hour, empty.count)
+            baseline = SimulationInput.without_visits(baseline.venues)
     span = combined_range(weeklies, args.scale)
     hists = [histogram(weekly, args.bins, args.scale, value_range=span) for weekly in weeklies]
 
@@ -331,7 +338,7 @@ def cmd_simulate(args) -> int:
             sampling_factor=args.sampling_factor,
             spacing=spacing,
         )
-    params, venues, (weekly,), (hist,), manifest = _run_scenarios(args, [config], [])
+    params, venues, (weekly,), (hist,), manifest = _run_scenarios(args, [config], [], names=True)
     mhash = manifest["manifest_sha256"]
 
     severe, mild = count_severities(weekly, args.threshold)

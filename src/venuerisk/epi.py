@@ -129,7 +129,10 @@ def simulate_week(
     """Expected new infections per venue over the window, in venue-table order.
 
     The room volumes are the floor areas times ``params.ceiling_height``.
-    The venue rows are taken ``_BLOCK_ROWS`` at a time. A block's counts
+    The venue rows are taken ``_BLOCK_ROWS`` at a time; a block's records
+    are one slice of ``sim_input``'s columns, from the offset of its
+    first row to that of the row after its last, and each record's row
+    is expanded from the offsets for that block alone. A block's counts
     become float64 visitors by :func:`apply_sampling_correction` with
     ``factor``, whose overflow error is raised from the block that meets
     it, and, where ``caps`` is given, each is lowered to ``caps`` at its
@@ -141,36 +144,22 @@ def simulate_week(
     summed into its venue's weekly value. A row sum is NumPy's pairwise
     sum of the row's 168 cells, which can differ from an exactly rounded
     sum in the last digits; it reads only that row, so it is the same bit
-    for bit whatever the block size, the record order, or a matrix of
-    every venue would give.
-
-    Records in row order (every generated file) are one slice per block
-    as they stand; records in any other order are first grouped by block,
-    into copies of their columns.
+    for bit whatever the block size, the order of a venue's records, or a
+    matrix of every venue would give.
     """
     volumes = compute_volumes(sim_input.venues.areas, params.ceiling_height)
-    row, hour, count = sim_input.row, sim_input.hour, sim_input.count
+    offsets, hour, count = sim_input.offsets, sim_input.hour, sim_input.count
     n = len(volumes)
-    starts = range(0, n, _BLOCK_ROWS)
-    if not (row[1:] >= row[:-1]).all():
-        # a stable sort of keys this narrow is a radix sort
-        block = (row // _BLOCK_ROWS).astype(np.min_scalar_type(len(starts)))
-        order = np.argsort(block, kind="stable")
-        row, hour, count = row[order], hour[order], count[order]
-        del block, order
-    # the records are grouped by block, so a binary search for each block's first row
-    # finds the start of its slice; a first row is below n, so it fits row's dtype (as
-    # join and the generator give, INDEX_DTYPE holds every row), and compares without a copy
-    bounds = np.append(np.searchsorted(row, np.arange(0, n, _BLOCK_ROWS, row.dtype)), row.size)
     weekly = np.empty(n)
-    for start, first, last in zip(starts, bounds[:-1], bounds[1:]):
+    for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        rows = row[first:last]
-        visitors = apply_sampling_correction(count[first:last], factor)
+        records = slice(offsets[start], offsets[stop])
+        rows = np.repeat(np.arange(start, stop), np.diff(offsets[start:stop + 1]))
+        visitors = apply_sampling_correction(count[records], factor)
         if caps is not None:
             np.minimum(visitors, caps[rows], out=visitors)
         hourly = np.zeros((stop - start, WINDOW_HOURS))
-        cells = (rows.astype(np.intp) - start) * WINDOW_HOURS + hour[first:last]
+        cells = (rows - start) * WINDOW_HOURS + hour[records]
         hourly.reshape(-1)[cells] = hourly_infections(visitors, volumes[rows], params)
         weekly[start:stop] = hourly.sum(axis=1)
     return weekly

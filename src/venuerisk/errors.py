@@ -10,11 +10,13 @@ builds. Code past the owner takes the value as checked, and says so in
 its docstring; a direct caller of that code checks its own values.
 
 * spacing > 0 and finite, in m: ``scenario.parse_spacing``
-* sampling factor > 0 and finite: ``scenario.ScenarioConfig``
+* sampling factor > 0 and finite: ``scenario.ScenarioConfig``, a scenario
+  file's under its file and line by ``scenario.build_checked``
 * ceiling height > 0 and finite: ``epi.EpiParams``
 * a settings file's keys known and its values converted, as each line
   is read (params and scenario files): ``scenario.read_keyvalue``, per line
-* a params file's values: ``epi.EpiParams``, under the file's name
+* a params file's values: ``epi.EpiParams``, each under its file and line
+  by ``scenario.build_checked``
 * a scenario on the baseline has ``--visits``: ``cli._run_scenarios``
 * venue area > 0 and finite, in m2: ``ingest.parse_venues``, per line
 * venue ids non-empty and unique: ``ingest._records`` and ``ingest.parse_venues``
@@ -32,7 +34,7 @@ code that knows the label runs the check in an :func:`error_context`
 block. An ``InputError`` raised there gains the label as a prefix, and
 a ``ValueError``, such as a type's own check, becomes a ``ConfigError``
 reading ``"<label>: <message>"``. Blocks nest, so a scenario file's
-error reads ``"<path>: scenario '<name>': <message>"``.
+error reads ``"<path>: line N: scenario '<name>': <message>"``.
 """
 
 import contextlib

@@ -40,18 +40,21 @@ Only :func:`open_input` and :func:`load_visits` open files; the other
 functions read and write the streams they are given. An input file is
 decoded as it is read, and bytes that are not UTF-8 are an error naming
 the file. A parsed venue file is one :class:`VenueTable` of columns
-(ids, names, categories and float64 floor areas in m2) in file order,
-and a parsed visit file is one :class:`VisitRecords`. :func:`join` looks
-each venue id up in the visit file's own id dict, built while the file
-was parsed, so no dict of the venue table is made; it gives one
-:class:`SimulationInput`: the venue table plus one record (venue-table
-row, hour, count) per visit row, with no venue-hour matrix. An hour
-without a record had no visits. :func:`join` consumes its records: it
-writes each record's venue-table row over its id index, in place, and
-hands the records' own columns on, so each column is held once.
-:func:`load_visits` parses a visit file and joins it while the file is
-open, so each file's ids are mapped once and its id dict is dropped
-once it is joined.
+(ids, categories, float64 floor areas in m2, and the names where a
+report writes them) in file order, and a parsed visit file is one
+:class:`VisitRecords`: its rows in file order, as runs of rows of one
+venue id. :func:`join` looks each venue id up in the visit file's own id
+dict, built while the file was parsed, so no dict of the venue table is
+made; it gives one :class:`SimulationInput`: the venue table plus its
+visit records (hour, count) grouped by venue, venue-table row ``r``'s
+records the slice from ``offsets[r]`` to ``offsets[r + 1]``. No column
+holds a venue row per record, and there is no venue-hour matrix. An hour
+without a record had no visits. A file whose runs already come in
+venue-table order, as every file the tool writes, is joined without
+copying a record; only another order is gathered into new columns, once
+per file. :func:`load_visits` parses a visit file and joins it while the
+file is open, so each file's ids are mapped once and its id dict is
+dropped once it is joined.
 
 Visit files, the largest, pass through memory a block at a time:
 :func:`parse_visits` reads a plain file's body in line-aligned blocks of
@@ -100,9 +103,11 @@ MANIFEST_COMMENT = "manifest_sha256: {}"
 class VenueTable:
     """Establishments as columns, one row per venue: ids, names, categories and floor areas in m2.
 
-    A parsed table holds one string object per distinct category, shared
-    by every row of that category. Iterating yields the ids in row order
-    and ``len`` is the venue count, as for a dict keyed by venue id.
+    ``names`` is None for a table parsed without them: only a report that
+    writes venue names asks :func:`parse_venues` for them. A parsed table
+    holds one string object per distinct category, shared by every row of
+    that category. Iterating yields the ids in row order and ``len`` is
+    the venue count, as for a dict keyed by venue id.
 
     The column lengths are checked here. The ids are non-empty and
     unique and the areas positive and finite: they are checked where
@@ -115,13 +120,14 @@ class VenueTable:
     """
 
     ids: tuple[str, ...]
-    names: tuple[str, ...]
+    names: tuple[str, ...] | None
     categories: tuple[str, ...]
     areas: np.ndarray
 
     def __post_init__(self):
         n = len(self.ids)
-        if not (len(self.names) == len(self.categories) == n and np.shape(self.areas) == (n,)):
+        names = n if self.names is None else len(self.names)
+        if not (names == len(self.categories) == n and np.shape(self.areas) == (n,)):
             raise ValueError(f"every venue column must have one entry per venue id ({n})")
 
     def __len__(self) -> int:
@@ -131,77 +137,104 @@ class VenueTable:
         return iter(self.ids)
 
 
-def _check_records(index, hour, count, rows: int, what: str) -> None:
-    """Check three record columns: one length, each index below ``rows``, each hour in the window.
-
-    ``what`` names the indexed rows in the error message.
-    """
-    shapes = [np.shape(column) for column in (index, hour, count)]
-    if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
+def _check_records(hour, count) -> None:
+    """Check two record columns: vectors of one length, every hour in the window."""
+    shapes = [np.shape(hour), np.shape(count)]
+    if len(shapes[0]) != 1 or shapes[0] != shapes[1]:
         raise ValueError(f"record columns must be vectors of one length, got shapes {shapes}")
-    if shapes[0][0] and not (
-        0 <= index.min() and index.max() < rows and 0 <= hour.min() and hour.max() < WINDOW_HOURS
-    ):
-        raise ValueError(f"records must index the {rows} {what} and the {WINDOW_HOURS}-hour window")
+    if hour.size and not (0 <= hour.min() and hour.max() < WINDOW_HOURS):
+        raise ValueError(f"record hours must lie in the {WINDOW_HOURS}-hour window")
+
+
+# dtypes of VisitRecords' run columns, of the hours join and the generator give, and of
+# SimulationInput's offsets: a file has fewer than 2**31 distinct ids, a run of one id's
+# rows with no hour twice fits one byte, as does every hour of the window, and offsets
+# count records
+INDEX_DTYPE = np.int32
+RUN_DTYPE = np.uint8
+HOUR_DTYPE = np.uint8
+OFFSET_DTYPE = np.int64
 
 
 @dataclass(frozen=True, eq=False)
 class SimulationInput:
-    """A venue table and its visit records, one entry per record in each column.
+    """A venue table and its visit records, grouped by venue: each venue's records one slice.
 
-    Record ``r`` says that ``count[r]`` visitors came to the venue in row
-    ``row[r]`` of ``venues`` in hour ``hour[r]`` of the ``WINDOW_HOURS``
-    window; a venue-hour with no record had no visitors, and none has
-    two. Every count is finite and >= 0, held at the width
-    :func:`put_counts` picks: the as-read counts, before any sampling
-    correction or cap, which the kernel applies one block at a time. The
-    columns' shapes and index ranges are checked here; the counts are
-    checked where they are made, by the visit parsers and by the
-    generator's Poisson draws, so that millions of counts are not
-    scanned again.
+    Venue-table row ``r``'s records are ``hour[offsets[r]:offsets[r + 1]]``
+    and ``count[...]``: ``count[k]`` visitors came to the venue in hour
+    ``hour[k]`` of the ``WINDOW_HOURS`` window. ``offsets`` has one entry
+    per venue and one more; it rises from 0 to the record count. Within a
+    venue the hours may come in any order; a venue-hour with no record
+    had no visitors, and none has two. Every count is finite and >= 0,
+    held at the width :func:`put_counts` picks: the as-read counts, before
+    any sampling correction or cap, which the kernel applies one block at
+    a time. The columns' shapes, the offsets and the hours are checked
+    here; the counts, and that no venue-hour has two records, are checked
+    where they are made, by the visit parsers and by the generator's
+    Poisson draws, so that millions of records are not scanned again.
     """
 
     venues: VenueTable
-    row: np.ndarray
+    offsets: np.ndarray
     hour: np.ndarray
     count: np.ndarray
 
     def __post_init__(self):
-        _check_records(self.row, self.hour, self.count, len(self.venues), "venue rows")
+        _check_records(self.hour, self.count)
+        offsets = self.offsets
+        if not (
+            np.shape(offsets) == (len(self.venues) + 1,) and offsets[0] == 0
+            and offsets[-1] == self.hour.size and (offsets[1:] >= offsets[:-1]).all()
+        ):
+            raise ValueError(
+                f"offsets must rise from 0 to the {self.hour.size} records, "
+                f"one per venue and one more ({len(self.venues) + 1})"
+            )
+
+    @classmethod
+    def without_visits(cls, venues: VenueTable) -> SimulationInput:
+        """``venues`` with no visit records."""
+        empty = VisitRecords()
+        return cls(venues, np.zeros(len(venues) + 1, OFFSET_DTYPE), empty.hour, empty.count)
 
     @property
     def window_hours(self) -> int:
         return WINDOW_HOURS
 
 
-# dtypes of VisitRecords' index columns, and of the record rows and hours that join
-# and the generator give: a file has fewer than 2**31 distinct ids, a table fewer
-# than 2**31 venues, and every hour of the window fits one byte
-INDEX_DTYPE = np.int32
-HOUR_DTYPE = np.uint8
-
-
 @dataclass(frozen=True, eq=False)
 class VisitRecords:
-    """Parsed visit rows as columns, in file order; no (venue, hour) pair twice.
+    """Parsed visit rows as columns, in file order, grouped into runs of one venue id.
 
     ``ids`` maps each distinct venue id to its index, in order of first
-    appearance, so ``venue_id in records`` is one dict lookup. Row ``r``
-    says that ``count[r]`` visitors came to the venue with index
-    ``venue[r]`` in hour ``hour[r]`` of the window; ``count`` has the
-    width :func:`put_counts` picks. ``VisitRecords()`` holds no visits.
-    They are what :func:`parse_visits` gives, before :func:`join` maps
-    the ids to the rows of a venue table, writing the rows over
-    ``venue``.
+    appearance, so ``venue_id in records`` is one dict lookup. Run ``k``
+    is ``run_length[k]`` consecutive rows of the id with index
+    ``run_venue[k]``; adjacent runs have different ids, and one id may
+    have several runs. Row ``r`` says that ``count[r]`` visitors came to
+    its run's venue in hour ``hour[r]`` of the window; ``count`` has the
+    width :func:`put_counts` picks. No (venue, hour) pair comes twice, so
+    a run holds at most ``WINDOW_HOURS`` rows and its length fits
+    ``RUN_DTYPE``. ``VisitRecords()`` holds no visits. They are what
+    :func:`parse_visits` gives, before :func:`join` maps the ids to the
+    rows of a venue table.
     """
 
     ids: dict[str, int] = field(default_factory=dict)
-    venue: np.ndarray = field(default_factory=lambda: np.empty(0, INDEX_DTYPE))
+    run_venue: np.ndarray = field(default_factory=lambda: np.empty(0, INDEX_DTYPE))
+    run_length: np.ndarray = field(default_factory=lambda: np.empty(0, RUN_DTYPE))
     hour: np.ndarray = field(default_factory=lambda: np.empty(0, HOUR_DTYPE))
     count: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint8))
 
     def __post_init__(self):
-        _check_records(self.venue, self.hour, self.count, len(self.ids), "ids")
+        _check_records(self.hour, self.count)
+        venue, length = self.run_venue, self.run_length
+        if not (
+            np.ndim(venue) == 1 and np.shape(length) == np.shape(venue)
+            and length.sum(dtype=np.int64) == self.hour.size
+        ):
+            raise ValueError(f"one length per run, adding up to the {self.hour.size} records")
+        if venue.size and not (0 <= venue.min() and venue.max() < len(self.ids)):
+            raise ValueError(f"runs must index the {len(self.ids)} ids")
 
     def __contains__(self, venue_id) -> bool:
         return venue_id in self.ids
@@ -267,7 +300,7 @@ def _records(source: TextIO, kind: str, header: tuple[str, ...]):
         raise RecordError(str(exc), reader.line_num) from None
 
 
-def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
+def parse_venues(source: TextIO, area_unit: str = "m2", names: bool = False) -> VenueTable:
     """Parse a venue CSV into a :class:`VenueTable` in file order, areas in m2.
 
     Args:
@@ -275,6 +308,10 @@ def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
         area_unit: unit of the ``area`` column, a key of ``AREA_UNITS``
             (the ``--area-unit`` flag's choices); square feet are
             converted with 1 ft2 = 0.09290304 m2.
+        names: whether the table keeps the ``name`` column. Without it
+            each row's name is dropped as the row is read, so no name
+            string is held: at 50 000 venues they would take about half
+            of the table.
 
     Each area is converted to m2 before it is checked, so an area whose
     conversion underflows to 0 fails naming its line.
@@ -285,7 +322,7 @@ def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
         DatasetError: missing or bad header, or duplicate venue_id.
     """
     factor = AREA_UNITS[area_unit]
-    ids, names, categories, areas = [], [], [], []
+    ids, kept_names, categories, areas = [], [], [], []
     seen, kinds = set(), {}
     for line, (venue_id, name, category, area_text) in _records(source, "venue", VENUE_HEADER):
         try:
@@ -298,14 +335,19 @@ def parse_venues(source: TextIO, area_unit: str = "m2") -> VenueTable:
             raise DatasetError(f"duplicate venue_id {venue_id!r}")
         seen.add(venue_id)
         ids.append(venue_id)
-        names.append(name)
+        if names:
+            kept_names.append(name)
         categories.append(kinds.setdefault(category, category))
         areas.append(area)
-    return VenueTable(tuple(ids), tuple(names), tuple(categories), np.array(areas, dtype=float))
+    table_names = tuple(kept_names) if names else None
+    return VenueTable(tuple(ids), table_names, tuple(categories), np.array(areas, dtype=float))
 
 
 def parse_visits(source: TextIO) -> VisitRecords:
     """Parse a visit CSV into :class:`VisitRecords`, one record per data row in file order.
+
+    Consecutive rows of one venue id are one run, whichever parser reads
+    the file.
 
     Counts are returned as-read, with no sampling correction; an hour the
     file leaves out had no visits, since sparse mobility data routinely
@@ -337,7 +379,7 @@ def parse_visits(source: TextIO) -> VisitRecords:
 def _parse_visits_csv(source: TextIO) -> VisitRecords:
     """Row-by-row parse of a visit CSV: the reference for every result and error."""
     ids: dict[str, int] = {}
-    venues, hours, counts = [], [], []
+    run_venues, run_lengths, hours, counts = [], [], [], []
     cells = set()  # venue index * WINDOW_HOURS + hour of every row read
     for line, (venue_id, hour_text, count_text) in _records(source, "visit", VISIT_HEADER):
         try:
@@ -357,11 +399,17 @@ def _parse_visits_csv(source: TextIO) -> VisitRecords:
         if cell in cells:
             raise RecordError(f"duplicate hour {hour} for venue {venue_id!r}", line)
         cells.add(cell)
-        venues.append(venue)
+        # no cell twice, so a run of one id is at most WINDOW_HOURS rows long
+        if run_venues and run_venues[-1] == venue:
+            run_lengths[-1] += 1
+        else:
+            run_venues.append(venue)
+            run_lengths.append(1)
         hours.append(hour)
         counts.append(count)
     count = put_counts(np.empty(len(counts), np.uint8), 0, counts)
-    return VisitRecords(ids, np.array(venues, INDEX_DTYPE), np.array(hours, HOUR_DTYPE), count)
+    runs = np.array(run_venues, INDEX_DTYPE), np.array(run_lengths, RUN_DTYPE)
+    return VisitRecords(ids, *runs, np.array(hours, HOUR_DTYPE), count)
 
 
 # the exact header line, and the body characters on which csv.reader and the
@@ -399,14 +447,17 @@ def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
     them to ``float64``, once, when a block needs it. The body is read
     again in blocks of as many characters, each extended to the next
     line end, so a row is never split; a failure in any block returns
-    None, never part of the file.
+    None, never part of the file. Each block's runs of one id are kept,
+    a run that goes on from the block before joined to it, so the runs
+    are the csv parser's.
 
     A row's cell is its id's index times ``WINDOW_HOURS`` plus its hour.
     While the cells strictly increase, across each block and from one
     block to the next, no (venue_id, hour) pair can come twice: every file
     the tool writes is in venue-then-hour order and needs no more. Only a
     file out of that order has its cells set in one bitmap of every id's
-    window, where a pair seen twice leaves fewer cells set than rows.
+    window, where a pair seen twice leaves fewer cells set than rows; it
+    expands one block's runs at a time.
     """
     line = source.readline()
     while line.startswith("#"):
@@ -424,39 +475,64 @@ def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
     n += not last.endswith("\n")
     source.seek(body)
     ids: dict[str, int] = {}
-    venues, hours, counts = np.empty(n, INDEX_DTYPE), np.empty(n, HOUR_DTYPE), np.empty(n, np.uint8)
-    # last_cell: the cell of the last row read while the cells rise, None once they do not
-    done, blocks, last_cell = 0, [], -1
+    hours, counts = np.empty(n, HOUR_DTYPE), np.empty(n, np.uint8)
+    # each block's run columns; last_cell: the cell of the last row read while the cells
+    # rise, None once they do not
+    run_venues, run_lengths, done, last_cell = [], [], 0, -1
     while part := source.read(_PARSE_BLOCK_CHARS):
         block = _parse_block(part + source.readline(), ids)
-        if block is None or done + len(block[0]) > n:  # not plain, or grown since counted
+        if block is None or done + len(block[2]) > n:  # not plain, or grown since counted
             return None
-        rows = slice(done, done + len(block[0]))
-        venues[rows], hours[rows] = block[:2]
-        counts = put_counts(counts, done, block[2])
-        blocks.append(rows)
-        done = rows.stop
+        venue, length, hour, count = block
+        hours[done:done + hour.size] = hour
+        counts = put_counts(counts, done, count)
+        done += hour.size
         if last_cell is not None:
-            cells = block[0].astype(np.intp) * WINDOW_HOURS + block[1]
+            cells = np.repeat(venue.astype(np.intp), length) * WINDOW_HOURS + hour
             last_cell = int(cells[-1]) if cells[0] > last_cell and (np.diff(cells) > 0).all() else None
+        if run_venues and run_venues[-1][-1] == venue[0]:  # the run goes on from the last block
+            joined = int(run_lengths[-1][-1]) + int(length[0])
+            if joined > WINDOW_HOURS:  # so some hour comes twice
+                return None
+            run_lengths[-1][-1] = joined
+            venue, length = venue[1:], length[1:]
+        if venue.size:
+            run_venues.append(venue)
+            run_lengths.append(length)
     if done != n:  # shrunk since counted
         return None
-    if last_cell is None:
-        seen = np.zeros(len(ids) * WINDOW_HOURS, dtype=bool)
-        for rows in blocks:
-            seen[venues[rows].astype(np.intp) * WINDOW_HOURS + hours[rows]] = True
-        # fewer cells set than rows: a duplicate (venue_id, hour) pair
-        if np.count_nonzero(seen) != n:
-            return None
-    return VisitRecords(ids, venues, hours, counts)
+    if last_cell is None and _has_duplicate_cell(run_venues, run_lengths, hours, len(ids)):
+        return None
+    venue = np.concatenate([np.empty(0, INDEX_DTYPE), *run_venues])
+    length = np.concatenate([np.empty(0, RUN_DTYPE), *run_lengths])
+    return VisitRecords(ids, venue, length, hours, counts)
+
+
+def _has_duplicate_cell(run_venues: list, run_lengths: list, hours: np.ndarray, n_ids: int) -> bool:
+    """Whether some (id, hour) cell of these runs comes twice, by a bitmap of every id's window.
+
+    The runs are given one parse block's run columns at a time, and
+    expanded one block at a time; the bitmap is freed on return.
+    """
+    seen = np.zeros(n_ids * WINDOW_HOURS, dtype=bool)
+    first = 0
+    for venue, length in zip(run_venues, run_lengths):
+        last = first + int(length.sum())
+        seen[np.repeat(venue.astype(np.intp), length) * WINDOW_HOURS + hours[first:last]] = True
+        first = last
+    # fewer cells set than rows: a duplicate (venue_id, hour) pair
+    return np.count_nonzero(seen) != hours.size
 
 
 def _parse_block(part: str, ids: dict[str, int]) -> tuple[np.ndarray, ...] | None:
-    """One block of whole rows as (venue index, hour, count) columns, or None if not plain.
+    """One block of whole rows as (run venue index, run length, hour, count) columns, or None.
 
+    None is for a block that is not plain, and for one with a run of one
+    id longer than ``WINDOW_HOURS`` rows, which must hold some hour twice.
     The rows are read as ASCII bytes, each field one byte position at a
-    time across every row of the block. Ids not in ``ids`` are added to
-    it, numbered in order of first appearance.
+    time across every row of the block. A run is a longest stretch of
+    rows of one id. Ids not in ``ids`` are added to it, numbered in order
+    of first appearance.
     """
     if any(c in part for c in _NOT_PLAIN):
         return None
@@ -508,10 +584,12 @@ def _parse_block(part: str, ids: dict[str, int]) -> tuple[np.ndarray, ...] | Non
         key = data[np.minimum(starts + k, first)]
         new_run[1:] |= key[1:] != key[:-1]
     run_starts = np.flatnonzero(new_run)
+    lengths = np.diff(run_starts, append=ends.size)
+    if lengths.max() > WINDOW_HOURS:
+        return None
     names = texts(starts[run_starts], first[run_starts])
-    run_venues = [ids.setdefault(name, len(ids)) for name in names]
-    venues = np.repeat(np.array(run_venues, INDEX_DTYPE), np.diff(run_starts, append=ends.size))
-    return venues, hours, counts
+    venues = np.array([ids.setdefault(name, len(ids)) for name in names], INDEX_DTYPE)
+    return venues, lengths.astype(RUN_DTYPE), hours, counts
 
 
 def _integers(data: np.ndarray, end: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -619,18 +697,12 @@ def compute_volumes(areas: np.ndarray, ceiling_height: float) -> np.ndarray:
         return areas * ceiling_height
 
 
-# records whose venue-table rows join gathers at a time: a block's rows take 256 KiB,
-# however many records a file has
-_JOIN_BLOCK_RECORDS = 1 << 16
-
-
 def load_visits(path: str | Path, venues: VenueTable) -> SimulationInput:
     """Parse the visit file at ``path`` and :func:`join` its records with ``venues``.
 
     The join runs while the file is open, so an unknown id fails naming
-    the file. Only the joined records are returned: their venue column
-    now holds venue-table rows, and the parsed ids go once they are
-    mapped.
+    the file. Only the joined records are returned: the parsed ids and
+    runs go once they are mapped.
 
     Raises:
         DatasetError: an id is not in the venue table, or a
@@ -642,24 +714,25 @@ def load_visits(path: str | Path, venues: VenueTable) -> SimulationInput:
 
 
 def join(venues: VenueTable, visits: VisitRecords) -> SimulationInput:
-    """Join a venue table and visit records into a :class:`SimulationInput`; the records are spent.
+    """Join a venue table and visit records into a :class:`SimulationInput`, grouped by venue.
 
     Each venue id is looked up once in ``visits.ids``, the dict the
-    parser built, and the row of each venue found is put at its id's
-    index. Each record's id index in ``visits.venue`` is then overwritten
-    with the row of its id, ``_JOIN_BLOCK_RECORDS`` records at a time, so
-    no second record-length column is made. The caller gets the records'
-    own three columns back as the :class:`SimulationInput`; ``visits``
-    keeps its ids, but its ``venue`` column now holds venue-table rows,
-    so the records must not be used as :class:`VisitRecords` again.
-    Venues with no record had no visits, so venue results stay aligned
-    across scenarios. No venue is dropped and no count is invented.
+    parser built, and each run is given the row of its id. The offsets
+    are the cumulative sums of the run lengths per row. When the run rows
+    never decrease, as in every file the tool writes, each venue's
+    records are already one slice in venue-table order, and the records'
+    own ``hour`` and ``count`` columns are handed on: no record is
+    copied. Otherwise the runs are put in row order by a stable sort,
+    which keeps each venue's records in file order, and ``hour`` and
+    ``count`` are gathered into new columns, once. ``visits`` is left as
+    it was. Venues with no record had no visits, so venue results stay
+    aligned across scenarios. No venue is dropped and no count is
+    invented.
 
     Raises:
         DatasetError: a visit record references an unknown venue_id, one
             that no venue id matched; the message lists the unknown ids
-            in sorted order, up to ten of them. The records are left as
-            they were.
+            in sorted order, up to ten of them.
     """
     # each venue's index among the visit ids, -1 where it has no visits
     index = np.fromiter(map(visits.ids.get, venues.ids, itertools.repeat(-1)), np.intp, len(venues))
@@ -670,11 +743,22 @@ def join(venues: VenueTable, visits: VisitRecords) -> SimulationInput:
         unknown = sorted(vid for vid, row in zip(visits.ids, rows.tolist()) if row < 0)
         shown = ", ".join(repr(u) for u in unknown[:10]) + (", ..." if len(unknown) > 10 else "")
         raise DatasetError(f"visit series reference {len(unknown)} unknown venue id(s): {shown}")
-    # a gather into the index column itself would be buffered whole by NumPy
-    for start in range(0, visits.venue.size, _JOIN_BLOCK_RECORDS):
-        block = visits.venue[start:start + _JOIN_BLOCK_RECORDS]
-        block[:] = rows[block]
-    return SimulationInput(venues, visits.venue, visits.hour, visits.count)
+    run_rows = rows[visits.run_venue]
+    lengths = visits.run_length
+    offsets = np.zeros(len(venues) + 1, OFFSET_DTYPE)
+    # float64 sums of whole numbers below 2**53 are exact
+    offsets[1:] = np.cumsum(np.bincount(run_rows, weights=lengths, minlength=len(venues)))
+    hour, count = visits.hour, visits.count
+    if (run_rows[1:] < run_rows[:-1]).any():
+        order = np.argsort(run_rows, kind="stable")
+        file_starts = np.cumsum(lengths, dtype=np.intp) - lengths
+        sorted_lengths = lengths[order]
+        sorted_starts = np.cumsum(sorted_lengths, dtype=np.intp) - sorted_lengths
+        # each record's place in the file: its run's start there, plus its place in the run
+        take = np.repeat(file_starts[order] - sorted_starts, sorted_lengths)
+        take += np.arange(take.size)
+        hour, count = hour[take], count[take]
+    return SimulationInput(venues, offsets, hour, count)
 
 
 def _format_count(value: float) -> str:
@@ -764,9 +848,10 @@ def _id_fields(ids: tuple[str, ...]) -> list[str]:
 def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = None) -> None:
     """Serialize a table's visit records to the documented CSV format, one row per record.
 
-    Rows follow record order: venue order, then hour, for the records of
-    :func:`~venuerisk.synthetic.generate_dataset`, which has one for each
-    non-zero draw. Parsing and joining give the same records back.
+    Rows follow record order: venue-table order, and within a venue the
+    order of its slice, which is hour order for the records of
+    :func:`~venuerisk.synthetic.generate_dataset`, one for each non-zero
+    draw. Parsing and joining give the same records back.
 
     Each row is ``id,hour,count``, put together from three byte tables:
     every venue id as the ``csv`` dialect of the header writes it
@@ -776,8 +861,9 @@ def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = Non
     (``"count\\n"``). The distinct counts are the sorted counts with
     each run of equal values kept once. The rows are gathered from these
     tables as fixed-width records, in blocks of about
-    ``_WRITE_BLOCK_BYTES``, each block's counts looked up among the
-    distinct ones on their own, and the padding is dropped; each block's
+    ``_WRITE_BLOCK_BYTES``, each venue's id repeated over its records in
+    the block (the offsets give them) and each block's counts looked up
+    among the distinct ones on their own, and the padding is dropped; each block's
     text goes to ``sink`` in one write. So the text is the one a
     ``csv.writer`` gives row by row, and no temporary is larger than a
     block but the sorted counts, which are freed before the first block.
@@ -797,10 +883,15 @@ def write_visits(table: SimulationInput, sink: TextIO, comment: str | None = Non
         [("id", id_table.dtype), ("hour", hour_table.dtype), ("count", count_table.dtype)]
     )
     step = max(1, _WRITE_BLOCK_BYTES // record.itemsize)
+    offsets = table.offsets
     for start in range(0, table.count.size, step):
         rows = slice(start, start + step)
-        block = np.empty(table.row[rows].size, record)
-        block["id"] = id_table[table.row[rows]]
+        block = np.empty(table.hour[rows].size, record)
+        # the venues of the block's first and last records, each venue's id repeated over
+        # its records in the block
+        first, last = np.searchsorted(offsets, [start, start + block.size - 1], side="right") - 1
+        in_block = np.clip(offsets[first:last + 2], start, start + block.size)
+        block["id"] = np.repeat(id_table[first:last + 1], np.diff(in_block))
         block["hour"] = hour_table[table.hour[rows]]
         # each count's place among the sorted distinct values; 3x faster than return_inverse
         block["count"] = count_table[np.searchsorted(values, table.count[rows])]

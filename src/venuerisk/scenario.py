@@ -9,7 +9,8 @@ expression over the visit records:
     1. select the visit source: the baseline records, joined once when
        the run loaded them and dropped once the last scenario that reads
        them has run, or a visit file, parsed and joined when the
-       scenario runs; either way each record has its venue-table row
+       scenario runs; either way each venue's records are one slice,
+       found by the venue-table row's offsets
     2. apply the sampling factor to the records:      count * factor
     3. cap each record at its venue's distanced occupancy (if spacing
        is set):                       minimum(count, cap[row])
@@ -36,7 +37,11 @@ keys are:
 Each value is converted as its line is read, so every error in a
 settings file names the file and the line, and the key when its value
 is at fault: ``"<path>: line N: <key>: <message>"``. A key the file
-may not set is an error of the same form.
+may not set is an error of the same form. A value that converts but
+breaks a rule of the type it sets (``EpiParams`` or
+:class:`ScenarioConfig`) is checked by that type once the file is
+read, under its line: ``"<path>: line N: <message>"``, and for a
+scenario file ``"<path>: line N: scenario '<name>': <message>"``.
 """
 
 from __future__ import annotations
@@ -182,14 +187,18 @@ def parse_spacing(text: str) -> float:
     return meters
 
 
-def read_keyvalue(source: TextIO, fields: Mapping[str, Callable[[str], Any]]) -> dict[str, Any]:
-    """Read a settings file (grammar in the module docstring) into ``{key: fields[key](value)}``.
+def read_keyvalue(
+    source: TextIO, fields: Mapping[str, Callable[[str], Any]]
+) -> tuple[dict[str, Any], dict[str, int]]:
+    """Read a settings file (grammar in the module docstring) into ``{key: fields[key](value)}``,
+    with ``{key: its line number}``.
 
     ``fields`` maps each key the file may set to the converter of its
     value. Every error is a :class:`ConfigError` naming its line, and a
     converter's error also names the key: ``"line N: <key>: <message>"``.
     """
     out: dict[str, Any] = {}
+    lines: dict[str, int] = {}
     for line_no, raw in enumerate(source, start=1):
         line = _COMMENT_RE.split(raw, 1)[0].strip()
         if not line:
@@ -206,17 +215,31 @@ def read_keyvalue(source: TextIO, fields: Mapping[str, Callable[[str], Any]]) ->
                 raise ConfigError(f"unknown key {key!r}, expected one of: {', '.join(fields)}")
             with error_context(key):
                 out[key] = fields[key](value)
-    return out
+            lines[key] = line_no
+    return out, lines
+
+
+def build_checked(build: Callable[..., Any], values: dict[str, Any], lines: dict[str, int]):
+    """``build(**values)``, after ``build`` has taken each value of ``lines`` alone under the
+    label of its line, so that a type's own rule names the line of the value it rejects.
+
+    ``build`` gives every other field a value its rules accept; every
+    rule of the types built here is on one field.
+    """
+    for key, line in lines.items():
+        with error_context(f"line {line}"):
+            build(**{key: values[key]})
+    return build(**values)
 
 
 def load_scenario_config(path: str | Path) -> ScenarioConfig:
     """Load a scenario config file (syntax documented in the module docstring).
 
     Relative visit paths resolve against the config file's directory.
-    Keys the file leaves out take ``ScenarioConfig``'s defaults. Errors
-    name the file; one in a line, such as an unknown key or a value that
-    does not parse, also names the line, and a value ``ScenarioConfig``
-    rejects names the scenario: ``"<path>: scenario '<name>': <message>"``.
+    Keys the file leaves out take ``ScenarioConfig``'s defaults. Every
+    error names the file and its line, such as an unknown key or a value
+    that does not parse, and a value ``ScenarioConfig`` rejects also
+    names the scenario: ``"<path>: line N: scenario '<name>': <message>"``.
     """
     path = Path(path)
     fields = {
@@ -226,9 +249,14 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
         "spacing": parse_spacing,
     }
     with open_input(path) as handle:
-        settings = read_keyvalue(handle, fields)
+        settings, lines = read_keyvalue(handle, fields)
         name = settings.setdefault("name", path.stem)
         if "visits" in settings:
             settings["visit_source"] = settings.pop("visits")
-        with error_context(f"scenario {name!r}"):
-            return ScenarioConfig(**settings)
+            lines["visit_source"] = lines.pop("visits")
+
+        def build(**values):
+            with error_context(f"scenario {name!r}"):
+                return ScenarioConfig(**{"name": name, **values})
+
+        return build_checked(build, settings, lines)

@@ -19,8 +19,9 @@ rest, pinned by the tool version:
 The result is a :class:`~venuerisk.ingest.SimulationInput`: a venue
 table built column by column from the drawn arrays, and one record per
 non-zero draw over the ``WINDOW_HOURS`` window, in venue order, then
-hour. All venue draws precede any count draws, so both profiles of one
-seed share an identical venue table.
+hour, each venue's records one slice as the offsets give it. All venue
+draws precede any count draws, so both profiles of one seed share an
+identical venue table.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import HOUR_DTYPE, INDEX_DTYPE, WINDOW_HOURS, SimulationInput, VenueTable, put_counts
+from .ingest import HOUR_DTYPE, OFFSET_DTYPE, WINDOW_HOURS, SimulationInput, VenueTable, put_counts
 
 PROFILES = ("lockdown", "pre_pandemic")
 AREA_RANGE_M2 = (50.0, 2000.0)
@@ -75,9 +76,10 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
     The counts are the non-zero Poisson draws, so each is a whole number
     > 0; no later step checks them again. They are held at the width
     :func:`~venuerisk.ingest.put_counts` picks, as a parsed file of them
-    is. The record columns are the filled fronts of arrays with one slot
-    per venue-hour, so the unfilled slots take address space but no
-    memory.
+    is. The hour and count columns are the filled fronts of arrays with
+    one slot per venue-hour, so the unfilled slots take address space but
+    no memory; each block's venues get their offsets from the places of
+    their non-zero draws.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n_venues
@@ -89,11 +91,14 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
 
     level = LOCKDOWN_LEVEL if config.profile == "lockdown" else PRE_PANDEMIC_LEVEL
     shape = np.array([DIURNAL_SHAPE[h % 24] for h in range(WINDOW_HOURS)])
-    # each column is made once, one slot per venue-hour, and filled from the front
+    # each block's venues' record ends, joined into the offsets once the loop has freed
+    # its temporaries: an offsets column made before the loop sat low in the heap, under
+    # them, and gen-synthetic then peaked 0.9 MB higher
+    ends = [np.zeros(1, OFFSET_DTYPE)]
+    # each record column is made once, one slot per venue-hour, and filled from the front
     # (the counts again, as float64, only for a draw above 255): pages past the last
     # record are never touched, and no per-block arrays are freed into gaps whose reuse
     # depends on how many records the seed draws
-    rows = np.empty(n * WINDOW_HOURS, INDEX_DTYPE)
     hours = np.empty(n * WINDOW_HOURS, HOUR_DTYPE)
     counts = np.empty(n * WINDOW_HOURS, np.uint8)
     size = 0
@@ -105,8 +110,9 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
         # scanned as a byte mask, three times faster than the int64 draws themselves
         cells = np.flatnonzero(draws.astype(bool))
         end = size + cells.size
-        block_rows, hours[size:end] = np.divmod(cells, WINDOW_HOURS)
-        rows[size:end] = block_rows + start
+        hours[size:end] = cells % WINDOW_HOURS
+        # the cells are sorted: those below the end of a venue's window end its records
+        ends.append(size + np.searchsorted(cells, np.arange(1, len(draws) + 1) * WINDOW_HOURS))
         counts = put_counts(counts, size, draws.ravel()[cells])
         size = end
 
@@ -115,4 +121,4 @@ def generate_dataset(config: GeneratorConfig) -> SimulationInput:
     ids = tuple(f"v{i:05d}" for i in range(n))
     names = tuple(f"Synthetic {c.replace('_', ' ')} {i:05d}" for i, c in enumerate(categories))
     venues = VenueTable(ids, names, categories, areas)
-    return SimulationInput(venues, rows[:size], hours[:size], counts[:size])
+    return SimulationInput(venues, np.concatenate(ends), hours[:size], counts[:size])

@@ -55,17 +55,50 @@ def window_counts(rows) -> np.ndarray:
     return counts
 
 
+def input_from_records(venues: VenueTable, rows, hours, counts) -> SimulationInput:
+    """A SimulationInput of the records (venue row, hour, count) given in any order: a
+    stable sort by row groups each venue's records, in the order given."""
+    rows = np.asarray(rows, np.intp)
+    order = np.argsort(rows, kind="stable")
+    offsets = np.zeros(len(venues) + 1, np.int64)
+    offsets[1:] = np.cumsum(np.bincount(rows, minlength=len(venues)))
+    hours, counts = np.asarray(hours, np.uint8)[order], np.asarray(counts)[order]
+    return SimulationInput(venues, offsets, hours, counts)
+
+
+def record_rows_of(sim: SimulationInput) -> np.ndarray:
+    """The venue row of each record of ``sim``, expanded from its offsets."""
+    return np.repeat(np.arange(len(sim.venues)), np.diff(sim.offsets))
+
+
 def input_from_matrix(venues: VenueTable, counts: np.ndarray) -> SimulationInput:
     """A SimulationInput with one record per non-zero cell of ``counts[venue, hour]``, in row order."""
     rows, hours = np.nonzero(counts)
-    return SimulationInput(venues, rows.astype(np.int32), hours.astype(np.uint8), counts[rows, hours])
+    return input_from_records(venues, rows, hours, counts[rows, hours])
 
 
 def dense_counts(sim: SimulationInput) -> np.ndarray:
     """The records of ``sim`` as a ``counts[venue, hour]`` matrix, 0 where no record is."""
     counts = np.zeros((len(sim.venues), WINDOW_HOURS))
-    counts[sim.row, sim.hour] = sim.count
+    counts[record_rows_of(sim), sim.hour] = sim.count
     return counts
+
+
+def runs_of(index) -> tuple[np.ndarray, np.ndarray]:
+    """The (id index, length) of each run of equal entries of ``index``: VisitRecords' run columns."""
+    venues, lengths = [], []
+    for value in index:
+        if venues and venues[-1] == value:
+            lengths[-1] += 1
+        else:
+            venues.append(value)
+            lengths.append(1)
+    return np.array(venues, np.int32), np.array(lengths, np.uint8)
+
+
+def record_ids(visits: VisitRecords) -> np.ndarray:
+    """The id index of each record of ``visits``, expanded from its runs."""
+    return np.repeat(visits.run_venue, visits.run_length)
 
 
 def visit_records(counts_by_id) -> VisitRecords:
@@ -81,22 +114,20 @@ def visit_records(counts_by_id) -> VisitRecords:
             venues.append(index)
             hours.append(hour)
             counts.append(float(count))
-    return VisitRecords(
-        ids, np.array(venues, np.int32), np.array(hours, np.uint8), np.array(counts, float)
-    )
+    return VisitRecords(ids, *runs_of(venues), np.array(hours, np.uint8), np.array(counts, float))
 
 
 def visit_rows(visits: VisitRecords) -> dict:
     """{venue_id: its WINDOW_HOURS counts, 0 where no record is}, in ``visits.ids`` order."""
     rows = np.zeros((len(visits.ids), WINDOW_HOURS))
-    rows[visits.venue, visits.hour] = visits.count
+    rows[record_ids(visits), visits.hour] = visits.count
     return dict(zip(visits.ids, rows))
 
 
 def record_columns(visits: VisitRecords) -> tuple:
     """Everything ``visits`` holds, for comparison with ==: ids in order, each column's
     dtype and values, counts by ``repr`` so that -0.0 and 0.0 differ."""
-    columns = (visits.venue, visits.hour, visits.count)
+    columns = (visits.run_venue, visits.run_length, visits.hour, visits.count)
     return (
         list(visits.ids.items()),
         [column.dtype.str for column in columns],
@@ -128,19 +159,27 @@ def parse_outcome(parse, text: str):
 def large_table(n_venues=10_000, hours=80):
     """Records of ``hours`` hours for each of ``n_venues`` venues: a visit file of about 10 MB."""
     venues = make_venues({f"v{i:05d}": 1.0 for i in range(n_venues)})
-    row = np.repeat(np.arange(n_venues, dtype=np.int32), hours)
+    row = np.repeat(np.arange(n_venues), hours)
     hour = np.tile(np.arange(hours, dtype=np.uint8), n_venues)
-    return SimulationInput(venues, row, hour, ((row * 7 + hour) % 50 + 1).astype(float))
+    offsets = np.arange(n_venues + 1) * hours
+    return SimulationInput(venues, offsets, hour, ((row * 7 + hour) % 50 + 1).astype(float))
 
 
-def peak_above_kept(call):
-    """``call()``'s result, and the most memory it held at once beyond what it keeps, in bytes."""
+def traced_memory(call):
+    """``call()``'s result, the memory it keeps once it returns and the most it held at
+    once, in bytes."""
     tracemalloc.start()
     try:
         result = call()
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, kept, peak
+
+
+def peak_above_kept(call):
+    """``call()``'s result, and the most memory it held at once beyond what it keeps, in bytes."""
+    result, kept, peak = traced_memory(call)
     return result, peak - kept
 
 

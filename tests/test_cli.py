@@ -286,12 +286,12 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("q = -1", "q must be positive and finite, got -1.0"),
-            ("ceiling_height = inf", "ceiling_height must be positive and finite, got inf"),
-            ("documented_prevalence = 1.5", "documented_prevalence must be in [0, 1], got 1.5"),
-            ("underreport_factor = 0.5", "underreport_factor must be >= 1, got 0.5"),
-            ("quanta = 1", f"line 1: unknown key 'quanta', expected one of: {PARAM_KEYS}"),
-            ("q = x", "line 1: q: could not convert string to float: 'x'"),
+            ("q = -1", "line 3: q must be positive and finite, got -1.0"),
+            ("ceiling_height = inf", "line 3: ceiling_height must be positive and finite, got inf"),
+            ("documented_prevalence = 1.5", "line 3: documented_prevalence must be in [0, 1], got 1.5"),
+            ("underreport_factor = 0.5", "line 3: underreport_factor must be >= 1, got 0.5"),
+            ("quanta = 1", f"line 3: unknown key 'quanta', expected one of: {PARAM_KEYS}"),
+            ("q = x", "line 3: q: could not convert string to float: 'x'"),
         ],
         ids=["q", "ceiling_height", "documented_prevalence", "underreport_factor", "unknown", "text"],
     )
@@ -299,7 +299,7 @@ class TestSimulate:
         self, small_dataset, tmp_path, capsys, line, message
     ):
         params = tmp_path / "params.txt"
-        params.write_text(f"{line}\n", encoding="utf-8")
+        params.write_text(f"# params\nach = 4\n{line}\n", encoding="utf-8")
         args = simulate_args(small_dataset, tmp_path / "x", "--params", str(params))
         if line.startswith("documented_prevalence"):
             # --prevalence would override the file's value, which is then never read
@@ -516,6 +516,26 @@ class TestCompare:
         stdout = capsys.readouterr().out
         assert "t=" in stdout and "p=" in stdout
 
+    def test_only_simulate_parses_venue_names(self, small_dataset, tmp_path, monkeypatch):
+        # only simulate's venue_results.csv writes names, so compare's table holds none
+        tables = []
+
+        def spy(*args, **kwargs):
+            tables.append(ingest.parse_venues(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(cli, "parse_venues", spy)
+        a, b = self._scenarios(tmp_path, small_dataset)
+        assert run_cli(
+            "compare", "--venues", str(small_dataset["venues"]),
+            "--visits", str(small_dataset["visits"]),
+            "--scenario-a", str(a), "--scenario-b", str(b),
+            "--prevalence", "0.001", "--out", str(tmp_path / "cmp"),
+        ) == 0
+        assert run_cli(*simulate_args(small_dataset, tmp_path / "sim")) == 0
+        assert [table.names is None for table in tables] == [True, False]
+        assert len(tables[1].names) == len(tables[0]) > 0
+
     def test_self_comparison(self, small_dataset, tmp_path):
         a, _ = self._scenarios(tmp_path, small_dataset)
         out = tmp_path / "self"
@@ -596,7 +616,7 @@ class TestCompare:
             "--prevalence", "0.001", "--out", str(tmp_path / "x"),
         )
         assert code == 1
-        assert "scenario 'negative_factor': sampling_factor must be positive" in (
+        assert f"{neg}: line 2: scenario 'negative_factor': sampling_factor must be positive" in (
             capsys.readouterr().err
         )
 
@@ -614,7 +634,7 @@ class TestCompare:
         )
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {neg}: scenario 'negative_factor': sampling_factor must be positive, "
+            f"error: {neg}: line 2: scenario 'negative_factor': sampling_factor must be positive, "
             "got -1.0\n"
         )
         assert not out.exists()
@@ -933,6 +953,14 @@ SETTINGS_ERRORS = {
     "duplicate": ("{first} = 2", "duplicate key '{first}'"),
     "unknown": ("venue_cap = 5", "unknown key 'venue_cap', expected one of: {keys}"),
     "not-a-number": ("{key} = ten", "{key}: could not convert string to float: 'ten'"),
+    # a value that converts but breaks a rule of the type it sets, checked by that type
+    "rule": (
+        "{key} = -1",
+        {
+            "params": "q must be positive and finite, got -1.0",
+            "scenario": "scenario '1': sampling_factor must be positive, got -1.0",
+        },
+    ),
     "spacing": (
         "spacing = 6",
         {

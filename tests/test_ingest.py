@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -36,6 +37,7 @@ from conftest import (
     peak_above_kept,
     record_columns,
     same_venues,
+    traced_memory,
     visit_records,
     visit_rows,
     window_counts,
@@ -108,8 +110,18 @@ class TestParseVenues:
             parse_venues(io.StringIO("# provenance comment only\n"))
 
     def test_quoted_name_with_comma(self):
-        table = parse_venues(venues_csv('v1,"Soup, Salad & Co",restaurant,100'))
+        table = parse_venues(venues_csv('v1,"Soup, Salad & Co",restaurant,100'), names=True)
         assert column(table, "names", "v1") == "Soup, Salad & Co"
+
+    def test_a_table_without_names_holds_no_name_strings(self):
+        rows = [f"v{i},Synthetic restaurant {i:05d},restaurant,{i + 1}" for i in range(5000)]
+        text = venues_csv(*rows).getvalue()
+        bare, kept, _ = traced_memory(lambda: parse_venues(io.StringIO(text)))
+        named, kept_with_names, _ = traced_memory(lambda: parse_venues(io.StringIO(text), names=True))
+        assert bare.names is None and bare.ids == named.ids
+        assert named.names[-1] == "Synthetic restaurant 04999"
+        # the names and their tuple are the whole difference
+        assert kept_with_names - kept >= sum(map(sys.getsizeof, named.names))
 
     def test_leading_comment_lines_skipped(self):
         source = io.StringIO("# provenance stamp\nvenue_id,name,category,area\nv1,Cafe,restaurant,100\n")
@@ -135,7 +147,7 @@ class TestParseVenues:
             "\u00a0c3,Shop , retail\t,30\n".encode("utf-8")
         )
         with open_input(path) as handle:
-            table = parse_venues(handle)
+            table = parse_venues(handle, names=True)
         assert table.ids == ("a1", "b2", "c3")
         assert table.names == ("Cafe One", "Caf\ne", "Shop")
         assert table.categories == ("bar", "food", "retail")
@@ -354,17 +366,16 @@ class TestStreamedVisitIO:
         # many venues and few hours each: a bitmap of every id's window (8.4 MB) larger
         # than a few blocks
         table = large_table(n_venues=50_000, hours=16)
+        sink = io.StringIO()
+        write_visits(table, sink)
+        header, *rows = sink.getvalue().splitlines(keepends=True)
         shuffled = np.random.default_rng(5).permutation(table.count.size)
         path = tmp_path / "visits.csv"
         for order, bitmap in ((slice(None), False), (shuffled, True)):
-            records = SimulationInput(
-                table.venues, table.row[order], table.hour[order], table.count[order]
-            )
-            with open(path, "w", encoding="utf-8") as sink:
-                write_visits(records, sink)
+            path.write_text(header + "".join(np.array(rows, object)[order]), encoding="utf-8")
             with open_input(path) as handle:
                 visits, extra = peak_above_kept(lambda: parse_visits(handle))
-            assert visits.count.tolist() == records.count.tolist()
+            assert visits.count.tolist() == table.count[order].tolist()
             # a block's text, bytes and per-row temporaries, and the duplicate bitmap only
             # for rows out of venue-then-hour order; a read of the whole file would take
             # twice its 10 MB
@@ -377,10 +388,21 @@ class TestStreamedVisitIO:
         with open(path, "w", encoding="utf-8") as sink:
             write_visits(table, sink)
         sim, extra = peak_above_kept(lambda: load_visits(path, table.venues))
-        assert sim.row.tolist() == table.row.tolist()
-        # the parse's blocks and id dict, but not a second record-length index column,
-        # as a join that gathered the rows would hold beside the parsed one
+        assert sim.offsets.tolist() == table.offsets.tolist()
+        # the parse's blocks and id dict, but not a record-length index column, as a join
+        # that gave each record its row would hold
         assert extra < table.count.size * np.dtype(INDEX_DTYPE).itemsize
+
+    def test_a_joined_visit_file_holds_two_bytes_per_record_and_the_offsets(self, tmp_path):
+        # one-byte hours and counts; a column of a venue row per record would take 4
+        # bytes more for each of the 800 000 records
+        table = large_table()
+        path = tmp_path / "visits.csv"
+        with open(path, "w", encoding="utf-8") as sink:
+            write_visits(table, sink)
+        sim, kept, _ = traced_memory(lambda: load_visits(path, table.venues))
+        assert sim.hour.dtype == sim.count.dtype == np.uint8
+        assert kept <= 2 * sim.count.size + sim.offsets.nbytes + (1 << 16)
 
     def test_write_visits_holds_a_few_blocks_beyond_its_text(self):
         table = large_table()
@@ -604,13 +626,22 @@ class TestJoin:
         )
 
     def test_table_larger_than_the_file_and_in_another_order(self):
-        # the file names three of six venues, in an order of its own
+        # the file names three of six venues, in an order of its own: its records are
+        # gathered into venue-table order, each venue's kept in file order
         venues = self._venues("a", "b", "c", "d", "e", "f")
-        visits = visit_records({"e": {0: 1.0, 7: 2.0}, "b": {1: 3.0}, "f": {2: 4.0}})
+        visits = visit_records({"e": {7: 1.0, 0: 2.0}, "b": {1: 3.0}, "f": {2: 4.0}})
         sim = join(venues, visits)
-        assert sim.row.tolist() == [4, 4, 1, 5]
-        assert sim.hour is visits.hour and sim.count is visits.count
+        assert sim.offsets.tolist() == [0, 0, 1, 1, 1, 3, 4]
+        assert sim.hour.tolist() == [1, 7, 0, 2] and sim.count.tolist() == [3.0, 1.0, 2.0, 4.0]
+        assert visits.hour.tolist() == [7, 0, 1, 2]
         assert dense_counts(sim).sum(axis=1).tolist() == [0.0, 3.0, 0.0, 0.0, 3.0, 4.0]
+
+    def test_records_in_venue_order_are_handed_on_uncopied(self):
+        venues = self._venues("a", "b", "c", "d")
+        visits = visit_records({"b": {1: 3.0}, "d": {7: 1.0, 0: 2.0}})
+        sim = join(venues, visits)
+        assert sim.offsets.tolist() == [0, 0, 1, 1, 3]
+        assert sim.hour is visits.hour and sim.count is visits.count
 
     def test_full_size_join(self):
         ids = [f"v{i}" for i in range(1034)]
@@ -676,7 +707,7 @@ class TestRoundTrip:
         visit_buf = io.StringIO()
         write_visits(input_from_matrix(venues, counts), visit_buf)
 
-        back_venues = parse_venues(io.StringIO(venue_buf.getvalue()))
+        back_venues = parse_venues(io.StringIO(venue_buf.getvalue()), names=True)
         back_visits = parse_visits(io.StringIO(visit_buf.getvalue()))
         for vid in venues:
             assert column(back_venues, "areas", vid) == column(venues, "areas", vid)
@@ -694,7 +725,7 @@ class TestRoundTrip:
         write_venues(venues, venue_buf, comment="manifest_sha256: 00ff")
         write_visits(input_from_matrix(venues, counts), visit_buf, comment="manifest_sha256: 00ff")
 
-        back_venues = parse_venues(io.StringIO(venue_buf.getvalue()))
+        back_venues = parse_venues(io.StringIO(venue_buf.getvalue()), names=True)
         back_visits = parse_visits(io.StringIO(visit_buf.getvalue()))
         assert same_venues(back_venues, venues)
         assert np.array_equal(dense_counts(join(back_venues, back_visits)), counts)
@@ -702,18 +733,21 @@ class TestRoundTrip:
 
 class TestTypeInvariants:
     @pytest.mark.parametrize(
-        "ids, venue, hour, count",
+        "ids, venue, length, hour, count, message",
         [
-            ({"a": 0}, [0, 0], [1], [1.0, 2.0]),  # columns of different lengths
-            ({"a": 0}, [1], [0], [1.0]),  # an index with no id
-            ({"a": 0}, [-1], [0], [1.0]),
-            ({"a": 0}, [0], [168], [1.0]),  # an hour outside the window
+            # columns of different lengths, and runs that do not add up to the records
+            ({"a": 0}, [0], [2], [1], [1.0, 2.0], "record columns must be vectors of one length"),
+            ({"a": 0}, [0], [2], [1], [1.0], "one length per run, adding up to the 1 records"),
+            ({"a": 0}, [0, 0], [1], [1], [1.0], "one length per run"),
+            ({"a": 0}, [1], [1], [0], [1.0], "runs must index the 1 ids"),  # an index with no id
+            ({"a": 0}, [-1], [1], [0], [1.0], "runs must index the 1 ids"),
+            ({"a": 0}, [0], [1], [168], [1.0], "record hours must lie in the 168-hour window"),
         ],
-        ids=["lengths", "index", "negative-index", "hour"],
+        ids=["lengths", "run-lengths", "runs", "index", "negative-index", "hour"],
     )
-    def test_visit_records_reject_bad_columns(self, ids, venue, hour, count):
-        with pytest.raises(ValueError):
-            VisitRecords(ids, np.array(venue), np.array(hour), np.array(count))
+    def test_visit_records_reject_bad_columns(self, ids, venue, length, hour, count, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            VisitRecords(ids, np.array(venue), np.array(length), np.array(hour), np.array(count))
 
     def test_venue_rejects_bad_area(self):
         # the area's one owner is parse_venues, per line and in m2; VenueTable takes it as checked
@@ -753,10 +787,25 @@ class TestTypeInvariants:
     def test_simulation_input_holds_the_window(self, shape):
         with pytest.raises(ValueError, match="record columns must be vectors of one length"):
             SimulationInput(
-                make_venues({"v": 1.0}), np.zeros(1, np.int32), np.zeros(1, np.uint8), np.ones(shape)
+                make_venues({"v": 1.0}), np.array([0, 1]), np.zeros(1, np.uint8), np.ones(shape)
             )
 
-    @pytest.mark.parametrize("row, hour", [(-1, 0), (1, 0), (0, 168)], ids=["row-1", "row1", "hour"])
-    def test_simulation_input_records_index_the_venues_and_the_window(self, row, hour):
-        with pytest.raises(ValueError, match="records must index the 1 venue rows"):
-            SimulationInput(make_venues({"v": 1.0}), np.array([row]), np.array([hour]), np.ones(1))
+    @pytest.mark.parametrize(
+        "offsets, hour, message",
+        [
+            ([1, 1], 0, "offsets must rise from 0 to the 1 records, one per venue and one more (2)"),
+            ([0, 2], 0, "offsets must rise from 0 to the 1 records"),
+            ([0, 1, 1], 0, "offsets must rise from 0 to the 1 records"),
+            ([0], 0, "offsets must rise from 0 to the 1 records"),
+            ([0, 1], 168, "record hours must lie in the 168-hour window"),
+        ],
+        ids=["start", "end", "venues+1", "venues-1", "hour"],
+    )
+    def test_simulation_input_records_index_the_venues_and_the_window(self, offsets, hour, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            SimulationInput(make_venues({"v": 1.0}), np.array(offsets), np.array([hour]), np.ones(1))
+
+    def test_simulation_input_offsets_never_fall(self):
+        venues = make_venues({"a": 1.0, "b": 1.0})
+        with pytest.raises(ValueError, match="^offsets must rise from 0 to the 1 records"):
+            SimulationInput(venues, np.array([0, 2, 1]), np.zeros(1, np.uint8), np.ones(1))

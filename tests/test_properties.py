@@ -15,7 +15,7 @@ from unittest import mock
 
 import mpmath
 import numpy as np
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -34,14 +34,13 @@ from venuerisk.epi import hourly_infections
 from venuerisk.errors import DatasetError
 from venuerisk.ingest import (
     HOTSPOT_COLUMNS,
-    INDEX_DTYPE,
     VENUE_RESULT_COLUMNS,
     WINDOW_HOURS,
-    SimulationInput,
     VenueTable,
     VisitRecords,
     _parse_visits_csv,
     apply_sampling_correction,
+    compute_volumes,
     join,
     parse_venues,
     parse_visits,
@@ -53,13 +52,18 @@ from venuerisk.scenario import apply_occupancy_cap
 from venuerisk.stats import combined_range, histogram, regularized_incomplete_beta
 from conftest import (
     dense_counts,
+    dense_hourly_infections,
     dense_weekly,
     hourly_of,
     input_from_matrix,
+    input_from_records,
     make_venues,
     narrowest_count_dtype,
     parse_outcome,
     record_columns,
+    record_ids,
+    record_rows_of,
+    runs_of,
     same_venues,
     window_counts,
 )
@@ -92,7 +96,8 @@ id_st = st.one_of(
 
 @st.composite
 def tables(draw, max_venues=5, max_hours=12, ids=None, counts=count_st):
-    """A SimulationInput of up to ``max_hours`` records per venue, in any order, zeros included."""
+    """A SimulationInput of up to ``max_hours`` records per venue, each venue's hours in any
+    order, zeros included."""
     n = draw(st.integers(1, max_venues))
     areas = draw(st.lists(st.floats(0.5, 5000.0), min_size=n, max_size=n))
     venue_ids = [f"v{i}" for i in range(n)] if ids is None else draw(
@@ -104,9 +109,11 @@ def tables(draw, max_venues=5, max_hours=12, ids=None, counts=count_st):
     cells = draw(st.lists(
         st.tuples(st.integers(0, n - 1), hour_st), unique=True, max_size=n * max_hours
     ))
-    rows = np.array([row for row, _ in cells], np.int32)
-    hours = np.array([hour for _, hour in cells], np.uint8)
-    return SimulationInput(venues, rows, hours, draw(arrays(np.float64, len(cells), elements=counts)))
+    rows = [row for row, _ in cells]
+    hours = [hour for _, hour in cells]
+    return input_from_records(
+        venues, rows, hours, draw(arrays(np.float64, len(cells), elements=counts))
+    )
 
 
 def ulps(got, want):
@@ -133,10 +140,10 @@ def test_array_probability_within_one_ulp_of_scalar(params, exponents, volumes):
 @PROPERTY
 @given(tables(), params_st)
 def test_infections_within_two_ulp_of_scalar_cohort(table, params):
-    volumes = table.venues.areas * params.ceiling_height
-    hourly = hourly_infections(table.count, volumes[table.row], params)
+    volumes = (table.venues.areas * params.ceiling_height)[record_rows_of(table)]
+    hourly = hourly_infections(table.count, volumes, params)
     prevalence = params.effective_prevalence
-    for visitors, volume, got in zip(table.count.tolist(), volumes[table.row].tolist(), hourly):
+    for visitors, volume, got in zip(table.count.tolist(), volumes.tolist(), hourly):
         infectors = visitors * prevalence
         want = (visitors - infectors) * wells_riley_probability(infectors, params, volume)
         assert ulps(got.item(), want) <= 2
@@ -144,16 +151,17 @@ def test_infections_within_two_ulp_of_scalar_cohort(table, params):
 
 def with_a_full_week(table, rng):
     """``table`` with a record at every hour of its first venue, of mostly distinct
-    counts, and every record in shuffled order: a row sum of 168 values shows the order
-    in which they are added."""
-    keep = table.row != 0
-    rows = np.concatenate([table.row[keep], np.zeros(WINDOW_HOURS, np.int32)])
+    counts, and each venue's records in shuffled order: a row sum of 168 values shows the
+    order in which they are added."""
+    row = record_rows_of(table)
+    keep = row != 0
+    rows = np.concatenate([row[keep], np.zeros(WINDOW_HOURS, np.intp)])
     hours = np.concatenate([table.hour[keep], np.arange(WINDOW_HOURS, dtype=np.uint8)])
     week = [rng.choice([0.0, rng.uniform(0.0, 500.0)]) for _ in range(WINDOW_HOURS)]
     counts = np.concatenate([table.count[keep], week])
     order = list(range(len(rows)))
     rng.shuffle(order)
-    return SimulationInput(table.venues, rows[order], hours[order], counts[order])
+    return input_from_records(table.venues, rows[order], hours[order], counts[order])
 
 
 @PROPERTY
@@ -163,15 +171,16 @@ def with_a_full_week(table, rng):
     st.none() | st.randoms(use_true_random=False), st.booleans(),
 )
 def test_weekly_is_the_kernel_row_sums_whatever_the_block(
-    table, params, factor, spacing, block, rng, in_row_order
+    table, params, factor, spacing, block, rng, in_hour_order
 ):
     # the record kernel, capped or not, gives the dense kernel's weekly values bit for bit,
-    # on blocks of venue rows whose records are a slice (row order) or are grouped
+    # on blocks of venue rows whose records are in hour order or in any order
     if rng is not None:
         table = with_a_full_week(table, rng)
-    if in_row_order:
-        order = np.argsort(table.row, kind="stable")
-        table = SimulationInput(table.venues, table.row[order], table.hour[order], table.count[order])
+    if in_hour_order:
+        rows = record_rows_of(table)
+        order = np.lexsort((table.hour, rows))
+        table = input_from_records(table.venues, rows[order], table.hour[order], table.count[order])
     config = ScenarioConfig(name="c", sampling_factor=factor, spacing=spacing)
     with mock.patch.object(epi, "_BLOCK_ROWS", block):
         weekly = run_scenario(table, config, params)
@@ -202,15 +211,13 @@ def test_write_parse_join_round_trip(table, factor):
     venue_sink, visit_sink = io.StringIO(), io.StringIO()
     write_venues(table.venues, venue_sink, comment="round trip")
     write_visits(table, visit_sink, comment="round trip")
-    venues = parse_venues(io.StringIO(venue_sink.getvalue()))
+    venues = parse_venues(io.StringIO(venue_sink.getvalue()), names=True)
     visits = parse_visits(io.StringIO(visit_sink.getvalue()))
     back = join(venues, visits)
     assert same_venues(back.venues, table.venues)
-    for column in ("row", "hour", "count"):
+    for column in ("offsets", "hour", "count"):
         assert getattr(back, column).tolist() == getattr(table, column).tolist()
-    # SimulationInput checks no count: parsing and sampling keep every count finite, >= 0;
-    # join spent the records, so they are parsed again
-    visits = parse_visits(io.StringIO(visit_sink.getvalue()))
+    # SimulationInput checks no count: parsing and sampling keep every count finite, >= 0
     sampled = apply_sampling_correction(visits.count, factor)
     counts = join(venues, dataclasses.replace(visits, count=sampled)).count
     assert np.isfinite(counts).all() and (counts >= 0).all()
@@ -234,10 +241,11 @@ def test_sliced_fast_parse_gives_the_csv_records(table, slice_chars):
 def test_reordered_rows_and_duplicates_give_the_csv_outcome(table, shuffle, slice_chars, data):
     # rows in venue-then-hour order take the block-wise duplicate check, shuffled rows
     # the bitmap; a (venue_id, hour) pair written again anywhere is the csv parser's error
-    order = np.lexsort((table.hour, table.row))
+    rows = record_rows_of(table)
+    order = np.lexsort((table.hour, rows))
     sink = io.StringIO()
-    write_visits(SimulationInput(table.venues, table.row[order], table.hour[order],
-                                 table.count[order]), sink)
+    write_visits(input_from_records(table.venues, rows[order], table.hour[order],
+                                    table.count[order]), sink)
     header, *rows = sink.getvalue().splitlines(keepends=True)
     if shuffle:
         rows = data.draw(st.permutations(rows))
@@ -265,7 +273,9 @@ def reference_visit_text(table, comment):
     """write_visits' output written one ``csv.writer`` row per record."""
     rows = (
         (table.venues.ids[row], hour, str(int(count)) if count.is_integer() else repr(count))
-        for row, hour, count in zip(table.row.tolist(), table.hour.tolist(), table.count.tolist())
+        for row, hour, count in zip(
+            record_rows_of(table).tolist(), table.hour.tolist(), table.count.tolist()
+        )
     )
     return row_by_row_csv(["venue_id", "hour", "count"], rows, [comment])
 
@@ -299,11 +309,11 @@ written_count_st = st.one_of(
 # repeated counts, 0.0 and -0.0 among them, one record per write block: each block
 # looks its counts up among the distinct ones of the whole table
 @example(
-    SimulationInput(
+    input_from_records(
         make_venues({"v1": 1.0, "v2": 2.0}),
-        np.array([0, 0, 0, 0, 1, 1, 1, 1], INDEX_DTYPE),
-        np.array([0, 1, 2, 3, 0, 1, 2, 3], np.uint8),
-        np.array([0.0, -0.0, 2.5, 0.0, -0.0, 2.5, 7.0, 0.0]),
+        [0, 0, 0, 0, 1, 1, 1, 1],
+        [0, 1, 2, 3, 0, 1, 2, 3],
+        [0.0, -0.0, 2.5, 0.0, -0.0, 2.5, 7.0, 0.0],
     ),
     1,
 )
@@ -527,6 +537,56 @@ def test_fast_and_csv_visit_parsers_agree(text):
     assert parse_outcome(parse_visits, text) == parse_outcome(_parse_visits_csv, text)
 
 
+@st.composite
+def grouped_visit_files(draw):
+    """A venue table, and the rows of a visit file over it as (row, hour, count text): each
+    venue's rows in one or two runs, the runs in any order, at times one venue with every
+    hour of the window, and at times a run of more than 255 rows of one id."""
+    n = draw(st.integers(1, 6))
+    venues = make_venues({f"v{i}": draw(st.floats(1.0, 500.0)) for i in range(n)})
+    full = draw(st.none() | st.integers(0, n - 1))
+    runs = []
+    for row in range(n):
+        if row == full:
+            hours = draw(st.permutations(range(WINDOW_HOURS)))
+        else:
+            hours = draw(st.lists(st.integers(0, WINDOW_HOURS - 1), unique=True, max_size=12))
+        cut = draw(st.integers(0, len(hours)))
+        runs += [[(row, hour) for hour in part] for part in (hours[:cut], hours[cut:]) if part]
+    runs = draw(st.permutations(runs))
+    if draw(st.booleans()):  # 256 rows of one id, so some hour comes twice
+        runs.insert(draw(st.integers(0, len(runs))), [(0, h % WINDOW_HOURS) for h in range(256)])
+    counts = st.integers(0, 255).map(str) | st.sampled_from(["0.5", "300", "1e3"])
+    rows = [(row, hour, draw(counts)) for run in runs for row, hour in run]
+    return venues, rows
+
+
+@PROPERTY
+@given(grouped_visit_files(), st.integers(1, 64), params_st, st.sampled_from([1.0, 10.0]))
+def test_runs_of_a_visit_file_join_into_the_dense_weekly_values(case, block_chars, params, factor):
+    # venues out of the venue file's order, a venue's rows in two runs or split across
+    # parse blocks, a venue with all 168 hours: both parsers give the same runs, and the
+    # joined records the weekly values of a dense [venue, hour] matrix bit for bit. More
+    # than 255 rows of one id is the csv parser's duplicate error
+    venues, rows = case
+    text = "venue_id,hour,count\n" + "".join(f"v{row},{hour},{count}\n" for row, hour, count in rows)
+    with mock.patch.object(ingest, "_PARSE_BLOCK_CHARS", block_chars):
+        outcome = parse_outcome(parse_visits, text)
+        assert outcome == parse_outcome(_parse_visits_csv, text)
+        if isinstance(outcome[0], type):
+            assert outcome[0] is ingest.RecordError and "duplicate hour" in outcome[1]
+            return
+        sim = join(venues, parse_visits(io.StringIO(text)))
+    counts = np.zeros((len(venues), WINDOW_HOURS))
+    for row, hour, count in rows:
+        counts[row, hour] = float(count)
+    volumes = compute_volumes(venues.areas, params.ceiling_height)
+    with np.errstate(all="ignore"):
+        weekly = simulate_week(sim, params, factor)
+        dense = dense_hourly_infections(counts * factor, volumes, params).sum(axis=1)
+    assert weekly.tobytes() == dense.tobytes()
+
+
 # counts at the edge of one byte and beyond, and counts float() reads: a fraction, an
 # exponent, an underscore, a negative zero and a huge value; and 16-digit integers, which
 # the byte reader reads as digits
@@ -573,19 +633,24 @@ def test_count_column_takes_the_narrowest_exact_width(small, edge, block_chars, 
     assert weekly.tobytes() == expected.tobytes()
 
 
-def gathered_rows(venues, visits):
-    """The venue-table row of each record, gathered into a new column: the join's reference."""
+def joined_by_sorting(venues, visits):
+    """The join's reference: each record given its venue row, the records sorted by row
+    with a stable sort, and the offsets counted from the rows."""
     row_of = {vid: row for row, vid in enumerate(venues.ids)}
     unknown = sorted(vid for vid in visits.ids if vid not in row_of)
     if unknown:
         shown = ", ".join(map(repr, unknown[:10])) + (", ..." if len(unknown) > 10 else "")
         raise DatasetError(f"visit series reference {len(unknown)} unknown venue id(s): {shown}")
-    return np.array([row_of[vid] for vid in visits.ids], INDEX_DTYPE)[visits.venue]
+    rows = np.array([row_of[vid] for vid in visits.ids], np.intp)[record_ids(visits)]
+    order = np.argsort(rows, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(venues)))])
+    return offsets.tolist(), visits.hour[order].tolist(), visits.count[order].tolist()
 
 
 @st.composite
 def joins(draw):
-    """A venue table and visit records: some of its ids in any order, unknown ids at times."""
+    """A venue table and visit records: some of its ids in any order, unknown ids at times,
+    one id's rows in several runs at times."""
     venue_ids = [f"v{i}" for i in range(draw(st.integers(0, 6)))]
     known = draw(st.lists(st.sampled_from(venue_ids), unique=True)) if venue_ids else []
     unknown = draw(st.lists(st.sampled_from([f"g{i}" for i in range(12)]), unique=True))
@@ -596,7 +661,7 @@ def joins(draw):
     )) if ids else []
     visits = VisitRecords(
         dict(zip(ids, range(len(ids)))),
-        np.array([index for index, _ in cells], INDEX_DTYPE),
+        *runs_of([index for index, _ in cells]),
         np.array([hour for _, hour in cells], np.uint8),
         np.arange(len(cells), dtype=float),
     )
@@ -604,27 +669,31 @@ def joins(draw):
 
 
 @PROPERTY
-@given(joins(), st.integers(1, 5))
-@example((make_venues({"v0": 1.0, "v1": 1.0}), VisitRecords()), 1)  # no records
-def test_join_in_place_equals_a_gather_on_a_copy(case, block_records):
+@given(joins())
+@example((make_venues({"v0": 1.0, "v1": 1.0}), VisitRecords()))  # no records
+def test_join_equals_a_stable_sort_by_row(case):
     venues, visits = case
-    copy = VisitRecords(visits.ids, visits.venue.copy(), visits.hour, visits.count)
+    columns = [visits.run_venue.copy(), visits.run_length.copy(), visits.hour.copy(),
+               visits.count.copy()]
     try:
-        expected = (None, gathered_rows(venues, copy).tolist())
+        expected = (None, joined_by_sorting(venues, visits))
     except DatasetError as exc:
         expected = (DatasetError, str(exc))
-    with mock.patch.object(ingest, "_JOIN_BLOCK_RECORDS", block_records):
-        try:
-            sim = join(venues, visits)
-        except DatasetError as exc:
-            # same text, and the records left as they were
-            assert (DatasetError, str(exc)) == expected
-            assert visits.venue.tolist() == copy.venue.tolist()
-            return
-    assert (None, sim.row.tolist()) == expected
-    # the records' own columns, the index column overwritten with the rows
-    assert sim.row is visits.venue and sim.hour is visits.hour and sim.count is visits.count
-    assert sim.row.dtype == INDEX_DTYPE
+    try:
+        sim = join(venues, visits)
+        outcome = (None, (sim.offsets.tolist(), sim.hour.tolist(), sim.count.tolist()))
+    except DatasetError as exc:
+        outcome = (DatasetError, str(exc))
+    assert outcome == expected
+    # the records are left as they were
+    held = [visits.run_venue, visits.run_length, visits.hour, visits.count]
+    assert [column.tolist() for column in held] == [column.tolist() for column in columns]
+    if outcome[0] is None:
+        # runs whose rows never decrease are handed on as they are, others gathered once
+        rows = [venues.ids.index(vid) for vid in visits.ids]
+        in_order = all(rows[a] <= rows[b] for a, b in zip(visits.run_venue, visits.run_venue[1:]))
+        assert (sim.hour is visits.hour and sim.count is visits.count) == in_order
+        assert sim.offsets.dtype == ingest.OFFSET_DTYPE
 
 
 json_st = st.recursive(
@@ -713,15 +782,15 @@ def betainc_reference(a: float, b: float, x: float):
     st.floats(0.0, 1e-3, exclude_min=True) | st.floats(1e-16, 1e-3).map(lambda d: 1.0 - d),
 )
 @example(a=1e6, b=0.5, x=1.0 - 1e-5)  # the t-test's b, at the largest a, on the fraction's side
-@example(a=1e5, b=0.5, x=1.0 - 1e-6)  # 1 - I_{1-x}(b, a) at the largest a it is checked at
+@example(a=1e5, b=0.5, x=1.0 - 1e-6)  # 1 - I_{1-x}(b, a) where Stirling's series takes over
+# 1 - I_{1-x}(b, a) near the largest a: 2.1e-8 off with lgamma(a + b) - lgamma(a)
+@example(a=8.46e5, b=0.5, x=1.0 - 1.7e-6)
 def test_incomplete_beta_matches_a_50_digit_reference(a, b, x):
     # x near 0 and near 1, where the front factor x^a (1 - x)^b is far from 1. The
-    # tolerance is criterion 6's 1e-8 on p, which is this function at b = 1/2. The error
-    # is lgamma(a + b) - lgamma(a)'s rounding, about eps * a * ln(a), so below 3e-9 where
-    # the fraction gives I_x. Past the fraction's switch point, x > (a+1)/(a+b+2), I_x is
-    # 1 - (a value near 1), which multiplies that error by up to 12 at b = 1/2: 2.6e-8
-    # at a near 1e6. That side is checked up to a = 1e5, where it stays below 3e-9.
-    assume(a <= 1e5 or x < (a + 1.0) / (a + b + 2.0))
+    # tolerance is criterion 6's 1e-8 on p, which is this function at b = 1/2. Past the
+    # fraction's switch point, x > (a+1)/(a+b+2), I_x is 1 - (a value near 1), which
+    # multiplies the front factor's error by up to 12 at b = 1/2; both sides are checked
+    # up to a = 1e6, where lgamma(a + b) - lgamma(a) alone would be 2.6e-8 off
     reference = betainc_reference(a, b, x)
     value = regularized_incomplete_beta(a, b, x)
     if reference < 1e-300:  # below the smallest double that keeps full precision

@@ -245,7 +245,7 @@ def test_capped_own_file_scenario_holds_no_more_than_its_parse(
 ):
     venues, path = narrow_visit_file(tmp_path)
     records, parse_extra = peak_above_kept(lambda: load_visits(path, venues))
-    held = records.row.nbytes + records.hour.nbytes + records.count.nbytes
+    held = records.offsets.nbytes + records.hour.nbytes + records.count.nbytes
     config = ScenarioConfig(
         name="own", visit_source=str(path), sampling_factor=10.0, spacing=SIX_FEET
     )

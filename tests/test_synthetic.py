@@ -22,6 +22,7 @@ from conftest import (
     FIXTURE_SEED,
     dense_counts,
     narrowest_count_dtype,
+    record_rows_of,
     same_venues,
 )
 
@@ -37,7 +38,7 @@ def test_same_seed_same_dataset():
     first = generate_dataset(config)
     second = generate_dataset(config)
     assert same_venues(first.venues, second.venues)
-    for column in ("row", "hour", "count"):
+    for column in ("offsets", "hour", "count"):
         assert np.array_equal(getattr(first, column), getattr(second, column))
 
 
@@ -66,7 +67,7 @@ def test_requested_venue_count():
     assert len(table.venues) == FIXTURE_N_VENUES
     # one record per non-zero draw, in venue order, then hour
     assert (table.count > 0).all()
-    assert (np.diff(table.row.astype(np.int64) * 168 + table.hour) > 0).all()
+    assert (np.diff(record_rows_of(table) * 168 + table.hour) > 0).all()
 
 
 def whole_matrix_dataset(config):
@@ -99,7 +100,7 @@ def test_blocked_draws_are_one_whole_matrix_draw(monkeypatch, block, n_venues):
     assert table.venues.categories == tuple(
         "drinking_place" if bar else "restaurant" for bar in is_bar.tolist()
     )
-    assert table.row.tolist() == rows.tolist()
+    assert record_rows_of(table).tolist() == rows.tolist()
     assert table.hour.tolist() == hours.tolist()
     # the same counts, held at the narrowest width that holds each exactly
     assert table.count.tolist() == counts.tolist()
@@ -127,7 +128,7 @@ def test_generated_and_joined_records_share_dtypes():
     write_visits(table, visit_sink)
     venues = parse_venues(io.StringIO(venue_sink.getvalue()))
     joined = join(venues, parse_visits(io.StringIO(visit_sink.getvalue())))
-    for column in ("row", "hour", "count"):
+    for column in ("offsets", "hour", "count"):
         assert getattr(table, column).dtype == getattr(joined, column).dtype, column
 
 
