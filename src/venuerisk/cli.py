@@ -50,7 +50,6 @@ from .reporting import (
     TOOL_VERSION,
     build_manifest,
     dump_json,
-    hashed_manifest,
     histogram_csv,
     venue_results_csv,
     write_reports,
@@ -291,16 +290,18 @@ def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str],
 
     A scenario on the baseline needs ``--visits``: that is checked here,
     for every command, before any input is read. The baseline records
-    are dropped once the last scenario that reads them has run: the
-    scenarios after it, and the reports, get the venue table with no
-    records. Every scenario's histogram has ``--bins`` bins over the
-    one range of all the scenarios' binnable values, so they overlay;
-    for one scenario that is its own range. Returns the resolved params,
-    the venue table, each config's weekly expected infections in
-    venue-table order, their histograms, and the manifest over every
-    input file (the scenario files in ``config_paths`` included). The
-    venue table has its names only where ``names`` asks for them, for a
-    report that writes them.
+    are dropped before the first scenario after the last one that reads
+    them runs, so before the first scenario when none reads them: the
+    scenarios after it get the venue table with no records. When the
+    last scenario reads them, they go when this returns, before any
+    report is rendered: the reports get the venue table alone. Every
+    scenario's histogram has ``--bins`` bins over the one range of all
+    the scenarios' binnable values, so they overlay; for one scenario
+    that is its own range. Returns the resolved params, the venue table,
+    each config's weekly expected infections in venue-table order, their
+    histograms, and the manifest over every input file (the scenario
+    files in ``config_paths`` included). The venue table has its names
+    only where ``names`` asks for them, for a report that writes them.
     """
     for config in configs:
         if config.visit_source == BASELINE and not args.visits:
@@ -312,15 +313,19 @@ def _run_scenarios(args, configs: list[ScenarioConfig], config_paths: list[str],
     last_reader = max((i for i, c in enumerate(configs) if c.visit_source == BASELINE), default=-1)
     weeklies = []
     for i, config in enumerate(configs):
-        weeklies.append(run_scenario(baseline, config, params))
-        if i == last_reader:
+        if i == last_reader + 1:
             baseline = SimulationInput.without_visits(baseline.venues)
+        weeklies.append(run_scenario(baseline, config, params))
     span = combined_range(weeklies, args.scale)
     hists = [histogram(weekly, args.bins, args.scale, value_range=span) for weekly in weeklies]
 
     input_paths = [args.venues, *config_paths, *([args.visits] if args.visits else [])]
     input_paths += [c.visit_source for c in configs if c.visit_source != BASELINE]
-    manifest = build_manifest(input_paths, params, configs, timestamp=args.timestamp)
+    payload = {
+        "resolved_params": dataclasses.asdict(params),
+        "scenario_configs": [dataclasses.asdict(c) for c in configs],
+    }
+    manifest = build_manifest(input_paths, payload, args.timestamp)
     return params, baseline.venues, weeklies, hists, manifest
 
 
@@ -449,7 +454,7 @@ def cmd_hotspots(args) -> int:
 def cmd_gen_synthetic(args) -> int:
     config = GeneratorConfig(args.n_venues, args.profile, args.seed)
     table = generate_dataset(config)
-    manifest = hashed_manifest({"generator_config": dataclasses.asdict(config)}, args.timestamp)
+    manifest = build_manifest([], {"generator_config": dataclasses.asdict(config)}, args.timestamp)
     stamp = MANIFEST_COMMENT.format(manifest["manifest_sha256"])
 
     # the visit text is rendered first, while the record columns are needed; they are

@@ -209,12 +209,13 @@ class VisitRecords:
     ``ids`` maps each distinct venue id to its index, in order of first
     appearance, so ``venue_id in records`` is one dict lookup. Run ``k``
     is ``run_length[k]`` consecutive rows of the id with index
-    ``run_venue[k]``; adjacent runs have different ids, and one id may
-    have several runs. Row ``r`` says that ``count[r]`` visitors came to
-    its run's venue in hour ``hour[r]`` of the window; ``count`` has the
-    width :func:`put_counts` picks. No (venue, hour) pair comes twice, so
-    a run holds at most ``WINDOW_HOURS`` rows and its length fits
-    ``RUN_DTYPE``. ``VisitRecords()`` holds no visits. They are what
+    ``run_venue[k]``; one id may have several runs, and adjacent runs may
+    share an id: each reader finds its own runs (see :func:`parse_visits`),
+    and no consumer needs them longest. Row ``r`` says that ``count[r]``
+    visitors came to its run's venue in hour ``hour[r]`` of the window;
+    ``count`` has the width :func:`put_counts` picks. No (venue, hour)
+    pair comes twice, so a run holds at most ``WINDOW_HOURS`` rows and
+    its length fits ``RUN_DTYPE``. ``VisitRecords()`` holds no visits. They are what
     :func:`parse_visits` gives, before :func:`join` maps the ids to the
     rows of a venue table.
     """
@@ -300,6 +301,19 @@ def _records(source: TextIO, kind: str, header: tuple[str, ...]):
         raise RecordError(str(exc), reader.line_num) from None
 
 
+def _number(text: str, name: str, line: int, convert=float):
+    """``convert(text)``, the value of a record's ``name`` field on ``line``.
+
+    The one rule for a field that does not convert: a :class:`RecordError`
+    saying that it is not a number, or not an integer for ``int``.
+    """
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise RecordError(f"{name} {text!r} is not {kind}", line) from None
+
+
 def parse_venues(source: TextIO, area_unit: str = "m2", names: bool = False) -> VenueTable:
     """Parse a venue CSV into a :class:`VenueTable` in file order, areas in m2.
 
@@ -325,10 +339,7 @@ def parse_venues(source: TextIO, area_unit: str = "m2", names: bool = False) -> 
     ids, kept_names, categories, areas = [], [], [], []
     seen, kinds = set(), {}
     for line, (venue_id, name, category, area_text) in _records(source, "venue", VENUE_HEADER):
-        try:
-            area = float(area_text) * factor
-        except ValueError:
-            raise RecordError(f"area {area_text!r} is not a number", line) from None
+        area = _number(area_text, "area", line) * factor
         if not math.isfinite(area) or area <= 0:
             raise RecordError(f"area must be positive and finite, got {area_text}", line)
         if venue_id in seen:
@@ -346,8 +357,11 @@ def parse_venues(source: TextIO, area_unit: str = "m2", names: bool = False) -> 
 def parse_visits(source: TextIO) -> VisitRecords:
     """Parse a visit CSV into :class:`VisitRecords`, one record per data row in file order.
 
-    Consecutive rows of one venue id are one run, whichever parser reads
-    the file.
+    The runs are as each reader finds them: the ``csv`` parser makes each
+    longest stretch of rows of one venue id one run, the byte reader each
+    such stretch within a parse block, so a stretch that crosses a
+    block's edge is two runs of one id there. Both give the same ids,
+    hours and counts.
 
     Counts are returned as-read, with no sampling correction; an hour the
     file leaves out had no visits, since sparse mobility data routinely
@@ -382,16 +396,10 @@ def _parse_visits_csv(source: TextIO) -> VisitRecords:
     run_venues, run_lengths, hours, counts = [], [], [], []
     cells = set()  # venue index * WINDOW_HOURS + hour of every row read
     for line, (venue_id, hour_text, count_text) in _records(source, "visit", VISIT_HEADER):
-        try:
-            hour = int(hour_text)
-        except ValueError:
-            raise RecordError(f"hour {hour_text!r} is not an integer", line) from None
+        hour = _number(hour_text, "hour", line, int)
         if not 0 <= hour < WINDOW_HOURS:
             raise RecordError(f"hour {hour} outside [0, {WINDOW_HOURS})", line)
-        try:
-            count = float(count_text)
-        except ValueError:
-            raise RecordError(f"count {count_text!r} is not a number", line) from None
+        count = _number(count_text, "count", line)
         if not math.isfinite(count) or count < 0:
             raise RecordError(f"count must be non-negative and finite, got {count_text}", line)
         venue = ids.setdefault(venue_id, len(ids))
@@ -431,7 +439,7 @@ _DIGITS = 16
 
 
 def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
-    """Parse a plain visit file's bytes with NumPy; None unless sure of the csv parser's result.
+    """Parse a plain visit file's bytes with NumPy; None unless sure of the csv parser's records.
 
     Plain is: leading ``#`` lines, the exact header line, then ASCII rows
     of three non-empty fields with none of ``_NOT_PLAIN``, every id and
@@ -447,9 +455,11 @@ def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
     them to ``float64``, once, when a block needs it. The body is read
     again in blocks of as many characters, each extended to the next
     line end, so a row is never split; a failure in any block returns
-    None, never part of the file. Each block's runs of one id are kept,
-    a run that goes on from the block before joined to it, so the runs
-    are the csv parser's.
+    None, never part of the file. Each block's runs are kept as that
+    block found them: a run that goes on from the block before is a new
+    run of the same id. A stretch of one id longer than ``WINDOW_HOURS``
+    rows repeats an hour: within a block :func:`_parse_block` refuses it,
+    and across a block's edge the duplicate check below finds it.
 
     A row's cell is its id's index times ``WINDOW_HOURS`` plus its hour.
     While the cells strictly increase, across each block and from one
@@ -490,15 +500,8 @@ def _parse_visits_fast(source: TextIO) -> VisitRecords | None:
         if last_cell is not None:
             cells = np.repeat(venue.astype(np.intp), length) * WINDOW_HOURS + hour
             last_cell = int(cells[-1]) if cells[0] > last_cell and (np.diff(cells) > 0).all() else None
-        if run_venues and run_venues[-1][-1] == venue[0]:  # the run goes on from the last block
-            joined = int(run_lengths[-1][-1]) + int(length[0])
-            if joined > WINDOW_HOURS:  # so some hour comes twice
-                return None
-            run_lengths[-1][-1] = joined
-            venue, length = venue[1:], length[1:]
-        if venue.size:
-            run_venues.append(venue)
-            run_lengths.append(length)
+        run_venues.append(venue)
+        run_lengths.append(length)
     if done != n:  # shrunk since counted
         return None
     if last_cell is None and _has_duplicate_cell(run_venues, run_lengths, hours, len(ids)):

@@ -10,16 +10,18 @@ number columns are passed as Python numbers, not as text.
 
 Every output file names the manifest hash that produced it: CSV files
 carry a leading ``# manifest_sha256: ...`` comment, JSON files a
-``manifest_sha256`` key. The hash covers the deterministic manifest
-payload (tool version, input digests, resolved parameters, scenario
-configs; for generated data, the generator config); the run timestamp
-is stored in the manifest but excluded from the hash so reruns on
-identical inputs stay comparable.
+``manifest_sha256`` key. Every command's manifest is made by
+:func:`build_manifest` from the payload the command gives it: the
+resolved parameters and scenario configs of ``simulate`` and
+``compare``, the generator config of ``gen-synthetic``. The hash covers
+the deterministic part: that payload, the tool version and the digest
+of each input file (a run that reads none, as ``gen-synthetic``, lists
+none); the run timestamp is stored in the manifest but excluded from
+the hash so reruns on identical inputs stay comparable.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -39,7 +41,6 @@ from .ingest import (
     compute_volumes,
     render_table,
 )
-from .scenario import ScenarioConfig
 from .stats import Histogram, severity_labels
 
 TOOL_VERSION = "0.1.0"
@@ -60,14 +61,20 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def hashed_manifest(payload: dict, timestamp: str | None = None) -> dict:
-    """Return ``payload`` with the tool version, a run timestamp and a sha256 hash added.
+def build_manifest(
+    input_paths: Iterable[str | Path], payload: dict, timestamp: str | None = None
+) -> dict:
+    """Return ``payload`` with the tool version, input digests, a timestamp and a hash added.
 
-    The hash is of the canonical JSON of ``payload`` and the tool
-    version. The timestamp (now, unless given) is not hashed, so reruns
-    on identical inputs share a hash.
+    Each input file's sha256 goes under ``input_file_digests``, keyed by
+    path in sorted order, each path once; a run with no input files gets
+    no such key. The hash is of the canonical JSON of ``payload``, the
+    tool version and the digests. The timestamp (now, unless given) is
+    not hashed, so reruns on identical inputs share a hash.
     """
-    payload = {"tool_version": TOOL_VERSION, **payload}
+    paths = sorted({str(p) for p in input_paths})
+    digests = {"input_file_digests": {p: sha256_file(p) for p in paths}} if paths else {}
+    payload = {"tool_version": TOOL_VERSION, **digests, **payload}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -76,22 +83,6 @@ def hashed_manifest(payload: dict, timestamp: str | None = None) -> dict:
         "timestamp": timestamp,
         "manifest_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
     }
-
-
-def build_manifest(
-    input_paths: Iterable[str | Path],
-    params: EpiParams,
-    scenario_configs: Iterable[ScenarioConfig],
-    timestamp: str | None = None,
-) -> dict:
-    """Assemble the manifest for a run over the given input files."""
-    digests = {p: sha256_file(p) for p in sorted({str(p) for p in input_paths})}
-    payload = {
-        "input_file_digests": digests,
-        "resolved_params": dataclasses.asdict(params),
-        "scenario_configs": [dataclasses.asdict(c) for c in scenario_configs],
-    }
-    return hashed_manifest(payload, timestamp)
 
 
 def write_reports(out_dir: str | Path, reports: Mapping[str, str]) -> Path:

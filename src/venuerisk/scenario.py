@@ -7,10 +7,11 @@ Running one always follows the same pipeline order, each step one array
 expression over the visit records:
 
     1. select the visit source: the baseline records, joined once when
-       the run loaded them and dropped once the last scenario that reads
-       them has run, or a visit file, parsed and joined when the
-       scenario runs; either way each venue's records are one slice,
-       found by the venue-table row's offsets
+       the run loaded them and dropped before any scenario after the
+       last one that reads them (before the first, when none does), or
+       a visit file, parsed and joined when the scenario runs; either
+       way each venue's records are one slice, found by the venue-table
+       row's offsets
     2. apply the sampling factor to the records:      count * factor
     3. cap each record at its venue's distanced occupancy (if spacing
        is set):                       minimum(count, cap[row])

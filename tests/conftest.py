@@ -125,13 +125,15 @@ def visit_rows(visits: VisitRecords) -> dict:
 
 
 def record_columns(visits: VisitRecords) -> tuple:
-    """Everything ``visits`` holds, for comparison with ==: ids in order, each column's
-    dtype and values, counts by ``repr`` so that -0.0 and 0.0 differ."""
+    """What ``visits`` holds, for comparison with ==: ids in order, each column's dtype,
+    and each record's id index, hour and count, counts by ``repr`` so that -0.0 and 0.0
+    differ. Where a stretch of one id is split into runs is not compared: each reader
+    finds its own runs."""
     columns = (visits.run_venue, visits.run_length, visits.hour, visits.count)
     return (
         list(visits.ids.items()),
         [column.dtype.str for column in columns],
-        [repr(column.tolist()) for column in columns],
+        [repr(column.tolist()) for column in (record_ids(visits), visits.hour, visits.count)],
     )
 
 

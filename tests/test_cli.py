@@ -258,6 +258,42 @@ class TestSimulate:
         assert f"{bad}: line 2: count 'abc' is not a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "which, row, message",
+        [
+            ("venues", "v00002,Bar,drinking_place,ten", "area 'ten' is not a number"),
+            ("visits", "v00001,x1,1", "hour 'x1' is not an integer"),
+            ("visits", "v00001,5,abc", "count 'abc' is not a number"),
+        ],
+        ids=["area", "hour", "count"],
+    )
+    def test_field_that_is_not_a_number_names_the_file_and_line(
+        self, small_dataset, tmp_path, monkeypatch, capsys, which, row, message
+    ):
+        # the bad row comes past the first parse block of a visit file, so the byte reader
+        # gives up on it and the csv reader's message is the one shown; a venue file has
+        # no byte reader
+        monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", 16)
+        fast = []
+        real_fast = ingest._parse_visits_fast
+
+        def spy(source):
+            fast.append(real_fast(source))
+            return fast[-1]
+
+        monkeypatch.setattr(ingest, "_parse_visits_fast", spy)
+        header, good = {
+            "venues": ("venue_id,name,category,area", "v00001,Cafe,restaurant,12.5"),
+            "visits": ("venue_id,hour,count", "v00001,3,1\nv00001,4,2"),
+        }[which]
+        bad = tmp_path / f"bad_{which}.csv"
+        bad.write_text(f"{header}\n{good}\n{row}\n", encoding="utf-8")
+        ds = dict(small_dataset, **{which: bad})
+        assert run_cli(*simulate_args(ds, tmp_path / "x")) == 1
+        line = 3 + (which == "visits")
+        assert capsys.readouterr().err == f"error: {bad}: line {line}: {message}\n"
+        assert fast == ([None] if which == "visits" else [])
+
+    @pytest.mark.parametrize(
         "which, text",
         [
             ("venues", "# stamp\nvenue_id,name,category,area\nv1,{big},restaurant,10\n"),
@@ -515,6 +551,38 @@ class TestCompare:
         assert (out / "histogram_a.csv").exists() and (out / "histogram_b.csv").exists()
         stdout = capsys.readouterr().out
         assert "t=" in stdout and "p=" in stdout
+
+    @pytest.mark.parametrize("a_visits", ["baseline", "pre_visits"])
+    def test_manifest_digests_every_input_file_once(
+        self, small_dataset, tmp_path, monkeypatch, a_visits
+    ):
+        # the venue file, --visits, both scenario files and a scenario's own visit file,
+        # each once (here two scenarios may read one file), in sorted order, by sha256
+        hashed = []
+        real_sha256_file = reporting.sha256_file
+
+        def spy(path):
+            hashed.append(path)
+            return real_sha256_file(path)
+
+        monkeypatch.setattr(reporting, "sha256_file", spy)
+        a, b = self._scenarios(tmp_path, small_dataset)
+        if a_visits != "baseline":
+            a.write_text(f"name = early\nvisits = {small_dataset[a_visits]}\n", encoding="utf-8")
+        out = tmp_path / "cmp"
+        assert run_cli(
+            "compare", "--venues", str(small_dataset["venues"]),
+            "--visits", str(small_dataset["visits"]),
+            "--scenario-a", str(a), "--scenario-b", str(b),
+            "--prevalence", "0.001", "--out", str(out),
+        ) == 0
+        digests = json.loads((out / "manifest.json").read_text())["input_file_digests"]
+        inputs = [small_dataset[key] for key in ("venues", "visits", "pre_visits")] + [a, b]
+        assert digests == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(inputs, key=str)
+        }
+        assert list(digests) == sorted(digests) == hashed
 
     def test_only_simulate_parses_venue_names(self, small_dataset, tmp_path, monkeypatch):
         # only simulate's venue_results.csv writes names, so compare's table holds none
@@ -1402,6 +1470,8 @@ class TestGenSynthetic:
         ) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["generator_config"] == {"n_venues": 30, "profile": "lockdown", "seed": 11}
+        # it reads no file, so it lists no input digests
+        assert sorted(manifest) == ["generator_config", "manifest_sha256", "timestamp", "tool_version"]
 
     def test_generated_files_feed_simulate(self, small_dataset, tmp_path):
         out = tmp_path / "run"
@@ -1500,7 +1570,8 @@ def test_count_past_int_digits_without_a_maximum_names_the_flag(
 
 
 class TestBaselineLifetime:
-    """The baseline records are dropped once the last scenario that reads them has run."""
+    """The baseline records are dropped before the first scenario after the last one that
+    reads them, so before the first scenario when none reads them."""
 
     def _run(self, monkeypatch, names):
         # a weak reference to the baseline counts, and whether it is alive at each step
@@ -1540,6 +1611,12 @@ class TestBaselineLifetime:
     def test_kept_until_a_later_baseline_scenario_has_run(self, monkeypatch):
         events, alive = self._run(monkeypatch, ["reopened", "lockdown"])
         assert events == [("reopened", True), ("load_visits", True), ("lockdown", True)]
+        assert not alive
+
+    def test_released_before_the_first_scenario_when_none_reads_them(self, monkeypatch):
+        # --visits is still parsed and joined, so an unknown id fails before any scenario
+        events, alive = self._run(monkeypatch, ["reopened", "reopened"])
+        assert events == [("reopened", False), ("load_visits", False)] * 2
         assert not alive
 
 

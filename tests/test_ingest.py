@@ -13,6 +13,7 @@ from venuerisk.errors import InputError
 from venuerisk.ingest import (
     INDEX_DTYPE,
     SQFT_TO_SQM,
+    WINDOW_HOURS,
     SimulationInput,
     VenueTable,
     VisitRecords,
@@ -246,6 +247,18 @@ class TestSlicedVisitParse:
         assert record_columns(fast) == record_columns(slow)
         assert list(fast.ids)[:3] == ["v0", "v1", "v2"] and len(fast.count) == 42
 
+    @pytest.mark.parametrize("slice_chars", [1, 9, 16])
+    def test_runs_split_at_block_edges_only(self, monkeypatch, slice_chars):
+        # each block finds its own runs: a stretch of one id across a block's edge is one
+        # run more there, and the records are the csv parser's
+        monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", slice_chars)
+        with mock.patch.object(ingest, "_parse_block", wraps=ingest._parse_block) as blocks:
+            fast = _parse_visits_fast(io.StringIO(SLICED_TEXT))
+        slow = _parse_visits_csv(io.StringIO(SLICED_TEXT))
+        assert record_columns(fast) == record_columns(slow)
+        runs, edges = slow.run_venue.size, blocks.call_count - 1
+        assert runs < fast.run_venue.size <= runs + edges
+
     @pytest.mark.parametrize(
         "last_line",
         [
@@ -269,6 +282,30 @@ def test_duplicate_pair_in_two_parse_blocks_is_the_csv_error(monkeypatch):
     monkeypatch.setattr(ingest, "_PARSE_BLOCK_CHARS", 1)
     assert _parse_visits_fast(io.StringIO(text)) is None
     with pytest.raises(RecordError, match="line 4: duplicate hour 4 for venue 'v'"):
+        parse_visits(io.StringIO(text))
+
+
+def test_run_over_the_window_across_a_block_edge_is_the_csv_error(monkeypatch):
+    # WINDOW_HOURS + 1 rows of one id must repeat an hour. At the default block size this
+    # stretch crosses the first block's edge, so neither block holds a run over the window:
+    # the duplicate check finds the hour, and the csv parser names its line
+    run = "".join(f"x,{hour},1\n" for hour in [*range(WINDOW_HOURS), 5])
+    fillers = (ingest._PARSE_BLOCK_CHARS - len(run) // 2) // len("f00000,0,1\n")
+    body = "".join(f"f{i:05d},0,1\n" for i in range(fillers))
+    assert len(body) < ingest._PARSE_BLOCK_CHARS < len(body) + len(run) - len("x,5,1\n")
+    text = "venue_id,hour,count\n" + body + run
+    blocks = []
+    real_block = ingest._parse_block
+
+    def spy(part, ids):
+        blocks.append(real_block(part, ids))
+        return blocks[-1]
+
+    monkeypatch.setattr(ingest, "_parse_block", spy)
+    assert _parse_visits_fast(io.StringIO(text)) is None
+    assert len(blocks) == 2 and None not in blocks
+    line = 1 + fillers + WINDOW_HOURS + 1
+    with pytest.raises(RecordError, match=f"^line {line}: duplicate hour 5 for venue 'x'$"):
         parse_visits(io.StringIO(text))
 
 

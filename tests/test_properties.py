@@ -47,7 +47,7 @@ from venuerisk.ingest import (
     write_venues,
     write_visits,
 )
-from venuerisk.reporting import hashed_manifest, venue_results_csv
+from venuerisk.reporting import build_manifest, venue_results_csv
 from venuerisk.scenario import apply_occupancy_cap
 from venuerisk.stats import combined_range, histogram, regularized_incomplete_beta
 from conftest import (
@@ -720,13 +720,13 @@ def reversed_keys(value):
     st.none() | st.text(),
 )
 def test_manifest_hash_ignores_timestamp_and_key_order(payload, stamp_a, stamp_b):
-    first = hashed_manifest(payload, stamp_a)
-    second = hashed_manifest(reversed_keys(payload), stamp_b)
+    first = build_manifest([], payload, stamp_a)
+    second = build_manifest([], reversed_keys(payload), stamp_b)
     assert first["manifest_sha256"] == second["manifest_sha256"]
     if stamp_a is not None:
         assert first["timestamp"] == stamp_a
     # and the hash is of the payload: another payload gets another hash
-    assert hashed_manifest({"payload": payload}, stamp_a)["manifest_sha256"] != (
+    assert build_manifest([], {"payload": payload}, stamp_a)["manifest_sha256"] != (
         first["manifest_sha256"]
     )
 
